@@ -19,6 +19,7 @@ import numpy as np
 from .diffusion import validate_assumptions
 from .errors import (
     ComparisonError,
+    DomainError,
     HarvestFieldError,
     ScenarioError,
     SolverError,
@@ -94,6 +95,9 @@ def _cmd_validate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
 def _cmd_solve_single(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
     payoff = resolve_payoff(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
     z = scenario.single_z if scenario.single_z is not None else payoff.domain[0]
+    lo, hi = payoff.domain
+    if not lo <= z <= hi:
+        raise DomainError(f"single.z = {z} lies outside the attainable interaction range [{lo}, {hi}]")
     sol = best_response(scenario.model, payoff, z, numerics=scenario.numerics)
     results = {"interaction_level": z, **sol.to_dict()}
     return results, {"payoff": payoff.to_dict()}, 0

@@ -34,7 +34,6 @@ class NumericsConfig:
     fixed_point_tol: float = 1e-8
     fixed_point_max_iter: int = 200
     scan_points: int = 500
-    stock_saturation: float = 0.999  # scan cap where c(y) saturates at z2
 
     # stopping-problem grids
     stopping_grid_points: int = 400

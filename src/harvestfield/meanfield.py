@@ -5,12 +5,16 @@ Agents interact through one scalar ``c(y)``: the average harvesting rate
 best-response map ``g`` sends an interaction level to the optimal threshold,
 and ``Phi = g o c`` sends a population threshold to the individual optimum.
 
-* competitive equilibrium: fixed point of Phi. Under the harvest-rate
-  channel Phi is strictly decreasing, so the fixed point is unique and found
-  by bisection. Under the expected-stock channel Phi is increasing, so all
-  sign changes of ``Phi(y) - y`` on a log grid are collected and refined.
+Both problems read one log grid of thresholds, priced once per solve:
+
+* competitive equilibrium: fixed point of Phi. On either channel every sign
+  change of ``Phi(y) - y`` on the grid is refined by Brent's method. Under the
+  harvest-rate channel Phi is strictly decreasing, so the search must find
+  exactly one root; under the expected-stock channel Phi is nondecreasing and
+  several equilibria may coexist.
 * cooperative (planner) optimum: maximizer of
-  ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by grid scan plus golden section.
+  ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid plus
+  golden section.
 
 The threshold ordering between the two solutions is checked by
 :func:`compare`: planner >= equilibrium under the harvest-rate channel and
@@ -23,13 +27,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
-from .diffusion import DiffusionModel, logistic_model
+from .diffusion import DiffusionModel, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
 from .hitting import get_evaluator
 from .impulse import (
     ThresholdSolution,
+    _golden_max,
     best_response,
     critical_bounds,
     max_harvest_rate,
@@ -214,26 +220,42 @@ class CompareReport:
 
 
 # ---------------------------------------------------------------------------
-# equilibria
+# the threshold scan shared by both problems
 # ---------------------------------------------------------------------------
 
-def _psi(model, payoff, y, *, numerics) -> float:
-    return phi_map(model, payoff, y, numerics=numerics).threshold - y
+@dataclass(frozen=True)
+class _Scan:
+    """A log grid of population thresholds with the prices they generate."""
+
+    payoff: PayoffSpec              # with its interaction domain resolved
+    bounds: tuple[float, float]     # best-response range [y_lo, y_hi]
+    grid: np.ndarray
+    prices: np.ndarray              # phi(c(grid)), c clamped to the domain
 
 
-def _refine_fixed_point(model, payoff, lo, hi, psi_lo, psi_hi, *, numerics) -> float:
-    """Bisection for a root of psi on [lo, hi] with a sign change."""
-    for _ in range(numerics.fixed_point_max_iter):
-        mid = 0.5 * (lo + hi)
-        pm = _psi(model, payoff, mid, numerics=numerics)
-        if abs(pm) < numerics.fixed_point_tol or (hi - lo) < numerics.fixed_point_tol:
-            return mid
-        if (pm > 0.0) == (psi_lo > 0.0):
-            lo, psi_lo = mid, pm
-        else:
-            hi, psi_hi = mid, pm
-    return 0.5 * (lo + hi)
+def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig) -> _Scan:
+    """Resolve the payoff once and price a grid that reaches past ``2 * y_hi``.
 
+    Phi maps into ``[y_lo, y_hi]``, so every fixed point lies inside the grid,
+    and the planner's maximizer lies below ``max(20 * y_hat0, 2 * y_hi)``.
+    """
+    if numerics.scan_points < 2:
+        raise DomainError(f"numerics.scan_points must be at least 2, got {numerics.scan_points}")
+    payoff = resolve_payoff(model, payoff, numerics=numerics)
+    y_lo, y_hi = critical_bounds(model, payoff, numerics=numerics)
+    y_hat0 = optimal_threshold_basic(model, 0.0, numerics=numerics).threshold
+    y0 = model.restart_level
+    grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), numerics.scan_points)
+    z_grid = np.clip(interaction_level(model, payoff, grid), *payoff.domain)
+    prices = np.array([float(payoff.phi(z)) for z in z_grid])
+    if np.any(prices <= 0.0):
+        raise DomainError("phi must stay positive on the attainable interaction range")
+    return _Scan(payoff=payoff, bounds=(y_lo, y_hi), grid=grid, prices=prices)
+
+
+# ---------------------------------------------------------------------------
+# equilibria
+# ---------------------------------------------------------------------------
 
 def _equilibrium_point(model, payoff, y_star, *, numerics) -> EquilibriumPoint:
     z = interaction_level(model, payoff, y_star)
@@ -249,23 +271,55 @@ def _equilibrium_point(model, payoff, y_star, *, numerics) -> EquilibriumPoint:
     )
 
 
-def _stock_scan_cap(model, payoff, y_hat0, *, numerics) -> float:
-    """Upper end of the multi-equilibrium scan: where c(y) saturates at z2, or 20*yhat0."""
-    from .errors import DivergenceError
+def _equilibria(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) -> EquilibriumSet:
+    payoff, grid = scan.payoff, scan.grid
+    y_lo, y_hi = scan.bounds
+    diagnostics: dict = {"bounds": [y_lo, y_hi]}
 
-    _, z2 = payoff.domain
-    y = max(2.0 * model.restart_level, y_hat0)
-    for _ in range(40):
-        try:
-            if expected_stock(model, y) >= numerics.stock_saturation * z2:
-                break
-        except (DivergenceError, OverflowError):
-            # the scale function overflowed before c saturated; stop at the
-            # last representable threshold
-            y /= 2.0
-            break
-        y *= 2.0
-    return max(20.0 * y_hat0, y)
+    if y_hi - y_lo < numerics.fixed_point_tol:
+        # Phi is constant up to the tolerance; its value is the fixed point
+        roots = [0.5 * (y_lo + y_hi)]
+    else:
+        def psi(y: float) -> float:
+            return phi_map(model, payoff, y, numerics=numerics).threshold - y
+
+        psi_grid = optimal_thresholds_on_grid(model, payoff.cost / scan.prices, numerics=numerics) - grid
+        diagnostics["scan"] = {
+            "points": len(grid),
+            "cap": float(grid[-1]),
+            "psi_start": float(psi_grid[0]),
+            "psi_end": float(psi_grid[-1]),
+        }
+        roots = [float(y) for y in grid[psi_grid == 0.0]]
+        for i in np.flatnonzero(psi_grid[:-1] * psi_grid[1:] < 0.0):
+            a, b = float(grid[i]), float(grid[i + 1])
+            # brentq starts from the scan's psi at the cell ends: no Phi step is
+            # repeated, and the sign change it needs is the one the scan found
+            ends = {a: psi_grid[i], b: psi_grid[i + 1]}
+            try:
+                root = brentq(
+                    lambda y: ends[y] if y in ends else psi(y), a, b,
+                    xtol=numerics.fixed_point_tol, maxiter=numerics.fixed_point_max_iter,
+                )
+            except (RuntimeError, ValueError) as exc:  # budget exhausted or bad tolerances
+                raise SolverError(f"fixed-point refinement on [{a}, {b}] failed: {exc}") from exc
+            roots.append(root)
+
+    roots.sort()
+    if payoff.interaction is Interaction.HARVEST_RATE and len(roots) != 1:
+        raise SolverError(
+            "the harvest-rate best-response map is decreasing and must have one fixed point; "
+            f"the scan found {len(roots)}: {roots}"
+        )
+    if not roots:
+        diagnostics["no_equilibrium"] = (
+            "psi has no sign change on the scan grid; check the assumption report"
+        )
+        diagnostics["assumptions"] = validate_assumptions(model).to_dict()
+        return EquilibriumSet(points=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
+
+    points = tuple(_equilibrium_point(model, payoff, r, numerics=numerics) for r in roots)
+    return EquilibriumSet(points=points, bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
 
 def mfg_equilibrium(
@@ -276,82 +330,15 @@ def mfg_equilibrium(
 ) -> EquilibriumSet:
     """All threshold equilibria of the market, with stability labels.
 
-    Harvest-rate channel: Phi is strictly decreasing, hence a unique fixed
-    point, found by bisection between the best-response bounds. Expected-stock
-    channel: sign changes of ``Phi(y) - y`` are collected on a log grid and
-    refined one by one; several equilibria may coexist.
+    One search serves both channels: ``psi(y) = Phi(y) - y`` is evaluated on
+    the shared log grid and every sign change is refined by Brent's method.
+    Under the harvest-rate channel Phi is strictly decreasing, so exactly one
+    root must be found; any other count raises :class:`SolverError`. Under the
+    expected-stock channel several equilibria may coexist. When the price
+    does not move the best response (``y_hi - y_lo`` below the fixed-point
+    tolerance) the midpoint of the bounds is returned without a scan.
     """
-    payoff = resolve_payoff(model, payoff, numerics=numerics)
-    ev = get_evaluator(model)
-    y_lo, y_hi = critical_bounds(model, payoff, numerics=numerics)
-    diagnostics: dict = {"bounds": [y_lo, y_hi]}
-
-    if payoff.interaction is Interaction.HARVEST_RATE:
-        if y_hi - y_lo < numerics.fixed_point_tol:
-            point = _equilibrium_point(model, payoff, 0.5 * (y_lo + y_hi), numerics=numerics)
-            return EquilibriumSet(points=(point,), bounds=(y_lo, y_hi), diagnostics=diagnostics)
-        psi_lo = _psi(model, payoff, y_lo, numerics=numerics)
-        psi_hi = _psi(model, payoff, y_hi, numerics=numerics)
-        if psi_lo < -numerics.fixed_point_tol or psi_hi > numerics.fixed_point_tol:
-            raise SolverError(
-                "best-response map does not map its bounds inward; "
-                f"psi({y_lo})={psi_lo}, psi({y_hi})={psi_hi}"
-            )
-        y_star = _refine_fixed_point(
-            model, payoff, y_lo, y_hi, psi_lo, psi_hi, numerics=numerics
-        )
-        point = _equilibrium_point(model, payoff, y_star, numerics=numerics)
-        return EquilibriumSet(points=(point,), bounds=(y_lo, y_hi), diagnostics=diagnostics)
-
-    # expected-stock channel: scan for every sign change
-    y0 = model.restart_level
-    y_hat0 = optimal_threshold_basic(ev, 0.0, numerics=numerics).threshold
-    y_cap = _stock_scan_cap(model, payoff, y_hat0, numerics=numerics)
-    grid = np.geomspace(y0 * (1.0 + 1e-3), y_cap, max(numerics.scan_points, 500))
-    z_grid = np.clip(interaction_level(model, payoff, grid), *payoff.domain)
-    prices = np.array([float(payoff.phi(z)) for z in z_grid])
-    if np.any(prices <= 0.0):
-        raise DomainError("phi must stay positive on the attainable stock range")
-    phi_grid = optimal_thresholds_on_grid(ev, payoff.cost / prices, numerics=numerics)
-    psi_grid = phi_grid - grid
-    diagnostics["scan"] = {
-        "points": len(grid),
-        "cap": y_cap,
-        "psi_start": float(psi_grid[0]),
-        "psi_end": float(psi_grid[-1]),
-    }
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = float(psi_grid[i]), float(psi_grid[i + 1])
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(
-                _refine_fixed_point(
-                    model, payoff, float(grid[i]), float(grid[i + 1]), a, b, numerics=numerics
-                )
-            )
-    if psi_grid[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 1e-6 * max(1.0, r):
-            deduped.append(r)
-    if not deduped:
-        diagnostics["no_equilibrium"] = (
-            "psi has no sign change on the scan grid; check the assumption report"
-        )
-        from .diffusion import validate_assumptions
-
-        diagnostics["assumptions"] = validate_assumptions(model).to_dict()
-        return EquilibriumSet(points=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
-
-    points = tuple(
-        _equilibrium_point(model, payoff, r, numerics=numerics) for r in deduped
-    )
-    return EquilibriumSet(points=points, bounds=(y_lo, y_hi), diagnostics=diagnostics)
+    return _equilibria(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
 
 
 def classify_stability(
@@ -361,12 +348,11 @@ def classify_stability(
     *,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> tuple[str, float]:
-    """Label a fixed point by its central-difference map slope Phi' alone.
+    """Label a fixed point by its central-difference map slope Phi'.
 
-    The label is "marginal" when ``|Phi'|`` is within 1e-3 of 1, otherwise
-    "stable" when ``|Phi'| < 1`` and "unstable" when not. The five-step
-    iteration probe from +/-2 percent that follows still runs, but its
-    outcome is discarded: it never changes the label.
+    The slope comes from two Phi steps at ``y_star * (1 +/- 1e-3)``. The label
+    is "marginal" when ``|Phi'|`` is within 1e-3 of 1, otherwise "stable" when
+    ``|Phi'| < 1`` and "unstable" when not.
 
     Returns ``(label, slope)`` with label in {"stable", "unstable", "marginal"}.
     """
@@ -378,50 +364,18 @@ def classify_stability(
     slope = (up - down) / (2.0 * step)
     if abs(abs(slope) - 1.0) < 1e-3:
         return "marginal", slope
-    label = "stable" if abs(slope) < 1.0 else "unstable"
-
-    # iteration cross-check from +/-2 percent
-    agrees = True
-    for start in (y_star * 0.98, y_star * 1.02):
-        y = start
-        for _ in range(5):
-            y = phi_map(model, payoff, y, numerics=numerics).threshold
-        moved_closer = abs(y - y_star) < abs(start - y_star)
-        if moved_closer != (label == "stable"):
-            agrees = False
-    if not agrees:
-        # the derivative is the primary criterion; the iteration probe can be
-        # polluted by a neighboring fixed point inside the 2 percent window
-        return label, slope
-    return label, slope
+    return ("stable" if abs(slope) < 1.0 else "unstable"), slope
 
 
 # ---------------------------------------------------------------------------
 # planner problem
 # ---------------------------------------------------------------------------
 
-def mfc_optimum(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> MfcSolution:
-    """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y): grid scan + golden refinement."""
-    payoff = resolve_payoff(model, payoff, numerics=numerics)
+def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) -> MfcSolution:
+    payoff, grid = scan.payoff, scan.grid
     ev = get_evaluator(model)
     y0 = model.restart_level
-    y_hat0 = optimal_threshold_basic(ev, 0.0, numerics=numerics).threshold
-
-    if payoff.interaction is Interaction.HARVEST_RATE:
-        _, y_hi = critical_bounds(model, payoff, numerics=numerics)
-        y_max = max(20.0 * y_hat0, 2.0 * y_hi)
-    else:
-        y_max = _stock_scan_cap(model, payoff, y_hat0, numerics=numerics)
-
-    grid = np.geomspace(y0 * (1.0 + 1e-3), y_max, max(numerics.scan_points, 500))
-    z_grid = np.clip(interaction_level(model, payoff, grid), *payoff.domain)
-    prices = np.array([float(payoff.phi(z)) for z in z_grid])
-    h_grid = (prices * (grid - y0) - payoff.cost) / np.asarray(ev.xi(grid))
+    h_grid = (scan.prices * (grid - y0) - payoff.cost) / np.asarray(ev.xi(grid))
 
     def h_scalar(y: float) -> float:
         z, _ = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)
@@ -430,8 +384,6 @@ def mfc_optimum(
     def refine_around(i: int) -> tuple[float, float]:
         lo = float(grid[max(i - 1, 0)])
         hi = float(grid[min(i + 1, len(grid) - 1)])
-        from .impulse import _golden_max
-
         y_ref, v_ref, _ = _golden_max(h_scalar, lo, hi, numerics.golden_rel_tol)
         return y_ref, v_ref
 
@@ -462,6 +414,16 @@ def mfc_optimum(
     )
 
 
+def mfc_optimum(
+    model: DiffusionModel,
+    payoff: PayoffSpec,
+    *,
+    numerics: NumericsConfig = DEFAULT_NUMERICS,
+) -> MfcSolution:
+    """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y): grid scan + golden refinement."""
+    return _planner(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
+
+
 # ---------------------------------------------------------------------------
 # comparison and sweeps
 # ---------------------------------------------------------------------------
@@ -474,8 +436,9 @@ def compare(
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> CompareReport:
     """Solve both problems and assert the threshold ordering for the channel."""
-    equilibria = mfg_equilibrium(model, payoff, numerics=numerics)
-    planner = mfc_optimum(model, payoff, numerics=numerics)
+    scan = _scan(model, payoff, numerics=numerics)
+    equilibria = _equilibria(model, scan, numerics=numerics)
+    planner = _planner(model, scan, numerics=numerics)
     if len(equilibria) == 0:
         raise SolverError("no equilibrium found; cannot compare")
     if payoff.interaction is Interaction.HARVEST_RATE:

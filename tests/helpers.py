@@ -2,9 +2,13 @@
 
 These deliberately avoid the package's quadrature stack: composite Simpson
 with interval doubling, central finite differences, and brute-force grids.
+The equilibrium oracle uses only xi and xi' and never a package solver.
 """
 
 import numpy as np
+from scipy.optimize import brentq
+
+from harvestfield.hitting import XiEvaluator
 
 
 def simpson(f, a, b, n):
@@ -38,3 +42,33 @@ def second_diff(f, x, h):
 def fd_step(y):
     # balances truncation against rounding for quantities of size ~1..100
     return max(1e-5, 1e-6 * y)
+
+
+def equilibria_oracle(model, phi, cost, c, c_max):
+    """Equilibria from the first-order condition, and sup Phi.
+
+    A threshold y is the best response at price p iff ``p * k(y) = K`` with
+    ``k(y) = y - y0 - xi(y)/xi'(y)``, so the equilibria are the roots of
+    ``phi(c(y)) * k(y) - K``. Since c(y) <= c_max and phi is nonincreasing,
+    every one lies below sup Phi, the root of ``phi(c_max) * k(y) - K``. The
+    roots are bracketed by a dense sign scan up to twice sup Phi and refined
+    by brentq. Only xi, xi' and the caller's c are used: no equilibrium
+    solver, Phi step or threshold optimizer.
+    """
+    ev = XiEvaluator(model)
+    y0 = model.restart_level
+
+    def k(y):
+        return y - y0 - ev.xi(y) / ev.xi_prime(y)
+
+    def gap(y):
+        return float(phi(c(y))) * k(y) - cost
+
+    y_start = y0 * (1.0 + 1e-3)
+    # s(y) in xi'(y) overflows past y ~ 800, so the bracket stops at 100
+    sup_phi = brentq(lambda y: float(phi(c_max)) * k(y) - cost, y_start, 100.0, xtol=1e-12)
+    ys = np.geomspace(y_start, 2.0 * sup_phi, 2000)
+    gaps = np.array([gap(y) for y in ys])
+    brackets = np.nonzero(np.sign(gaps[:-1]) != np.sign(gaps[1:]))[0]
+    roots = [brentq(gap, ys[i], ys[i + 1], xtol=1e-12, rtol=1e-14) for i in brackets]
+    return roots, sup_phi

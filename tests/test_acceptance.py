@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from helpers import equilibria_oracle
 
 from harvestfield.diffusion import _calculus, logistic_model, scale_density, speed_density
 from harvestfield.hitting import XiEvaluator
@@ -131,34 +131,9 @@ def test_criterion_2_planner_reproduction(capsys, model, rate_payoff):
 
 
 def _stock_equilibria_oracle(model, phi, cost):
-    """Expected-stock equilibria from the first-order condition, and sup Phi.
-
-    A threshold y is the best response at price p iff ``p * k(y) = K`` with
-    ``k(y) = y - y0 - xi(y)/xi'(y)``, so the equilibria are the roots of
-    ``phi(c(y)) * k(y) - K``. Since c(y) < z2 and phi is nonincreasing, every
-    one lies below sup Phi, the root of ``phi(z2) * k(y) - K``. The roots are
-    bracketed by a dense sign scan up to twice sup Phi and refined by brentq.
-    Only xi, xi' and the expected stock are used: no equilibrium solver, Phi
-    step or threshold optimizer.
-    """
-    ev = XiEvaluator(model)
-    y0 = model.restart_level
+    """Expected-stock equilibria and sup Phi from the first-order-condition oracle."""
     _, z2 = stock_bounds(model)
-
-    def k(y):
-        return y - y0 - ev.xi(y) / ev.xi_prime(y)
-
-    def gap(y):
-        return float(phi(expected_stock(model, y))) * k(y) - cost
-
-    y_start = y0 * (1.0 + 1e-3)
-    # s(y) in xi'(y) overflows past y ~ 800, so the bracket stops at 100
-    sup_phi = brentq(lambda y: float(phi(z2)) * k(y) - cost, y_start, 100.0, xtol=1e-12)
-    ys = np.geomspace(y_start, 2.0 * sup_phi, 2000)
-    gaps = np.array([gap(y) for y in ys])
-    brackets = np.nonzero(np.sign(gaps[:-1]) != np.sign(gaps[1:]))[0]
-    roots = [brentq(gap, ys[i], ys[i + 1], xtol=1e-12, rtol=1e-14) for i in brackets]
-    return roots, sup_phi
+    return equilibria_oracle(model, phi, cost, lambda y: expected_stock(model, y), z2)
 
 
 def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):

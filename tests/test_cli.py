@@ -80,6 +80,53 @@ def test_solve_single_uses_fixed_interaction(tmp_path):
     assert results["threshold"] > 1.0
 
 
+def with_section(tmp_path, scenario, **sections):
+    data = json.loads(Path(scenario).read_text())
+    data.update(sections)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_solve_single_rejects_stock_level_above_domain(tmp_path):
+    # z = 2.5 lies above the largest expected stock z2 = 2 of the bundled model
+    scenario = with_section(tmp_path, STOCK_SCENARIO, single={"z": 2.5})
+    code, _ = run(tmp_path, "solve-single", scenario)
+    assert code == 3
+
+
+def test_solve_single_rejects_rate_above_max_harvest_rate(tmp_path):
+    from harvestfield.diffusion import logistic_model
+    from harvestfield.impulse import max_harvest_rate
+
+    top = max_harvest_rate(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0))
+    scenario = with_section(tmp_path, RATE_SCENARIO, single={"z": 1.01 * top})
+    code, _ = run(tmp_path, "solve-single", scenario)
+    assert code == 3
+
+
+def test_grid_option_sets_scan_points(tmp_path):
+    code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
+    assert code == 0
+    default = read_report(out)["results"]
+    code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO, "--grid", "200")
+    assert code == 0
+    coarse = read_report(out)["results"]
+    assert default["diagnostics"]["scan"]["points"] == 500
+    assert coarse["diagnostics"]["scan"]["points"] == 200
+    assert len(coarse["equilibria"]) == len(default["equilibria"]) == 1
+    assert coarse["equilibria"][0]["threshold"] == pytest.approx(
+        default["equilibria"][0]["threshold"], rel=1e-6
+    )
+
+
+@pytest.mark.parametrize("numerics", [{"scan_points": 1}, {"fixed_point_max_iter": 0}])
+def test_unusable_equilibrium_numerics_exit_3(tmp_path, numerics):
+    scenario = with_section(tmp_path, STOCK_SCENARIO, numerics=numerics)
+    code, _ = run(tmp_path, "solve-mfg", scenario)
+    assert code == 3
+
+
 def test_verify_passes_on_benchmark(tmp_path):
     code, out = run(tmp_path, "verify", RATE_SCENARIO)
     assert code == 0

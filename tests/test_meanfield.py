@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from helpers import central_diff
+from helpers import central_diff, equilibria_oracle
 
 from harvestfield.diffusion import logistic_model
-from harvestfield.errors import DomainError
+from harvestfield.errors import DomainError, SolverError
+from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import max_harvest_rate, optimal_threshold_basic
 from harvestfield.meanfield import (
     classify_stability,
@@ -122,6 +123,49 @@ def test_unique_equilibrium_rate_channel(benchmark_model, rate_payoff):
     assert y_lo <= point.threshold <= y_hi
     assert point.stability == "stable"
     assert point.map_slope < 0.0  # Phi is decreasing under this channel
+
+
+def _sweep_draws(n, seed=11):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.uniform(-2.0, -0.2), rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)) for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("q, b, cost", [(-1.0, 0.5, 1.0)] + _sweep_draws(5))
+def test_rate_equilibrium_matches_first_order_oracle(q, b, cost):
+    model = logistic_model(q=q, b=b, beta=1.0, y0=1.0)
+    payoff = PayoffSpec(
+        cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE
+    )
+    ev = XiEvaluator(model)
+
+    def rate(y):
+        return (y - 1.0) / ev.xi(y)
+
+    # the largest harvest rate, from a dense grid; the oracle only needs it
+    # to bound its scan, and scans to twice the bound it implies
+    c_max = max(rate(y) for y in np.geomspace(1.001, 50.0, 4000))
+    roots, _ = equilibria_oracle(model, payoff.phi, cost, rate, c_max)
+    eq = mfg_equilibrium(model, payoff)
+    assert len(roots) == 1
+    assert len(eq) == 1
+    assert eq.points[0].threshold == pytest.approx(roots[0], rel=1e-6)
+
+
+def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, monkeypatch):
+    # a synthetic scan whose psi turns positive again over its last quarter
+    import harvestfield.meanfield as mf
+
+    real = mf.optimal_thresholds_on_grid
+
+    def two_sign_changes(ev, k_tildes, *, numerics):
+        thresholds = real(ev, k_tildes, numerics=numerics)
+        return np.where(np.arange(len(thresholds)) >= 3 * len(thresholds) // 4, 1e3, thresholds)
+
+    monkeypatch.setattr(mf, "optimal_thresholds_on_grid", two_sign_changes)
+    with pytest.raises(SolverError, match="found 2"):
+        mfg_equilibrium(benchmark_model, rate_payoff)
 
 
 def test_constant_price_equilibrium_is_single_agent(benchmark_model):
