@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .meanfield import (
     ordering_sweep,
     resolve_payoff,
 )
+from .payoff import PayoffSpec
 from .reports import build_report, dump_json, render_table
 from .scenario import Scenario, load_scenario
 from .simulation import estimate_value, simulate_path
@@ -92,12 +94,20 @@ def _cmd_validate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
     return report.to_dict(), {}, 0
 
 
+def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
+    """The scenario's fixed interaction level, checked against the resolved payoff domain."""
+    z = scenario.single_z
+    lo, hi = payoff.domain
+    if z is not None and not lo <= z <= hi:
+        raise DomainError(f"single.z = {z} lies outside the attainable interaction range [{lo}, {hi}]")
+    return z
+
+
 def _cmd_solve_single(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
     payoff = resolve_payoff(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
-    z = scenario.single_z if scenario.single_z is not None else payoff.domain[0]
-    lo, hi = payoff.domain
-    if not lo <= z <= hi:
-        raise DomainError(f"single.z = {z} lies outside the attainable interaction range [{lo}, {hi}]")
+    z = _single_z(scenario, payoff)
+    if z is None:
+        z = payoff.domain[0]
     sol = best_response(scenario.model, payoff, z, numerics=scenario.numerics)
     results = {"interaction_level": z, **sol.to_dict()}
     return results, {"payoff": payoff.to_dict()}, 0
@@ -167,9 +177,8 @@ def _cmd_simulate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
 def _cmd_verify(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
     model = scenario.model
     payoff = resolve_payoff(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
-    if scenario.single_z is not None:
-        z = scenario.single_z
-    else:
+    z = _single_z(scenario, payoff)
+    if z is None:
         eq = mfg_equilibrium(model, payoff, numerics=scenario.numerics)
         if len(eq) == 0:
             raise SolverError("no equilibrium to verify")

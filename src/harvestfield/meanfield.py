@@ -5,7 +5,8 @@ Agents interact through one scalar ``c(y)``: the average harvesting rate
 best-response map ``g`` sends an interaction level to the optimal threshold,
 and ``Phi = g o c`` sends a population threshold to the individual optimum.
 
-Both problems read one log grid of thresholds, priced once per solve:
+Both problems read one log grid of thresholds; each grid point is priced at
+most once per solve:
 
 * competitive equilibrium: fixed point of Phi. On either channel every sign
   change of ``Phi(y) - y`` on the grid is refined by Brent's method. Under the
@@ -223,18 +224,38 @@ class CompareReport:
 # the threshold scan shared by both problems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Scan:
-    """A log grid of population thresholds with the prices they generate."""
+    """A log grid of population thresholds, each priced at most once, on first use.
 
-    payoff: PayoffSpec              # with its interaction domain resolved
-    bounds: tuple[float, float]     # best-response range [y_lo, y_hi]
-    grid: np.ndarray
-    prices: np.ndarray              # phi(c(grid)), c clamped to the domain
+    The price of a grid point y is ``phi(c(y))`` with c clamped to the
+    interaction domain. The equilibrium search prices only the cells that meet
+    the best-response range; the planner prices the whole grid.
+    """
+
+    def __init__(self, model: DiffusionModel, payoff: PayoffSpec,
+                 bounds: tuple[float, float], grid: np.ndarray):
+        self.model = model
+        self.payoff = payoff            # with its interaction domain resolved
+        self.bounds = bounds            # best-response range [y_lo, y_hi]
+        self.grid = grid
+        self._prices = np.full(len(grid), np.nan)
+
+    def prices(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Prices of ``grid[lo:hi]``."""
+        prices = self._prices[lo:hi]    # a view: new prices are kept
+        todo = np.isnan(prices)
+        if np.any(todo):
+            z = np.clip(interaction_level(self.model, self.payoff, self.grid[lo:hi][todo]),
+                        *self.payoff.domain)
+            new = np.array([float(self.payoff.phi(v)) for v in z])
+            if not np.all(new > 0.0):
+                raise DomainError("phi must stay positive on the attainable interaction range")
+            prices[todo] = new
+        return prices.copy()
 
 
 def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig) -> _Scan:
-    """Resolve the payoff once and price a grid that reaches past ``2 * y_hi``.
+    """Resolve the payoff once and lay a grid that reaches past ``2 * y_hi``.
 
     Phi maps into ``[y_lo, y_hi]``, so every fixed point lies inside the grid,
     and the planner's maximizer lies below ``max(20 * y_hat0, 2 * y_hi)``.
@@ -246,11 +267,7 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
     y_hat0 = optimal_threshold_basic(model, 0.0, numerics=numerics).threshold
     y0 = model.restart_level
     grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), numerics.scan_points)
-    z_grid = np.clip(interaction_level(model, payoff, grid), *payoff.domain)
-    prices = np.array([float(payoff.phi(z)) for z in z_grid])
-    if np.any(prices <= 0.0):
-        raise DomainError("phi must stay positive on the attainable interaction range")
-    return _Scan(payoff=payoff, bounds=(y_lo, y_hi), grid=grid, prices=prices)
+    return _Scan(model, payoff, (y_lo, y_hi), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +300,24 @@ def _equilibria(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig)
         def psi(y: float) -> float:
             return phi_map(model, payoff, y, numerics=numerics).threshold - y
 
-        psi_grid = optimal_thresholds_on_grid(model, payoff.cost / scan.prices, numerics=numerics) - grid
+        # Phi maps into [y_lo, y_hi], so psi > 0 below y_lo and psi < 0 above
+        # y_hi: only the cells that meet [y_lo, y_hi] can hold a sign change
+        lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
+        hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
+        ys = grid[lo:hi]
+        psi_grid = optimal_thresholds_on_grid(
+            model, payoff.cost / scan.prices(lo, hi), numerics=numerics
+        ) - ys
         diagnostics["scan"] = {
             "points": len(grid),
             "cap": float(grid[-1]),
+            "searched": [lo, hi],
             "psi_start": float(psi_grid[0]),
             "psi_end": float(psi_grid[-1]),
         }
-        roots = [float(y) for y in grid[psi_grid == 0.0]]
+        roots = [float(y) for y in ys[psi_grid == 0.0]]
         for i in np.flatnonzero(psi_grid[:-1] * psi_grid[1:] < 0.0):
-            a, b = float(grid[i]), float(grid[i + 1])
+            a, b = float(ys[i]), float(ys[i + 1])
             # brentq starts from the scan's psi at the cell ends: no Phi step is
             # repeated, and the sign change it needs is the one the scan found
             ends = {a: psi_grid[i], b: psi_grid[i + 1]}
@@ -331,12 +356,14 @@ def mfg_equilibrium(
     """All threshold equilibria of the market, with stability labels.
 
     One search serves both channels: ``psi(y) = Phi(y) - y`` is evaluated on
-    the shared log grid and every sign change is refined by Brent's method.
-    Under the harvest-rate channel Phi is strictly decreasing, so exactly one
-    root must be found; any other count raises :class:`SolverError`. Under the
-    expected-stock channel several equilibria may coexist. When the price
-    does not move the best response (``y_hi - y_lo`` below the fixed-point
-    tolerance) the midpoint of the bounds is returned without a scan.
+    the cells of the shared log grid that meet the best-response range
+    ``[y_lo, y_hi]``, which holds every fixed point, and every sign change is
+    refined by Brent's method. Under the harvest-rate channel Phi is strictly
+    decreasing, so exactly one root must be found; any other count raises
+    :class:`SolverError`. Under the expected-stock channel several equilibria
+    may coexist. When the price does not move the best response (``y_hi -
+    y_lo`` below the fixed-point tolerance) the midpoint of the bounds is
+    returned without pricing the grid.
     """
     return _equilibria(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
 
@@ -375,7 +402,7 @@ def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) ->
     payoff, grid = scan.payoff, scan.grid
     ev = get_evaluator(model)
     y0 = model.restart_level
-    h_grid = (scan.prices * (grid - y0) - payoff.cost) / np.asarray(ev.xi(grid))
+    h_grid = (scan.prices() * (grid - y0) - payoff.cost) / np.asarray(ev.xi(grid))
 
     def h_scalar(y: float) -> float:
         z, _ = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)

@@ -105,6 +105,12 @@ def test_solve_single_rejects_rate_above_max_harvest_rate(tmp_path):
     assert code == 3
 
 
+def test_verify_rejects_stock_level_above_domain(tmp_path):
+    scenario = with_section(tmp_path, STOCK_SCENARIO, single={"z": 2.5})
+    code, _ = run(tmp_path, "verify", scenario)
+    assert code == 3
+
+
 def test_grid_option_sets_scan_points(tmp_path):
     code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
     assert code == 0

@@ -154,18 +154,53 @@ def test_rate_equilibrium_matches_first_order_oracle(q, b, cost):
 
 
 def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, monkeypatch):
-    # a synthetic scan whose psi turns positive again over its last quarter
+    # a synthetic scan whose psi turns positive again at its last point
     import harvestfield.meanfield as mf
 
     real = mf.optimal_thresholds_on_grid
 
     def two_sign_changes(ev, k_tildes, *, numerics):
         thresholds = real(ev, k_tildes, numerics=numerics)
-        return np.where(np.arange(len(thresholds)) >= 3 * len(thresholds) // 4, 1e3, thresholds)
+        thresholds[-1] = 1e3
+        return thresholds
 
     monkeypatch.setattr(mf, "optimal_thresholds_on_grid", two_sign_changes)
     with pytest.raises(SolverError, match="found 2"):
         mfg_equilibrium(benchmark_model, rate_payoff)
+
+
+def _record_priced_grids(monkeypatch):
+    import harvestfield.meanfield as mf
+
+    real = mf.interaction_level
+    priced: list[float] = []
+
+    def recording(model, payoff, y):
+        if np.ndim(y) > 0:
+            priced.extend(np.asarray(y, dtype=float))
+        return real(model, payoff, y)
+
+    monkeypatch.setattr(mf, "interaction_level", recording)
+    return priced
+
+
+@pytest.mark.parametrize("payoff_fixture", ["rate_payoff", "stock_payoff"])
+def test_equilibrium_search_prices_only_cells_meeting_the_bounds(
+    benchmark_model, payoff_fixture, request, monkeypatch
+):
+    priced = _record_priced_grids(monkeypatch)
+    eq = mfg_equilibrium(benchmark_model, request.getfixturevalue(payoff_fixture))
+    y_lo, y_hi = eq.bounds
+    lo, hi = eq.diagnostics["scan"]["searched"]
+    assert len(priced) == hi - lo < eq.diagnostics["scan"]["points"]
+    assert priced[0] < y_lo <= priced[1]
+    assert priced[-2] <= y_hi < priced[-1]
+
+
+def test_constant_price_equilibrium_prices_no_grid(benchmark_model, monkeypatch):
+    priced = _record_priced_grids(monkeypatch)
+    assert len(mfg_equilibrium(benchmark_model, flat_payoff())) == 1
+    assert priced == []
 
 
 def test_constant_price_equilibrium_is_single_agent(benchmark_model):
