@@ -8,6 +8,10 @@ ways:
 * a power series in ``rho * y`` available for logistic models, evaluated by a
   term recurrence so no factorial overflows occur.
 
+For models without closed forms, ``xi`` is read from the tabulated calculus
+(``xi = int_{y0}^{y} M[0,u] s(u) du``, see :mod:`harvestfield.diffusion`);
+the Green-kernel quadrature stays as an independent oracle.
+
 Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``
 and ``xi'' = (2 s / sigma^2) * int_0^y (mu(u) - mu(y)) m(u) du``. The second
 derivative changes sign at most once on ``[y0, inf)``, from concave to
@@ -17,7 +21,6 @@ impulse solver.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -31,23 +34,34 @@ from .quadrature import integrate, integrate_to_zero
 __all__ = ["XiEvaluator", "get_evaluator"]
 
 
-@functools.lru_cache(maxsize=64)
 def get_evaluator(model: DiffusionModel) -> "XiEvaluator":
-    """Shared evaluator per model; everything it caches is value-immutable."""
-    return XiEvaluator(model)
+    """Shared evaluator per model, kept on the model instance so it lives as long as the model.
+
+    Everything it caches is value-immutable.
+    """
+    ev = model.__dict__.get("_evaluator")
+    if ev is None:
+        ev = model.__dict__.setdefault("_evaluator", XiEvaluator(model))
+    return ev
 
 
 class XiEvaluator:
-    """Hitting-time calculus for one immutable model; safe for concurrent reads."""
+    """Hitting-time calculus for one immutable model; safe for concurrent reads.
+
+    It keeps the model's calculus, not the model, so the copy cached on the
+    model creates no reference cycle.
+    """
 
     def __init__(self, model: DiffusionModel, numerics: NumericsConfig = DEFAULT_NUMERICS):
-        self.model = model
         self.numerics = numerics
         self._calc = _calculus(model)
+        self.logistic = model.logistic
         self.y0 = model.restart_level
         self.mass_below_restart = self._calc.M0(self.y0)
         self._scale_at_y0 = self._calc.S(self.y0)
         self._y2: float | None = None
+        # zero-cost threshold solutions by NumericsConfig, filled by impulse.zero_cost_threshold
+        self._zero_cost: dict = {}
 
     # ------------------------------------------------------------------
     # xi and its derivatives
@@ -62,24 +76,22 @@ class XiEvaluator:
             raise DomainError(f"thresholds live in [y0, inf) = [{self.y0}, inf)")
 
     def xi(self, y):
-        """Expected time from y0 to the threshold y (vectorized for logistic models)."""
+        """Expected time from y0 to the threshold y (vectorized)."""
         self._check_domain(y)
-        p = self.model.logistic
+        p = self.logistic
+        if p is None:
+            return self._calc.xi(y)
         cap = self.numerics.series_arg_cap
-        if p is not None:
-            if np.ndim(y) == 0:
-                y = float(y)
-                return self.xi_series(y) if p.rho * y < cap else self.xi_by_quadrature(y)
-            t = p.rho * np.asarray(y, dtype=float)
-            if np.all(t < cap):
-                return self.xi_series(y)
-            return np.array(
-                [self.xi_series(float(v)) if p.rho * v < cap
-                 else self.xi_by_quadrature(float(v)) for v in np.asarray(y)]
-            )
         if np.ndim(y) == 0:
-            return self.xi_by_quadrature(float(y))
-        return np.array([self.xi_by_quadrature(float(v)) for v in np.asarray(y)])
+            y = float(y)
+            return self.xi_series(y) if p.rho * y < cap else self.xi_by_quadrature(y)
+        t = p.rho * np.asarray(y, dtype=float)
+        if np.all(t < cap):
+            return self.xi_series(y)
+        return np.array(
+            [self.xi_series(float(v)) if p.rho * v < cap
+             else self.xi_by_quadrature(float(v)) for v in np.asarray(y)]
+        )
 
     def xi_by_quadrature(self, y: float) -> float:
         """Green-kernel form: int_{y0}^{y} (S(y)-S(w)) m(w) dw + (S(y)-S(y0)) M[0,y0]."""
@@ -99,7 +111,7 @@ class XiEvaluator:
 
     def _series_sum(self, t):
         """A(t) = sum_{n>=1} t^n / (n (1-2q)_n), by term recurrence."""
-        p = self.model.logistic
+        p = self.logistic
         c = 1.0 - 2.0 * p.q
         eps = self.numerics.series_rel_eps
         if isinstance(t, float):
@@ -123,7 +135,7 @@ class XiEvaluator:
 
     def xi_series(self, y):
         """Series form for logistic models; requires rho*y below the overflow cap."""
-        p = self.model.logistic
+        p = self.logistic
         if p is None:
             raise DomainError("series form requires a logistic model")
         self._check_domain(y)
@@ -161,12 +173,8 @@ class XiEvaluator:
         """xi''(y) = (2 s(y) / sigma^2(y)) * int_0^y (mu(u) - mu(y)) m(u) du."""
         self._check_domain(y)
         ya = np.asarray(y, dtype=float)
-        if self.model.logistic is None and np.ndim(y) != 0:
-            return np.array([self.xi_second(float(v)) for v in ya])
-        mu_y = np.asarray(self.model.drift(ya)) if self.model.logistic is not None \
-            else float(self.model.drift(float(y)))
-        sigma2 = np.asarray(self.model.volatility(ya)) ** 2 if self.model.logistic is not None \
-            else float(self.model.volatility(float(y))) ** 2
+        mu_y = np.asarray(self._calc.drift(ya))
+        sigma2 = np.asarray(self._calc.volatility(ya)) ** 2
         i_of_y = self._calc.mum0(y) - mu_y * self._calc.M0(y)
         value = 2.0 * self._calc.s(y) / sigma2 * i_of_y
         return float(value) if np.ndim(y) == 0 else value
@@ -176,12 +184,11 @@ class XiEvaluator:
     # ------------------------------------------------------------------
 
     def drift_turning_point(self) -> float:
-        p = self.model.logistic
+        p = self.logistic
         if p is not None:
             return p.growth / (2.0 * p.crowding)
         grid = np.geomspace(self.y0 * 1e-2, self.y0 * 1e3, 241)
-        mu = np.array([float(self.model.drift(x)) for x in grid])
-        return float(grid[int(np.argmax(mu))])
+        return float(grid[int(np.argmax(self._calc.drift(grid)))])
 
     def convexity_switch(self) -> float:
         """Smallest y2 >= y0 with xi convex on (y2, inf); cached after the first call."""

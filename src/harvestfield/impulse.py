@@ -42,6 +42,7 @@ __all__ = [
     "VerificationReport",
     "optimal_threshold_basic",
     "optimal_thresholds_on_grid",
+    "zero_cost_threshold",
     "max_harvest_rate",
     "best_response",
     "critical_bounds",
@@ -176,18 +177,12 @@ def optimal_thresholds_on_grid(
 ) -> np.ndarray:
     """Vectorized basic solve for an array of k_tilde values (grid scans).
 
-    Uses the same bracket/bisection scheme with array arithmetic; only
-    available when xi supports vector input (logistic models). Falls back to
-    the scalar solver otherwise.
+    Uses the same bracket/bisection scheme with array arithmetic.
     """
     ev = _as_evaluator(model_or_ev)
     kt = np.asarray(k_tildes, dtype=float)
     if np.any(kt <= 0.0):
         raise DomainError("the vectorized solve needs strictly positive k_tilde")
-    if ev.model.logistic is None:
-        return np.array(
-            [optimal_threshold_basic(ev, float(k), numerics=numerics).threshold for k in kt]
-        )
     y0 = ev.y0
 
     def f_of(y: np.ndarray) -> np.ndarray:
@@ -213,11 +208,21 @@ def optimal_thresholds_on_grid(
     return 0.5 * (lo + hi)
 
 
+def zero_cost_threshold(
+    model_or_ev, *, numerics: NumericsConfig = DEFAULT_NUMERICS
+) -> ThresholdSolution:
+    """The basic solve at ``k_tilde = 0``, solved once per evaluator and numerics."""
+    ev = _as_evaluator(model_or_ev)
+    sol = ev._zero_cost.get(numerics)
+    if sol is None:
+        sol = optimal_threshold_basic(ev, 0.0, numerics=numerics)
+        sol = ev._zero_cost.setdefault(numerics, sol)
+    return sol
+
+
 def max_harvest_rate(model_or_ev, *, numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Largest attainable long-run harvesting rate, reached by the zero-cost threshold."""
-    ev = _as_evaluator(model_or_ev)
-    sol = optimal_threshold_basic(ev, 0.0, numerics=numerics)
-    return sol.value
+    return zero_cost_threshold(model_or_ev, numerics=numerics).value
 
 
 def best_response(
@@ -285,8 +290,10 @@ class _RunningCost:
             self._below_y0 = integrate_to_zero(
                 lambda u: hfun(u) * calc.m(u), y0, numerics=ev.numerics
             )
-        except Exception as exc:  # divergence near the boundary
-            raise DomainError(f"running cost is incompatible with the entrance region: {exc}")
+        except DivergenceError as exc:
+            raise DomainError(
+                f"running cost is incompatible with the entrance region: {exc}"
+            ) from exc
 
     def __call__(self, x: float, y: float) -> float:
         if y <= x:

@@ -40,8 +40,8 @@ from .impulse import (
     best_response,
     critical_bounds,
     max_harvest_rate,
-    optimal_threshold_basic,
     optimal_thresholds_on_grid,
+    zero_cost_threshold,
 )
 from .payoff import Interaction, PayoffSpec
 from .stationary import expected_stock, expected_stock_grid, stock_bounds
@@ -94,15 +94,19 @@ def interaction_level(
     model: DiffusionModel, payoff: PayoffSpec, y: float
 ) -> float:
     """c(y): harvesting rate (y-y0)/xi(y) or expected stock, per the payoff's channel."""
-    ev = get_evaluator(model)
     if np.any(np.asarray(y) <= model.restart_level):
         raise DomainError("interaction level is defined for thresholds above y0")
+    return _interaction(model, payoff, y, get_evaluator(model).xi(y))
+
+
+def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
+    """c(y) from thresholds above y0 and their precomputed ``xi(y)``."""
     if payoff.interaction is Interaction.HARVEST_RATE:
-        value = (np.asarray(y, dtype=float) - model.restart_level) / np.asarray(ev.xi(y))
+        value = (np.asarray(y, dtype=float) - model.restart_level) / np.asarray(xi)
         return float(value) if np.ndim(y) == 0 else value
     if np.ndim(y) == 0:
-        return expected_stock(model, float(y))
-    return expected_stock_grid(model, np.asarray(y, dtype=float))
+        return expected_stock(model, float(y), xi)
+    return expected_stock_grid(model, np.asarray(y, dtype=float), xi)
 
 
 def _clamp_to_domain(z: float, domain: tuple[float, float]) -> tuple[float, bool]:
@@ -229,7 +233,8 @@ class _Scan:
 
     The price of a grid point y is ``phi(c(y))`` with c clamped to the
     interaction domain. The equilibrium search prices only the cells that meet
-    the best-response range; the planner prices the whole grid.
+    the best-response range; the planner prices the whole grid. The ``xi``
+    values that pricing computes are kept for the planner.
     """
 
     def __init__(self, model: DiffusionModel, payoff: PayoffSpec,
@@ -239,19 +244,26 @@ class _Scan:
         self.bounds = bounds            # best-response range [y_lo, y_hi]
         self.grid = grid
         self._prices = np.full(len(grid), np.nan)
+        self._xi = np.full(len(grid), np.nan)
 
     def prices(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Prices of ``grid[lo:hi]``."""
-        prices = self._prices[lo:hi]    # a view: new prices are kept
+        prices, xi = self._prices[lo:hi], self._xi[lo:hi]   # views: new values are kept
         todo = np.isnan(prices)
         if np.any(todo):
-            z = np.clip(interaction_level(self.model, self.payoff, self.grid[lo:hi][todo]),
-                        *self.payoff.domain)
+            ys = self.grid[lo:hi][todo]
+            xi[todo] = get_evaluator(self.model).xi(ys)
+            z = np.clip(_interaction(self.model, self.payoff, ys, xi[todo]), *self.payoff.domain)
             new = np.array([float(self.payoff.phi(v)) for v in z])
             if not np.all(new > 0.0):
                 raise DomainError("phi must stay positive on the attainable interaction range")
             prices[todo] = new
         return prices.copy()
+
+    def xi(self) -> np.ndarray:
+        """``xi`` on the whole grid, as priced."""
+        self.prices()
+        return self._xi.copy()
 
 
 def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig) -> _Scan:
@@ -264,7 +276,7 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
         raise DomainError(f"numerics.scan_points must be at least 2, got {numerics.scan_points}")
     payoff = resolve_payoff(model, payoff, numerics=numerics)
     y_lo, y_hi = critical_bounds(model, payoff, numerics=numerics)
-    y_hat0 = optimal_threshold_basic(model, 0.0, numerics=numerics).threshold
+    y_hat0 = zero_cost_threshold(model, numerics=numerics).threshold
     y0 = model.restart_level
     grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), numerics.scan_points)
     return _Scan(model, payoff, (y_lo, y_hi), grid)
@@ -402,11 +414,12 @@ def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) ->
     payoff, grid = scan.payoff, scan.grid
     ev = get_evaluator(model)
     y0 = model.restart_level
-    h_grid = (scan.prices() * (grid - y0) - payoff.cost) / np.asarray(ev.xi(grid))
+    h_grid = (scan.prices() * (grid - y0) - payoff.cost) / scan.xi()
 
     def h_scalar(y: float) -> float:
-        z, _ = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)
-        return (float(payoff.phi(z)) * (y - y0) - payoff.cost) / ev.xi(y)
+        xi = ev.xi(y)
+        z, _ = _clamp_to_domain(_interaction(model, payoff, y, xi), payoff.domain)
+        return (float(payoff.phi(z)) * (y - y0) - payoff.cost) / xi
 
     def refine_around(i: int) -> tuple[float, float]:
         lo = float(grid[max(i - 1, 0)])

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import DiffusionModel
+from .diffusion import DiffusionModel, _vector_coefficients
 from .errors import DomainError
 from .hitting import get_evaluator
 from .payoff import PayoffSpec
@@ -97,20 +97,6 @@ class EstimateReport:
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
-
-
-def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
-    probe = np.array([model.restart_level, 2.0 * model.restart_level])
-    try:
-        if np.shape(model.drift(probe)) == probe.shape and np.shape(
-            model.volatility(probe)
-        ) == probe.shape:
-            return model.drift, model.volatility
-    except Exception:
-        pass
-    return np.vectorize(model.drift, otypes=[float]), np.vectorize(
-        model.volatility, otypes=[float]
-    )
 
 
 def _detection_level(model: DiffusionModel, threshold: float, config: SimConfig) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel, _calculus
 from .errors import DomainError
 from .hitting import get_evaluator
-from .quadrature import CumulativeIntegral
 
 __all__ = [
     "StationaryDensity",
@@ -57,45 +56,19 @@ def _require_threshold(model: DiffusionModel, y: float) -> None:
         )
 
 
-def _cycle_stock_handle(model: DiffusionModel) -> CumulativeIntegral:
-    """Antiderivative of ``xm0(u) s(u)`` from y0.
-
-    Integration by parts turns the cycle stock integral
-    ``int (S(y)-S(u)) u m(u) du + (S(y)-S(y0)) xm0(y0)`` into
-    ``int_{y0}^{y} xm0(u) s(u) du`` (the first-moment analogue of
-    ``xi(y) = int M[0,u] s(u) du``), whose integrand needs no nested
-    quadrature.
-    """
-    calc = _calculus(model)
-    if not hasattr(calc, "_cycle_stock_cum"):
-        calc._cycle_stock_cum = CumulativeIntegral(
-            lambda u: calc.xm0(u) * calc.s(u), model.restart_level
-        )
-    return calc._cycle_stock_cum
-
-
 def controlled_density(model: DiffusionModel, y: float, x):
     """Stationary density of the threshold-y controlled process at x (vectorized in x)."""
     _require_threshold(model, y)
     calc = _calculus(model)
-    ev = get_evaluator(model)
-    kappa = 1.0 / ev.xi(y)
-    y0 = model.restart_level
+    kappa = 1.0 / get_evaluator(model).xi(y)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("the state space is (0, inf)")
-    s_y = calc.S(y)
-    s_y0 = calc.S(y0)
-
-    def one(v: float) -> float:
-        if v > y:
-            return 0.0
-        upper = s_y - (calc.S(v) if v >= y0 else s_y0)
-        return kappa * calc.m(v) * upper
-
-    if np.ndim(x) == 0:
-        return one(float(x))
-    return np.array([one(float(v)) for v in xa])
+    inside = xa <= y
+    upper = calc.S(y) - calc.S(np.clip(xa[inside], model.restart_level, None))
+    value = np.zeros(xa.shape)
+    value[inside] = kappa * calc.m(xa[inside]) * upper
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def controlled_cdf(model: DiffusionModel, y: float, x):
@@ -112,42 +85,41 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     y0 = model.restart_level
     s_y, s_y0 = calc.S(y), calc.S(y0)
     m0_y0 = calc.M0(y0)
-
-    def one(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        if v >= y:
-            return 1.0
-        if v <= y0:
-            return kappa * (s_y - s_y0) * calc.M0(v)
-        below = (s_y - s_y0) * m0_y0
+    xa = np.asarray(x, dtype=float)
+    value = np.where(xa >= y, 1.0, 0.0)
+    low = (xa > 0.0) & (xa <= y0)
+    value[low] = kappa * (s_y - s_y0) * calc.M0(xa[low])
+    mid = (xa > y0) & (xa < y)
+    if np.any(mid):
+        v = xa[mid]
         m0_v = calc.M0(v)
         ms_v = m0_v * calc.S(v) - m0_y0 * s_y0 - ev.xi(v)
-        middle = s_y * (m0_v - m0_y0) - ms_v
-        return kappa * (below + middle)
-
-    if np.ndim(x) == 0:
-        return one(float(x))
-    return np.array([one(float(v)) for v in np.asarray(x, dtype=float)])
+        value[mid] = kappa * ((s_y - s_y0) * m0_y0 + s_y * (m0_v - m0_y0) - ms_v)
+    return float(value) if np.ndim(x) == 0 else value
 
 
-def expected_stock(model: DiffusionModel, y: float) -> float:
-    """Mean of the controlled stationary law; continuous and increasing in y."""
+def expected_stock(model: DiffusionModel, y: float, xi: Optional[float] = None) -> float:
+    """Mean of the controlled stationary law; continuous and increasing in y.
+
+    ``xi``, the cycle length ``xi(y)``, is computed unless given.
+    """
     _require_threshold(model, y)
-    ev = get_evaluator(model)
-    return _cycle_stock_handle(model)(float(y)) / ev.xi(y)
+    if xi is None:
+        xi = get_evaluator(model).xi(y)
+    return _calculus(model).cycle_stock(float(y)) / xi
 
 
-def expected_stock_grid(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
+def expected_stock_grid(
+    model: DiffusionModel, ys: np.ndarray, xi: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vectorized :func:`expected_stock` over an ascending grid of thresholds."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or np.any(np.diff(ys) <= 0.0):
         raise DomainError("grid must be strictly increasing")
     _require_threshold(model, float(ys[0]))
-    ev = get_evaluator(model)
-    handle = _cycle_stock_handle(model)
-    numerator = np.array([handle(float(v)) for v in ys])
-    return numerator / np.asarray(ev.xi(ys))
+    if xi is None:
+        xi = get_evaluator(model).xi(ys)
+    return _calculus(model).cycle_stock(ys) / np.asarray(xi)
 
 
 def reflected_mean(model: DiffusionModel) -> float:

@@ -4,6 +4,17 @@ from harvestfield.diffusion import custom_model, logistic_model
 from harvestfield.hitting import XiEvaluator
 from harvestfield.payoff import Interaction, PayoffSpec
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself without hypothesis
+    pass
+else:
+    # Property tests replay the same examples on every run, with a bounded budget.
+    settings.register_profile(
+        "harvestfield", derandomize=True, max_examples=25, deadline=None, database=None
+    )
+    settings.load_profile("harvestfield")
+
 
 @pytest.fixture(scope="session")
 def benchmark_model():
@@ -20,8 +31,9 @@ def benchmark_evaluator(benchmark_model):
 def quadrature_twin():
     """Same coefficients as the benchmark, but without the analytic tag.
 
-    Forces every quantity through the generic quadrature route, giving an
-    independent second path for closed-form comparisons.
+    Forces every quantity through the tabulated route (the scale/speed table
+    of models without closed forms), giving an independent second path for
+    closed-form comparisons.
     """
     return custom_model(
         drift=lambda x: x * (1.5 - 0.5 * x),

@@ -270,3 +270,18 @@ def test_report_round_trip_renders_identically(tmp_path):
     assert render_table(report) == (out / "table.txt").read_text()
     rewritten = json.loads(json.dumps(report))
     assert render_table(rewritten) == (out / "table.txt").read_text()
+
+
+def test_custom_model_compare_runs(tmp_path):
+    scenario = tmp_path / "custom.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "model": {"kind": "custom", "drift": "x*(1.5 - 0.5*x)", "vol": "x", "y0": 1.0},
+                "payoff": {"K": 1.0, "phi": "0.7", "interaction": "harvest_rate"},
+            }
+        )
+    )
+    code, out = run(tmp_path, "compare", scenario)
+    assert code == 0
+    assert read_report(out)["results"]["ok"] is True

@@ -69,6 +69,58 @@ def test_drift_weighted_speed_identity(benchmark_model):
         assert abs(calc.s(float(x)) * calc.mum0(float(x)) - 1.0) < 1e-6
 
 
+def test_tabulated_values_do_not_depend_on_query_order():
+    def twin():
+        return custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
+
+    xs = np.geomspace(0.05, 60.0, 40)
+    forward, backward = twin(), twin()
+    values = [scale_function(forward, float(x)) for x in xs]
+    values_reversed = [scale_function(backward, float(x)) for x in xs[::-1]][::-1]
+    assert values == values_reversed
+    assert scale_function(twin(), xs) == pytest.approx(values, rel=1e-14)
+
+
+def test_concurrent_table_growth_matches_serial():
+    # threads extend one model's table to both sides at once; copy-on-write
+    # under the lock must leave one consistent table with the serial values
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from harvestfield.diffusion import _calculus
+
+    def twin():
+        return custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
+
+    xs = np.random.default_rng(5).permutation(np.geomspace(1e-3, 200.0, 400))
+    shared = _calculus(twin())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda x: (shared.S(x), shared.M0(x)), xs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = _calculus(twin())
+    assert results == [(serial.S(x), serial.M0(x)) for x in xs]
+    bounds, coef, _, _ = shared._table._state
+    assert np.all(np.diff(bounds) > 0.0) and len(coef) == len(bounds) - 1
+
+
+def test_calculus_is_freed_with_its_model():
+    import weakref
+
+    from harvestfield.diffusion import _calculus
+    from harvestfield.hitting import get_evaluator
+
+    model = custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
+    get_evaluator(model).xi(3.0)
+    assert get_evaluator(model) is get_evaluator(model)
+    calc = weakref.ref(_calculus(model))
+    del model
+    assert calc() is None
+
+
 # ---------------------------------------------------------------------------
 # scale function
 # ---------------------------------------------------------------------------

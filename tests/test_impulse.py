@@ -302,3 +302,20 @@ def test_verification_of_auxiliary_route(benchmark_model, solved_benchmark):
     aux = solve_auxiliary(benchmark_model, reward, None, 1.0)
     report = verify_solution(benchmark_model, aux, reward, None, 1.0)
     assert report.passed
+
+
+def test_running_cost_error_propagates_unchanged(benchmark_evaluator):
+    error = TypeError("h needs a keyword argument")
+
+    def broken(u):
+        raise error
+
+    with pytest.raises(TypeError) as caught:
+        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, broken, 1.0)
+    assert caught.value is error
+
+
+def test_running_cost_divergent_at_entrance_is_domain_error(benchmark_evaluator):
+    # h m ~ 2/u near 0 for the benchmark, so int_0 h m diverges
+    with pytest.raises(DomainError, match="entrance region"):
+        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, lambda u: u**-2, 1.0)

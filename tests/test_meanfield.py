@@ -172,15 +172,15 @@ def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, mon
 def _record_priced_grids(monkeypatch):
     import harvestfield.meanfield as mf
 
-    real = mf.interaction_level
+    real = mf._interaction
     priced: list[float] = []
 
-    def recording(model, payoff, y):
+    def recording(model, payoff, y, xi):
         if np.ndim(y) > 0:
             priced.extend(np.asarray(y, dtype=float))
-        return real(model, payoff, y)
+        return real(model, payoff, y, xi)
 
-    monkeypatch.setattr(mf, "interaction_level", recording)
+    monkeypatch.setattr(mf, "_interaction", recording)
     return priced
 
 
@@ -391,3 +391,61 @@ def test_concurrent_evaluation_matches_serial(benchmark_model, rate_payoff):
     serial = [work(y) for y in ys]
     for got, want in zip(results, serial):
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the tabulated route and the shared scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("payoff_fixture", ["rate_payoff", "stock_payoff"])
+def test_twin_routes_agree_on_market_solutions(
+    benchmark_model, quadrature_twin, payoff_fixture, request
+):
+    payoff = request.getfixturevalue(payoff_fixture)
+    exact, twin = mfg_equilibrium(benchmark_model, payoff), mfg_equilibrium(quadrature_twin, payoff)
+    assert len(twin) == len(exact) >= 1
+    for a, b in zip(twin.points, exact.points):
+        assert a.threshold == pytest.approx(b.threshold, rel=1e-6)
+        assert a.value == pytest.approx(b.value, rel=1e-6)
+        assert a.interaction == pytest.approx(b.interaction, rel=1e-6)
+        assert a.stability == b.stability
+    planner = mfc_optimum(benchmark_model, payoff)
+    planner_twin = mfc_optimum(quadrature_twin, payoff)
+    assert planner_twin.threshold == pytest.approx(planner.threshold, rel=1e-6)
+    assert planner_twin.value == pytest.approx(planner.value, rel=1e-6)
+
+
+def test_rate_compare_solves_zero_cost_threshold_once(rate_payoff, monkeypatch):
+    import harvestfield.impulse as impulse
+
+    real = impulse.optimal_threshold_basic
+    zero_cost = []
+
+    def counting(model_or_ev, k_tilde, **kwargs):
+        if k_tilde == 0.0:
+            zero_cost.append(k_tilde)
+        return real(model_or_ev, k_tilde, **kwargs)
+
+    monkeypatch.setattr(impulse, "optimal_threshold_basic", counting)
+    compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0), rate_payoff)
+    assert len(zero_cost) == 1
+
+
+@pytest.mark.parametrize("payoff_fixture", ["rate_payoff", "stock_payoff"])
+def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkeypatch):
+    real = XiEvaluator.xi
+    points: list[float] = []
+
+    def recording(self, y):
+        points.extend(np.atleast_1d(np.asarray(y, dtype=float)))
+        return real(self, y)
+
+    monkeypatch.setattr(XiEvaluator, "xi", recording)
+    report = compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0),
+                     request.getfixturevalue(payoff_fixture))
+    scan = report.equilibria.diagnostics["scan"]
+    grid = np.geomspace(1.0 + 1e-3, scan["cap"], scan["points"])
+    seen = np.array(points)
+    per_point = [int(np.count_nonzero(seen == y)) for y in grid]
+    assert max(per_point) == 1
+    assert sum(per_point) == len(grid)

@@ -1,0 +1,103 @@
+"""Property tests of the tabulated route for models without closed forms.
+
+Over the ergodic logistic region, each example builds the same diffusion
+twice, once with its closed forms and once through ``custom_model``, which
+takes the tabulated route. Over logistic-shaped custom coefficients, ergodic
+or not, the solvers may fail only with the package's own errors.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
+from harvestfield.errors import HarvestFieldError
+from harvestfield.hitting import XiEvaluator
+from harvestfield.impulse import best_response
+from harvestfield.meanfield import resolve_payoff
+from harvestfield.payoff import Interaction, PayoffSpec
+from harvestfield.stationary import stock_bounds
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+ergodic = st.fixed_dictionaries(
+    {
+        "q": st.floats(-2.0, -0.2),
+        "b": st.floats(0.2, 1.0),
+        "beta": st.floats(0.6, 1.4),
+        "y0": st.floats(0.5, 2.0),
+    }
+)
+
+
+def twins(q, b, beta, y0):
+    closed = logistic_model(q=q, b=b, beta=beta, y0=y0)
+    g = closed.logistic.growth
+    tabulated = custom_model(lambda x: x * (g - b * x), lambda x: beta * x, y0=y0)
+    return closed, tabulated
+
+
+def assert_close(actual, expected, rel, scale=None):
+    """Relative agreement; ``scale`` replaces |expected| where the value is a small difference."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    bound = rel * (np.abs(expected) if scale is None else np.maximum(np.abs(expected), scale))
+    assert np.all(np.abs(actual - expected) <= bound), np.max(np.abs(actual - expected) / bound)
+
+
+@given(ergodic)
+def test_tabulated_route_matches_closed_forms(params):
+    closed, tabulated = twins(**params)
+    y0, beta = params["y0"], params["beta"]
+    xs = np.geomspace(y0 / 10.0, 20.0 * y0, 15)
+    exact, table = _calculus(closed), _calculus(tabulated)
+    for name in ("s", "m", "S", "M0", "xm0"):
+        assert_close(getattr(table, name)(xs), getattr(exact, name)(xs), 1e-8)
+    # the closed form of mum0 subtracts two gamma integrals of size growth * xm0,
+    # which is as far as it resolves the difference
+    growth = closed.logistic.growth
+    assert_close(table.mum0(xs), exact.mum0(xs), 1e-8, scale=growth * exact.xm0(xs))
+    for calc in (exact, table):
+        assert_close(calc.m(xs) * calc.s(xs) * (beta * xs) ** 2, 2.0, 1e-12)
+
+    ys = xs[xs > y0]
+    ev_exact, ev_table = XiEvaluator(closed), XiEvaluator(tabulated)
+    assert_close(ev_table.xi(ys), ev_exact.xi(ys), 1e-8)
+    assert_close(ev_table.xi_prime(ys), ev_exact.xi_prime(ys), 1e-8)
+    # xi'' changes sign once: compare it on the scale of the two terms it subtracts
+    mu, sigma2 = ys * (growth - params["b"] * ys), (beta * ys) ** 2
+    terms = 2.0 * exact.s(ys) / sigma2 * (np.abs(exact.mum0(ys)) + np.abs(mu) * exact.M0(ys))
+    assert_close(ev_table.xi_second(ys), ev_exact.xi_second(ys), 1e-8, scale=terms)
+
+    for model in (closed, tabulated):
+        z1, z2 = stock_bounds(model)
+        assert z1 <= z2
+
+
+@given(
+    st.floats(0.3, 3.0),     # growth / beta^2: at or below 1/2 the process is not ergodic
+    st.floats(0.0, 1.0),     # crowding; 0 leaves the drift unsaturated
+    st.floats(0.3, 1.5),     # beta
+    st.floats(0.5, 2.0),     # cost K
+)
+def test_custom_models_raise_only_package_errors(growth_ratio, b, beta, cost):
+    growth = growth_ratio * beta**2
+    model = custom_model(lambda x: x * (growth - b * x), lambda x: beta * x, y0=1.0)
+    assert isinstance(validate_assumptions(model).all_passed, bool)
+    payoff = PayoffSpec(
+        cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE,
+        phi_source="1/(1+z)",
+    )
+    try:
+        resolved = resolve_payoff(model, payoff)
+        solution = best_response(model, resolved, 0.5 * resolved.domain[1])
+    except HarvestFieldError:
+        return
+    assert math.isfinite(solution.threshold) and solution.threshold > 1.0
+    try:
+        z1, z2 = stock_bounds(model)
+    except HarvestFieldError:
+        return
+    assert z1 <= z2
