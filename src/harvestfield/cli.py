@@ -76,13 +76,21 @@ def _write(out: Path, command: str, scenario: Scenario, results: dict, diagnosti
     return report
 
 
+_CSV_ROWS = 4096  # rows converted to Python numbers at a time
+
+
+def _write_columns_csv(path: Path, header: list[str], *columns: np.ndarray) -> None:
+    """Write equal-length arrays as CSV columns of plain Python numbers."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            writer.writerows(zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns)))
+
+
 def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
     xs, pdf, cdf = density_table(scenario.model, threshold, numerics=scenario.numerics)
-    with open(out / "density.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "pdf", "cdf"])
-        for row in zip(xs, pdf, cdf):
-            writer.writerow([f"{v!r}" for v in row])
+    _write_columns_csv(out / "density.csv", ["x", "pdf", "cdf"], xs, pdf, cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +159,8 @@ def _cmd_simulate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
         threshold = eq.points[0].threshold
     horizon = scenario.simulate_horizon or min(scenario.sim.horizon, 100.0)
     record = simulate_path(model, threshold, scenario.sim, horizon=horizon)
-    with open(out / "path.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "impulse_flag"])
-        impulse_set = set(np.round(record.impulse_times, 12))
-        for t, x in zip(record.times, record.states):
-            writer.writerow([f"{t!r}", f"{x!r}", int(round(t, 12) in impulse_set)])
+    flags = np.isin(np.round(record.times, 12), np.round(record.impulse_times, 12)).astype(int)
+    _write_columns_csv(out / "path.csv", ["t", "x", "impulse_flag"], record.times, record.states, flags)
     ev = get_evaluator(model)
     xi = ev.xi(threshold)
     results = {

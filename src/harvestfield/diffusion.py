@@ -358,7 +358,8 @@ class _Calculus:
             self._c = math.exp(self._log_s_a)
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
-        self._mum0_offset: float | None = None
+        # minus lim_{u -> 0} 1/s(u) (see mum0); the limit is 0 on logistic models, where q < 0
+        self._mum0_offset: float | None = 0.0 if model.logistic is not None else None
 
     # -- densities ---------------------------------------------------------
 
@@ -465,9 +466,6 @@ class _Calculus:
 
     def mum0(self, x):
         """Drift-weighted speed integral ``int_0^x mu(u) m(u) du``."""
-        if self.logistic is not None:
-            p = self.logistic
-            return p.growth * self._gamma_moment(1.0, x) - p.crowding * self._gamma_moment(2.0, x)
         # mu m = d(1/s)/dx with 1/s = exp(exponent), so mum0(x) = 1/s(x) - lim_{u -> 0} 1/s(u);
         # the offset is minus that limit: the quadrature piece below y0 * 2^-40 minus 1/s there
         with np.errstate(over="ignore"):

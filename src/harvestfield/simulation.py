@@ -8,17 +8,26 @@ crossings against a barrier lowered by the standard continuity correction
 ``0.5826 * sigma(y) * sqrt(dt)``; the recorded pre-impulse state then also has
 mean ``y`` up to O(dt). The correction can be disabled per config.
 
-Estimators are deterministic for a fixed config: work is split into chunks,
-each chunk draws from its own generator seeded by ``(seed, chunk_index)``,
-and results are aggregated in index order, so any parallel schedule would
-produce identical output.
+Every estimator samples independent cycles from ``y0`` to the detection level
+with one first-passage engine: the passage time, the running integral and the
+pre-impulse state of each cycle. Since the controlled process regenerates at
+``y0`` at every impulse, the long-run stock and reward rate are renewal-reward
+ratios over ``ceil(horizon / xi(y))`` cycles, ``E[int_0^tau X] / E[tau]`` and
+``(E[gamma] - K) / E[tau]``, with delta-method standard errors and no burn-in
+(Asmussen & Glynn, *Stochastic Simulation*, ch. IV).
+
+Estimators are deterministic per chunk: cycles are split into chunks, each
+chunk draws its normals from its own generator seeded by
+``(seed, chunk_index)`` in fixed blocks of steps for its own live paths, so a
+chunk's cycles are bit-identical whether it runs alone or stacked with others,
+and results are aggregated in index order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,15 +50,18 @@ __all__ = [
 # continuity correction for discretely monitored barriers: -zeta(1/2)/sqrt(2 pi)
 _BARRIER_BETA = 0.5825971579390107
 
+# Euler steps per block of normals; finished paths are dropped at block ends
+_BLOCK_STEPS = 16
+
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-3
-    horizon: float = 1e4          # total averaged time for long-run estimators
+    horizon: float = 1e4          # long-run estimators average ceil(horizon / xi(y)) cycles
     n_paths: int = 100_000        # independent paths for first-passage estimators
     seed: int = 0
     eps_floor: float = 1e-8       # positivity floor; activations are counted
-    time_cap: float = 1e4         # hard per-path cap for first-passage sampling
+    time_cap: float = 1e4         # hard cap on each sampled cycle; capped cycles are counted
     barrier_correction: bool = True
     chunk_size: int = 8192
 
@@ -169,58 +181,116 @@ def simulate_path(
 
 
 # ---------------------------------------------------------------------------
-# first-passage sampling
+# first-passage cycles: the one engine behind every estimator
 # ---------------------------------------------------------------------------
 
-def _first_passage_chunk(
+class _Cycles(NamedTuple):
+    times: np.ndarray       # passage times; ``time_cap`` for capped cycles
+    integrals: np.ndarray   # left-Riemann ``int_0^tau running(X) dt`` (zeros without ``running``)
+    pre_states: np.ndarray  # state at the crossing step; the state reached for capped cycles
+    capped: int
+    floored: int
+
+
+def _first_passages(
     model: DiffusionModel,
-    detect: float,
+    threshold: float,
     n: int,
     config: SimConfig,
-    stream: int,
     running: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """First passages from y0 to the detection level for n paths.
+) -> _Cycles:
+    """``n`` independent cycles from y0 to the detection level of ``threshold``.
 
-    Returns ``(taus, costs, capped, floored)`` where ``costs`` accumulates
-    ``int_0^tau running(X) dt`` (zeros when ``running`` is None).
+    Paths are split into chunks of ``config.chunk_size``; chunk ``c`` draws its
+    normals from ``_rng(seed, c)`` in blocks of ``_BLOCK_STEPS`` steps for its
+    live paths only, and every operation on a path is elementwise, so a chunk's
+    cycles are bit-identical whether it runs alone or stacked with others. All
+    chunks step together in one array; paths that cross keep stepping to the
+    end of the block, where they are recorded at their first crossing and
+    dropped.
     """
     drift, vol = _vector_coefficients(model)
-    rng = _rng(config.seed, stream)
-    dt, sqdt = config.dt, math.sqrt(config.dt)
+    detect = _detection_level(model, threshold, config)
+    dt, sqdt, floor = config.dt, math.sqrt(config.dt), config.eps_floor
+    rngs = [_rng(config.seed, c) for c in range(-(-n // config.chunk_size))]
+    ids = np.arange(n)
+    live = np.bincount(ids // config.chunk_size, minlength=len(rngs))
     x = np.full(n, model.restart_level)
-    taus = np.full(n, np.nan)
-    costs = np.zeros(n)
     acc = np.zeros(n)
-    alive = np.arange(n)
-    t = 0.0
-    capped = 0
+    times = np.full(n, config.time_cap)
+    integrals = np.zeros(n)
+    pre_states = np.empty(n)
     floored = 0
     max_steps = int(math.ceil(config.time_cap / dt))
-    for _ in range(max_steps):
+    # one buffer for the stacked block, one for a chunk's draws; both reused
+    buffer = np.empty(_BLOCK_STEPS * n)
+    draws = np.empty(_BLOCK_STEPS * min(n, config.chunk_size))
+    done = 0
+    while ids.size and done < max_steps:
+        steps = min(_BLOCK_STEPS, max_steps - done)
+        path = buffer[: steps * ids.size].reshape(steps, ids.size)
+        lo = 0
+        for rng, count in zip(rngs, live):
+            if count:
+                block = draws[: steps * count].reshape(steps, count)
+                path[:, lo : lo + count] = rng.standard_normal(out=block)
+                lo += count
+        path *= sqdt
+        start = x
+        for row in path:
+            row *= vol(x)
+            row += drift(x) * dt
+            row += x
+            x = np.maximum(row, floor)
+        # ``path`` now holds the unclamped state after each step
+        cols = np.flatnonzero(path.max(axis=0) >= detect)
+        last = np.full(ids.size, steps - 1)
+        last[cols] = (path[:, cols] >= detect).argmax(axis=0)
+        if path.min() < floor:
+            taken = np.arange(steps)[:, None] <= last
+            floored += int(np.count_nonzero((path < floor) & taken))
         if running is not None:
-            acc += running(x) * dt
-        z = rng.standard_normal(len(alive))
-        x = x + drift(x) * dt + vol(x) * sqdt * z
-        low = x < config.eps_floor
-        if np.any(low):
-            floored += int(np.count_nonzero(low))
-            x[low] = config.eps_floor
-        t += dt
-        hit = x >= detect
-        if np.any(hit):
-            taus[alive[hit]] = t
-            costs[alive[hit]] = acc[hit]
-            keep = ~hit
-            alive = alive[keep]
-            x = x[keep]
-            acc = acc[keep]
-            if len(alive) == 0:
-                return taus, costs, capped, floored
-    capped = len(alive)
-    taus[alive] = config.time_cap
-    costs[alive] = acc
-    return taus, costs, capped, floored
+            left = np.empty_like(path)
+            left[0] = start
+            np.maximum(path[:-1], floor, out=left[1:])
+            gains = running(left.ravel()).reshape(left.shape) * dt
+            np.cumsum(gains, axis=0, out=gains)
+            acc = acc + gains[last, np.arange(ids.size)]
+        if cols.size:
+            out = ids[cols]
+            times[out] = (done + last[cols] + 1) * dt
+            integrals[out] = acc[cols]
+            pre_states[out] = path[last[cols], cols]
+            keep = np.ones(ids.size, dtype=bool)
+            keep[cols] = False
+            ids, x, acc = ids[keep], x[keep], acc[keep]
+            live = np.bincount(ids // config.chunk_size, minlength=len(rngs))
+        done += steps
+    integrals[ids] = acc
+    pre_states[ids] = x
+    return _Cycles(times, integrals, pre_states, int(ids.size), floored)
+
+
+def _check_threshold(model: DiffusionModel, threshold: float) -> None:
+    if threshold <= model.restart_level:
+        raise DomainError("threshold must exceed the restart level")
+
+
+def _cap_flags(capped: int, n: int, what: str) -> tuple[str, ...]:
+    if capped > 0.001 * n:
+        return (f"more than 0.1% of {what} hit the time cap; estimate is biased low",)
+    return ()
+
+
+def _sample_report(samples: np.ndarray, cycles: _Cycles, config: SimConfig) -> EstimateReport:
+    n = len(samples)
+    return EstimateReport(
+        value=float(np.mean(samples)),
+        std_error=float(np.std(samples, ddof=1) / math.sqrt(n)),
+        n=n,
+        details={"capped": cycles.capped, "floor_activations": cycles.floored, "dt": config.dt},
+        flags=_cap_flags(cycles.capped, n, "paths"),
+    )
 
 
 def estimate_hitting_time(
@@ -231,35 +301,10 @@ def estimate_hitting_time(
     n_paths: Optional[int] = None,
 ) -> EstimateReport:
     """Sample mean and standard error of the first passage time from y0 to the threshold."""
-    if threshold <= model.restart_level:
-        raise DomainError("threshold must exceed the restart level")
+    _check_threshold(model, threshold)
     n = config.n_paths if n_paths is None else int(n_paths)
-    detect = _detection_level(model, threshold, config)
-    taus = np.empty(n)
-    capped = 0
-    floored = 0
-    start = 0
-    stream = 0
-    while start < n:
-        count = min(config.chunk_size, n - start)
-        chunk, _, c_capped, c_floored = _first_passage_chunk(model, detect, count, config, stream)
-        taus[start : start + count] = chunk
-        capped += c_capped
-        floored += c_floored
-        start += count
-        stream += 1
-    mean = float(np.mean(taus))
-    se = float(np.std(taus, ddof=1) / math.sqrt(n))
-    flags: tuple[str, ...] = ()
-    if capped > 0.001 * n:
-        flags = ("more than 0.1% of paths hit the time cap; estimate is biased low",)
-    return EstimateReport(
-        value=mean,
-        std_error=se,
-        n=n,
-        details={"capped": capped, "floor_activations": floored, "dt": config.dt},
-        flags=flags,
-    )
+    cycles = _first_passages(model, threshold, n, config)
+    return _sample_report(cycles.times, cycles, config)
 
 
 def estimate_running_cost(
@@ -271,104 +316,59 @@ def estimate_running_cost(
     n_paths: Optional[int] = None,
 ) -> EstimateReport:
     """Sample mean of ``int_0^{tau_y} h(X_s) ds`` over first passages from y0."""
-    if threshold <= model.restart_level:
-        raise DomainError("threshold must exceed the restart level")
+    _check_threshold(model, threshold)
     n = config.n_paths if n_paths is None else int(n_paths)
-    detect = _detection_level(model, threshold, config)
-    costs = np.empty(n)
-    capped = 0
-    start = 0
-    stream = 0
-    while start < n:
-        count = min(config.chunk_size, n - start)
-        _, chunk, c_capped, _ = _first_passage_chunk(
-            model, detect, count, config, stream, running=h
-        )
-        costs[start : start + count] = chunk
-        capped += c_capped
-        start += count
-        stream += 1
-    flags: tuple[str, ...] = ()
-    if capped > 0.001 * n:
-        flags = ("more than 0.1% of paths hit the time cap; estimate is biased low",)
-    return EstimateReport(
-        value=float(np.mean(costs)),
-        std_error=float(np.std(costs, ddof=1) / math.sqrt(n)),
-        n=n,
-        details={"capped": capped, "dt": config.dt},
-        flags=flags,
-    )
+    cycles = _first_passages(model, threshold, n, config, running=h)
+    return _sample_report(cycles.integrals, cycles, config)
 
 
 # ---------------------------------------------------------------------------
-# long-run averages over regenerative chunks
+# long-run averages as renewal-reward ratios
 # ---------------------------------------------------------------------------
 
-def _long_run_chunks(
+def _long_run_cycles(
     model: DiffusionModel,
     threshold: float,
     config: SimConfig,
-    per_impulse: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Parallel chunks of time averages after burn-in.
+    running: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> _Cycles:
+    """``ceil(horizon / xi(y))`` cycles: on average they span the configured horizon."""
+    _check_threshold(model, threshold)
+    xi_y = float(get_evaluator(model).xi(threshold))
+    n = max(2, int(math.ceil(config.horizon / xi_y)))
+    return _first_passages(model, threshold, n, config, running)
 
-    Returns (state_time_averages, impulse_reward_rates, details); the reward
-    rate entry is only meaningful when ``per_impulse`` is given (it maps an
-    array of pre-impulse states to per-impulse rewards).
-    """
-    ev = get_evaluator(model)
-    xi_y = float(ev.xi(threshold))
-    burn = 10.0 * xi_y
-    window = max(100.0, 2.0 * burn)
-    n_chunks = max(8, int(round(config.horizon / window)))
-    window = config.horizon / n_chunks
-    drift, vol = _vector_coefficients(model)
-    detect = _detection_level(model, threshold, config)
-    dt, sqdt = config.dt, math.sqrt(config.dt)
-    y0 = model.restart_level
-    burn_steps = int(round(burn / dt))
-    window_steps = int(round(window / dt))
 
-    x = np.full(n_chunks, y0)
-    rng = _rng(config.seed, 1)
-    occupancy = np.zeros(n_chunks)
-    reward = np.zeros(n_chunks)
-    floored = 0
-    for k in range(burn_steps + window_steps):
-        z = rng.standard_normal(n_chunks)
-        x = x + drift(x) * dt + vol(x) * sqdt * z
-        low = x < config.eps_floor
-        if np.any(low):
-            floored += int(np.count_nonzero(low))
-            x[low] = config.eps_floor
-        hit = x >= detect
-        in_window = k >= burn_steps
-        if np.any(hit):
-            if in_window and per_impulse is not None:
-                reward[hit] += per_impulse(x[hit])
-            x[hit] = y0
-        if in_window:
-            occupancy += x * dt
+def _ratio_report(rewards: np.ndarray, cycles: _Cycles, config: SimConfig) -> EstimateReport:
+    """``sum(rewards) / sum(times)`` with its delta-method standard error."""
+    n = len(rewards)
+    mean_time = float(np.mean(cycles.times))
+    value = float(np.mean(rewards)) / mean_time
+    residuals = rewards - value * cycles.times
     details = {
-        "chunks": n_chunks,
-        "window": window,
-        "burn_in": burn,
-        "dt": dt,
-        "floor_activations": floored,
+        # ``chunks * (burn_in + window) / dt`` counts the Euler steps taken
+        "chunks": n,
+        "burn_in": 0.0,
+        "window": mean_time,
+        "dt": config.dt,
+        "capped": cycles.capped,
+        "floor_activations": cycles.floored,
     }
-    return occupancy / window, reward / window, details
+    return EstimateReport(
+        value=value,
+        std_error=float(np.std(residuals, ddof=1) / (math.sqrt(n) * mean_time)),
+        n=n,
+        details=details,
+        flags=_cap_flags(cycles.capped, n, "cycles"),
+    )
 
 
 def estimate_stationary_mean(
     model: DiffusionModel, threshold: float, config: SimConfig
 ) -> EstimateReport:
-    """Long-run time average of the controlled state after a 10*xi(y) burn-in."""
-    if threshold <= model.restart_level:
-        raise DomainError("threshold must exceed the restart level")
-    means, _, details = _long_run_chunks(model, threshold, config, None)
-    value = float(np.mean(means))
-    se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    return EstimateReport(value=value, std_error=se, n=len(means), details=details)
+    """Long-run time average of the controlled state: ``E[int_0^tau X] / E[tau]``."""
+    cycles = _long_run_cycles(model, threshold, config, running=lambda x: x)
+    return _ratio_report(cycles.integrals, cycles, config)
 
 
 def estimate_value(
@@ -379,27 +379,21 @@ def estimate_value(
     *,
     z: Optional[float] = None,
 ) -> EstimateReport:
-    """Long-run average reward rate of the threshold strategy.
+    """Long-run average reward rate of the threshold strategy: ``(E[gamma] - K) / E[tau]``.
 
     ``z`` fixes the interaction level; ``z=None`` computes it analytically
     from the threshold itself (the self-consistent value J(R(y), R(y))).
+    A capped cycle is harvested at the state it reached.
     """
-    if threshold <= model.restart_level:
-        raise DomainError("threshold must exceed the restart level")
+    _check_threshold(model, threshold)
     if z is None:
         from .meanfield import interaction_level, resolve_payoff
 
         if payoff.domain is None:
             payoff = resolve_payoff(model, payoff)
         z = float(np.clip(interaction_level(model, payoff, threshold), *payoff.domain))
-    price = float(payoff.phi(z))
-    y0 = model.restart_level
-
-    def per_impulse(pre_states: np.ndarray) -> np.ndarray:
-        return price * (pre_states - y0) - payoff.cost
-
-    _, rates, details = _long_run_chunks(model, threshold, config, per_impulse)
-    value = float(np.mean(rates))
-    se = float(np.std(rates, ddof=1) / math.sqrt(len(rates)))
-    details["interaction_level"] = z
-    return EstimateReport(value=value, std_error=se, n=len(rates), details=details)
+    cycles = _long_run_cycles(model, threshold, config)
+    rewards = float(payoff.phi(z)) * (cycles.pre_states - model.restart_level) - payoff.cost
+    report = _ratio_report(rewards, cycles, config)
+    report.details["interaction_level"] = z
+    return report

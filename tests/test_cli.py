@@ -149,9 +149,22 @@ def test_simulate_writes_path_csv(tmp_path):
     assert len(rows) > 1000
     flags = {row[2] for row in rows[1:]}
     assert flags <= {"0", "1"}
+    cells = [[float(cell) for cell in row] for row in rows[1:]]
     results = read_report(out)["results"]
     assert results["impulses"] >= 0
+    assert sum(flag for _, _, flag in cells) == results["impulses"]
     assert "value_estimate" in results
+
+
+def test_density_csv_cells_are_numbers(tmp_path):
+    code, out = run(tmp_path, "solve-mfc", RATE_SCENARIO)
+    assert code == 0
+    with open(out / "density.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "pdf", "cdf"]
+    assert len(rows) > 10
+    for x, pdf, cdf in ([float(cell) for cell in row] for row in rows[1:]):
+        assert x > 0.0 and pdf >= 0.0 and 0.0 <= cdf <= 1.0 + 1e-9
 
 
 def test_simulate_seed_determinism(tmp_path):

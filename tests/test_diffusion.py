@@ -69,6 +69,15 @@ def test_drift_weighted_speed_identity(benchmark_model):
         assert abs(calc.s(float(x)) * calc.mum0(float(x)) - 1.0) < 1e-6
 
 
+def test_logistic_drift_weighted_speed_keeps_its_digits():
+    # the two gamma integrals of mu m cancel to 1/s(x); subtracting them lost every digit here
+    from harvestfield.diffusion import _calculus
+
+    calc = _calculus(logistic_model(q=-3.0, b=1.5, beta=0.7, y0=2.0))
+    for x in (5.5, 10.6, 20.6, 40.0):
+        assert abs(calc.s(x) * calc.mum0(x) - 1.0) < 1e-12
+
+
 def test_tabulated_values_do_not_depend_on_query_order():
     def twin():
         return custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)

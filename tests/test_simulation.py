@@ -13,6 +13,7 @@ from harvestfield.simulation import (
     estimate_value,
     simulate_path,
 )
+from harvestfield.simulation import _first_passages
 from harvestfield.stationary import controlled_cdf, expected_stock, stock_bounds
 
 XI_2 = 1.2038881223660562
@@ -120,6 +121,48 @@ def test_capped_paths_are_flagged(benchmark_model):
     )
     assert report.details["capped"] > 0
     assert report.flags
+
+
+def test_chunk_cycles_do_not_depend_on_stacking(benchmark_model):
+    # chunk 0 alone and stacked with two more chunks draws and steps identically
+    config = SimConfig(dt=2e-3, seed=61, chunk_size=400, time_cap=1e3)
+    alone = _first_passages(benchmark_model, 3.0, 400, config, running=lambda x: x)
+    stacked = _first_passages(benchmark_model, 3.0, 1100, config, running=lambda x: x)
+    assert np.array_equal(alone.times, stacked.times[:400])
+    assert np.array_equal(alone.integrals, stacked.integrals[:400])
+    assert np.array_equal(alone.pre_states, stacked.pre_states[:400])
+    assert not np.array_equal(stacked.times[:400], stacked.times[400:800])
+
+
+def test_long_run_capped_cycles_are_flagged(benchmark_model, rate_payoff):
+    config = SimConfig(dt=5e-3, seed=31, horizon=100.0, time_cap=5.0)
+    for report in (
+        estimate_stationary_mean(benchmark_model, 6.0, config),
+        estimate_value(benchmark_model, rate_payoff, 6.0, config, z=0.3),
+    ):
+        assert report.details["capped"] > 0
+        assert report.flags
+
+
+def test_stationary_standard_error_scales_with_horizon(benchmark_model):
+    small = estimate_stationary_mean(benchmark_model, 4.0, SimConfig(dt=2e-3, seed=13, horizon=2e3))
+    large = estimate_stationary_mean(benchmark_model, 4.0, SimConfig(dt=2e-3, seed=13, horizon=8e3))
+    assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.25)
+
+
+def test_long_run_details_count_euler_steps(benchmark_model, rate_payoff):
+    # chunks * (burn_in + window) / dt is how traces count the steps of a long-run estimate
+    config = SimConfig(dt=2e-3, seed=67, horizon=300.0)
+    for report in (
+        estimate_stationary_mean(benchmark_model, 4.0, config),
+        estimate_value(benchmark_model, rate_payoff, 4.0, config, z=0.3),
+    ):
+        d = report.details
+        cycles = _first_passages(benchmark_model, 4.0, report.n, config)
+        steps = np.rint(cycles.times / config.dt)
+        assert np.allclose(cycles.times / config.dt, steps, rtol=0.0, atol=1e-6)
+        assert d["chunks"] == report.n and d["burn_in"] == 0.0 and d["dt"] == config.dt
+        assert d["chunks"] * (d["burn_in"] + d["window"]) / d["dt"] == pytest.approx(steps.sum(), rel=1e-12)
 
 
 def test_stationary_mean_estimator(benchmark_model):
