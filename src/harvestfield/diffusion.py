@@ -15,7 +15,11 @@ The scale density, speed density and their integrals come in two routes:
   to the entrance boundary 0 goes through :func:`integrate_to_zero`, which
   detects divergence there;
 * closed forms for the logistic family ``dX = X (g - b X) dt + beta X dW``,
-  whose speed integrals reduce to lower incomplete gamma functions.
+  whose speed integrals reduce to lower incomplete gamma functions. Their
+  Kummer series make ``M0 s`` and ``xm0 s`` power series in ``rho u`` with
+  one shared antiderivative, so a single series gives both ``xi`` and the
+  cycle stock ``int xm0 s`` (:meth:`_Calculus.series_increment`); only the
+  logistic ``S`` still goes through quadrature.
 
 The two routes are deliberately kept independent; the test-suite pins their
 agreement. Each model's calculus is built on first use and kept on the model
@@ -34,7 +38,7 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 from scipy.special import gammainc, gammaln
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
-from .errors import DivergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import CumulativeIntegral, integrate_to_inf, integrate_to_zero
 
 __all__ = [
@@ -143,14 +147,19 @@ def custom_model(
 
 
 def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
-    """Drift and volatility that accept arrays; scalar-only callables are wrapped."""
+    """Drift and volatility that accept arrays; scalar-only callables are wrapped.
+
+    A scalar-only callable given an array raises ``TypeError`` (``math``
+    functions), ``ValueError`` (the truth value of an array) or an
+    ``ArithmeticError``; any other error is the callable's own and propagates.
+    """
     probe = np.array([model.restart_level, 2.0 * model.restart_level])
     try:
         if np.shape(model.drift(probe)) == probe.shape and np.shape(
             model.volatility(probe)
         ) == probe.shape:
             return model.drift, model.volatility
-    except Exception:
+    except (TypeError, ValueError, ArithmeticError):
         pass
     return np.vectorize(model.drift, otypes=[float]), np.vectorize(
         model.volatility, otypes=[float]
@@ -349,7 +358,7 @@ class _Calculus:
             # m(x) = cm * x^(-2q-1) * exp(-rho x) with all reference dependence in cm
             self._cm = (2.0 / p.beta**2) * a ** (2.0 * p.q - 1.0) * math.exp(p.rho * a)
             self._scale_cum = CumulativeIntegral(self.s, a)
-            self._cycle_stock_cum: CumulativeIntegral | None = None
+            self._series_at_y0: float | None = None   # A(rho y0), see series_increment
         else:
             self._table = _Table(self.drift, self.volatility, self._y0)
             # s and S are normalized at a, the table at y0: s = table s / c, m = c * table m
@@ -381,7 +390,10 @@ class _Calculus:
             if self.logistic is None:
                 with np.errstate(over="ignore"):
                     return float(np.exp(-self.exponent(float(x))))
-            return math.exp(-self.exponent(float(x)))
+            try:
+                return math.exp(-self.exponent(float(x)))
+            except OverflowError:
+                raise DivergenceError(f"scale density overflows at x = {x}") from None
         if np.any(np.asarray(x) <= 0.0):
             raise DomainError("scale density needs x > 0")
         with np.errstate(over="ignore"):
@@ -477,7 +489,46 @@ class _Calculus:
             value = self._mum0_offset + np.exp(self.exponent(x))
         return float(value) if np.ndim(x) == 0 else value
 
-    # -- hitting-time integrals from y0 (tabulated route only) ----------------
+    # -- hitting-time integrals from y0 -------------------------------------
+
+    def _series_sum(self, t):
+        """A(t) = sum_{n>=1} t^n / (n (1-2q)_n) for logistic models, by term recurrence."""
+        c = 1.0 - 2.0 * self.logistic.q
+        eps = self.numerics.series_rel_eps
+        if isinstance(t, float):
+            term = t / c
+            acc = term
+            for n in range(1, self.numerics.series_max_terms):
+                term = term * t * (n / ((n + 1.0) * (c + n)))
+                acc += term
+                if abs(term) <= eps * max(abs(acc), 1e-300):
+                    return acc
+            raise ConvergenceError("hitting-time series did not converge within the term budget")
+        term = t / c
+        acc = term.copy()
+        for n in range(1, self.numerics.series_max_terms):
+            term = term * t * (n / ((n + 1.0) * (c + n)))
+            acc += term
+            if np.all(np.abs(term) <= eps * np.maximum(np.abs(acc), 1e-300)):
+                return acc
+        raise ConvergenceError("hitting-time series did not converge within the term budget")
+
+    def series_increment(self, y):
+        """``A(rho y) - A(rho y0)`` for logistic models, with ``A(rho y0)`` summed once.
+
+        Expanding the lower incomplete gamma functions of ``M0`` and ``xm0`` in
+        their Kummer series (DLMF 8.7.1) turns ``M0 s`` and ``xm0 s`` into power
+        series in ``rho u`` whose antiderivatives are both this one series:
+        ``xi(y) = (log(y/y0) + increment) / (beta^2 |q|)`` and
+        ``cycle_stock(y) = increment / b``. The caller keeps ``rho y`` below
+        ``series_arg_cap``, past which the terms overflow.
+        """
+        rho = self.logistic.rho
+        if self._series_at_y0 is None:
+            self._series_at_y0 = self._series_sum(rho * self._y0)
+        if isinstance(y, float):
+            return self._series_sum(rho * y) - self._series_at_y0
+        return self._series_sum(rho * np.asarray(y, dtype=float)) - self._series_at_y0
 
     def xi(self, y):
         """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table; ``y >= y0``."""
@@ -490,16 +541,16 @@ class _Calculus:
         Integration by parts turns the cycle stock integral
         ``int (S(y)-S(u)) u m(u) du + (S(y)-S(y0)) xm0(y0)`` into this form
         (the first-moment analogue of ``xi``), whose integrand needs no nested
-        quadrature.
+        quadrature. Logistic models sum it as a series (see
+        :meth:`series_increment`), others read it from the table.
         """
-        if self.logistic is not None:
-            if self._cycle_stock_cum is None:
-                self._cycle_stock_cum = CumulativeIntegral(
-                    lambda u: self.xm0(u) * self.s(u), self._y0
-                )
-            if np.ndim(y) != 0:
-                return np.array([self._cycle_stock_cum(float(v)) for v in np.asarray(y)])
-            return self._cycle_stock_cum(float(y))
+        p = self.logistic
+        if p is not None:
+            top = float(np.max(y))
+            if p.rho * top >= self.numerics.series_arg_cap:
+                raise DivergenceError(f"cycle stock overflows at y = {top}")
+            value = self.series_increment(y) / p.crowding
+            return float(value) if np.ndim(y) == 0 else value
         scale, tail = self._table(y, (_S, _CYC))
         value = self._first_moment_below_y0() / self._c * scale + tail
         return self._finite(value, y, "cycle stock")
@@ -645,7 +696,7 @@ def _probe_scale_divergence(model: DiffusionModel) -> tuple[bool, float, float]:
         x *= 2.0
         try:
             v = calc.s(x)
-        except (OverflowError, DomainError):
+        except (DivergenceError, DomainError):
             return True, x, math.inf
         if math.isinf(v):
             return True, x, v

@@ -6,7 +6,9 @@ ways:
 
 * a Green-kernel quadrature valid for every model,
 * a power series in ``rho * y`` available for logistic models, evaluated by a
-  term recurrence so no factorial overflows occur.
+  term recurrence so no factorial overflows occur. The series lives on the
+  model's calculus, which also divides it by ``b`` for the cycle stock, and
+  its value at ``y0`` is summed once per model.
 
 For models without closed forms, ``xi`` is read from the tabulated calculus
 (``xi = int_{y0}^{y} M[0,u] s(u) du``, see :mod:`harvestfield.diffusion`);
@@ -59,6 +61,8 @@ class XiEvaluator:
         self.y0 = model.restart_level
         self.mass_below_restart = self._calc.M0(self.y0)
         self._scale_at_y0 = self._calc.S(self.y0)
+        if self.logistic is not None:
+            self._series_scale = 1.0 / (self.logistic.beta**2 * abs(self.logistic.q))
         self._y2: float | None = None
         # zero-cost threshold solutions by NumericsConfig, filled by impulse.zero_cost_threshold
         self._zero_cost: dict = {}
@@ -82,15 +86,16 @@ class XiEvaluator:
         if p is None:
             return self._calc.xi(y)
         cap = self.numerics.series_arg_cap
-        if np.ndim(y) == 0:
+        if isinstance(y, float) or np.ndim(y) == 0:
             y = float(y)
-            return self.xi_series(y) if p.rho * y < cap else self.xi_by_quadrature(y)
-        t = p.rho * np.asarray(y, dtype=float)
-        if np.all(t < cap):
-            return self.xi_series(y)
+            return self._series(y) if p.rho * y < cap else self.xi_by_quadrature(y)
+        y = np.asarray(y, dtype=float)
+        below = p.rho * y < cap
+        if np.all(below):
+            return self._series(y)
         return np.array(
-            [self.xi_series(float(v)) if p.rho * v < cap
-             else self.xi_by_quadrature(float(v)) for v in np.asarray(y)]
+            [self._series(float(v)) if ok else self.xi_by_quadrature(float(v))
+             for v, ok in zip(y, below)]
         )
 
     def xi_by_quadrature(self, y: float) -> float:
@@ -109,29 +114,10 @@ class XiEvaluator:
         )
         return kernel + (s_at_y - self._scale_at_y0) * self.mass_below_restart
 
-    def _series_sum(self, t):
-        """A(t) = sum_{n>=1} t^n / (n (1-2q)_n), by term recurrence."""
-        p = self.logistic
-        c = 1.0 - 2.0 * p.q
-        eps = self.numerics.series_rel_eps
-        if isinstance(t, float):
-            term = t / c
-            acc = term
-            for n in range(1, self.numerics.series_max_terms):
-                term = term * t * (n / ((n + 1.0) * (c + n)))
-                acc += term
-                if abs(term) <= eps * max(abs(acc), 1e-300):
-                    return acc
-            raise ConvergenceError("hitting-time series did not converge within the term budget")
-        t = np.asarray(t, dtype=float)
-        term = t / c
-        acc = term.copy()
-        for n in range(1, self.numerics.series_max_terms):
-            term = term * t * (n / ((n + 1.0) * (c + n)))
-            acc += term
-            if np.all(np.abs(term) <= eps * np.maximum(np.abs(acc), 1e-300)):
-                return acc
-        raise ConvergenceError("hitting-time series did not converge within the term budget")
+    def _series(self, y):
+        """Series form at a float or a float array, every ``rho*y`` below the cap."""
+        log_ratio = math.log(y / self.y0) if isinstance(y, float) else np.log(y / self.y0)
+        return self._series_scale * (log_ratio + self._calc.series_increment(y))
 
     def xi_series(self, y):
         """Series form for logistic models; requires rho*y below the overflow cap."""
@@ -139,29 +125,13 @@ class XiEvaluator:
         if p is None:
             raise DomainError("series form requires a logistic model")
         self._check_domain(y)
-        cap = self.numerics.series_arg_cap
-        scale = 1.0 / (p.beta**2 * abs(p.q))
-        if isinstance(y, (float, int)) or np.ndim(y) == 0:
-            y = float(y)
-            if p.rho * y >= cap:
-                raise DomainError(
-                    f"series argument rho*y exceeds the cap {cap}; use the quadrature form"
-                )
-            return scale * (
-                math.log(y / self.y0)
-                + self._series_sum(p.rho * y)
-                - self._series_sum(p.rho * self.y0)
-            )
-        t = p.rho * np.asarray(y, dtype=float)
-        if np.any(t >= cap):
+        y = float(y) if np.ndim(y) == 0 else np.asarray(y, dtype=float)
+        if np.any(p.rho * y >= self.numerics.series_arg_cap):
             raise DomainError(
-                f"series argument rho*y exceeds the cap {cap}; use the quadrature form"
+                f"series argument rho*y exceeds the cap {self.numerics.series_arg_cap}; "
+                "use the quadrature form"
             )
-        return scale * (
-            np.log(np.asarray(y, dtype=float) / self.y0)
-            + self._series_sum(t)
-            - self._series_sum(p.rho * self.y0)
-        )
+        return self._series(y)
 
     def xi_prime(self, y):
         """xi'(y) = s(y) M[0, y] > 0."""

@@ -110,10 +110,11 @@ def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
 
 
 def _clamp_to_domain(z: float, domain: tuple[float, float]) -> tuple[float, bool]:
+    """``z`` clamped to the domain, and whether it sits on or beyond an edge."""
     lo, hi = domain
-    if z < lo:
+    if z <= lo:
         return lo, True
-    if z > hi:
+    if z >= hi:
         return hi, True
     return z, False
 

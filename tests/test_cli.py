@@ -111,6 +111,38 @@ def test_verify_rejects_stock_level_above_domain(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("interaction", ["harvest_rate", "expected_stock"])
+def test_logistic_scale_overflow_exits_3(tmp_path, interaction, capsys):
+    # s(x) = x^-3 exp(100 (x - 1)) leaves double range near x = 12, inside the threshold search
+    scenario = tmp_path / "steep.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "model": {"kind": "logistic", "q": -1, "b": 50, "beta": 1.0, "y0": 1.0},
+                "payoff": {"K": 5.0, "phi": "1/(1+z)", "interaction": interaction},
+            }
+        )
+    )
+    code, _ = run(tmp_path, "solve-mfg", scenario)
+    assert code == 3
+    assert "scale density overflows" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs(tmp_path):
+    import subprocess
+    import sys
+
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "harvestfield", "validate", "--scenario", RATE_SCENARIO, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_report(out)["results"]["speed_mass_finite"] is True
+
+
 def test_grid_option_sets_scan_points(tmp_path):
     code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
     assert code == 0

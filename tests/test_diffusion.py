@@ -78,6 +78,67 @@ def test_logistic_drift_weighted_speed_keeps_its_digits():
         assert abs(calc.s(x) * calc.mum0(x) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(q=-1.0, b=0.5, beta=1.0, y0=1.0),
+        dict(q=-3.0, b=1.5, beta=0.7, y0=2.0),
+        dict(q=-0.2, b=0.05, beta=1.3, y0=0.5, reference_point=3.0),
+    ],
+)
+def test_logistic_cycle_stock_series_matches_quadrature(params):
+    # the series (A(rho y) - A(rho y0)) / b against a direct quadrature of xm0 s
+    from harvestfield.diffusion import _calculus
+    from harvestfield.quadrature import integrate
+
+    calc = _calculus(logistic_model(**params))
+    y0 = params["y0"]
+    ys = y0 * np.array([1.01, 1.7, 4.0, 11.0, 25.0])
+    series = calc.cycle_stock(ys)
+    for y, value in zip(ys, series):
+        oracle = integrate(lambda u: calc.xm0(u) * calc.s(u), y0, float(y), abs_tol=1e-14, rel_tol=1e-12)
+        assert value == pytest.approx(oracle, rel=1e-9)
+        assert calc.cycle_stock(float(y)) == pytest.approx(value, rel=1e-13)
+    assert calc.cycle_stock(y0) == 0.0
+
+
+def test_logistic_overflow_raises_divergence():
+    from harvestfield.diffusion import _calculus
+    from harvestfield.errors import DivergenceError
+
+    calc = _calculus(logistic_model(q=-1.0, b=50.0, beta=1.0, y0=1.0))
+    with pytest.raises(DivergenceError, match="scale density overflows"):
+        calc.s(12.0)
+    with pytest.raises(DivergenceError, match="cycle stock overflows"):
+        calc.cycle_stock(7.5)   # rho y = 750 is past series_arg_cap
+    with pytest.raises(DivergenceError, match="cycle stock overflows"):
+        calc.cycle_stock(np.array([2.0, 7.5]))
+
+
+def test_scalar_only_coefficients_are_wrapped():
+    # math.exp raises TypeError on an array, so the drift is vectorized instead
+    from harvestfield.diffusion import _vector_coefficients
+
+    model = custom_model(lambda x: x * (1.5 - 0.5 * math.exp(math.log(x))), lambda x: x, y0=1.0)
+    drift, _ = _vector_coefficients(model)
+    assert drift(np.array([1.0, 2.0])) == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert scale_function(model, np.array([2.0, 3.0])) == pytest.approx(
+        [scale_function(model, 2.0), scale_function(model, 3.0)], rel=1e-12
+    )
+
+
+def test_unexpected_coefficient_errors_propagate():
+    from harvestfield.diffusion import _vector_coefficients
+
+    def drift(x):
+        if np.ndim(x):
+            raise RuntimeError("broken drift")
+        return x * (1.5 - 0.5 * x)
+
+    with pytest.raises(RuntimeError, match="broken drift"):
+        _vector_coefficients(custom_model(drift, lambda x: x, y0=1.0))
+
+
 def test_tabulated_values_do_not_depend_on_query_order():
     def twin():
         return custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)

@@ -108,6 +108,18 @@ def test_phi_map_flags_clamped_interaction(benchmark_model, rate_payoff):
     assert "interaction level clamped to domain" in sol.flags
 
 
+def test_clamp_flags_interaction_on_either_edge():
+    from harvestfield.meanfield import _clamp_to_domain
+
+    domain = (0.5, 2.0)
+    assert _clamp_to_domain(0.5, domain) == (0.5, True)
+    assert _clamp_to_domain(2.0, domain) == (2.0, True)
+    assert _clamp_to_domain(0.4, domain) == (0.5, True)
+    assert _clamp_to_domain(2.1, domain) == (2.0, True)
+    assert _clamp_to_domain(1.0, domain) == (1.0, False)
+    assert _clamp_to_domain(np.nextafter(2.0, 0.0), domain) == (np.nextafter(2.0, 0.0), False)
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------
@@ -449,3 +461,28 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     per_point = [int(np.count_nonzero(seen == y)) for y in grid]
     assert max(per_point) == 1
     assert sum(per_point) == len(grid)
+
+
+def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
+    # the cycle stock and xi of logistic models are series sums; compare needs no quadrature
+    from importlib import resources
+
+    import harvestfield.hitting as hitting
+    import harvestfield.quadrature as quadrature
+    from harvestfield.scenario import load_scenario
+
+    real = quadrature.integrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    for module in (quadrature, hitting):
+        monkeypatch.setattr(module, "integrate", counting)
+    scenario = load_scenario(
+        str(resources.files("harvestfield") / "scenarios" / "logistic-expected-stock.json")
+    )
+    report = compare(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+    assert report.ok
+    assert calls == []

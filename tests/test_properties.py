@@ -70,6 +70,7 @@ def test_tabulated_route_matches_closed_forms(params):
     mu, sigma2 = ys * (growth - params["b"] * ys), (beta * ys) ** 2
     terms = 2.0 * exact.s(ys) / sigma2 * (np.abs(exact.mum0(ys)) + np.abs(mu) * exact.M0(ys))
     assert_close(ev_table.xi_second(ys), ev_exact.xi_second(ys), 1e-8, scale=terms)
+    assert_close(table.cycle_stock(ys), exact.cycle_stock(ys), 1e-8)
 
     for model in (closed, tabulated):
         z1, z2 = stock_bounds(model)
