@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -254,7 +255,9 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="harvestfield",
         description="Threshold-strategy solvers for mean-field harvesting of 1-d diffusions.",
@@ -262,7 +265,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)

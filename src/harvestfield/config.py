@@ -26,8 +26,11 @@ class NumericsConfig:
 
     # root finding / 1-d optimization
     objective_rel_tol: float = 1e-10   # |F|/xi at the accepted root
-    bracket_rel_tol: float = 1e-9      # bracket width relative to the root
+    bracket_rel_tol: float = 1e-9      # Newton step or bracket width relative to the root
     bracket_doublings: int = 60
+    # x tolerance of the bounded Brent maximizations (planner, auxiliary problem,
+    # stopping target), relative to max(upper end, 1); named after the
+    # golden-section search it once served, so scenario files keep loading
     golden_rel_tol: float = 1e-9
 
     # fixed points / equilibria

@@ -486,6 +486,11 @@ class _Calculus:
                 self._mum0_offset = integrate_to_zero(
                     lambda u: float(self.drift(u)) * self.m(u), x_e, numerics=self.numerics
                 ) - np.exp(self.exponent(x_e))
+            if isinstance(x, float):
+                try:
+                    return self._mum0_offset + math.exp(self.exponent(x))
+                except OverflowError:
+                    return math.inf
             value = self._mum0_offset + np.exp(self.exponent(x))
         return float(value) if np.ndim(x) == 0 else value
 

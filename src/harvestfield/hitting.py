@@ -27,6 +27,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel, _calculus
@@ -142,11 +143,17 @@ class XiEvaluator:
     def xi_second(self, y):
         """xi''(y) = (2 s(y) / sigma^2(y)) * int_0^y (mu(u) - mu(y)) m(u) du."""
         self._check_domain(y)
+        calc = self._calc
+        if isinstance(y, float):
+            # the safeguarded Newton solve calls this once per step: no numpy round trip
+            sigma2 = float(calc.volatility(y)) ** 2
+            i_of_y = calc.mum0(y) - float(calc.drift(y)) * calc.M0(y)
+            return 2.0 * calc.s(y) / sigma2 * i_of_y
         ya = np.asarray(y, dtype=float)
-        mu_y = np.asarray(self._calc.drift(ya))
-        sigma2 = np.asarray(self._calc.volatility(ya)) ** 2
-        i_of_y = self._calc.mum0(y) - mu_y * self._calc.M0(y)
-        value = 2.0 * self._calc.s(y) / sigma2 * i_of_y
+        mu_y = np.asarray(calc.drift(ya))
+        sigma2 = np.asarray(calc.volatility(ya)) ** 2
+        i_of_y = calc.mum0(y) - mu_y * calc.M0(y)
+        value = 2.0 * calc.s(y) / sigma2 * i_of_y
         return float(value) if np.ndim(y) == 0 else value
 
     # ------------------------------------------------------------------
@@ -180,16 +187,12 @@ class XiEvaluator:
                 lo = hi
             else:
                 raise ConvergenceError("xi never turned convex within the doubling budget")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.xi_second(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-10 * max(1.0, hi):
-                break
-        self._y2 = hi
-        return hi
+        tol = 1e-10 * max(1.0, hi)
+        y2 = brentq(self.xi_second, lo, hi, xtol=tol)
+        while not self.xi_second(y2) > 0.0:   # report a point on the convex side
+            y2 = min(y2 + tol, hi)
+        self._y2 = y2
+        return y2
 
     # ------------------------------------------------------------------
     # running costs

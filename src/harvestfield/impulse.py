@@ -6,10 +6,14 @@ unique maximizer is the unique root of
     F(y) = xi(y) - (y - y0 - Kt) * xi'(y)
 
 on ``[max(y0 + Kt, y2), inf)``, where y2 is the convexity switch of xi; F is
-positive at the left end of that interval and strictly decreasing past it, so
-bracket expansion plus bisection is exact. The general auxiliary problem
-(increasing reward f, running cost h) is only known to be unimodal, so it is
-solved by derivative bracketing plus golden-section refinement.
+positive at the left end of that interval and strictly decreasing past it,
+with slope ``F' = -(y - y0 - Kt) * xi''(y) < 0``. Bracket expansion finds a
+sign change, and a safeguarded Newton iteration (Newton steps on F that fall
+back to bisection whenever they leave the bracket) converges to the root in
+a handful of steps. The general auxiliary problem (increasing reward f,
+running cost h) is only known to be unimodal, so it is solved by derivative
+bracketing plus Brent's bounded maximization (parabolic steps safeguarded by
+golden section).
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel
@@ -50,9 +55,6 @@ __all__ = [
     "stopping_value",
     "verify_solution",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class ThresholdSolution:
@@ -88,21 +90,52 @@ def _as_evaluator(model_or_ev) -> XiEvaluator:
 # basic problem: (y - y0 - Kt) / xi(y)
 # ---------------------------------------------------------------------------
 
+def _first_order_condition(ev: XiEvaluator, y, k_tilde):
+    """``F = xi - (y - y0 - Kt) xi'`` and ``xi``, at floats or arrays (``k_tilde`` broadcast)."""
+    xi = ev.xi(y)
+    return xi - (y - ev.y0 - k_tilde) * ev.xi_prime(y), xi
+
+
+def _newton_step(ev: XiEvaluator, y, k_tilde, f, lo, hi):
+    """Next iterate of the safeguarded Newton solve (Press et al., Numerical Recipes 9.4).
+
+    The Newton point ``y - F/F'``, with ``F' = -(y - y0 - Kt) xi''``, if
+    ``F' < 0`` and the point lies in the closed bracket ``[lo, hi]``;
+    otherwise the bracket midpoint. The bracket is closed so that a lane at
+    its exact root (``F == 0``, Newton point on ``hi``) stays put instead of
+    bisecting. Floats or arrays, lane by lane.
+    """
+    slope = -(y - ev.y0 - k_tilde) * ev.xi_second(y)
+    if isinstance(y, float):
+        if slope < 0.0:
+            newton = y - f / slope
+            if lo <= newton <= hi:
+                return newton
+        return 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = y - f / slope
+    return np.where((slope < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+
+
 def optimal_threshold_basic(
     model_or_ev,
     k_tilde: float,
     *,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> ThresholdSolution:
-    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)`` by bracketed bisection on F."""
+    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton.
+
+    A doubling phase brackets the sign change of F; each Newton step then
+    shrinks the bracket by the sign of F and falls back to the midpoint when
+    the Newton point leaves it. ``iterations`` counts the Newton steps.
+    """
     ev = _as_evaluator(model_or_ev)
     if k_tilde < 0.0:
         raise DomainError("k_tilde must be nonnegative")
     y0 = ev.y0
 
-    def f_and_xi(y: float) -> tuple[float, float]:
-        xi = ev.xi(y)
-        return xi - (y - y0 - k_tilde) * ev.xi_prime(y), xi
+    def f_of(y: float) -> float:
+        return _first_order_condition(ev, y, k_tilde)[0]
 
     if k_tilde == 0.0 and ev.xi_second(y0) > 0.0:
         # zero cost with xi convex from the start: (y - y0)/xi(y) decreases on
@@ -119,22 +152,19 @@ def optimal_threshold_basic(
 
     left = max(y0 + k_tilde, ev.convexity_switch()) + 1e-6
     lo = left
-    f_lo, _ = f_and_xi(lo)
-    if f_lo <= 0.0:
+    if f_of(lo) <= 0.0:
         # theory puts the root right of `left`; tolerate rounding at the corner
         lo = max(y0 * (1.0 + 1e-9), left - 2e-6)
-        f_lo, _ = f_and_xi(lo)
-        if f_lo <= 0.0:
+        if f_of(lo) <= 0.0:
             raise NoRootError(
                 "first-order condition is nonpositive at the left end of the bracket; "
                 "model assumptions are likely violated"
             )
     hi = 2.0 * lo
     for _ in range(numerics.bracket_doublings):
-        f_hi, _ = f_and_xi(hi)
-        if f_hi < 0.0:
+        if f_of(hi) < 0.0:
             break
-        lo, f_lo = hi, f_hi
+        lo = hi
         hi *= 2.0
     else:
         raise NoRootError(
@@ -144,22 +174,24 @@ def optimal_threshold_basic(
 
     bracket = (lo, hi)
     iterations = 0
-    mid, residual = 0.5 * (lo + hi), math.inf
+    y_next = 0.5 * (lo + hi)
     while iterations < 400:
-        mid = 0.5 * (lo + hi)
-        f_mid, xi_mid = f_and_xi(mid)
+        y = y_next
+        f, xi = _first_order_condition(ev, y, k_tilde)
         iterations += 1
-        if f_mid > 0.0:
-            lo = mid
+        if f > 0.0:
+            lo = y
         else:
-            hi = mid
-        residual = abs(f_mid) / xi_mid
-        if (hi - lo) < numerics.bracket_rel_tol * mid and residual < numerics.objective_rel_tol:
+            hi = y
+        residual = abs(f) / xi
+        y_next = _newton_step(ev, y, k_tilde, f, lo, hi)
+        tol = numerics.bracket_rel_tol * y
+        if (abs(y_next - y) < tol or hi - lo < tol) and residual < numerics.objective_rel_tol:
             break
 
-    value = (mid - y0 - k_tilde) / ev.xi(mid)
+    value = (y - y0 - k_tilde) / xi
     return ThresholdSolution(
-        threshold=mid,
+        threshold=y,
         value=value,
         residual=residual,
         bracket=bracket,
@@ -177,35 +209,39 @@ def optimal_thresholds_on_grid(
 ) -> np.ndarray:
     """Vectorized basic solve for an array of k_tilde values (grid scans).
 
-    Uses the same bracket/bisection scheme with array arithmetic.
+    The scalar solve's doubling phase and safeguarded Newton step in array
+    arithmetic; a lane keeps its threshold once it meets the stopping test.
     """
     ev = _as_evaluator(model_or_ev)
     kt = np.asarray(k_tildes, dtype=float)
     if np.any(kt <= 0.0):
         raise DomainError("the vectorized solve needs strictly positive k_tilde")
-    y0 = ev.y0
-
-    def f_of(y: np.ndarray) -> np.ndarray:
-        return np.asarray(ev.xi(y)) - (y - y0 - kt) * np.asarray(ev.xi_prime(y))
-
-    lo = np.maximum(y0 + kt, ev.convexity_switch()) + 1e-6
+    lo = np.maximum(ev.y0 + kt, ev.convexity_switch()) + 1e-6
     hi = 2.0 * lo
     for _ in range(numerics.bracket_doublings):
-        need = f_of(hi) >= 0.0
+        need = _first_order_condition(ev, hi, kt)[0] >= 0.0
         if not np.any(need):
             break
         lo = np.where(need, hi, lo)
         hi = np.where(need, hi * 2.0, hi)
     else:
         raise NoRootError("vectorized bracket expansion exhausted")
+    y = 0.5 * (lo + hi)
+    done = np.zeros(y.shape, dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pos = f_of(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all(hi - lo < numerics.bracket_rel_tol * mid):
+        f, xi = _first_order_condition(ev, y, kt)
+        pos = f > 0.0
+        lo = np.where(pos, y, lo)
+        hi = np.where(pos, hi, y)
+        y_next = _newton_step(ev, y, kt, f, lo, hi)
+        tol = numerics.bracket_rel_tol * y
+        done |= ((np.abs(y_next - y) < tol) | (hi - lo < tol)) & (
+            np.abs(f) / xi < numerics.objective_rel_tol
+        )
+        if np.all(done):
             break
-    return 0.5 * (lo + hi)
+        y = np.where(done, y, y_next)
+    return y
 
 
 def zero_cost_threshold(
@@ -307,24 +343,19 @@ class _RunningCost:
         return kernel + (s_y - s_x) * below_x
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, rel_tol: float):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    iterations = 0
-    while (b - a) > rel_tol * max(abs(b), 1.0) and iterations < 200:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        iterations += 1
-    x_best = c if fc >= fd else d
-    return x_best, fn(x_best), iterations
+def _bounded_max(fn: Callable[[float], float], lo: float, hi: float, rel_tol: float):
+    """Maximize ``fn`` on ``[lo, hi]`` by Brent's parabolic/golden-section method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
+    as ``scipy.optimize.minimize_scalar(method="bounded")``, with the
+    absolute x tolerance ``rel_tol * max(hi, 1)``. Returns
+    ``(x, fn(x), iterations)``.
+    """
+    res = minimize_scalar(
+        lambda y: -fn(y), bounds=(lo, hi), method="bounded",
+        options={"xatol": rel_tol * max(hi, 1.0)},
+    )
+    return float(res.x), -float(res.fun), int(res.nit)
 
 
 def solve_auxiliary(
@@ -340,8 +371,8 @@ def solve_auxiliary(
     ``f`` must be continuous and increasing with ``f(y0) = 0``; ``h``
     continuous, nonnegative, of linear growth (``None`` means identically 0).
     The maximizer is located by bracketing a sign change of the numeric
-    derivative and refining with golden section, which only assumes
-    unimodality.
+    derivative and refining with Brent's bounded maximization, which only
+    assumes unimodality; ``iterations`` counts its steps.
     """
     ev = _as_evaluator(model_or_ev)
     if cost <= 0.0:
@@ -381,7 +412,7 @@ def solve_auxiliary(
             "the auxiliary objective keeps increasing; no interior maximizer was bracketed"
         )
 
-    y_star, value, iterations = _golden_max(
+    y_star, value, iterations = _bounded_max(
         objective, a, b, numerics.golden_rel_tol
     )
     flags: tuple[str, ...] = ()
@@ -450,7 +481,7 @@ def stopping_value(
 
     The optimal continuation target solves ``f'(y) = d/dy E_x[running cost]``,
     whose right-hand side does not depend on the starting state x, so one
-    golden-section search fixes the target for every x at once; each grid
+    bounded Brent maximization fixes the target for every x at once; each grid
     point then needs a single running-cost evaluation. A vectorized
     grid-candidate maximum is kept alongside as a safety net for objectives
     that are not unimodal.
@@ -472,7 +503,7 @@ def stopping_value(
     lo = float(candidates[max(j - 1, 0)])
     hi = float(candidates[min(j + 1, len(candidates) - 1)])
     if hi > lo:
-        target, _, _ = _golden_max(
+        target, _, _ = _bounded_max(
             lambda yv: float(f(yv)) - cost - rc(y0, yv), lo, hi, numerics.golden_rel_tol
         )
     else:

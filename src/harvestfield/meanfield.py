@@ -15,7 +15,7 @@ most once per solve:
   several equilibria may coexist.
 * cooperative (planner) optimum: maximizer of
   ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid plus
-  golden section.
+  Brent's bounded maximization around each local maximum of the scan.
 
 The threshold ordering between the two solutions is checked by
 :func:`compare`: planner >= equilibrium under the harvest-rate channel and
@@ -36,7 +36,7 @@ from .errors import ComparisonError, DomainError, SolverError
 from .hitting import get_evaluator
 from .impulse import (
     ThresholdSolution,
-    _golden_max,
+    _bounded_max,
     best_response,
     critical_bounds,
     max_harvest_rate,
@@ -425,7 +425,7 @@ def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) ->
     def refine_around(i: int) -> tuple[float, float]:
         lo = float(grid[max(i - 1, 0)])
         hi = float(grid[min(i + 1, len(grid) - 1)])
-        y_ref, v_ref, _ = _golden_max(h_scalar, lo, hi, numerics.golden_rel_tol)
+        y_ref, v_ref, _ = _bounded_max(h_scalar, lo, hi, numerics.golden_rel_tol)
         return y_ref, v_ref
 
     interior = np.arange(1, len(grid) - 1)
@@ -461,7 +461,13 @@ def mfc_optimum(
     *,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> MfcSolution:
-    """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y): grid scan + golden refinement."""
+    """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y) over thresholds.
+
+    ``H`` is read off the shared scan grid; each local maximum of the grid is
+    refined by Brent's bounded maximization on its two neighbouring cells
+    ``[lo, hi]`` (x tolerance ``golden_rel_tol * max(hi, 1)``). Maxima within
+    ``tie_rel_tol`` of the best are reported as ties, the smallest first.
+    """
     return _planner(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
 
 

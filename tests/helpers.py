@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's quadrature stack: composite Simpson
 with interval doubling, central finite differences, and brute-force grids.
-The equilibrium oracle uses only xi and xi' and never a package solver.
+The equilibrium and threshold oracles use only xi and xi' and never a
+package solver.
 """
 
 import numpy as np
@@ -42,6 +43,17 @@ def second_diff(f, x, h):
 def fd_step(y):
     # balances truncation against rounding for quantities of size ~1..100
     return max(1e-5, 1e-6 * y)
+
+
+def first_order_root(ev, k_tilde, bracket):
+    """Root of ``F(y) = xi(y) - (y - y0 - k_tilde) xi'(y)`` on ``bracket`` by brentq.
+
+    The maximizer of ``(y - y0 - k_tilde)/xi(y)``, found without ``xi''``.
+    """
+    y0 = ev.y0
+    return brentq(
+        lambda y: ev.xi(y) - (y - y0 - k_tilde) * ev.xi_prime(y), *bracket, xtol=1e-14, rtol=1e-14
+    )
 
 
 def equilibria_oracle(model, phi, cost, c, c_max):

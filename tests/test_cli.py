@@ -143,6 +143,21 @@ def test_module_entry_point_runs(tmp_path):
     assert read_report(out)["results"]["speed_mass_finite"] is True
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from harvestfield.cli import _parser
+
+    assert _parser() is _parser()
+    first = _parser().parse_args(["compare", "--scenario", "a.json", "--seed", "5"])
+    second = _parser().parse_args(["verify", "--scenario", "b.json"])
+    assert (first.command, first.seed) == ("compare", 5)
+    assert (second.command, second.seed, second.out) == ("verify", None, "out")
+    for argv, code in ((["--help"], 0), (["compare"], 2), (["no-such-command"], 2)):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == code
+    assert "solve-single" in capsys.readouterr().out
+
+
 def test_grid_option_sets_scan_points(tmp_path):
     code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
     assert code == 0

@@ -118,6 +118,16 @@ def test_convexity_switch_brackets_sign(benchmark_evaluator):
     assert benchmark_evaluator.xi_second(y2 * 1.01) > 0.0
 
 
+@pytest.mark.parametrize("route", ["benchmark_evaluator", "quadrature_twin"])
+def test_scalar_xi_second_matches_array_element(route, request):
+    ev = request.getfixturevalue(route)
+    ev = ev if isinstance(ev, XiEvaluator) else XiEvaluator(ev)
+    ys = np.array([1.2, 1.7, 3.0, 8.0, 20.0])   # away from the sign change near 2.15
+    on_array = ev.xi_second(ys)
+    for y, expected in zip(ys, on_array):
+        assert ev.xi_second(float(y)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_xi_prime_integrates_back_to_xi(benchmark_evaluator):
     # trapezoid of xi' over [y0, 5] recovers xi(5) to 1e-5 relative
     ys = np.linspace(1.0, 5.0, 2001)

@@ -1,20 +1,23 @@
-"""Property tests of the tabulated route for models without closed forms.
+"""Property tests of the tabulated route and the threshold solves.
 
 Over the ergodic logistic region, each example builds the same diffusion
 twice, once with its closed forms and once through ``custom_model``, which
-takes the tabulated route. Over logistic-shaped custom coefficients, ergodic
-or not, the solvers may fail only with the package's own errors.
+takes the tabulated route; over the same region, both threshold solves are
+checked against an independent root of the first-order condition. Over
+logistic-shaped custom coefficients, ergodic or not, the solvers may fail
+only with the package's own errors.
 """
 
 import math
 
 import numpy as np
 import pytest
+from helpers import first_order_root
 
 from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
 from harvestfield.errors import HarvestFieldError
 from harvestfield.hitting import XiEvaluator
-from harvestfield.impulse import best_response
+from harvestfield.impulse import best_response, optimal_threshold_basic, optimal_thresholds_on_grid
 from harvestfield.meanfield import resolve_payoff
 from harvestfield.payoff import Interaction, PayoffSpec
 from harvestfield.stationary import stock_bounds
@@ -75,6 +78,18 @@ def test_tabulated_route_matches_closed_forms(params):
     for model in (closed, tabulated):
         z1, z2 = stock_bounds(model)
         assert z1 <= z2
+
+
+@given(ergodic, st.floats(0.05, 3.0))
+def test_threshold_solves_match_first_order_root(params, k):
+    ev = XiEvaluator(logistic_model(**params))
+    costs = np.array([k, 2.0 * k])
+    grid = optimal_thresholds_on_grid(ev, costs)
+    for kt, from_grid in zip(costs, grid):
+        sol = optimal_threshold_basic(ev, float(kt))
+        root = first_order_root(ev, float(kt), sol.bracket)
+        assert_close(sol.threshold, root, 1e-9)
+        assert_close(from_grid, root, 1e-9)
 
 
 @given(
