@@ -11,7 +11,10 @@ The scale density, speed density and their integrals come in two routes:
 * a tabulated route valid for any sufficiently nice coefficients: one table
   per model integrates ``log s``, ``S``, the speed integrals and the
   hitting-time integral ``xi = int M[0,u] s(u) du`` on Chebyshev panels in
-  ``log x`` (:class:`_Table`); only the piece of each speed integral next
+  ``log x`` (:class:`_Table`). It grows outward from ``y0`` in whole
+  segments of ``log x``, each growth one vectorized batch over all its
+  panels, and a scalar reads it in plain floats (``bisect`` on the panel
+  edges, then a Clenshaw sum). Only the piece of each speed integral next
   to the entrance boundary 0 goes through :func:`integrate_to_zero`, which
   detects divergence there;
 * closed forms for the logistic family ``dX = X (g - b X) dt + beta X dW``,
@@ -28,6 +31,7 @@ instance, so it lives exactly as long as the model.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -170,27 +174,42 @@ def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
 # the tabulated route
 # ---------------------------------------------------------------------------
 
-# Chebyshev-Lobatto nodes on [-1, 1] and the maps from integrand values at them
-# to the Chebyshev coefficients of the antiderivative that vanishes at -1, and
-# to that antiderivative's values at the nodes.
+# Chebyshev-Lobatto nodes on [-1, 1] and the map from integrand values at them
+# to the Chebyshev coefficients of the antiderivative that vanishes at -1 (the
+# first 18 columns) and to that antiderivative's values at the nodes (the rest).
 _NODES = 17
 _TAU = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
 _ORDERS = np.arange(_NODES + 1)
 _TO_COEFFICIENTS = np.linalg.inv(chebvander(_TAU, _NODES - 1))
 _ANTIDERIVATIVE = chebint(np.eye(_NODES), lbnd=-1) @ _TO_COEFFICIENTS
-_ANTIDERIVATIVE_AT_NODES = chebvander(_TAU, _NODES) @ _ANTIDERIVATIVE
-_TAIL = _TO_COEFFICIENTS[-2:]   # node values -> the top two coefficients
+_INTEGRATE = np.ascontiguousarray(
+    np.vstack([_ANTIDERIVATIVE, chebvander(_TAU, _NODES) @ _ANTIDERIVATIVE]).T
+)
+_TAIL = np.ascontiguousarray(_TO_COEFFICIENTS[-2:].T)   # node values -> the top two coefficients
 
-_PANEL_MAX = 0.5        # widest panel in log x
+_PANEL_MAX = 0.5        # widest panel in log x, and the length of one segment
+_SAMPLES = 32           # sample cells per segment; panel widths are _PANEL_MAX / 2^k
+_STEP = _PANEL_MAX / _SAMPLES
 _PANEL_MIN = 1e-9       # narrowest panel; accepted even if it fails the checks
 _PANEL_SPREAD = 2.0     # bound on the change of log s (plus 2) across one panel
 _PANEL_TAIL = 1e-13     # bound on the top Chebyshev coefficients of each integrand
 _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double precision
+_AHEAD = 2              # segments built past the one a query needs, so outward searches grow less often
 _MAX_PANELS = 20_000
 _ENTRANCE = 2.0**-40    # relative to y0: below it the speed integrals go through integrate_to_zero
 
 # table components
 _LOG_S, _S, _M, _XM, _XI, _CYC = range(6)
+
+
+def _times(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``values @ matrix`` row by row.
+
+    ``einsum`` sums each row in the same order whatever the number of rows,
+    where BLAS may not, so a panel's coefficients do not depend on the batch
+    it was built in.
+    """
+    return np.einsum("pk,kj->pj", values, matrix)
 
 
 class _Table:
@@ -210,20 +229,32 @@ class _Table:
     the exponentials are resolved to near machine precision. Each panel stores
     the Chebyshev coefficients of every component as one flat array row.
 
-    Panels are added outward from ``y0``, one at a time from the previous
-    panel's edge values, only as far as a query needs; a panel's values
-    therefore do not depend on the order of the queries. The arrays are
-    replaced copy-on-write under a lock, so concurrent readers see a complete
-    table.
+    The table grows outward from ``y0`` in whole segments of ``log x`` of
+    length 0.5 anchored at ``log y0``, two segments past the one a query
+    needs, in one batch per growth (:meth:`_grow`). One vectorized sample of
+    ``d log s / dt`` on a uniform grid picks each segment's panels, dyadic
+    blocks of the segment, from the spread bound; one call evaluates the
+    coefficients at every panel's nodes; the checks run on all panels at once
+    and only the failing panels are halved and evaluated again. Each stage of
+    the chain (``log s``; then ``S``, ``M``, ``XM``; then ``XI``, ``CYC``) is
+    one product for all panels, with the edge values chained by ``cumsum``.
+    Panel bounds sit at exact multiples of the sample step from ``log y0``
+    (or their halves) and every sum runs in the same order whatever the
+    batch, so a panel never depends on which query built it and values do
+    not depend on the order of the queries. The arrays are replaced
+    copy-on-write under a lock, so concurrent readers see a complete table.
+
+    :meth:`at` reads one component at one point without numpy: ``bisect`` on
+    the panel edges, then a Clenshaw sum over the panel's coefficients.
     """
 
     def __init__(self, drift: Callable, volatility: Callable, y0: float):
         self._drift = drift
         self._volatility = volatility
-        t0 = math.log(y0)
-        edge = (t0, np.zeros(6), _PANEL_MAX)   # (log x, component values, next width)
-        # (panel bounds, coefficients (panels, components, orders), left edge, right edge)
-        self._state = (np.array([t0]), np.empty((0, 6, _NODES + 1)), edge, edge)
+        self._t0 = math.log(y0)
+        edge = (0, np.zeros(6), 0.0)   # (segments built, component values, sampled log s) at the edge
+        # (panel bounds, coefficients (panels, components, orders), the bounds as floats, (left, right))
+        self._state = (np.array([self._t0]), np.empty((0, 6, _NODES + 1)), [self._t0], (edge, edge))
         self._lock = threading.Lock()
 
     def __call__(self, x, components) -> np.ndarray:
@@ -232,13 +263,9 @@ class _Table:
         Several components come back stacked along a new first axis.
         """
         if np.ndim(x) == 0:
-            t = math.log(x)
-            bounds, coef, _, _ = self._cover(t, t)
-            k = min(max(int(np.searchsorted(bounds, t, side="right")) - 1, 0), len(bounds) - 2)
-            lo, hi = float(bounds[k]), float(bounds[k + 1])
-            tau = min(max((2.0 * t - lo - hi) / (hi - lo), -1.0), 1.0)
-            # T_j(tau) = cos(j arccos tau)
-            return coef[k, components] @ np.cos(_ORDERS * math.acos(tau))
+            if np.ndim(components):
+                return np.array([self.at(float(x), c) for c in components])
+            return self.at(float(x), components)
         t = np.log(np.asarray(x, dtype=float))
         if t.size == 0:
             return np.zeros(np.shape(components) + t.shape)
@@ -251,16 +278,32 @@ class _Table:
         values = np.einsum("...ck,...k->c...", rows, chebyshev)
         return values if np.ndim(components) else values[0]
 
+    def at(self, x: float, component: int) -> float:
+        """One component at one point, in plain floats: ``bisect``, then Clenshaw's recurrence."""
+        t = math.log(x) if x > 0.0 else -math.inf
+        _, coef, knots, _ = self._state
+        if not knots[0] <= t <= knots[-1] or len(knots) == 1:
+            _, coef, knots, _ = self._cover(t, t)
+        k = bisect.bisect_right(knots, t, 1, len(knots) - 1) - 1
+        lo, hi = knots[k], knots[k + 1]
+        tau = (2.0 * t - lo - hi) / (hi - lo)
+        two_tau = tau + tau
+        c = coef[k, component].tolist()
+        b1 = b2 = 0.0
+        for cj in c[:0:-1]:
+            b1, b2 = cj + two_tau * b1 - b2, b1
+        return c[0] + tau * b1 - b2
+
     def _cover(self, t_lo: float, t_hi: float):
         state = self._state
-        bounds = state[0]
-        if bounds[0] <= t_lo and t_hi <= bounds[-1] and len(bounds) > 1:
+        knots = state[2]
+        if knots[0] <= t_lo and t_hi <= knots[-1] and len(knots) > 1:
             return state
         if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
             raise DivergenceError("scale/speed table requested at x = 0 or x = inf")
         with self._lock:
-            bounds, coef, left, right = self._state
-            if t_hi > bounds[-1] or len(bounds) == 1:
+            bounds, coef, knots, (left, right) = self._state
+            if t_hi > knots[-1] or len(knots) == 1:
                 new_bounds, new_coef, right = self._grow(right, 1.0, t_hi, len(bounds))
                 bounds = np.concatenate([bounds, new_bounds])
                 coef = np.concatenate([coef, new_coef])
@@ -268,75 +311,141 @@ class _Table:
                 new_bounds, new_coef, left = self._grow(left, -1.0, t_lo, len(bounds))
                 bounds = np.concatenate([new_bounds[::-1], bounds])
                 coef = np.concatenate([new_coef[::-1], coef])
-            self._state = (bounds, coef, left, right)
+            self._state = (bounds, coef, bounds.tolist(), (left, right))
             return self._state
 
+    def _position(self, u, direction: float):
+        """log x at ``u`` sample steps outward from y0; exact steps, so every batch agrees."""
+        return self._t0 + direction * (u * _STEP)
+
+    def _evaluate(self, x: np.ndarray):
+        """``sigma^2``, ``d log s / dt`` and ``m x s`` at the points ``x``, in one call each."""
+        flat = x.ravel()
+        with np.errstate(all="ignore"):
+            sigma2 = np.asarray(self._volatility(flat), dtype=float).reshape(x.shape) ** 2
+            rate = -2.0 * np.asarray(self._drift(flat), dtype=float).reshape(x.shape) * x / sigma2
+            weight = 2.0 * x / sigma2
+        return sigma2, rate, weight
+
     def _grow(self, edge, direction: float, target: float, count: int):
-        """Panels from ``edge`` outward (direction +1 or -1) until one passes ``target``."""
-        t, values, width = edge
-        new_bounds, new_coef = [], []
-        while direction * (target - t) >= 0.0:
-            if count + len(new_bounds) > _MAX_PANELS:
-                raise DivergenceError(
-                    f"scale/speed table exceeds {_MAX_PANELS} panels before x = {math.exp(target)}"
-                )
-            t, values, width, coef = self._panel(t, values, width, direction)
-            new_bounds.append(t)
-            new_coef.append(coef)
-        coef = np.array(new_coef).reshape(-1, 6, _NODES + 1)
-        return np.array(new_bounds), coef, (t, values, width)
+        """Whole segments from ``edge`` outward (direction +1 or -1) past ``target``.
 
-    def _panel(self, t: float, edge_values: np.ndarray, width: float, direction: float):
-        """One panel next to the edge at ``t``; returns its outer edge and coefficients."""
-        saturated = abs(edge_values[_LOG_S]) > _EXP_SATURATED
-        while True:
-            lo, hi = (t, t + width) if direction > 0 else (t - width, t)
-            x = np.exp(0.5 * (lo + hi) + 0.5 * width * _TAU)
-            with np.errstate(all="ignore"):
-                sigma2 = np.asarray(self._volatility(x), dtype=float) ** 2
-                if not np.all((sigma2 > 0.0) & np.isfinite(sigma2)):
-                    raise DomainError(
-                        f"volatility vanishes or is non-finite on [{math.exp(lo)}, {math.exp(hi)}]"
-                    )
-                rate = -2.0 * np.asarray(self._drift(x), dtype=float) * x / sigma2  # d log s / dt
-                weight = 2.0 * x / sigma2                                          # m x s
-            if not np.all(np.isfinite(rate)):
-                raise DivergenceError(f"drift is not finite on [{math.exp(lo)}, {math.exp(hi)}]")
-            if width > _PANEL_MIN:
-                spread = np.max(np.abs(rate)) + 2.0
-                if not saturated and width * spread > _PANEL_SPREAD:
-                    width = 0.9 * _PANEL_SPREAD / spread
-                    continue
-                if (np.sum(np.abs(_TAIL @ rate)) * width > _PANEL_TAIL
-                        or np.sum(np.abs(_TAIL @ weight)) > _PANEL_TAIL * np.max(weight)):
-                    width *= 0.5
-                    continue
-            break
+        Returns the new panels' outer bounds and coefficients in outward order,
+        and the new edge. The sampled ``log s`` (trapezoid rule, chained from
+        the edge) only decides where ``s`` is saturated, which exempts a panel
+        from the spread bound.
+        """
+        built, values, sampled = edge
+        stop = max(built, int(direction * (target - self._t0) // _PANEL_MAX)) + 1 + _AHEAD
+        while direction * (target - self._position(stop * _SAMPLES, direction)) >= 0.0:
+            stop += 1
+        if count + stop - built > _MAX_PANELS:
+            self._too_many(target)
 
-        half = 0.5 * width
-        coef = np.empty((6, _NODES + 1))
-        outer = np.empty(6)
+        # the sampled bound: the spread |d log s / dt| + 2 wherever s is not saturated
+        u = np.arange(built * _SAMPLES, stop * _SAMPLES + 1, dtype=float)
+        _, rate, _ = self._evaluate(np.exp(self._position(u, direction)))
+        steps = (0.5 * direction * _STEP) * (rate[:-1] + rate[1:])
+        log_s = np.cumsum(np.concatenate([[sampled], steps]))
+        spread = np.where(np.abs(log_s) > _EXP_SATURATED, 0.0, np.abs(rate) + 2.0)
 
-        def integrate(component: int, integrand: np.ndarray) -> np.ndarray:
-            local = half * (_ANTIDERIVATIVE_AT_NODES @ integrand)
-            # the edge value sits at the panel's left end going right, at its right end going left
-            start = edge_values[component] - (local[-1] if direction < 0 else 0.0)
-            coef[component] = half * (_ANTIDERIVATIVE @ integrand)
-            coef[component, 0] += start
-            outer[component] = start + local[-1] if direction > 0 else start
-            return start + local
+        # each sample cell takes the widest dyadic block of its segment that meets the bound
+        depth = np.zeros(len(u) - 1, dtype=int)
+        cells = _SAMPLES
+        while cells > 1:
+            block = np.maximum(spread[:-1].reshape(-1, cells).max(axis=1), spread[cells::cells])
+            depth += np.repeat(~(cells * _STEP * block <= _PANEL_SPREAD), cells)
+            cells //= 2
+        cells = _SAMPLES >> depth
+        starts = np.flatnonzero(np.arange(len(depth)) % cells == 0)
+        inner = u[starts]
+        outer = inner + cells[starts]
+
+        # check every panel at its nodes; halve the failing ones until all pass
+        pending = np.ones(len(inner), dtype=bool)
+        widths = np.empty(len(inner))
+        nodes = np.empty((len(inner), _NODES))
+        rates, weights = np.empty_like(nodes), np.empty_like(nodes)
+        while pending.any():
+            if count + len(inner) > _MAX_PANELS:
+                self._too_many(target)
+            todo = np.flatnonzero(pending)
+            a = self._position(inner[todo], direction)
+            b = self._position(outer[todo], direction)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            width = hi - lo
+            x = np.exp((0.5 * (lo + hi))[:, None] + (0.5 * width)[:, None] * _TAU)
+            sigma2, rate, weight = self._evaluate(x)
+            vol_bad = ~np.all((sigma2 > 0.0) & np.isfinite(sigma2), axis=1)
+            rate_bad = ~np.all(np.isfinite(rate), axis=1)
+            if vol_bad.any() or rate_bad.any():
+                i = int(np.flatnonzero(vol_bad | rate_bad)[0])
+                where = f"[{math.exp(lo[i])}, {math.exp(hi[i])}]"
+                if vol_bad[i]:
+                    raise DomainError(f"volatility vanishes or is non-finite on {where}")
+                raise DivergenceError(f"drift is not finite on {where}")
+            saturated = np.abs(np.interp(inner[todo], u, log_s)) > _EXP_SATURATED
+            fail = (width > _PANEL_MIN) & (
+                (~saturated & (width * (np.max(np.abs(rate), axis=1) + 2.0) > _PANEL_SPREAD))
+                | (np.abs(_times(rate, _TAIL)).sum(axis=1) * width > _PANEL_TAIL)
+                | (np.abs(_times(weight, _TAIL)).sum(axis=1) > _PANEL_TAIL * np.max(weight, axis=1))
+            )
+            widths[todo], nodes[todo], rates[todo], weights[todo] = width, x, rate, weight
+            pending[todo] = fail
+            if fail.any():
+                split = np.zeros(len(inner), dtype=bool)
+                split[todo[fail]] = True
+                keep = np.repeat(np.arange(len(inner)), np.where(split, 2, 1))
+                second = np.cumsum(np.where(split, 2, 1))[split] - 1
+                middle = 0.5 * (inner[split] + outer[split])
+                inner, outer = inner[keep], outer[keep]
+                outer[second - 1] = middle
+                inner[second] = middle
+                pending, widths = pending[keep], widths[keep]
+                nodes, rates, weights = nodes[keep], rates[keep], weights[keep]
+
+        coef, values = self._integrate(nodes, rates, weights, widths, direction, values)
+        new_edge = (stop, values, float(log_s[-1]))
+        return self._position(outer, direction), coef, new_edge
+
+    @staticmethod
+    def _integrate(x, rate, weight, width, direction, edge_values):
+        """Every component's coefficients on the panels (outward order), chained from the edge."""
+        half = (0.5 * width)[None, :, None]
+        count = len(width)
+        coef = np.empty((count, 6, _NODES + 1))
+        outer_values = np.empty(6)
+
+        def integrate(components, integrands):
+            """Antiderivatives of (components, panels, nodes) integrands; their values at the nodes."""
+            both = half * _times(integrands.reshape(-1, _NODES), _INTEGRATE).reshape(
+                len(components), count, -1
+            )
+            local = both[..., _NODES + 1:]
+            chain = np.empty((len(components), count + 1))
+            chain[:, 0] = edge_values[components]
+            chain[:, 1:] = direction * local[..., -1]
+            chain = np.cumsum(chain, axis=1)
+            # each panel's value at its left end: the inner edge going right, the outer going left
+            start = chain[:, :-1] if direction > 0 else chain[:, 1:]
+            coef[:, components] = both[..., : _NODES + 1].swapaxes(0, 1)
+            coef[:, components, 0] += start.T
+            outer_values[components] = chain[:, -1]
+            return start[..., None] + local
 
         with np.errstate(over="ignore", invalid="ignore"):
-            log_s = integrate(_LOG_S, rate)
+            (log_s,) = integrate([_LOG_S], rate[None])
             s_x = np.exp(log_s) * x
             m_x = weight * np.exp(-log_s)
-            integrate(_S, s_x)
-            mass = integrate(_M, m_x)
-            first = integrate(_XM, m_x * x)
-            integrate(_XI, mass * s_x)
-            integrate(_CYC, first * s_x)
-        next_width = min(_PANEL_MAX, 2.0 * width)
-        return (hi if direction > 0 else lo), outer, next_width, coef
+            _, mass, first = integrate([_S, _M, _XM], np.stack([s_x, m_x, m_x * x]))
+            integrate([_XI, _CYC], np.stack([mass * s_x, first * s_x]))
+        return coef, outer_values
+
+    @staticmethod
+    def _too_many(target: float):
+        raise DivergenceError(
+            f"scale/speed table exceeds {_MAX_PANELS} panels before x = {math.exp(target)}"
+        )
 
 
 class _Calculus:
@@ -362,8 +471,8 @@ class _Calculus:
         else:
             self._table = _Table(self.drift, self.volatility, self._y0)
             # s and S are normalized at a, the table at y0: s = table s / c, m = c * table m
-            self._log_s_a = float(self._table(a, _LOG_S))
-            self._scale_a = float(self._table(a, _S))
+            self._log_s_a = self._table.at(a, _LOG_S)
+            self._scale_a = self._table.at(a, _S)
             self._c = math.exp(self._log_s_a)
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
@@ -377,6 +486,8 @@ class _Calculus:
         p = self.logistic
         a = self._a
         if p is None:
+            if isinstance(x, (float, int)):
+                return self._log_s_a - self._table.at(x, _LOG_S)
             value = self._log_s_a - self._table(x, _LOG_S)
             return float(value) if np.ndim(x) == 0 else value
         if isinstance(x, float):
@@ -387,12 +498,11 @@ class _Calculus:
         if isinstance(x, (float, int)):
             if x <= 0.0:
                 raise DomainError("scale density needs x > 0")
-            if self.logistic is None:
-                with np.errstate(over="ignore"):
-                    return float(np.exp(-self.exponent(float(x))))
             try:
-                return math.exp(-self.exponent(float(x)))
+                return math.exp(-self.exponent(x))
             except OverflowError:
+                if self.logistic is None:
+                    return math.inf   # as on arrays, where the table's s overflows to inf
                 raise DivergenceError(f"scale density overflows at x = {x}") from None
         if np.any(np.asarray(x) <= 0.0):
             raise DomainError("scale density needs x > 0")
@@ -401,18 +511,27 @@ class _Calculus:
         return float(value) if np.ndim(x) == 0 else value
 
     def m(self, x):
+        if isinstance(x, (float, int)):
+            if x <= 0.0:
+                raise DomainError("speed density needs x > 0")
+            sigma2 = float(self.volatility(float(x))) ** 2
+            try:
+                return 2.0 / sigma2 * math.exp(self.exponent(x))
+            except OverflowError:
+                raise DivergenceError(f"speed density overflows at x = {x}") from None
         xa = np.asarray(x, dtype=float)
         if np.any(xa <= 0.0):
             raise DomainError("speed density needs x > 0")
-        if isinstance(x, (float, int)):
-            sigma2 = float(self.volatility(float(x))) ** 2
-            return 2.0 / sigma2 * math.exp(self.exponent(float(x)))
         value = 2.0 / np.asarray(self.volatility(xa)) ** 2 * np.exp(self.exponent(xa))
         return float(value) if np.ndim(x) == 0 else value
 
     # -- scale function ----------------------------------------------------
 
     def S(self, x):
+        if self.logistic is None and isinstance(x, (float, int)):
+            if x <= 0.0:
+                raise DomainError("scale function needs x > 0")
+            return self._finite((self._table.at(x, _S) - self._scale_a) / self._c, x, "S")
         if np.any(np.asarray(x) <= 0.0):
             raise DomainError("scale function needs x > 0")
         if self.logistic is not None:
@@ -423,6 +542,10 @@ class _Calculus:
 
     @staticmethod
     def _finite(value, x, name: str):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise DivergenceError(f"{name} overflows at the requested points (largest x = {x})")
+            return value
         if not np.all(np.isfinite(value)):
             raise DivergenceError(
                 f"{name} overflows at the requested points (largest x = {np.max(x)})"
@@ -450,7 +573,7 @@ class _Calculus:
         """
         x_e = self._y0 * _ENTRANCE
         below = integrate_to_zero(lambda u: weight(u) * self.m(u), x_e, numerics=self.numerics)
-        return below - self._c * float(self._table(x_e, component))
+        return below - self._c * self._table.at(x_e, component)
 
     def _mass_below_y0(self) -> float:
         if self._m0_at_y0 is None:
@@ -466,6 +589,8 @@ class _Calculus:
         """Speed mass M[0, x]."""
         if self.logistic is not None:
             return self._gamma_moment(0.0, x)
+        if isinstance(x, (float, int)):
+            return self._mass_below_y0() + self._c * self._table.at(x, _M)
         value = self._mass_below_y0() + self._c * self._table(x, _M)
         return float(value) if np.ndim(x) == 0 else value
 
@@ -473,6 +598,8 @@ class _Calculus:
         """First speed moment ``int_0^x u m(u) du``."""
         if self.logistic is not None:
             return self._gamma_moment(1.0, x)
+        if isinstance(x, (float, int)):
+            return self._first_moment_below_y0() + self._c * self._table.at(x, _XM)
         value = self._first_moment_below_y0() + self._c * self._table(x, _XM)
         return float(value) if np.ndim(x) == 0 else value
 
@@ -537,7 +664,10 @@ class _Calculus:
 
     def xi(self, y):
         """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table; ``y >= y0``."""
-        scale, tail = self._table(y, (_S, _XI))
+        if isinstance(y, (float, int)):
+            scale, tail = self._table.at(y, _S), self._table.at(y, _XI)
+        else:
+            scale, tail = self._table(y, (_S, _XI))
         return self._finite(self._mass_below_y0() / self._c * scale + tail, y, "xi")
 
     def cycle_stock(self, y):
@@ -556,7 +686,10 @@ class _Calculus:
                 raise DivergenceError(f"cycle stock overflows at y = {top}")
             value = self.series_increment(y) / p.crowding
             return float(value) if np.ndim(y) == 0 else value
-        scale, tail = self._table(y, (_S, _CYC))
+        if isinstance(y, (float, int)):
+            scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
+        else:
+            scale, tail = self._table(y, (_S, _CYC))
         value = self._first_moment_below_y0() / self._c * scale + tail
         return self._finite(value, y, "cycle stock")
 

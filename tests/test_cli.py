@@ -11,6 +11,7 @@ from harvestfield.reports import render_table
 SCENARIOS = resources.files("harvestfield") / "scenarios"
 RATE_SCENARIO = str(SCENARIOS / "logistic-harvest-rate.json")
 STOCK_SCENARIO = str(SCENARIOS / "logistic-expected-stock.json")
+CUSTOM_SCENARIO = str(SCENARIOS / "custom-logistic-harvest-rate.json")
 
 
 def run(tmp_path, command, scenario, *extra):
@@ -345,3 +346,37 @@ def test_custom_model_compare_runs(tmp_path):
     code, out = run(tmp_path, "compare", scenario)
     assert code == 0
     assert read_report(out)["results"]["ok"] is True
+
+
+def test_bundled_custom_scenario_matches_its_logistic_twin(tmp_path):
+    # the same diffusion given as expressions takes the tabulated route
+    code, out = run(tmp_path / "custom", "solve-mfg", CUSTOM_SCENARIO)
+    assert code == 0
+    code, twin = run(tmp_path / "logistic", "solve-mfg", RATE_SCENARIO)
+    assert code == 0
+    custom = [p["threshold"] for p in read_report(out)["results"]["equilibria"]]
+    logistic = [p["threshold"] for p in read_report(twin)["results"]["equilibria"]]
+    assert len(custom) == len(logistic) == 1
+    assert custom[0] == pytest.approx(logistic[0], rel=1e-6)
+
+
+def test_validate_reports_speed_density_overflow(tmp_path):
+    # drift (1.5 - 0.5 x)/(x - 2): m grows like exp(1.5/x) toward 0 and leaves double range
+    import numpy as np
+
+    scenario = tmp_path / "singular.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "model": {"kind": "custom", "drift": "(1.5-0.5*x)/(x-2)", "vol": "x", "y0": 1.0},
+                "payoff": {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"},
+            }
+        )
+    )
+    with np.errstate(divide="ignore"):
+        code, out = run(tmp_path, "validate", scenario)
+    assert code == 0
+    results = read_report(out)["results"]
+    assert results["entrance_finite"] is False
+    assert results["all_passed"] is False
+    assert any(note.startswith("entrance boundary") for note in results["notes"])

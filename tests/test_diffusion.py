@@ -191,6 +191,63 @@ def test_calculus_is_freed_with_its_model():
     assert calc() is None
 
 
+def test_cold_queries_build_the_table_in_few_drift_calls():
+    # one batch per growth: a sample of the grid, the panels' nodes, and the halved panels
+    from harvestfield.diffusion import _calculus
+
+    calls = []
+
+    def drift(x):
+        calls.append(np.size(x))
+        return x * (1.5 - 0.5 * x)
+
+    calc = _calculus(custom_model(drift, lambda x: x, y0=1.0))
+    calc.xi(3.0)
+    calc.M0(1e-9)
+    calc.S(60.0)
+    assert len(calls) <= 40
+
+
+def test_scalar_lookup_matches_array_element():
+    from harvestfield.diffusion import _calculus
+
+    table = _calculus(custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0))._table
+    xs = np.geomspace(2.0**-40, 60.0, 200)
+    components = tuple(range(6))
+    array = table(xs, components)
+    bounds, coef, _, _ = table._state
+    panel = np.clip(np.searchsorted(bounds, np.log(xs), side="right") - 1, 0, len(bounds) - 2)
+    for c in components:
+        scalar = np.array([table.at(float(x), c) for x in xs])
+        # relative to the size of the terms summed, since several components cross 0
+        size = np.abs(coef[panel, c]).sum(axis=1)
+        assert np.all(np.abs(scalar - array[c]) <= 2e-15 * size)
+        assert table(float(xs[77]), c) == scalar[77]
+
+
+def test_singular_drift_stops_at_the_panel_guard(tmp_path, capsys):
+    # drift (1.5 - 0.5 x)/(x - 2): s falls like exp(-1.5/x) toward 0, and the table
+    # gives up below y0 * 2^-40 once it needs more than 20000 panels
+    import json
+
+    from harvestfield.cli import main
+
+    scenario = tmp_path / "singular.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "model": {"kind": "custom", "drift": "(1.5 - 0.5*x)/(x - 2)", "vol": "x", "y0": 1.0},
+                "payoff": {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"},
+                "single": {"z": 0.1},
+            }
+        )
+    )
+    with np.errstate(divide="ignore"):
+        code = main(["solve-single", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "exceeds 20000 panels" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scale function
 # ---------------------------------------------------------------------------

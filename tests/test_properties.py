@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from helpers import first_order_root
 
 from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
@@ -101,6 +102,67 @@ def test_threshold_solves_match_first_order_root(params, k):
 def test_custom_models_raise_only_package_errors(growth_ratio, b, beta, cost):
     growth = growth_ratio * beta**2
     model = custom_model(lambda x: x * (growth - b * x), lambda x: beta * x, y0=1.0)
+    assert isinstance(validate_assumptions(model).all_passed, bool)
+    payoff = PayoffSpec(
+        cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE,
+        phi_source="1/(1+z)",
+    )
+    try:
+        resolved = resolve_payoff(model, payoff)
+        solution = best_response(model, resolved, 0.5 * resolved.domain[1])
+    except HarvestFieldError:
+        return
+    assert math.isfinite(solution.threshold) and solution.threshold > 1.0
+    try:
+        z1, z2 = stock_bounds(model)
+    except HarvestFieldError:
+        return
+    assert z1 <= z2
+
+
+@given(
+    st.floats(0.2, 1.5),     # a
+    st.floats(0.2, 1.0),     # b
+    st.floats(0.7, 1.4),     # beta
+    st.floats(0.5, 2.0),     # y0
+)
+def test_tabulated_gompertz_matches_closed_form(a, b, beta, y0):
+    # drift x (a - b log x), vol beta x: in t = log x, d log s / dt = -(2/beta^2)(a - b t),
+    # so log s = L(t) - L(log y0) with L(t) = -(2/beta^2)(a t - b t^2/2), and
+    # m du = (2/beta^2) exp(-log s - t) dt is a Gaussian in t, which gives M0 by ndtr
+    model = custom_model(lambda x: x * (a - b * np.log(x)), lambda x: beta * x, y0=y0)
+    calc = _calculus(model)
+    xs = np.geomspace(y0 / 10.0, 20.0 * y0, 15)
+
+    def big_l(t):
+        return -(2.0 / beta**2) * (a * t - 0.5 * b * t**2)
+
+    log_s = big_l(np.log(xs)) - big_l(math.log(y0))
+    assert_close(calc.s(xs), np.exp(log_s), 1e-10)
+    assert_close(calc.m(xs), 2.0 / (beta * xs) ** 2 * np.exp(-log_s), 1e-10)
+    p, q = b / beta**2, 2.0 * a / beta**2 - 1.0
+    log_mass = math.log(2.0 / beta**2) + big_l(math.log(y0)) + q * q / (4.0 * p) + 0.5 * math.log(math.pi / p)
+    mass = np.exp(log_mass) * ndtr(math.sqrt(2.0 * p) * (np.log(xs) - q / (2.0 * p)))
+    # the table adds M[y0, x] to M0(y0): below y0 that sum rounds on the scale of M0(y0)
+    floor = 1e-4 * calc.M0(y0)
+    assert_close(calc.M0(xs), mass, 1e-10, scale=floor)
+    for x, expected_s, expected_mass in zip(xs, np.exp(log_s), mass):
+        assert_close(calc.s(float(x)), expected_s, 1e-10)
+        assert_close(calc.M0(float(x)), expected_mass, 1e-10, scale=floor)
+
+
+@given(
+    st.sampled_from(["gompertz", "square-root noise"]),
+    st.floats(0.1, 3.0),     # growth a (Gompertz) or g (square-root noise)
+    st.floats(0.0, 1.0),     # b; 0 leaves the drift unsaturated
+    st.floats(0.3, 1.5),     # beta
+    st.floats(0.5, 2.0),     # cost K
+)
+def test_non_logistic_models_raise_only_package_errors(shape, growth, b, beta, cost):
+    if shape == "gompertz":
+        model = custom_model(lambda x: x * (growth - b * np.log(x)), lambda x: beta * x, y0=1.0)
+    else:
+        model = custom_model(lambda x: x * (growth - b * x), lambda x: beta * np.sqrt(x), y0=1.0)
     assert isinstance(validate_assumptions(model).all_passed, bool)
     payoff = PayoffSpec(
         cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE,
