@@ -6,23 +6,24 @@ the scale integrals. Only differences of the scale function and products of
 scale and speed densities ever enter downstream formulas, so the choice of
 ``a`` is immaterial; it defaults to ``y0``.
 
-The scale density, speed density and their integrals come in two routes:
+The scale density, speed density and their integrals come from one
+tabulated calculus, with closed forms beside it for the logistic family:
 
-* a tabulated route valid for any sufficiently nice coefficients: one table
-  per model integrates ``log s``, ``S``, the speed integrals and the
-  hitting-time integral ``xi = int M[0,u] s(u) du`` on Chebyshev panels in
-  ``log x`` (:class:`_Table`). It grows outward from ``y0`` in whole
-  segments of ``log x``, each growth one vectorized batch over all its
-  panels, and a scalar reads it in plain floats (``bisect`` on the panel
-  edges, then a Clenshaw sum). Only the piece of each speed integral next
-  to the entrance boundary 0 goes through :func:`integrate_to_zero`, which
-  detects divergence there;
+* one table per model integrates ``log s``, ``S``, the speed integrals and
+  the hitting-time integral ``xi = int M[0,u] s(u) du`` on Chebyshev panels
+  in ``log x`` (:class:`_Table`), built on its first query. It grows outward
+  from ``y0`` in whole segments of ``log x``, each growth one vectorized
+  batch over all its panels, and a scalar reads it in plain floats
+  (``bisect`` on the panel edges, then a Clenshaw sum). Every model reads
+  ``S`` from it, and ``xi`` on both sides of ``y0``. Only the piece of each
+  speed integral next to the entrance boundary 0 goes through
+  :func:`integrate_to_zero`, which detects divergence there;
 * closed forms for the logistic family ``dX = X (g - b X) dt + beta X dW``,
-  whose speed integrals reduce to lower incomplete gamma functions. Their
-  Kummer series make ``M0 s`` and ``xm0 s`` power series in ``rho u`` with
-  one shared antiderivative, so a single series gives both ``xi`` and the
-  cycle stock ``int xm0 s`` (:meth:`_Calculus.series_increment`); only the
-  logistic ``S`` still goes through quadrature.
+  whose densities are explicit and whose speed integrals reduce to lower
+  incomplete gamma functions. Their Kummer series make ``M0 s`` and
+  ``xm0 s`` power series in ``rho u`` with one shared antiderivative, so a
+  single series gives both ``xi`` and the cycle stock ``int xm0 s``
+  (:meth:`_Calculus.series_increment`).
 
 The two routes are deliberately kept independent; the test-suite pins their
 agreement. Each model's calculus is built on first use and kept on the model
@@ -35,6 +36,7 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +45,7 @@ from scipy.special import gammainc, gammaln
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .quadrature import CumulativeIntegral, integrate_to_inf, integrate_to_zero
+from .quadrature import integrate_to_inf, integrate_to_zero
 
 __all__ = [
     "LogisticParams",
@@ -274,7 +276,7 @@ class _Table:
         lo, hi = bounds[k], bounds[k + 1]
         tau = np.minimum(np.maximum((2.0 * t - lo - hi) / (hi - lo), -1.0), 1.0)
         chebyshev = np.cos(np.multiply.outer(np.arccos(tau), _ORDERS))
-        rows = coef[k][..., np.atleast_1d(components), :]
+        rows = coef[k[..., None], np.atleast_1d(components)]
         values = np.einsum("...ck,...k->c...", rows, chebyshev)
         return values if np.ndim(components) else values[0]
 
@@ -449,10 +451,12 @@ class _Table:
 
 
 class _Calculus:
-    """Per-model scale and speed calculus: closed forms for logistic models, a table otherwise.
+    """Per-model scale and speed calculus: one table, and closed forms for logistic models.
 
     It keeps the model's coefficients, not the model, so the copy cached on
-    the model (see :func:`_calculus`) is freed together with the model.
+    the model (see :func:`_calculus`) is freed together with the model. The
+    table is built on its first query; a logistic model that never asks for
+    ``S`` or the table's ``xi`` builds none.
     """
 
     def __init__(self, model: DiffusionModel, numerics: NumericsConfig = DEFAULT_NUMERICS):
@@ -462,22 +466,31 @@ class _Calculus:
         self._y0 = model.restart_level
         a = model.reference_point
         self._a = a
+        self._table = _Table(self.drift, self.volatility, self._y0)
         if model.logistic is not None:
             p = model.logistic
             # m(x) = cm * x^(-2q-1) * exp(-rho x) with all reference dependence in cm
             self._cm = (2.0 / p.beta**2) * a ** (2.0 * p.q - 1.0) * math.exp(p.rho * a)
-            self._scale_cum = CumulativeIntegral(self.s, a)
             self._series_at_y0: float | None = None   # A(rho y0), see series_increment
-        else:
-            self._table = _Table(self.drift, self.volatility, self._y0)
-            # s and S are normalized at a, the table at y0: s = table s / c, m = c * table m
-            self._log_s_a = self._table.at(a, _LOG_S)
-            self._scale_a = self._table.at(a, _S)
-            self._c = math.exp(self._log_s_a)
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
         # minus lim_{u -> 0} 1/s(u) (see mum0); the limit is 0 on logistic models, where q < 0
         self._mum0_offset: float | None = 0.0 if model.logistic is not None else None
+
+    # s and S are normalized at a, the table at y0: s = table s / c, m = c * table m.
+    # Read on first use, so that a model builds its table only when it queries it.
+
+    @cached_property
+    def _log_s_a(self) -> float:
+        return self._table.at(self._a, _LOG_S)
+
+    @cached_property
+    def _scale_a(self) -> float:
+        return self._table.at(self._a, _S)
+
+    @cached_property
+    def _c(self) -> float:
+        return math.exp(self._log_s_a)
 
     # -- densities ---------------------------------------------------------
 
@@ -528,17 +541,16 @@ class _Calculus:
     # -- scale function ----------------------------------------------------
 
     def S(self, x):
-        if self.logistic is None and isinstance(x, (float, int)):
+        """``S(x) = int_a^x s`` from the table; past double range of ``s`` it raises."""
+        if isinstance(x, (float, int)):
             if x <= 0.0:
                 raise DomainError("scale function needs x > 0")
-            return self._finite((self._table.at(x, _S) - self._scale_a) / self._c, x, "S")
-        if np.any(np.asarray(x) <= 0.0):
-            raise DomainError("scale function needs x > 0")
-        if self.logistic is not None:
-            if np.ndim(x) != 0:
-                return np.array([self._scale_cum(float(v)) for v in np.asarray(x)])
-            return self._scale_cum(float(x))
-        return self._finite((self._table(x, _S) - self._scale_a) / self._c, x, "S")
+            value = (self._table.at(x, _S) - self._scale_a) / self._c
+        else:
+            if np.any(np.asarray(x) <= 0.0):
+                raise DomainError("scale function needs x > 0")
+            value = (self._table(x, _S) - self._scale_a) / self._c
+        return self._finite(value, x, "scale density")
 
     @staticmethod
     def _finite(value, x, name: str):
@@ -577,7 +589,10 @@ class _Calculus:
 
     def _mass_below_y0(self) -> float:
         if self._m0_at_y0 is None:
-            self._m0_at_y0 = self._below_restart(lambda u: 1.0, _M)
+            if self.logistic is not None:
+                self._m0_at_y0 = self._gamma_moment(0.0, self._y0)
+            else:
+                self._m0_at_y0 = self._below_restart(lambda u: 1.0, _M)
         return self._m0_at_y0
 
     def _first_moment_below_y0(self) -> float:
@@ -663,7 +678,10 @@ class _Calculus:
         return self._series_sum(rho * np.asarray(y, dtype=float)) - self._series_at_y0
 
     def xi(self, y):
-        """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table; ``y >= y0``."""
+        """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table, on both sides of ``y0``.
+
+        For ``x < y`` the expected time from ``x`` to ``y`` is ``xi(y) - xi(x)``.
+        """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _XI)
         else:

@@ -12,7 +12,10 @@ ways:
 
 For models without closed forms, ``xi`` is read from the tabulated calculus
 (``xi = int_{y0}^{y} M[0,u] s(u) du``, see :mod:`harvestfield.diffusion`);
-the Green-kernel quadrature stays as an independent oracle.
+the Green-kernel quadrature stays as an independent oracle. The table's
+``xi`` also runs below ``y0`` on every model, so the expected time between
+any two levels ``x < y`` is ``xi(y) - xi(x)``; the stopping problem of
+:mod:`harvestfield.impulse` reads its running penalty from it.
 
 Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``
 and ``xi'' = (2 s / sigma^2) * int_0^y (mu(u) - mu(y)) m(u) du``. The second
@@ -61,7 +64,6 @@ class XiEvaluator:
         self.logistic = model.logistic
         self.y0 = model.restart_level
         self.mass_below_restart = self._calc.M0(self.y0)
-        self._scale_at_y0 = self._calc.S(self.y0)
         if self.logistic is not None:
             self._series_scale = 1.0 / (self.logistic.beta**2 * abs(self.logistic.q))
         self._y2: float | None = None
@@ -113,7 +115,7 @@ class XiEvaluator:
             abs_tol=self.numerics.quad_abs_tol,
             rel_tol=self.numerics.quad_rel_tol,
         )
-        return kernel + (s_at_y - self._scale_at_y0) * self.mass_below_restart
+        return kernel + (s_at_y - self._calc.S(self.y0)) * self.mass_below_restart
 
     def _series(self, y):
         """Series form at a float or a float array, every ``rho*y`` below the cap."""
@@ -218,5 +220,5 @@ class XiEvaluator:
                 lambda u: float(h(u)) * calc.m(u), x, numerics=self.numerics
             )
         except DivergenceError as exc:
-            raise DomainError(f"h is incompatible with the entrance boundary: {exc}") from exc
+            raise DomainError(f"h is incompatible with the entrance region: {exc}") from exc
         return kernel + (s_at_b - calc.S(x)) * below

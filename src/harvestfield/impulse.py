@@ -39,7 +39,6 @@ from .diffusion import DiffusionModel
 from .errors import DivergenceError, DomainError, NoRootError
 from .hitting import XiEvaluator, get_evaluator
 from .payoff import PayoffSpec
-from .quadrature import CumulativeIntegral, integrate_to_zero
 
 __all__ = [
     "ThresholdSolution",
@@ -307,42 +306,6 @@ def critical_bounds(
 # auxiliary problem with running cost
 # ---------------------------------------------------------------------------
 
-class _RunningCost:
-    """Cached evaluator of ``E_x int_0^{tau_y} htilde(X) ds`` for htilde = h + rho."""
-
-    def __init__(self, ev: XiEvaluator, h: Optional[Callable[[float], float]], rho: float = 0.0):
-        self.ev = ev
-        calc = ev._calc
-        self._calc = calc
-        y0 = ev.y0
-        if h is None and rho == 0.0:
-            self._trivial = True
-            return
-        self._trivial = False
-        hfun = (lambda u: rho) if h is None else (lambda u: float(h(u)) + rho)
-        self._hm = CumulativeIntegral(lambda u: hfun(u) * calc.m(u), y0)
-        self._s_hm = CumulativeIntegral(lambda u: calc.S(u) * hfun(u) * calc.m(u), y0)
-        try:
-            self._below_y0 = integrate_to_zero(
-                lambda u: hfun(u) * calc.m(u), y0, numerics=ev.numerics
-            )
-        except DivergenceError as exc:
-            raise DomainError(
-                f"running cost is incompatible with the entrance region: {exc}"
-            ) from exc
-
-    def __call__(self, x: float, y: float) -> float:
-        if y <= x:
-            return 0.0
-        if self._trivial:
-            return 0.0
-        calc = self._calc
-        s_y, s_x = calc.S(y), calc.S(x)
-        kernel = s_y * (self._hm(y) - self._hm(x)) - (self._s_hm(y) - self._s_hm(x))
-        below_x = self._below_y0 + self._hm(x)
-        return kernel + (s_y - s_x) * below_x
-
-
 def _bounded_max(fn: Callable[[float], float], lo: float, hi: float, rel_tol: float):
     """Maximize ``fn`` on ``[lo, hi]`` by Brent's parabolic/golden-section method.
 
@@ -378,11 +341,11 @@ def solve_auxiliary(
     if cost <= 0.0:
         raise DomainError("the impulse cost K must be positive")
     y0 = ev.y0
-    rc = _RunningCost(ev, h, 0.0)
 
     def objective(y: float) -> float:
         try:
-            value = (float(f(y)) - cost - rc(y0, y)) / ev.xi(y)
+            running = 0.0 if h is None else ev.expected_running_cost(h, y0, y)
+            value = (float(f(y)) - cost - running) / ev.xi(y)
         except (OverflowError, DivergenceError):
             return math.nan
         return value if math.isfinite(value) else math.nan
@@ -466,6 +429,28 @@ class VerificationReport:
         }
 
 
+def _running_potential(ev: XiEvaluator, h: Optional[Callable[[float], float]], rho: float, x):
+    """``Xi(x)``, with ``E_x int_0^{tau_c} (h + rho) = Xi(c) - Xi(x)`` for ``x <= c``.
+
+    ``Xi = rho xi`` on the table's ``xi``, which runs on both sides of ``y0``;
+    a user ``h`` adds ``E_{y0} int_0^{tau_x} h`` above ``y0`` and
+    ``-E_x int_0^{tau_{y0}} h`` below it. Floats or arrays.
+    """
+    value = rho * ev._calc.xi(x)
+    if h is None:
+        return value
+    y0 = ev.y0
+
+    def from_y0(v: float) -> float:
+        if v > y0:
+            return ev.expected_running_cost(h, y0, v)
+        return -ev.expected_running_cost(h, v, y0) if v < y0 else 0.0
+
+    if np.ndim(x) == 0:
+        return value + from_y0(float(x))
+    return value + np.array([from_y0(float(v)) for v in np.asarray(x)])
+
+
 def stopping_value(
     model_or_ev,
     f: Callable[[float], float],
@@ -479,12 +464,13 @@ def stopping_value(
 ) -> StoppingValue:
     """Value function of the stopping problem with running penalty ``h + rho_star``.
 
-    The optimal continuation target solves ``f'(y) = d/dy E_x[running cost]``,
-    whose right-hand side does not depend on the starting state x, so one
-    bounded Brent maximization fixes the target for every x at once; each grid
-    point then needs a single running-cost evaluation. A vectorized
-    grid-candidate maximum is kept alongside as a safety net for objectives
-    that are not unimodal.
+    With the potential ``Xi`` of :func:`_running_potential`, continuing from
+    x to a level ``c >= x`` costs ``Xi(c) - Xi(x)``, so
+    ``g(x) = Xi(x) + sup_{c >= max(x, y0)} [f(c) - K - Xi(c)]``: on the grid,
+    a reverse cumulative maximum over the candidates ``c >= y0``. The
+    supremum between grid points is the optimal continuation target, which
+    does not depend on x; one bounded Brent maximization around the best
+    candidate fixes it, and it counts for every x below it.
     """
     ev = _as_evaluator(model_or_ev)
     y0 = ev.y0
@@ -493,51 +479,29 @@ def stopping_value(
     if grid is None:
         grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
     grid = np.unique(np.concatenate([np.asarray(grid, dtype=float), [y0, threshold_hint]]))
-    rc = _RunningCost(ev, h, rho_star)
-    calc = ev._calc
 
-    candidates = grid[grid >= y0]
-    f_cand = np.array([float(f(v)) for v in candidates])
-    from_y0 = f_cand - cost - np.array([rc(y0, float(c)) for c in candidates])
-    j = int(np.argmax(from_y0))
+    def potential(x):
+        return _running_potential(ev, h, rho_star, x)
+
+    running = potential(grid)
+    first = int(np.searchsorted(grid, y0))
+    candidates = grid[first:]
+    reward = np.array([float(f(v)) for v in candidates]) - cost - running[first:]
+    j = int(np.argmax(reward))
     lo = float(candidates[max(j - 1, 0)])
     hi = float(candidates[min(j + 1, len(candidates) - 1)])
     if hi > lo:
-        target, _, _ = _bounded_max(
-            lambda yv: float(f(yv)) - cost - rc(y0, yv), lo, hi, numerics.golden_rel_tol
+        target, target_reward, _ = _bounded_max(
+            lambda yv: float(f(yv)) - cost - potential(yv), lo, hi, numerics.golden_rel_tol
         )
     else:
-        target = float(candidates[j])
-    f_target = float(f(target)) - cost
+        target, target_reward = float(candidates[j]), float(reward[j])
 
-    s_cand = np.array([calc.S(float(c)) for c in candidates])
-    hm_cand = np.array([rc._hm(float(c)) for c in candidates]) if not rc._trivial else np.zeros_like(candidates)
-    shm_cand = np.array([rc._s_hm(float(c)) for c in candidates]) if not rc._trivial else np.zeros_like(candidates)
-
-    values = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        x = float(x)
-        best = -math.inf
-        if x >= y0:
-            best = float(f(x)) - cost
-        if target > max(x, y0):
-            best = max(best, f_target - rc(x, target))
-        mask = candidates >= max(x, y0)
-        if np.any(mask):
-            if rc._trivial:
-                best = max(best, float(np.max(f_cand[mask])) - cost)
-            else:
-                s_x, hm_x = calc.S(x), rc._hm(x)
-                shm_x = rc._s_hm(x)
-                below_x = rc._below_y0 + hm_x
-                rc_vec = (
-                    s_cand[mask] * (hm_cand[mask] - hm_x)
-                    - (shm_cand[mask] - shm_x)
-                    + (s_cand[mask] - s_x) * below_x
-                )
-                best = max(best, float(np.max(f_cand[mask] - cost - rc_vec)))
-        values[i] = best
-    return StoppingValue(grid=grid, values=values, threshold=float(threshold_hint))
+    # best reward over the candidates c >= max(x, y0), and the target where it lies ahead
+    best = np.maximum.accumulate(reward[::-1])[::-1]
+    best = best[np.maximum(np.arange(len(grid)) - first, 0)]
+    best = np.where(target > np.maximum(grid, y0), np.maximum(best, target_reward), best)
+    return StoppingValue(grid=grid, values=running + best, threshold=float(threshold_hint))
 
 
 def verify_solution(
@@ -561,10 +525,11 @@ def verify_solution(
         ev, f, h, cost, solution.value,
         grid=grid, threshold_hint=solution.threshold, numerics=numerics,
     )
-    g = sv.values
-    xs = sv.grid
-    g_at_y0 = float(g[np.argmin(np.abs(xs - ev.y0))])
-    u = np.array([float(f(x)) - cost - gv for x, gv in zip(xs, g)])
+    g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - ev.y0))])
+    # stopping is offered only at x >= y0, so only there must g dominate f - K
+    above = sv.grid >= ev.y0
+    xs = sv.grid[above]
+    u = np.array([float(f(x)) for x in xs]) - cost - sv.values[above]
     u_max = float(np.max(u))
     u_at_threshold = float(u[np.argmin(np.abs(xs - solution.threshold))])
     flags = []
@@ -580,6 +545,6 @@ def verify_solution(
         u_max_on_grid=u_max,
         u_at_threshold=u_at_threshold,
         tolerance=tolerance,
-        grid_points=len(xs),
+        grid_points=len(sv.grid),
         flags=tuple(flags),
     )

@@ -1,4 +1,4 @@
-"""Quadrature helpers: finite integrals, improper endpoints, cached antiderivatives.
+"""Quadrature helpers: finite integrals and improper endpoints.
 
 Finite smooth segments are delegated to QUADPACK. Improper endpoints (the
 entrance boundary at 0 and the +inf tail) are handled explicitly so that
@@ -9,9 +9,7 @@ tail by interval doubling until the contribution is negligible.
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 import warnings
 from typing import Callable
 
@@ -24,7 +22,6 @@ __all__ = [
     "integrate",
     "integrate_to_zero",
     "integrate_to_inf",
-    "CumulativeIntegral",
 ]
 
 
@@ -135,57 +132,3 @@ def integrate_to_inf(
         f"tail integral did not settle after {numerics.tail_doublings} doublings "
         f"(last segment {segment:.3e})"
     )
-
-
-class CumulativeIntegral:
-    """Antiderivative ``F(x) = int_anchor^x f(u) du`` with cached nodes.
-
-    Every evaluation integrates from the nearest previously computed node and
-    caches the result, so repeated evaluations in one region each cost a short
-    QUADPACK call. The node table is replaced copy-on-write under a lock;
-    readers only ever see a complete table, which keeps concurrent evaluation
-    safe (at worst a value is computed twice).
-    """
-
-    def __init__(
-        self,
-        f: Callable[[float], float],
-        anchor: float,
-        *,
-        abs_tol: float = 1e-12,
-        rel_tol: float = 1e-10,
-        max_nodes: int = 4096,
-    ):
-        self._f = f
-        self.anchor = anchor
-        self._abs_tol = abs_tol
-        self._rel_tol = rel_tol
-        self._max_nodes = max_nodes
-        self._table: tuple[list[float], list[float]] = ([anchor], [0.0])
-        self._lock = threading.Lock()
-
-    def __call__(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise DivergenceError(f"antiderivative requested at {x}")
-        nodes, values = self._table
-        i = bisect.bisect_left(nodes, x)
-        if i < len(nodes) and nodes[i] == x:
-            return values[i]
-        # nearest cached node
-        candidates = [j for j in (i - 1, i) if 0 <= j < len(nodes)]
-        j = min(candidates, key=lambda k: abs(nodes[k] - x))
-        base_x, base_v = nodes[j], values[j]
-        value = base_v + integrate(
-            self._f, base_x, x, abs_tol=self._abs_tol, rel_tol=self._rel_tol
-        )
-        if not math.isfinite(value):
-            raise DivergenceError(f"antiderivative overflowed at x={x}")
-        if len(nodes) < self._max_nodes:
-            with self._lock:
-                nodes, values = self._table
-                i = bisect.bisect_left(nodes, x)
-                if not (i < len(nodes) and nodes[i] == x):
-                    new_nodes = nodes[:i] + [x] + nodes[i:]
-                    new_values = values[:i] + [value] + values[i:]
-                    self._table = (new_nodes, new_values)
-        return value

@@ -188,6 +188,15 @@ def test_verify_passes_on_benchmark(tmp_path):
     assert results["verification"]["passed"] is True
 
 
+def test_verify_passes_on_stock_scenario(tmp_path):
+    # the dominance check covers x >= y0 only, where the stopping problem offers stopping
+    code, out = run(tmp_path, "verify", STOCK_SCENARIO)
+    assert code == 0
+    verification = read_report(out)["results"]["verification"]
+    assert verification["passed"] is True
+    assert verification["u_max_on_grid"] <= 1e-6
+
+
 def test_simulate_writes_path_csv(tmp_path):
     code, out = run(tmp_path, "simulate", RATE_SCENARIO, "--seed", "9")
     assert code == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 
-from harvestfield.diffusion import logistic_model
+from harvestfield.diffusion import _calculus, logistic_model
 from harvestfield.errors import DomainError
 from harvestfield.hitting import XiEvaluator
 
@@ -157,9 +157,14 @@ def test_reference_point_shift_invariance(benchmark_evaluator):
 # expected running costs
 # ---------------------------------------------------------------------------
 
-def test_running_cost_of_unit_rate_is_xi(benchmark_evaluator):
+def test_running_cost_of_unit_rate_is_xi(benchmark_model, benchmark_evaluator):
     assert benchmark_evaluator.expected_running_cost(lambda u: 1.0, 1.0, 2.0) == pytest.approx(
         benchmark_evaluator.xi(2.0), rel=1e-9
+    )
+    # from below y0: E_x tau_y = xi(y) - xi(x) on the table's xi, which runs past y0
+    calc = _calculus(benchmark_model)
+    assert benchmark_evaluator.expected_running_cost(lambda u: 1.0, 0.3, 4.0) == pytest.approx(
+        calc.xi(4.0) - calc.xi(0.3), rel=1e-9
     )
 
 

@@ -309,6 +309,19 @@ def test_stopping_value_identities(benchmark_model, solved_benchmark):
     assert np.all(np.diff(sv.values) >= -1e-9)
 
 
+def test_stopping_value_constant_running_cost_shifts_penalty(benchmark_model, solved_benchmark):
+    # h = 0.1 through the user-h route equals a running penalty raised by 0.1
+    sol, reward = solved_benchmark
+    with_h = stopping_value(
+        benchmark_model, reward, lambda u: 0.1, 1.0, sol.value, threshold_hint=sol.threshold
+    )
+    shifted = stopping_value(
+        benchmark_model, reward, None, 1.0, sol.value + 0.1, threshold_hint=sol.threshold
+    )
+    np.testing.assert_array_equal(with_h.grid, shifted.grid)
+    np.testing.assert_allclose(with_h.values, shifted.values, rtol=0.0, atol=1e-8)
+
+
 def test_verification_passes_for_true_solution(benchmark_model, solved_benchmark):
     sol, reward = solved_benchmark
     report = verify_solution(benchmark_model, sol, reward, None, 1.0)

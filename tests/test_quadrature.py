@@ -1,15 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from harvestfield.errors import DivergenceError
-from harvestfield.quadrature import (
-    CumulativeIntegral,
-    integrate,
-    integrate_to_inf,
-    integrate_to_zero,
-)
+from harvestfield.quadrature import integrate, integrate_to_inf, integrate_to_zero
 
 
 def test_integrate_polynomial_exact():
@@ -41,38 +35,3 @@ def test_to_inf_exponential_tail():
 def test_to_inf_divergence_detected():
     with pytest.raises(DivergenceError):
         integrate_to_inf(lambda x: 1.0 / (1.0 + x), 0.0)
-
-
-def test_cumulative_matches_direct():
-    F = CumulativeIntegral(math.cos, 0.0)
-    for x in (0.3, 1.7, -0.9, 1.71, 0.2999):
-        assert F(x) == pytest.approx(math.sin(x), abs=1e-11)
-
-
-def test_cumulative_anchor_is_zero():
-    F = CumulativeIntegral(lambda x: x**3, 2.0)
-    assert F(2.0) == 0.0
-
-
-def test_cumulative_caches_nodes():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 1.0
-
-    F = CumulativeIntegral(f, 0.0)
-    F(1.0)
-    first = len(calls)
-    F(1.0)  # exact node hit: no new integrand evaluations
-    assert len(calls) == first
-    # a nearby point only integrates the short gap
-    F(1.0001)
-    assert all(0.9999 <= c <= 1.0002 for c in calls[first:])
-
-
-def test_cumulative_is_additive_over_nodes():
-    F = CumulativeIntegral(lambda x: math.exp(x), 0.0)
-    xs = np.linspace(0.0, 3.0, 37)
-    vals = np.array([F(float(x)) for x in xs])
-    assert np.allclose(vals, np.exp(xs) - 1.0, rtol=1e-10, atol=1e-10)
