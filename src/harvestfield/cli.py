@@ -60,13 +60,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         sim = dataclasses.replace(sim, seed=args.seed)
     if args.dt is not None:
         sim = dataclasses.replace(sim, dt=args.dt)
-    numerics = scenario.numerics
     if args.grid is not None:
-        numerics = numerics.with_overrides(
-            scan_points=args.grid, stopping_grid_points=args.grid
+        scenario.numerics = dataclasses.replace(
+            scenario.numerics, scan_points=args.grid, stopping_grid_points=args.grid
         )
     scenario.sim = sim
-    scenario.numerics = numerics
     return scenario
 
 
@@ -90,7 +88,7 @@ def _write_columns_csv(path: Path, header: list[str], *columns: np.ndarray) -> N
 
 
 def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
-    xs, pdf, cdf = density_table(scenario.model, threshold, numerics=scenario.numerics)
+    xs, pdf, cdf = density_table(scenario.model, threshold)
     _write_columns_csv(out / "density.csv", ["x", "pdf", "cdf"], xs, pdf, cdf)
 
 
@@ -99,7 +97,7 @@ def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
-    report = validate_assumptions(scenario.model, numerics=scenario.numerics)
+    report = validate_assumptions(scenario.model)
     return report.to_dict(), {}, 0
 
 
@@ -113,11 +111,11 @@ def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
 
 
 def _cmd_solve_single(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
-    payoff = resolve_payoff(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+    payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
     if z is None:
         z = payoff.domain[0]
-    sol = best_response(scenario.model, payoff, z, numerics=scenario.numerics)
+    sol = best_response(scenario.model, payoff, z)
     results = {"interaction_level": z, **sol.to_dict()}
     return results, {"payoff": payoff.to_dict()}, 0
 
@@ -181,14 +179,14 @@ def _cmd_simulate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
 
 def _cmd_verify(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
     model = scenario.model
-    payoff = resolve_payoff(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+    payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
     if z is None:
         eq = mfg_equilibrium(model, payoff, numerics=scenario.numerics)
         if len(eq) == 0:
             raise SolverError("no equilibrium to verify")
         z = eq.points[0].interaction
-    sol = best_response(model, payoff, z, numerics=scenario.numerics)
+    sol = best_response(model, payoff, z)
     price = float(payoff.phi(z))
     y0 = model.restart_level
     report = verify_solution(

@@ -43,7 +43,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 from scipy.special import gammainc, gammaln
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import integrate_to_inf, integrate_to_zero
 
@@ -199,6 +198,11 @@ _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double pr
 _AHEAD = 2              # segments built past the one a query needs, so outward searches grow less often
 _MAX_PANELS = 20_000
 _ENTRANCE = 2.0**-40    # relative to y0: below it the speed integrals go through integrate_to_zero
+
+# logistic hitting-time series (see _Calculus.series_increment)
+_SERIES_REL_EPS = 1e-14
+_SERIES_MAX_TERMS = 100_000
+_SERIES_ARG_CAP = 700.0  # rho*y past which the terms overflow; callers switch to quadrature
 
 # table components
 _LOG_S, _S, _M, _XM, _XI, _CYC = range(6)
@@ -459,8 +463,7 @@ class _Calculus:
     ``S`` or the table's ``xi`` builds none.
     """
 
-    def __init__(self, model: DiffusionModel, numerics: NumericsConfig = DEFAULT_NUMERICS):
-        self.numerics = numerics
+    def __init__(self, model: DiffusionModel):
         self.logistic = model.logistic
         self.drift, self.volatility = _vector_coefficients(model)
         self._y0 = model.restart_level
@@ -469,8 +472,11 @@ class _Calculus:
         self._table = _Table(self.drift, self.volatility, self._y0)
         if model.logistic is not None:
             p = model.logistic
-            # m(x) = cm * x^(-2q-1) * exp(-rho x) with all reference dependence in cm
-            self._cm = (2.0 / p.beta**2) * a ** (2.0 * p.q - 1.0) * math.exp(p.rho * a)
+            # m(x) = cm * x^(-2q-1) * exp(-rho x) with all reference dependence in cm, kept as
+            # its log so that a cm past double range still cancels against Gamma(shape) rho^-shape
+            self._log_cm = (
+                math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(a) + p.rho * a
+            )
             self._series_at_y0: float | None = None   # A(rho y0), see series_increment
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
@@ -566,14 +572,29 @@ class _Calculus:
 
     # -- cumulative speed integrals from 0 ----------------------------------
 
+    def _gamma_total(self, power: float) -> float:
+        """``int_0^inf u^power m(u) du = cm Gamma(shape) rho^-shape``, ``shape = power - 2q``.
+
+        Summed in log space, so only a total past double range overflows; that raises.
+        """
+        p = self.logistic
+        shape = power - 2.0 * p.q
+        log_total = self._log_cm + float(gammaln(shape)) - shape * math.log(p.rho)
+        try:
+            return math.exp(log_total)
+        except OverflowError:
+            raise DivergenceError(
+                f"speed moment of power {power} overflows (log {log_total:.6g})"
+            ) from None
+
     def _gamma_moment(self, power: float, x) -> float:
         """Closed form of ``int_0^x u^power m(u) du`` for logistic models."""
         p = self.logistic
         shape = power - 2.0 * p.q
-        scale = math.exp(gammaln(shape)) * p.rho ** (-shape)
+        total = self._gamma_total(power)
         if isinstance(x, (float, int)):
-            return self._cm * scale * float(gammainc(shape, p.rho * float(x)))
-        value = self._cm * scale * gammainc(shape, p.rho * np.asarray(x))
+            return total * float(gammainc(shape, p.rho * float(x)))
+        value = total * gammainc(shape, p.rho * np.asarray(x))
         return float(value) if np.ndim(x) == 0 else value
 
     def _below_restart(self, weight: Callable[[float], float], component: int) -> float:
@@ -584,7 +605,7 @@ class _Calculus:
         tolerance out of the values near ``y0``.
         """
         x_e = self._y0 * _ENTRANCE
-        below = integrate_to_zero(lambda u: weight(u) * self.m(u), x_e, numerics=self.numerics)
+        below = integrate_to_zero(lambda u: weight(u) * self.m(u), x_e)
         return below - self._c * self._table.at(x_e, component)
 
     def _mass_below_y0(self) -> float:
@@ -626,7 +647,7 @@ class _Calculus:
             if self._mum0_offset is None:
                 x_e = self._y0 * _ENTRANCE
                 self._mum0_offset = integrate_to_zero(
-                    lambda u: float(self.drift(u)) * self.m(u), x_e, numerics=self.numerics
+                    lambda u: float(self.drift(u)) * self.m(u), x_e
                 ) - np.exp(self.exponent(x_e))
             if isinstance(x, float):
                 try:
@@ -641,22 +662,21 @@ class _Calculus:
     def _series_sum(self, t):
         """A(t) = sum_{n>=1} t^n / (n (1-2q)_n) for logistic models, by term recurrence."""
         c = 1.0 - 2.0 * self.logistic.q
-        eps = self.numerics.series_rel_eps
         if isinstance(t, float):
             term = t / c
             acc = term
-            for n in range(1, self.numerics.series_max_terms):
+            for n in range(1, _SERIES_MAX_TERMS):
                 term = term * t * (n / ((n + 1.0) * (c + n)))
                 acc += term
-                if abs(term) <= eps * max(abs(acc), 1e-300):
+                if abs(term) <= _SERIES_REL_EPS * max(abs(acc), 1e-300):
                     return acc
             raise ConvergenceError("hitting-time series did not converge within the term budget")
         term = t / c
         acc = term.copy()
-        for n in range(1, self.numerics.series_max_terms):
+        for n in range(1, _SERIES_MAX_TERMS):
             term = term * t * (n / ((n + 1.0) * (c + n)))
             acc += term
-            if np.all(np.abs(term) <= eps * np.maximum(np.abs(acc), 1e-300)):
+            if np.all(np.abs(term) <= _SERIES_REL_EPS * np.maximum(np.abs(acc), 1e-300)):
                 return acc
         raise ConvergenceError("hitting-time series did not converge within the term budget")
 
@@ -668,7 +688,7 @@ class _Calculus:
         series in ``rho u`` whose antiderivatives are both this one series:
         ``xi(y) = (log(y/y0) + increment) / (beta^2 |q|)`` and
         ``cycle_stock(y) = increment / b``. The caller keeps ``rho y`` below
-        ``series_arg_cap``, past which the terms overflow.
+        ``_SERIES_ARG_CAP``, past which the terms overflow.
         """
         rho = self.logistic.rho
         if self._series_at_y0 is None:
@@ -700,7 +720,7 @@ class _Calculus:
         p = self.logistic
         if p is not None:
             top = float(np.max(y))
-            if p.rho * top >= self.numerics.series_arg_cap:
+            if p.rho * top >= _SERIES_ARG_CAP:
                 raise DivergenceError(f"cycle stock overflows at y = {top}")
             value = self.series_increment(y) / p.crowding
             return float(value) if np.ndim(y) == 0 else value
@@ -713,19 +733,13 @@ class _Calculus:
 
     def speed_mass_total(self) -> float:
         if self.logistic is not None:
-            p = self.logistic
-            shape = -2.0 * p.q
-            return self._cm * math.exp(gammaln(shape)) * p.rho ** (-shape)
-        return self.M0(self._y0) + integrate_to_inf(self.m, self._y0, numerics=self.numerics)
+            return self._gamma_total(0.0)
+        return self.M0(self._y0) + integrate_to_inf(self.m, self._y0)
 
     def xm_total(self) -> float:
         if self.logistic is not None:
-            p = self.logistic
-            shape = 1.0 - 2.0 * p.q
-            return self._cm * math.exp(gammaln(shape)) * p.rho ** (-shape)
-        return self.xm0(self._y0) + integrate_to_inf(
-            lambda u: u * self.m(u), self._y0, numerics=self.numerics
-        )
+            return self._gamma_total(1.0)
+        return self.xm0(self._y0) + integrate_to_inf(lambda u: u * self.m(u), self._y0)
 
 
 def _calculus(model: DiffusionModel) -> _Calculus:
@@ -755,13 +769,7 @@ def scale_function(model: DiffusionModel, x: float) -> float:
     return _calculus(model).S(x)
 
 
-def speed_measure(
-    model: DiffusionModel,
-    lo: float,
-    hi: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> float:
+def speed_measure(model: DiffusionModel, lo: float, hi: float) -> float:
     """Speed mass M[lo, hi]; ``lo=0`` and ``hi=inf`` are allowed as improper endpoints."""
     if lo < 0.0 or hi < lo:
         raise DomainError("need 0 <= lo <= hi")
@@ -864,9 +872,7 @@ def _probe_scale_divergence(model: DiffusionModel) -> tuple[bool, float, float]:
     return (increasing and tail[-1] > 1e2 * ref), x, values[-1]
 
 
-def validate_assumptions(
-    model: DiffusionModel, *, numerics: NumericsConfig = DEFAULT_NUMERICS
-) -> AssumptionReport:
+def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
     """Numerically probe positive recurrence, drift saturation, scale growth and the entrance boundary.
 
     Failures never raise; they are reported with the numbers that produced them.
@@ -897,9 +903,7 @@ def validate_assumptions(
     y0 = model.restart_level
     try:
         s_at_y0 = calc.S(y0)
-        entrance_value = integrate_to_zero(
-            lambda u: (s_at_y0 - calc.S(u)) * calc.m(u), y0, numerics=numerics
-        )
+        entrance_value = integrate_to_zero(lambda u: (s_at_y0 - calc.S(u)) * calc.m(u), y0)
         entrance_ok = math.isfinite(entrance_value)
     except DivergenceError as exc:
         entrance_value, entrance_ok = math.nan, False

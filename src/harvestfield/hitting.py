@@ -32,12 +32,13 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
-from .diffusion import DiffusionModel, _calculus
+from .diffusion import _SERIES_ARG_CAP, DiffusionModel, _calculus
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import integrate, integrate_to_zero
 
 __all__ = ["XiEvaluator", "get_evaluator"]
+
+_BRACKET_DOUBLINGS = 60   # budget of every bracket search by doubling
 
 
 def get_evaluator(model: DiffusionModel) -> "XiEvaluator":
@@ -58,8 +59,7 @@ class XiEvaluator:
     model creates no reference cycle.
     """
 
-    def __init__(self, model: DiffusionModel, numerics: NumericsConfig = DEFAULT_NUMERICS):
-        self.numerics = numerics
+    def __init__(self, model: DiffusionModel):
         self._calc = _calculus(model)
         self.logistic = model.logistic
         self.y0 = model.restart_level
@@ -67,8 +67,7 @@ class XiEvaluator:
         if self.logistic is not None:
             self._series_scale = 1.0 / (self.logistic.beta**2 * abs(self.logistic.q))
         self._y2: float | None = None
-        # zero-cost threshold solutions by NumericsConfig, filled by impulse.zero_cost_threshold
-        self._zero_cost: dict = {}
+        self._zero_cost = None   # solved on first use by impulse.zero_cost_threshold
 
     # ------------------------------------------------------------------
     # xi and its derivatives
@@ -88,12 +87,11 @@ class XiEvaluator:
         p = self.logistic
         if p is None:
             return self._calc.xi(y)
-        cap = self.numerics.series_arg_cap
         if isinstance(y, float) or np.ndim(y) == 0:
             y = float(y)
-            return self._series(y) if p.rho * y < cap else self.xi_by_quadrature(y)
+            return self._series(y) if p.rho * y < _SERIES_ARG_CAP else self.xi_by_quadrature(y)
         y = np.asarray(y, dtype=float)
-        below = p.rho * y < cap
+        below = p.rho * y < _SERIES_ARG_CAP
         if np.all(below):
             return self._series(y)
         return np.array(
@@ -108,13 +106,7 @@ class XiEvaluator:
         if y == self.y0:
             return 0.0
         s_at_y = self._calc.S(y)
-        kernel = integrate(
-            lambda w: (s_at_y - self._calc.S(w)) * self._calc.m(w),
-            self.y0,
-            y,
-            abs_tol=self.numerics.quad_abs_tol,
-            rel_tol=self.numerics.quad_rel_tol,
-        )
+        kernel = integrate(lambda w: (s_at_y - self._calc.S(w)) * self._calc.m(w), self.y0, y)
         return kernel + (s_at_y - self._calc.S(self.y0)) * self.mass_below_restart
 
     def _series(self, y):
@@ -129,9 +121,9 @@ class XiEvaluator:
             raise DomainError("series form requires a logistic model")
         self._check_domain(y)
         y = float(y) if np.ndim(y) == 0 else np.asarray(y, dtype=float)
-        if np.any(p.rho * y >= self.numerics.series_arg_cap):
+        if np.any(p.rho * y >= _SERIES_ARG_CAP):
             raise DomainError(
-                f"series argument rho*y exceeds the cap {self.numerics.series_arg_cap}; "
+                f"series argument rho*y exceeds the cap {_SERIES_ARG_CAP}; "
                 "use the quadrature form"
             )
         return self._series(y)
@@ -182,7 +174,7 @@ class XiEvaluator:
             lo, hi = y0, lo
         else:
             hi = lo
-            for _ in range(self.numerics.bracket_doublings):
+            for _ in range(_BRACKET_DOUBLINGS):
                 hi *= 2.0
                 if self.xi_second(hi) > 0.0:
                     break
@@ -208,17 +200,9 @@ class XiEvaluator:
             raise DomainError("need 0 < x < b")
         calc = self._calc
         s_at_b = calc.S(b)
-        kernel = integrate(
-            lambda u: (s_at_b - calc.S(u)) * float(h(u)) * calc.m(u),
-            x,
-            b,
-            abs_tol=self.numerics.quad_abs_tol,
-            rel_tol=self.numerics.quad_rel_tol,
-        )
+        kernel = integrate(lambda u: (s_at_b - calc.S(u)) * float(h(u)) * calc.m(u), x, b)
         try:
-            below = integrate_to_zero(
-                lambda u: float(h(u)) * calc.m(u), x, numerics=self.numerics
-            )
+            below = integrate_to_zero(lambda u: float(h(u)) * calc.m(u), x)
         except DivergenceError as exc:
             raise DomainError(f"h is incompatible with the entrance region: {exc}") from exc
         return kernel + (s_at_b - calc.S(x)) * below

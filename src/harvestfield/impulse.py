@@ -37,7 +37,7 @@ from scipy.optimize import minimize_scalar
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel
 from .errors import DivergenceError, DomainError, NoRootError
-from .hitting import XiEvaluator, get_evaluator
+from .hitting import _BRACKET_DOUBLINGS, XiEvaluator, get_evaluator
 from .payoff import PayoffSpec
 
 __all__ = [
@@ -54,6 +54,12 @@ __all__ = [
     "stopping_value",
     "verify_solution",
 ]
+
+# stopping test of both threshold solves: Newton step or bracket width relative to
+# the root, and |F|/xi at the accepted root
+_BRACKET_REL_TOL = 1e-9
+_OBJECTIVE_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ThresholdSolution:
@@ -119,8 +125,6 @@ def _newton_step(ev: XiEvaluator, y, k_tilde, f, lo, hi):
 def optimal_threshold_basic(
     model_or_ev,
     k_tilde: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> ThresholdSolution:
     """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton.
 
@@ -160,14 +164,14 @@ def optimal_threshold_basic(
                 "model assumptions are likely violated"
             )
     hi = 2.0 * lo
-    for _ in range(numerics.bracket_doublings):
+    for _ in range(_BRACKET_DOUBLINGS):
         if f_of(hi) < 0.0:
             break
         lo = hi
         hi *= 2.0
     else:
         raise NoRootError(
-            f"no sign change of the first-order condition within {numerics.bracket_doublings} "
+            f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
             "doublings; the objective appears to increase without bound"
         )
 
@@ -184,8 +188,8 @@ def optimal_threshold_basic(
             hi = y
         residual = abs(f) / xi
         y_next = _newton_step(ev, y, k_tilde, f, lo, hi)
-        tol = numerics.bracket_rel_tol * y
-        if (abs(y_next - y) < tol or hi - lo < tol) and residual < numerics.objective_rel_tol:
+        tol = _BRACKET_REL_TOL * y
+        if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
             break
 
     value = (y - y0 - k_tilde) / xi
@@ -200,12 +204,7 @@ def optimal_threshold_basic(
     )
 
 
-def optimal_thresholds_on_grid(
-    model_or_ev,
-    k_tildes: np.ndarray,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> np.ndarray:
+def optimal_thresholds_on_grid(model_or_ev, k_tildes: np.ndarray) -> np.ndarray:
     """Vectorized basic solve for an array of k_tilde values (grid scans).
 
     The scalar solve's doubling phase and safeguarded Newton step in array
@@ -217,7 +216,7 @@ def optimal_thresholds_on_grid(
         raise DomainError("the vectorized solve needs strictly positive k_tilde")
     lo = np.maximum(ev.y0 + kt, ev.convexity_switch()) + 1e-6
     hi = 2.0 * lo
-    for _ in range(numerics.bracket_doublings):
+    for _ in range(_BRACKET_DOUBLINGS):
         need = _first_order_condition(ev, hi, kt)[0] >= 0.0
         if not np.any(need):
             break
@@ -233,9 +232,9 @@ def optimal_thresholds_on_grid(
         lo = np.where(pos, y, lo)
         hi = np.where(pos, hi, y)
         y_next = _newton_step(ev, y, kt, f, lo, hi)
-        tol = numerics.bracket_rel_tol * y
+        tol = _BRACKET_REL_TOL * y
         done |= ((np.abs(y_next - y) < tol) | (hi - lo < tol)) & (
-            np.abs(f) / xi < numerics.objective_rel_tol
+            np.abs(f) / xi < _OBJECTIVE_REL_TOL
         )
         if np.all(done):
             break
@@ -243,36 +242,30 @@ def optimal_thresholds_on_grid(
     return y
 
 
-def zero_cost_threshold(
-    model_or_ev, *, numerics: NumericsConfig = DEFAULT_NUMERICS
-) -> ThresholdSolution:
-    """The basic solve at ``k_tilde = 0``, solved once per evaluator and numerics."""
+def zero_cost_threshold(model_or_ev) -> ThresholdSolution:
+    """The basic solve at ``k_tilde = 0``, solved once per evaluator."""
     ev = _as_evaluator(model_or_ev)
-    sol = ev._zero_cost.get(numerics)
-    if sol is None:
-        sol = optimal_threshold_basic(ev, 0.0, numerics=numerics)
-        sol = ev._zero_cost.setdefault(numerics, sol)
-    return sol
+    if ev._zero_cost is None:
+        ev._zero_cost = optimal_threshold_basic(ev, 0.0)
+    return ev._zero_cost
 
 
-def max_harvest_rate(model_or_ev, *, numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
+def max_harvest_rate(model_or_ev) -> float:
     """Largest attainable long-run harvesting rate, reached by the zero-cost threshold."""
-    return zero_cost_threshold(model_or_ev, numerics=numerics).value
+    return zero_cost_threshold(model_or_ev).value
 
 
 def best_response(
     model_or_ev,
     payoff: PayoffSpec,
     z: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> ThresholdSolution:
     """Optimal threshold against a fixed interaction level z: the basic solve at K/phi(z)."""
     ev = _as_evaluator(model_or_ev)
     price = float(payoff.phi(z))
     if not price > 0.0 or not math.isfinite(price):
         raise DomainError(f"phi(z) must be positive and finite; got {price} at z={z}")
-    base = optimal_threshold_basic(ev, payoff.cost / price, numerics=numerics)
+    base = optimal_threshold_basic(ev, payoff.cost / price)
     value = price * base.value
     flags = base.flags if value > 0.0 else tuple(set(base.flags) | {"no profitable harvest"})
     return ThresholdSolution(
@@ -286,19 +279,14 @@ def best_response(
     )
 
 
-def critical_bounds(
-    model_or_ev,
-    payoff: PayoffSpec,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> tuple[float, float]:
+def critical_bounds(model_or_ev, payoff: PayoffSpec) -> tuple[float, float]:
     """Range of best responses over the closed interaction domain (monotone in z)."""
     ev = _as_evaluator(model_or_ev)
     if payoff.domain is None:
         raise DomainError("payoff domain is not resolved; use meanfield.resolve_payoff")
     lo_z, hi_z = payoff.domain
-    y_at_lo = best_response(ev, payoff, lo_z, numerics=numerics).threshold
-    y_at_hi = best_response(ev, payoff, hi_z, numerics=numerics).threshold
+    y_at_lo = best_response(ev, payoff, lo_z).threshold
+    y_at_hi = best_response(ev, payoff, hi_z).threshold
     return (min(y_at_lo, y_at_hi), max(y_at_lo, y_at_hi))
 
 
@@ -306,17 +294,18 @@ def critical_bounds(
 # auxiliary problem with running cost
 # ---------------------------------------------------------------------------
 
-def _bounded_max(fn: Callable[[float], float], lo: float, hi: float, rel_tol: float):
+def _bounded_max(fn: Callable[[float], float], lo: float, hi: float):
     """Maximize ``fn`` on ``[lo, hi]`` by Brent's parabolic/golden-section method.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
     as ``scipy.optimize.minimize_scalar(method="bounded")``, with the
-    absolute x tolerance ``rel_tol * max(hi, 1)``. Returns
+    absolute x tolerance ``1e-9 * max(hi, 1)``; scipy adds ``sqrt(eps) |x|``
+    to it, so the maximizer is fixed to about 1.5e-8 relative. Returns
     ``(x, fn(x), iterations)``.
     """
     res = minimize_scalar(
         lambda y: -fn(y), bounds=(lo, hi), method="bounded",
-        options={"xatol": rel_tol * max(hi, 1.0)},
+        options={"xatol": 1e-9 * max(hi, 1.0)},
     )
     return float(res.x), -float(res.fun), int(res.nit)
 
@@ -326,8 +315,6 @@ def solve_auxiliary(
     f: Callable[[float], float],
     h: Optional[Callable[[float], float]],
     cost: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> ThresholdSolution:
     """Maximize ``(f(y) - K - E_{y0} int_0^{tau_y} h) / xi(y)`` over thresholds.
 
@@ -360,7 +347,7 @@ def solve_auxiliary(
         a = y0 + (a - y0) / 2.0
         tries += 1
     b = a
-    for _ in range(numerics.bracket_doublings):
+    for _ in range(_BRACKET_DOUBLINGS):
         b *= 2.0
         d = derivative(b)
         if math.isnan(d):
@@ -375,9 +362,7 @@ def solve_auxiliary(
             "the auxiliary objective keeps increasing; no interior maximizer was bracketed"
         )
 
-    y_star, value, iterations = _bounded_max(
-        objective, a, b, numerics.golden_rel_tol
-    )
+    y_star, value, iterations = _bounded_max(objective, a, b)
     flags: tuple[str, ...] = ()
     if value <= 0.0:
         flags = ("no profitable harvest",)
@@ -401,10 +386,6 @@ class StoppingValue:
     grid: np.ndarray
     values: np.ndarray
     threshold: float
-
-    def value_at(self, x: float) -> float:
-        idx = int(np.argmin(np.abs(self.grid - x)))
-        return float(self.values[idx])
 
 
 @dataclass(frozen=True)
@@ -475,8 +456,13 @@ def stopping_value(
     ev = _as_evaluator(model_or_ev)
     y0 = ev.y0
     if threshold_hint is None:
-        threshold_hint = solve_auxiliary(ev, f, h, cost, numerics=numerics).threshold
+        threshold_hint = solve_auxiliary(ev, f, h, cost).threshold
     if grid is None:
+        if numerics.stopping_grid_points < 2:
+            raise DomainError(
+                "numerics.stopping_grid_points must be at least 2, "
+                f"got {numerics.stopping_grid_points}"
+            )
         grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
     grid = np.unique(np.concatenate([np.asarray(grid, dtype=float), [y0, threshold_hint]]))
 
@@ -492,7 +478,7 @@ def stopping_value(
     hi = float(candidates[min(j + 1, len(candidates) - 1)])
     if hi > lo:
         target, target_reward, _ = _bounded_max(
-            lambda yv: float(f(yv)) - cost - potential(yv), lo, hi, numerics.golden_rel_tol
+            lambda yv: float(f(yv)) - cost - potential(yv), lo, hi
         )
     else:
         target, target_reward = float(candidates[j]), float(reward[j])

@@ -62,22 +62,21 @@ __all__ = [
     "ordering_sweep",
 ]
 
+_FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point
+_FIXED_POINT_MAX_ITER = 200
+_TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
+
 
 # ---------------------------------------------------------------------------
 # payoff resolution and the interaction channel
 # ---------------------------------------------------------------------------
 
-def resolve_payoff(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> PayoffSpec:
+def resolve_payoff(model: DiffusionModel, payoff: PayoffSpec) -> PayoffSpec:
     """Attach the attainable interaction domain and sanity-check the price curve."""
     if payoff.cost <= 0.0:
         raise DomainError("the impulse cost K must be positive")
     if payoff.interaction is Interaction.HARVEST_RATE:
-        lo, hi = 0.0, max_harvest_rate(model, numerics=numerics)
+        lo, hi = 0.0, max_harvest_rate(model)
     else:
         lo, hi = stock_bounds(model)
     zs = np.linspace(lo, hi, 65)
@@ -119,18 +118,12 @@ def _clamp_to_domain(z: float, domain: tuple[float, float]) -> tuple[float, bool
     return z, False
 
 
-def phi_map(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    y: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> ThresholdSolution:
+def phi_map(model: DiffusionModel, payoff: PayoffSpec, y: float) -> ThresholdSolution:
     """One application of Phi: best response to the interaction generated by y."""
     if payoff.domain is None:
-        payoff = resolve_payoff(model, payoff, numerics=numerics)
+        payoff = resolve_payoff(model, payoff)
     z, clamped = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)
-    sol = best_response(model, payoff, z, numerics=numerics)
+    sol = best_response(model, payoff, z)
     if clamped:
         sol = ThresholdSolution(
             threshold=sol.threshold,
@@ -275,9 +268,9 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
     """
     if numerics.scan_points < 2:
         raise DomainError(f"numerics.scan_points must be at least 2, got {numerics.scan_points}")
-    payoff = resolve_payoff(model, payoff, numerics=numerics)
-    y_lo, y_hi = critical_bounds(model, payoff, numerics=numerics)
-    y_hat0 = zero_cost_threshold(model, numerics=numerics).threshold
+    payoff = resolve_payoff(model, payoff)
+    y_lo, y_hi = critical_bounds(model, payoff)
+    y_hat0 = zero_cost_threshold(model).threshold
     y0 = model.restart_level
     grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), numerics.scan_points)
     return _Scan(model, payoff, (y_lo, y_hi), grid)
@@ -287,10 +280,10 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
 # equilibria
 # ---------------------------------------------------------------------------
 
-def _equilibrium_point(model, payoff, y_star, *, numerics) -> EquilibriumPoint:
+def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
     z = interaction_level(model, payoff, y_star)
-    sol = best_response(model, payoff, z, numerics=numerics)
-    stability, slope = classify_stability(model, payoff, y_star, numerics=numerics)
+    sol = best_response(model, payoff, z)
+    stability, slope = classify_stability(model, payoff, y_star)
     return EquilibriumPoint(
         threshold=y_star,
         value=sol.value,
@@ -301,26 +294,24 @@ def _equilibrium_point(model, payoff, y_star, *, numerics) -> EquilibriumPoint:
     )
 
 
-def _equilibria(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) -> EquilibriumSet:
+def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     payoff, grid = scan.payoff, scan.grid
     y_lo, y_hi = scan.bounds
     diagnostics: dict = {"bounds": [y_lo, y_hi]}
 
-    if y_hi - y_lo < numerics.fixed_point_tol:
+    if y_hi - y_lo < _FIXED_POINT_TOL:
         # Phi is constant up to the tolerance; its value is the fixed point
         roots = [0.5 * (y_lo + y_hi)]
     else:
         def psi(y: float) -> float:
-            return phi_map(model, payoff, y, numerics=numerics).threshold - y
+            return phi_map(model, payoff, y).threshold - y
 
         # Phi maps into [y_lo, y_hi], so psi > 0 below y_lo and psi < 0 above
         # y_hi: only the cells that meet [y_lo, y_hi] can hold a sign change
         lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
         hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
         ys = grid[lo:hi]
-        psi_grid = optimal_thresholds_on_grid(
-            model, payoff.cost / scan.prices(lo, hi), numerics=numerics
-        ) - ys
+        psi_grid = optimal_thresholds_on_grid(model, payoff.cost / scan.prices(lo, hi)) - ys
         diagnostics["scan"] = {
             "points": len(grid),
             "cap": float(grid[-1]),
@@ -337,9 +328,9 @@ def _equilibria(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig)
             try:
                 root = brentq(
                     lambda y: ends[y] if y in ends else psi(y), a, b,
-                    xtol=numerics.fixed_point_tol, maxiter=numerics.fixed_point_max_iter,
+                    xtol=_FIXED_POINT_TOL, maxiter=_FIXED_POINT_MAX_ITER,
                 )
-            except (RuntimeError, ValueError) as exc:  # budget exhausted or bad tolerances
+            except (RuntimeError, ValueError) as exc:  # budget exhausted or bracket rejected
                 raise SolverError(f"fixed-point refinement on [{a}, {b}] failed: {exc}") from exc
             roots.append(root)
 
@@ -356,7 +347,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig)
         diagnostics["assumptions"] = validate_assumptions(model).to_dict()
         return EquilibriumSet(points=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
-    points = tuple(_equilibrium_point(model, payoff, r, numerics=numerics) for r in roots)
+    points = tuple(_equilibrium_point(model, payoff, r) for r in roots)
     return EquilibriumSet(points=points, bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
 
@@ -378,15 +369,11 @@ def mfg_equilibrium(
     y_lo`` below the fixed-point tolerance) the midpoint of the bounds is
     returned without pricing the grid.
     """
-    return _equilibria(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
+    return _equilibria(model, _scan(model, payoff, numerics=numerics))
 
 
 def classify_stability(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    y_star: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
+    model: DiffusionModel, payoff: PayoffSpec, y_star: float
 ) -> tuple[str, float]:
     """Label a fixed point by its central-difference map slope Phi'.
 
@@ -397,10 +384,10 @@ def classify_stability(
     Returns ``(label, slope)`` with label in {"stable", "unstable", "marginal"}.
     """
     if payoff.domain is None:
-        payoff = resolve_payoff(model, payoff, numerics=numerics)
+        payoff = resolve_payoff(model, payoff)
     step = 1e-3 * y_star
-    up = phi_map(model, payoff, y_star + step, numerics=numerics).threshold
-    down = phi_map(model, payoff, y_star - step, numerics=numerics).threshold
+    up = phi_map(model, payoff, y_star + step).threshold
+    down = phi_map(model, payoff, y_star - step).threshold
     slope = (up - down) / (2.0 * step)
     if abs(abs(slope) - 1.0) < 1e-3:
         return "marginal", slope
@@ -411,7 +398,7 @@ def classify_stability(
 # planner problem
 # ---------------------------------------------------------------------------
 
-def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) -> MfcSolution:
+def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     payoff, grid = scan.payoff, scan.grid
     ev = get_evaluator(model)
     y0 = model.restart_level
@@ -425,7 +412,7 @@ def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) ->
     def refine_around(i: int) -> tuple[float, float]:
         lo = float(grid[max(i - 1, 0)])
         hi = float(grid[min(i + 1, len(grid) - 1)])
-        y_ref, v_ref, _ = _bounded_max(h_scalar, lo, hi, numerics.golden_rel_tol)
+        y_ref, v_ref, _ = _bounded_max(h_scalar, lo, hi)
         return y_ref, v_ref
 
     interior = np.arange(1, len(grid) - 1)
@@ -436,7 +423,7 @@ def _planner(model: DiffusionModel, scan: _Scan, *, numerics: NumericsConfig) ->
         local_max = np.array([int(np.argmax(h_grid))])
     refined = sorted((refine_around(int(i)) for i in local_max), key=lambda t: -t[1])
     best_y, best_v = refined[0]
-    ties = [y for y, v in refined if abs(v - best_v) <= numerics.tie_rel_tol * max(abs(best_v), 1e-12)]
+    ties = [y for y, v in refined if abs(v - best_v) <= _TIE_REL_TOL * max(abs(best_v), 1e-12)]
     ties = sorted(set(round(t, 12) for t in ties))
     flags: list[str] = []
     if len(ties) > 1:
@@ -465,10 +452,10 @@ def mfc_optimum(
 
     ``H`` is read off the shared scan grid; each local maximum of the grid is
     refined by Brent's bounded maximization on its two neighbouring cells
-    ``[lo, hi]`` (x tolerance ``golden_rel_tol * max(hi, 1)``). Maxima within
-    ``tie_rel_tol`` of the best are reported as ties, the smallest first.
+    ``[lo, hi]`` (x tolerance as in :func:`impulse._bounded_max`). Maxima within a
+    relative ``1e-6`` of the best are reported as ties, the smallest first.
     """
-    return _planner(model, _scan(model, payoff, numerics=numerics), numerics=numerics)
+    return _planner(model, _scan(model, payoff, numerics=numerics))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +471,8 @@ def compare(
 ) -> CompareReport:
     """Solve both problems and assert the threshold ordering for the channel."""
     scan = _scan(model, payoff, numerics=numerics)
-    equilibria = _equilibria(model, scan, numerics=numerics)
-    planner = _planner(model, scan, numerics=numerics)
+    equilibria = _equilibria(model, scan)
+    planner = _planner(model, scan)
     if len(equilibria) == 0:
         raise SolverError("no equilibrium found; cannot compare")
     if payoff.interaction is Interaction.HARVEST_RATE:

@@ -15,7 +15,6 @@ from typing import Callable
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import DivergenceError
 
 __all__ = [
@@ -24,14 +23,19 @@ __all__ = [
     "integrate_to_inf",
 ]
 
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_EPS_HALVINGS = 40      # refinement budget toward a 0 endpoint
+_TAIL_DOUBLINGS = 60    # interval doublings toward +inf
+
 
 def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-9,
+    abs_tol: float = _ABS_TOL,
+    rel_tol: float = _REL_TOL,
     limit: int = 200,
 ) -> float:
     """Integral of ``f`` over the finite interval [lo, hi]."""
@@ -52,8 +56,6 @@ def integrate(
 def integrate_to_zero(
     f: Callable[[float], float],
     hi: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> float:
     """Improper integral of ``f`` over (0, hi].
 
@@ -67,18 +69,16 @@ def integrate_to_zero(
     if hi <= 0.0:
         raise DivergenceError("upper limit must be positive")
     eps = hi / 2.0
-    total = integrate(f, eps, hi, abs_tol=numerics.quad_abs_tol, rel_tol=numerics.quad_rel_tol)
+    total = integrate(f, eps, hi)
     slices: list[float] = []
-    for _ in range(numerics.eps_halvings):
-        slice_value = integrate(
-            f, eps / 2.0, eps, abs_tol=numerics.quad_abs_tol, rel_tol=numerics.quad_rel_tol
-        )
+    for _ in range(_EPS_HALVINGS):
+        slice_value = integrate(f, eps / 2.0, eps)
         total += slice_value
         slices.append(slice_value)
         eps /= 2.0
         if not math.isfinite(total):
             raise DivergenceError("integral toward 0 overflowed")
-        tol = max(numerics.quad_abs_tol, numerics.quad_rel_tol * abs(total))
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
         if abs(slice_value) < tol:
             return total
         if len(slices) >= 6 and all(s != 0.0 for s in slices[-4:-1]):
@@ -98,7 +98,7 @@ def integrate_to_zero(
                     if err_est < tol:
                         return total + tail
     raise DivergenceError(
-        f"integral toward 0 did not settle after {numerics.eps_halvings} refinements "
+        f"integral toward 0 did not settle after {_EPS_HALVINGS} refinements "
         f"(last slice {slice_value:.3e})"
     )
 
@@ -106,21 +106,19 @@ def integrate_to_zero(
 def integrate_to_inf(
     f: Callable[[float], float],
     lo: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> float:
     """Improper integral of ``f`` over [lo, +inf) by interval doubling."""
     a = lo
     width = max(abs(lo), 1.0)
     total = 0.0
     settled = 0
-    for _ in range(numerics.tail_doublings):
+    for _ in range(_TAIL_DOUBLINGS):
         b = a + width
-        segment = integrate(f, a, b, abs_tol=numerics.quad_abs_tol, rel_tol=numerics.quad_rel_tol)
+        segment = integrate(f, a, b)
         total += segment
         if not math.isfinite(total) or abs(total) > 1e150:
             raise DivergenceError("tail integral is diverging")
-        if abs(segment) < max(numerics.quad_abs_tol, numerics.quad_rel_tol * abs(total)):
+        if abs(segment) < max(_ABS_TOL, _REL_TOL * abs(total)):
             settled += 1
             if settled >= 2:
                 return total
@@ -129,6 +127,6 @@ def integrate_to_inf(
         a = b
         width *= 2.0
     raise DivergenceError(
-        f"tail integral did not settle after {numerics.tail_doublings} doublings "
+        f"tail integral did not settle after {_TAIL_DOUBLINGS} doublings "
         f"(last segment {segment:.3e})"
     )

@@ -7,14 +7,16 @@ Schema::
                | {"kind": "custom", "drift": "<expr in x>", "vol": "<expr in x>", "y0": 1.0},
       "payoff":  {"K": 1.0, "phi": "<expr in z>",
                   "interaction": "harvest_rate" | "expected_stock"},   # optional
-      "numerics":   {<NumericsConfig field>: value, ...},              # optional
+      "numerics":   {"scan_points": 500, "stopping_grid_points": 400}, # optional
       "simulation": {<SimConfig field>: value, ...},                   # optional
       "single":   {"z": 0.7},                                          # optional
       "simulate": {"threshold": 5.13, "horizon": 50.0},                # optional
       "sweep":    {"draws": 100}                                       # optional
     }
 
-Expressions use the grammar of :mod:`harvestfield.expressions`.
+Expressions use the grammar of :mod:`harvestfield.expressions`. An unknown
+key in ``numerics`` or ``simulation``, or a model field that is not a number
+or overflows while the model is built, raises :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel, model_from_dict
-from .errors import DomainError, ScenarioError
+from .errors import ScenarioError
 from .expressions import parse_expression
 from .payoff import Interaction, PayoffSpec
 from .simulation import SimConfig
@@ -86,7 +88,7 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
         raise ScenarioError(f"{source}: missing 'model' section")
     try:
         model = model_from_dict(data["model"])
-    except DomainError as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:  # DomainError is a ValueError
         raise ScenarioError(f"{source}: model: {exc}") from exc
 
     payoff = None

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel, _calculus
 from .errors import DomainError
 from .hitting import get_evaluator
@@ -35,6 +34,7 @@ __all__ = [
 ]
 
 _MIN_GAP = 1e-6  # thresholds this close to y0 degenerate to instant re-impulse
+_TABLE_POINTS = 2000  # points of the density table
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,11 @@ def controlled_stationary(model: DiffusionModel, y: float) -> StationaryDensity:
     )
 
 
-def density_table(
-    model: DiffusionModel,
-    y: float,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def density_table(model: DiffusionModel, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, pdf, cdf) on a log-spaced grid resolving both the entrance region and the threshold."""
     _require_threshold(model, y)
     y0 = model.restart_level
-    xs = np.geomspace(1e-3 * y0, y, numerics.cdf_grid_points)
+    xs = np.geomspace(1e-3 * y0, y, _TABLE_POINTS)
     pdf = controlled_density(model, y, xs)
     cdf = controlled_cdf(model, y, xs)
     return xs, pdf, cdf

@@ -174,7 +174,7 @@ def test_grid_option_sets_scan_points(tmp_path):
     )
 
 
-@pytest.mark.parametrize("numerics", [{"scan_points": 1}, {"fixed_point_max_iter": 0}])
+@pytest.mark.parametrize("numerics", [{"scan_points": 1}])
 def test_unusable_equilibrium_numerics_exit_3(tmp_path, numerics):
     scenario = with_section(tmp_path, STOCK_SCENARIO, numerics=numerics)
     code, _ = run(tmp_path, "solve-mfg", scenario)
@@ -186,6 +186,26 @@ def test_verify_passes_on_benchmark(tmp_path):
     assert code == 0
     results = read_report(out)["results"]
     assert results["verification"]["passed"] is True
+
+
+def test_grid_option_sets_stopping_grid_points(tmp_path):
+    code, out = run(tmp_path / "default", "verify", RATE_SCENARIO)
+    assert code == 0
+    assert read_report(out)["results"]["verification"]["grid_points"] == 402
+    code, out = run(tmp_path / "coarse", "verify", RATE_SCENARIO, "--grid", "200")
+    assert code == 0
+    verification = read_report(out)["results"]["verification"]
+    # the grid plus y0 and the claimed threshold
+    assert verification["grid_points"] == 202
+    assert verification["passed"] is True
+
+
+@pytest.mark.parametrize("points", [-5, 0, 1])
+def test_verify_rejects_stopping_grid_below_two_points(tmp_path, points):
+    scenario = with_section(tmp_path, RATE_SCENARIO, numerics={"stopping_grid_points": points})
+    code, out = run(tmp_path, "verify", scenario)
+    assert code == 3
+    assert not (out / "report.json").exists()
 
 
 def test_verify_passes_on_stock_scenario(tmp_path):
@@ -270,18 +290,43 @@ def test_malformed_phi_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
-def test_unknown_numerics_key_exits_2(tmp_path):
+# a misspelling, and three tolerances that are constants of the solvers, not scenario options
+@pytest.mark.parametrize("key", ["scan_pts", "series_arg_cap", "quad_rel_tol", "golden_rel_tol"])
+def test_unknown_numerics_key_exits_2(tmp_path, capsys, key):
     scenario = tmp_path / "bad.json"
     scenario.write_text(
         json.dumps(
             {
                 "model": {"kind": "logistic", "q": -1, "b": 0.5, "beta": 1.0, "y0": 1.0},
                 "payoff": {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"},
-                "numerics": {"scan_pts": 100},
+                "numerics": {key: 100},
             }
         )
     )
     assert main(["solve-mfg", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+# (model fields, exit code, exit code of validate), which reports a speed mass
+# past double range instead of failing
+_MODEL_INPUTS = [
+    ({"y0": "a"}, 2, 2),        # not a number
+    ({"beta": 1e200}, 2, 2),    # beta^2 overflows while the model is built
+    ({"y0": 1e-300}, 3, 3),     # the speed moments overflow
+    ({"q": -1e6}, 3, 0),
+    ({"b": 1e-300}, 3, 0),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-single", "compare", "verify"])
+@pytest.mark.parametrize("fields, code, validate_code", _MODEL_INPUTS)
+def test_malformed_or_extreme_model_fields_exit_cleanly(
+    tmp_path, command, fields, code, validate_code
+):
+    model = {**json.loads(Path(RATE_SCENARIO).read_text())["model"], **fields}
+    scenario = with_section(tmp_path, RATE_SCENARIO, model=model)
+    expected = validate_code if command == "validate" else code
+    assert run(tmp_path, command, scenario)[0] == expected
 
 
 def test_missing_payoff_exits_2(tmp_path):

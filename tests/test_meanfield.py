@@ -171,13 +171,24 @@ def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, mon
 
     real = mf.optimal_thresholds_on_grid
 
-    def two_sign_changes(ev, k_tildes, *, numerics):
-        thresholds = real(ev, k_tildes, numerics=numerics)
+    def two_sign_changes(ev, k_tildes):
+        thresholds = real(ev, k_tildes)
         thresholds[-1] = 1e3
         return thresholds
 
     monkeypatch.setattr(mf, "optimal_thresholds_on_grid", two_sign_changes)
     with pytest.raises(SolverError, match="found 2"):
+        mfg_equilibrium(benchmark_model, rate_payoff)
+
+
+def test_fixed_point_refinement_failure_is_solver_error(benchmark_model, rate_payoff, monkeypatch):
+    import harvestfield.meanfield as mf
+
+    def exhausted(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 200 iterations")
+
+    monkeypatch.setattr(mf, "brentq", exhausted)
+    with pytest.raises(SolverError, match="fixed-point refinement"):
         mfg_equilibrium(benchmark_model, rate_payoff)
 
 
