@@ -3,12 +3,14 @@
 Every tolerance and iteration budget of the solvers is a constant of the
 module that uses it; only the sizes of the equilibrium/planner scan grid and
 of the stopping-problem verification grid travel with a scenario (the CLI's
-``--grid`` overrides both).
+``--grid`` overrides both), each in ``[2, MAX_GRID_POINTS]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+MAX_GRID_POINTS = 100_000   # largest size of either grid
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,13 @@ those identities, which is what :func:`verify_solution` detects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
 from .diffusion import DiffusionModel
 from .errors import DivergenceError, DomainError, NoRootError
 from .hitting import _BRACKET_DOUBLINGS, XiEvaluator, get_evaluator
@@ -45,7 +45,6 @@ __all__ = [
     "StoppingValue",
     "VerificationReport",
     "optimal_threshold_basic",
-    "optimal_thresholds_on_grid",
     "zero_cost_threshold",
     "max_harvest_rate",
     "best_response",
@@ -95,31 +94,27 @@ def _as_evaluator(model_or_ev) -> XiEvaluator:
 # basic problem: (y - y0 - Kt) / xi(y)
 # ---------------------------------------------------------------------------
 
-def _first_order_condition(ev: XiEvaluator, y, k_tilde):
-    """``F = xi - (y - y0 - Kt) xi'`` and ``xi``, at floats or arrays (``k_tilde`` broadcast)."""
+def _first_order_condition(ev: XiEvaluator, y: float, k_tilde: float) -> tuple[float, float]:
+    """``F = xi - (y - y0 - Kt) xi'`` and ``xi`` at y."""
     xi = ev.xi(y)
     return xi - (y - ev.y0 - k_tilde) * ev.xi_prime(y), xi
 
 
-def _newton_step(ev: XiEvaluator, y, k_tilde, f, lo, hi):
+def _newton_step(ev: XiEvaluator, y: float, k_tilde: float, f: float, lo: float, hi: float):
     """Next iterate of the safeguarded Newton solve (Press et al., Numerical Recipes 9.4).
 
     The Newton point ``y - F/F'``, with ``F' = -(y - y0 - Kt) xi''``, if
     ``F' < 0`` and the point lies in the closed bracket ``[lo, hi]``;
-    otherwise the bracket midpoint. The bracket is closed so that a lane at
-    its exact root (``F == 0``, Newton point on ``hi``) stays put instead of
-    bisecting. Floats or arrays, lane by lane.
+    otherwise the bracket midpoint. The bracket is closed so that an iterate
+    at its exact root (``F == 0``, Newton point on ``hi``) stays put instead
+    of bisecting.
     """
     slope = -(y - ev.y0 - k_tilde) * ev.xi_second(y)
-    if isinstance(y, float):
-        if slope < 0.0:
-            newton = y - f / slope
-            if lo <= newton <= hi:
-                return newton
-        return 0.5 * (lo + hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if slope < 0.0:
         newton = y - f / slope
-    return np.where((slope < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        if lo <= newton <= hi:
+            return newton
+    return 0.5 * (lo + hi)
 
 
 def optimal_threshold_basic(
@@ -204,44 +199,6 @@ def optimal_threshold_basic(
     )
 
 
-def optimal_thresholds_on_grid(model_or_ev, k_tildes: np.ndarray) -> np.ndarray:
-    """Vectorized basic solve for an array of k_tilde values (grid scans).
-
-    The scalar solve's doubling phase and safeguarded Newton step in array
-    arithmetic; a lane keeps its threshold once it meets the stopping test.
-    """
-    ev = _as_evaluator(model_or_ev)
-    kt = np.asarray(k_tildes, dtype=float)
-    if np.any(kt <= 0.0):
-        raise DomainError("the vectorized solve needs strictly positive k_tilde")
-    lo = np.maximum(ev.y0 + kt, ev.convexity_switch()) + 1e-6
-    hi = 2.0 * lo
-    for _ in range(_BRACKET_DOUBLINGS):
-        need = _first_order_condition(ev, hi, kt)[0] >= 0.0
-        if not np.any(need):
-            break
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, hi * 2.0, hi)
-    else:
-        raise NoRootError("vectorized bracket expansion exhausted")
-    y = 0.5 * (lo + hi)
-    done = np.zeros(y.shape, dtype=bool)
-    for _ in range(200):
-        f, xi = _first_order_condition(ev, y, kt)
-        pos = f > 0.0
-        lo = np.where(pos, y, lo)
-        hi = np.where(pos, hi, y)
-        y_next = _newton_step(ev, y, kt, f, lo, hi)
-        tol = _BRACKET_REL_TOL * y
-        done |= ((np.abs(y_next - y) < tol) | (hi - lo < tol)) & (
-            np.abs(f) / xi < _OBJECTIVE_REL_TOL
-        )
-        if np.all(done):
-            break
-        y = np.where(done, y, y_next)
-    return y
-
-
 def zero_cost_threshold(model_or_ev) -> ThresholdSolution:
     """The basic solve at ``k_tilde = 0``, solved once per evaluator."""
     ev = _as_evaluator(model_or_ev)
@@ -268,15 +225,7 @@ def best_response(
     base = optimal_threshold_basic(ev, payoff.cost / price)
     value = price * base.value
     flags = base.flags if value > 0.0 else tuple(set(base.flags) | {"no profitable harvest"})
-    return ThresholdSolution(
-        threshold=base.threshold,
-        value=value,
-        residual=base.residual,
-        bracket=base.bracket,
-        iterations=base.iterations,
-        profitable=value > 0.0,
-        flags=flags,
-    )
+    return replace(base, value=value, profitable=value > 0.0, flags=flags)
 
 
 def critical_bounds(model_or_ev, payoff: PayoffSpec) -> tuple[float, float]:
@@ -458,10 +407,10 @@ def stopping_value(
     if threshold_hint is None:
         threshold_hint = solve_auxiliary(ev, f, h, cost).threshold
     if grid is None:
-        if numerics.stopping_grid_points < 2:
+        if not 2 <= numerics.stopping_grid_points <= MAX_GRID_POINTS:
             raise DomainError(
-                "numerics.stopping_grid_points must be at least 2, "
-                f"got {numerics.stopping_grid_points}"
+                f"numerics.stopping_grid_points must lie in [2, {MAX_GRID_POINTS}]: "
+                f"{numerics.stopping_grid_points}"
             )
         grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
     grid = np.unique(np.concatenate([np.asarray(grid, dtype=float), [y0, threshold_hint]]))

@@ -8,11 +8,13 @@ and ``Phi = g o c`` sends a population threshold to the individual optimum.
 Both problems read one log grid of thresholds; each grid point is priced at
 most once per solve:
 
-* competitive equilibrium: fixed point of Phi. On either channel every sign
-  change of ``Phi(y) - y`` on the grid is refined by Brent's method. Under the
-  harvest-rate channel Phi is strictly decreasing, so the search must find
-  exactly one root; under the expected-stock channel Phi is nondecreasing and
-  several equilibria may coexist.
+* competitive equilibrium: a threshold y is the best response to the price
+  ``p(y) = phi(c(y))`` it generates iff it solves the first-order condition
+  ``G(y) = p(y) k(y) - K = 0`` with ``k(y) = y - y0 - xi(y)/xi'(y)``. On
+  either channel every sign change of G on the grid is refined by Brent's
+  method. Under the harvest-rate channel Phi is strictly decreasing, so the
+  search must find exactly one root; under the expected-stock channel Phi is
+  nondecreasing and several equilibria may coexist.
 * cooperative (planner) optimum: maximizer of
   ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid plus
   Brent's bounded maximization around each local maximum of the scan.
@@ -24,14 +26,14 @@ planner <= every equilibrium under the expected-stock channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
-from .diffusion import DiffusionModel, logistic_model, validate_assumptions
+from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
+from .diffusion import DiffusionModel, _calculus, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
 from .hitting import get_evaluator
 from .impulse import (
@@ -40,7 +42,6 @@ from .impulse import (
     best_response,
     critical_bounds,
     max_harvest_rate,
-    optimal_thresholds_on_grid,
     zero_cost_threshold,
 )
 from .payoff import Interaction, PayoffSpec
@@ -65,6 +66,7 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point
 _FIXED_POINT_MAX_ITER = 200
 _TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
+_PRICE_STEP = 1e-6           # step of the central difference phi', relative to the domain width
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,12 @@ def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
     return expected_stock_grid(model, np.asarray(y, dtype=float), xi)
 
 
+def _price(model: DiffusionModel, payoff: PayoffSpec, y: float, xi: float) -> float:
+    """``phi(c(y))`` with c clamped to the interaction domain, from a precomputed ``xi(y)``."""
+    z, _ = _clamp_to_domain(_interaction(model, payoff, y, xi), payoff.domain)
+    return float(payoff.phi(z))
+
+
 def _clamp_to_domain(z: float, domain: tuple[float, float]) -> tuple[float, bool]:
     """``z`` clamped to the domain, and whether it sits on or beyond an edge."""
     lo, hi = domain
@@ -125,15 +133,7 @@ def phi_map(model: DiffusionModel, payoff: PayoffSpec, y: float) -> ThresholdSol
     z, clamped = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)
     sol = best_response(model, payoff, z)
     if clamped:
-        sol = ThresholdSolution(
-            threshold=sol.threshold,
-            value=sol.value,
-            residual=sol.residual,
-            bracket=sol.bracket,
-            iterations=sol.iterations,
-            profitable=sol.profitable,
-            flags=tuple(set(sol.flags) | {"interaction level clamped to domain"}),
-        )
+        sol = replace(sol, flags=tuple(set(sol.flags) | {"interaction level clamped to domain"}))
     return sol
 
 
@@ -147,7 +147,7 @@ class EquilibriumPoint:
     value: float
     interaction: float          # c(y) at the equilibrium
     stability: str              # "stable" | "unstable" | "marginal"
-    map_slope: float            # numeric Phi'(y)
+    map_slope: float            # Phi'(y) by the implicit function theorem
     residual: float             # |Phi(y) - y|
 
     def to_dict(self) -> dict:
@@ -228,7 +228,7 @@ class _Scan:
     The price of a grid point y is ``phi(c(y))`` with c clamped to the
     interaction domain. The equilibrium search prices only the cells that meet
     the best-response range; the planner prices the whole grid. The ``xi``
-    values that pricing computes are kept for the planner.
+    values that pricing computes are kept for both.
     """
 
     def __init__(self, model: DiffusionModel, payoff: PayoffSpec,
@@ -254,10 +254,10 @@ class _Scan:
             prices[todo] = new
         return prices.copy()
 
-    def xi(self) -> np.ndarray:
-        """``xi`` on the whole grid, as priced."""
-        self.prices()
-        return self._xi.copy()
+    def xi(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """``xi`` on ``grid[lo:hi]``, as priced."""
+        self.prices(lo, hi)
+        return self._xi[lo:hi].copy()
 
 
 def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig) -> _Scan:
@@ -266,13 +266,14 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
     Phi maps into ``[y_lo, y_hi]``, so every fixed point lies inside the grid,
     and the planner's maximizer lies below ``max(20 * y_hat0, 2 * y_hi)``.
     """
-    if numerics.scan_points < 2:
-        raise DomainError(f"numerics.scan_points must be at least 2, got {numerics.scan_points}")
+    points = numerics.scan_points
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise DomainError(f"numerics.scan_points must lie in [2, {MAX_GRID_POINTS}]: {points}")
     payoff = resolve_payoff(model, payoff)
     y_lo, y_hi = critical_bounds(model, payoff)
     y_hat0 = zero_cost_threshold(model).threshold
     y0 = model.restart_level
-    grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), numerics.scan_points)
+    grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), points)
     return _Scan(model, payoff, (y_lo, y_hi), grid)
 
 
@@ -281,21 +282,23 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig
 # ---------------------------------------------------------------------------
 
 def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
-    z = interaction_level(model, payoff, y_star)
-    sol = best_response(model, payoff, z)
+    xi = get_evaluator(model).xi(y_star)
+    price = _price(model, payoff, y_star, xi)
     stability, slope = classify_stability(model, payoff, y_star)
     return EquilibriumPoint(
         threshold=y_star,
-        value=sol.value,
-        interaction=z,
+        value=(price * (y_star - model.restart_level) - payoff.cost) / xi,
+        interaction=_interaction(model, payoff, y_star, xi),
         stability=stability,
         map_slope=slope,
-        residual=abs(sol.threshold - y_star),
+        residual=abs(phi_map(model, payoff, y_star).threshold - y_star),
     )
 
 
 def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     payoff, grid = scan.payoff, scan.grid
+    ev = get_evaluator(model)
+    y0 = model.restart_level
     y_lo, y_hi = scan.bounds
     diagnostics: dict = {"bounds": [y_lo, y_hi]}
 
@@ -303,31 +306,33 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         # Phi is constant up to the tolerance; its value is the fixed point
         roots = [0.5 * (y_lo + y_hi)]
     else:
-        def psi(y: float) -> float:
-            return phi_map(model, payoff, y).threshold - y
+        def gap(y: float) -> float:
+            xi = ev.xi(y)
+            return _price(model, payoff, y, xi) * (y - y0 - xi / ev.xi_prime(y)) - payoff.cost
 
-        # Phi maps into [y_lo, y_hi], so psi > 0 below y_lo and psi < 0 above
-        # y_hi: only the cells that meet [y_lo, y_hi] can hold a sign change
+        # G has the sign of y - Phi(y), and Phi maps into [y_lo, y_hi]: only the
+        # cells that meet [y_lo, y_hi] can hold a sign change
         lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
         hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
         ys = grid[lo:hi]
-        psi_grid = optimal_thresholds_on_grid(model, payoff.cost / scan.prices(lo, hi)) - ys
+        xi = scan.xi(lo, hi)
+        gaps = scan.prices(lo, hi) * (ys - y0 - xi / ev.xi_prime(ys)) - payoff.cost
         diagnostics["scan"] = {
             "points": len(grid),
             "cap": float(grid[-1]),
             "searched": [lo, hi],
-            "psi_start": float(psi_grid[0]),
-            "psi_end": float(psi_grid[-1]),
+            "gap_start": float(gaps[0]),
+            "gap_end": float(gaps[-1]),
         }
-        roots = [float(y) for y in ys[psi_grid == 0.0]]
-        for i in np.flatnonzero(psi_grid[:-1] * psi_grid[1:] < 0.0):
+        roots = [float(y) for y in ys[gaps == 0.0]]
+        for i in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
             a, b = float(ys[i]), float(ys[i + 1])
-            # brentq starts from the scan's psi at the cell ends: no Phi step is
-            # repeated, and the sign change it needs is the one the scan found
-            ends = {a: psi_grid[i], b: psi_grid[i + 1]}
+            # brentq starts from the scan's G at the cell ends: no cell end is
+            # priced twice, and the sign change it needs is the one the scan found
+            ends = {a: gaps[i], b: gaps[i + 1]}
             try:
                 root = brentq(
-                    lambda y: ends[y] if y in ends else psi(y), a, b,
+                    lambda y: ends[y] if y in ends else gap(y), a, b,
                     xtol=_FIXED_POINT_TOL, maxiter=_FIXED_POINT_MAX_ITER,
                 )
             except (RuntimeError, ValueError) as exc:  # budget exhausted or bracket rejected
@@ -342,7 +347,8 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         )
     if not roots:
         diagnostics["no_equilibrium"] = (
-            "psi has no sign change on the scan grid; check the assumption report"
+            "G = phi(c(y)) k(y) - K has no sign change on the scan grid; "
+            "check the assumption report"
         )
         diagnostics["assumptions"] = validate_assumptions(model).to_dict()
         return EquilibriumSet(points=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
@@ -359,36 +365,54 @@ def mfg_equilibrium(
 ) -> EquilibriumSet:
     """All threshold equilibria of the market, with stability labels.
 
-    One search serves both channels: ``psi(y) = Phi(y) - y`` is evaluated on
-    the cells of the shared log grid that meet the best-response range
-    ``[y_lo, y_hi]``, which holds every fixed point, and every sign change is
-    refined by Brent's method. Under the harvest-rate channel Phi is strictly
-    decreasing, so exactly one root must be found; any other count raises
-    :class:`SolverError`. Under the expected-stock channel several equilibria
-    may coexist. When the price does not move the best response (``y_hi -
-    y_lo`` below the fixed-point tolerance) the midpoint of the bounds is
-    returned without pricing the grid.
+    One search serves both channels: the roots of ``G(y) = phi(c(y)) k(y) - K``,
+    ``k(y) = y - y0 - xi(y)/xi'(y)``, on the grid cells that meet the
+    best-response range ``[y_lo, y_hi]``, each sign change refined by Brent's
+    method; no threshold is solved. Under the harvest-rate channel Phi is
+    strictly decreasing, so any root count but one raises
+    :class:`SolverError`; under the expected-stock channel several equilibria
+    may coexist. When ``y_hi - y_lo`` is below the fixed-point tolerance the
+    midpoint is returned without pricing the grid. Each point's residual is
+    ``|Phi(y) - y|`` from one Phi step.
     """
     return _equilibria(model, _scan(model, payoff, numerics=numerics))
+
+
+def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
+    """``Phi'(y) = -K p'/(p^2 k')`` at a fixed point y, by the implicit function theorem.
+
+    ``k' = xi xi''/xi'^2`` and ``p' = phi'(c) c'``, with ``phi'`` a central
+    difference inside the domain and ``p' = 0`` where c is on or outside it.
+    """
+    ev = get_evaluator(model)
+    xi, xi_prime = ev.xi(y), ev.xi_prime(y)
+    c = _interaction(model, payoff, y, xi)
+    lo, hi = payoff.domain
+    if not lo < c < hi:
+        return 0.0
+    if payoff.interaction is Interaction.HARVEST_RATE:
+        dc = (xi - (y - model.restart_level) * xi_prime) / xi**2
+    else:
+        calc = _calculus(model)
+        dc = (calc.xm0(y) * calc.s(y) * xi - calc.cycle_stock(y) * xi_prime) / xi**2
+    a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
+    dp = (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
+    return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * ev.xi_second(y))
 
 
 def classify_stability(
     model: DiffusionModel, payoff: PayoffSpec, y_star: float
 ) -> tuple[str, float]:
-    """Label a fixed point by its central-difference map slope Phi'.
+    """Label a fixed point by its map slope Phi' (see :func:`_map_slope`; no Phi step).
 
-    The slope comes from two Phi steps at ``y_star * (1 +/- 1e-3)``. The label
-    is "marginal" when ``|Phi'|`` is within 1e-3 of 1, otherwise "stable" when
-    ``|Phi'| < 1`` and "unstable" when not.
+    The label is "marginal" when ``|Phi'|`` is within 1e-3 of 1, otherwise
+    "stable" when ``|Phi'| < 1`` and "unstable" when not.
 
     Returns ``(label, slope)`` with label in {"stable", "unstable", "marginal"}.
     """
     if payoff.domain is None:
         payoff = resolve_payoff(model, payoff)
-    step = 1e-3 * y_star
-    up = phi_map(model, payoff, y_star + step).threshold
-    down = phi_map(model, payoff, y_star - step).threshold
-    slope = (up - down) / (2.0 * step)
+    slope = _map_slope(model, payoff, y_star)
     if abs(abs(slope) - 1.0) < 1e-3:
         return "marginal", slope
     return ("stable" if abs(slope) < 1.0 else "unstable"), slope
@@ -406,8 +430,7 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
 
     def h_scalar(y: float) -> float:
         xi = ev.xi(y)
-        z, _ = _clamp_to_domain(_interaction(model, payoff, y, xi), payoff.domain)
-        return (float(payoff.phi(z)) * (y - y0) - payoff.cost) / xi
+        return (_price(model, payoff, y, xi) * (y - y0) - payoff.cost) / xi
 
     def refine_around(i: int) -> tuple[float, float]:
         lo = float(grid[max(i - 1, 0)])

@@ -15,8 +15,9 @@ Schema::
     }
 
 Expressions use the grammar of :mod:`harvestfield.expressions`. An unknown
-key in ``numerics`` or ``simulation``, or a model field that is not a number
-or overflows while the model is built, raises :class:`ScenarioError`.
+key in ``numerics`` or ``simulation``, a number field that does not convert
+(or a model that overflows while it is built), or ``draws < 1`` raises
+:class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -76,9 +77,22 @@ def _build_config(cls_default, section: dict | None, name: str):
                 coerced[key] = float(value)
             else:
                 coerced[key] = value
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{name}.{key}: {exc}") from exc
     return dataclasses.replace(cls_default, **coerced)
+
+
+def _field(data: dict, section: str, key: str, source: str, convert=float, default=None):
+    """``convert(data[section][key])``, or ``default`` if the key is absent."""
+    fields = data.get(section) or {}
+    if not isinstance(fields, dict):
+        raise ScenarioError(f"{source}: '{section}' must be an object")
+    if key not in fields:
+        return default
+    try:
+        return convert(fields[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{source}: {section}.{key}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
@@ -108,7 +122,7 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
             )
         phi = parse_expression(spec["phi"], "z")
         payoff = PayoffSpec(
-            cost=float(spec["K"]),
+            cost=_field(data, "payoff", "K", source),
             phi=phi,
             interaction=interaction,
             phi_source=spec["phi"],
@@ -117,18 +131,18 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
     numerics = _build_config(DEFAULT_NUMERICS, data.get("numerics"), "numerics")
     sim = _build_config(SimConfig(), data.get("simulation"), "simulation")
 
-    single = data.get("single") or {}
-    simulate = data.get("simulate") or {}
-    sweep = data.get("sweep") or {}
+    draws = _field(data, "sweep", "draws", source, int, 100)
+    if draws < 1:
+        raise ScenarioError(f"{source}: sweep.draws must be at least 1, got {draws}")
     return Scenario(
         model=model,
         payoff=payoff,
         numerics=numerics,
         sim=sim,
-        single_z=None if "z" not in single else float(single["z"]),
-        simulate_threshold=None if "threshold" not in simulate else float(simulate["threshold"]),
-        simulate_horizon=None if "horizon" not in simulate else float(simulate["horizon"]),
-        sweep_draws=int(sweep.get("draws", 100)),
+        single_z=_field(data, "single", "z", source),
+        simulate_threshold=_field(data, "simulate", "threshold", source),
+        simulate_horizon=_field(data, "simulate", "horizon", source),
+        sweep_draws=draws,
         raw=data,
     )
 

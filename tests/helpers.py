@@ -3,13 +3,17 @@
 These deliberately avoid the package's quadrature stack: composite Simpson
 with interval doubling, central finite differences, and brute-force grids.
 The equilibrium and threshold oracles use only xi and xi' and never a
-package solver.
+package solver; the Phi-route oracle finds equilibria as fixed points of the
+public best-response map instead of roots of the first-order condition.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
+from harvestfield.config import DEFAULT_NUMERICS
 from harvestfield.hitting import XiEvaluator
+from harvestfield.impulse import critical_bounds, zero_cost_threshold
+from harvestfield.meanfield import phi_map, resolve_payoff
 
 
 def simpson(f, a, b, n):
@@ -84,3 +88,46 @@ def equilibria_oracle(model, phi, cost, c, c_max):
     brackets = np.nonzero(np.sign(gaps[:-1]) != np.sign(gaps[1:]))[0]
     roots = [brentq(gap, ys[i], ys[i + 1], xtol=1e-12, rtol=1e-14) for i in brackets]
     return roots, sup_phi
+
+
+def phi_route_equilibria(model, payoff):
+    """Equilibria as fixed points of Phi: ``[(threshold, map slope, label), ...]``.
+
+    ``psi(y) = Phi(y) - y`` from the public ``phi_map`` on the cells of the
+    package's scan grid that meet the best-response range ``[y_lo, y_hi]``,
+    every sign change refined by brentq. The slope is a central difference
+    of Phi at ``y* +/- h`` with ``h = 1e-3 y*`` and ``h/2``, Richardson
+    extrapolated: the plain difference at ``h`` is off by ``4e-4`` on a
+    strongly unstable root. Labels follow the package's rule: "marginal"
+    within 1e-3 of ``|Phi'| = 1``, else "stable" below 1.
+    """
+    payoff = resolve_payoff(model, payoff)
+    y_lo, y_hi = critical_bounds(model, payoff)
+    y0 = model.restart_level
+    y_cap = max(20.0 * zero_cost_threshold(model).threshold, 2.0 * y_hi)
+    grid = np.geomspace(y0 * (1.0 + 1e-3), y_cap, DEFAULT_NUMERICS.scan_points)
+    lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
+    hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
+    ys = grid[lo:hi]
+
+    def phi(y):
+        return phi_map(model, payoff, float(y)).threshold
+
+    psi = np.array([phi(y) - y for y in ys])
+    roots = [float(y) for y in ys[psi == 0.0]]
+    roots += [
+        brentq(lambda y: phi(y) - y, ys[i], ys[i + 1], xtol=1e-12, rtol=1e-14)
+        for i in np.flatnonzero(psi[:-1] * psi[1:] < 0.0)
+    ]
+
+    def slope(y):
+        h = 1e-3 * y
+        coarse, fine = central_diff(phi, y, h), central_diff(phi, y, h / 2.0)
+        return (4.0 * fine - coarse) / 3.0
+
+    points = []
+    for y in sorted(roots):
+        d = slope(y)
+        label = "marginal" if abs(abs(d) - 1.0) < 1e-3 else "stable" if abs(d) < 1.0 else "unstable"
+        points.append((y, d, label))
+    return points

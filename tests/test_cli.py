@@ -208,6 +208,15 @@ def test_verify_rejects_stopping_grid_below_two_points(tmp_path, points):
     assert not (out / "report.json").exists()
 
 
+def test_oversized_grids_exit_3_before_allocating(tmp_path):
+    # 1e12 points would need terabytes; the size check runs before any grid is built
+    for numerics in ({"scan_points": 1e12}, {"stopping_grid_points": 1e12}):
+        scenario = with_section(tmp_path, RATE_SCENARIO, numerics=numerics)
+        code, out = run(tmp_path, "verify", scenario)
+        assert code == 3
+        assert not (out / "report.json").exists()
+
+
 def test_verify_passes_on_stock_scenario(tmp_path):
     # the dominance check covers x >= y0 only, where the stopping problem offers stopping
     code, out = run(tmp_path, "verify", STOCK_SCENARIO)
@@ -327,6 +336,32 @@ def test_malformed_or_extreme_model_fields_exit_cleanly(
     scenario = with_section(tmp_path, RATE_SCENARIO, model=model)
     expected = validate_code if command == "validate" else code
     assert run(tmp_path, command, scenario)[0] == expected
+
+
+_PAYOFF = {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"}
+
+
+@pytest.mark.parametrize("command", ["solve-single", "verify", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "sections",
+    [
+        {"payoff": {**_PAYOFF, "K": "a"}},
+        {"single": {"z": "a"}},
+        {"simulate": {"threshold": "a"}},
+        {"simulate": {"horizon": [1]}},
+        {"sweep": {"draws": "x"}},
+        {"sweep": {"draws": 0}},
+        {"sweep": {"draws": 1e400}},
+        {"sweep": 5},
+        {"numerics": {"scan_points": 1e400}},
+    ],
+)
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, sections):
+    scenario = with_section(tmp_path, RATE_SCENARIO, **sections)
+    code, out = run(tmp_path, command, scenario)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_missing_payoff_exits_2(tmp_path):

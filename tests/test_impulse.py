@@ -11,7 +11,6 @@ from harvestfield.impulse import (
     critical_bounds,
     max_harvest_rate,
     optimal_threshold_basic,
-    optimal_thresholds_on_grid,
     solve_auxiliary,
     stopping_value,
     verify_solution,
@@ -65,56 +64,12 @@ def test_negative_cost_rejected(benchmark_evaluator):
         optimal_threshold_basic(benchmark_evaluator, -0.5)
 
 
-def test_vectorized_grid_matches_scalar(benchmark_evaluator):
-    ks = np.array([0.1, 0.4, 1.0, 2.0, 3.7])
-    vec = optimal_thresholds_on_grid(benchmark_evaluator, ks)
-    scalars = [optimal_threshold_basic(benchmark_evaluator, float(k)).threshold for k in ks]
-    assert np.allclose(vec, scalars, rtol=1e-7)
-
-
 @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 2.5])
 def test_newton_solve_takes_few_steps(benchmark_evaluator, k):
     # Newton converges quadratically from the doubling bracket; bisection needs about 32 steps
     sol = optimal_threshold_basic(benchmark_evaluator, k)
     assert sol.iterations <= 10
     assert sol.residual < 1e-10
-
-
-@pytest.mark.parametrize("payoff_fixture", ["rate_payoff", "stock_payoff"])
-def test_vectorized_solve_of_searched_cells_takes_few_passes(
-    benchmark_model, payoff_fixture, request, monkeypatch
-):
-    # the costs the equilibrium search hands to the array solve on a compare
-    import harvestfield.meanfield as mf
-    from harvestfield.hitting import XiEvaluator
-
-    costs = []
-    real = mf.optimal_thresholds_on_grid
-
-    def recording(model, k_tildes, **kwargs):
-        costs.append(np.array(k_tildes))
-        return real(model, k_tildes, **kwargs)
-
-    monkeypatch.setattr(mf, "optimal_thresholds_on_grid", recording)
-    mf.compare(benchmark_model, request.getfixturevalue(payoff_fixture))
-    assert len(costs) == 1 and len(costs[0]) > 10
-
-    # each Newton pass evaluates xi'' once on the whole array; bracketing never does.
-    # A lane already at its root must not hold the others back.
-    ev = XiEvaluator(benchmark_model)
-    ev.convexity_switch()
-    passes = []
-    second = ev.xi_second
-    monkeypatch.setattr(ev, "xi_second", lambda y: passes.append(np.ndim(y)) or second(y))
-    thresholds = optimal_thresholds_on_grid(ev, costs[0])
-    assert 1 <= len(passes) <= 10 and all(passes)
-    scalars = [optimal_threshold_basic(ev, float(k)).threshold for k in costs[0]]
-    assert np.allclose(thresholds, scalars, rtol=1e-9)
-
-
-def test_vectorized_grid_needs_positive_costs(benchmark_evaluator):
-    with pytest.raises(DomainError):
-        optimal_thresholds_on_grid(benchmark_evaluator, np.array([0.0, 1.0]))
 
 
 def test_degenerate_zero_cost_maximizer():

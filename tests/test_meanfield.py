@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from helpers import central_diff, equilibria_oracle
+from helpers import central_diff, equilibria_oracle, phi_route_equilibria
 
 from harvestfield.diffusion import logistic_model
 from harvestfield.errors import DomainError, SolverError
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import max_harvest_rate, optimal_threshold_basic
 from harvestfield.meanfield import (
+    _FIXED_POINT_TOL,
     classify_stability,
     compare,
     interaction_level,
@@ -166,17 +167,17 @@ def test_rate_equilibrium_matches_first_order_oracle(q, b, cost):
 
 
 def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, monkeypatch):
-    # a synthetic scan whose psi turns positive again at its last point
+    # a synthetic scan whose first-order gap G turns negative again at its last point
     import harvestfield.meanfield as mf
 
-    real = mf.optimal_thresholds_on_grid
+    real = mf._Scan.prices
 
-    def two_sign_changes(ev, k_tildes):
-        thresholds = real(ev, k_tildes)
-        thresholds[-1] = 1e3
-        return thresholds
+    def low_last_price(self, lo=0, hi=None):
+        prices = real(self, lo, hi)
+        prices[-1] = 1e-12
+        return prices
 
-    monkeypatch.setattr(mf, "optimal_thresholds_on_grid", two_sign_changes)
+    monkeypatch.setattr(mf._Scan, "prices", low_last_price)
     with pytest.raises(SolverError, match="found 2"):
         mfg_equilibrium(benchmark_model, rate_payoff)
 
@@ -190,6 +191,44 @@ def test_fixed_point_refinement_failure_is_solver_error(benchmark_model, rate_pa
     monkeypatch.setattr(mf, "brentq", exhausted)
     with pytest.raises(SolverError, match="fixed-point refinement"):
         mfg_equilibrium(benchmark_model, rate_payoff)
+
+
+def _phi_route_cases():
+    sigmoid = PayoffSpec(
+        cost=1.0, phi=lambda z: 1.0 / (1.0 + np.exp(10.0 * (z - 1.9))),
+        interaction=Interaction.EXPECTED_STOCK,
+    )
+    three_roots = PayoffSpec(
+        cost=1.0, phi=lambda z: 0.1 + 0.9 / (1.0 + np.exp(40.0 * (z - 1.7))),
+        interaction=Interaction.EXPECTED_STOCK,
+    )
+    bundled = logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0)
+    cases = [
+        pytest.param(bundled, PayoffSpec(
+            cost=1.0, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE
+        ), id="bundled-rate"),
+        pytest.param(bundled, sigmoid, id="stated-stock"),
+        pytest.param(bundled, three_roots, id="three-roots"),
+    ]
+    for kind in Interaction:
+        for i, (q, b, cost) in enumerate(_sweep_draws(10, seed=23)):
+            payoff = PayoffSpec(cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=kind)
+            cases.append(pytest.param(
+                logistic_model(q=q, b=b, beta=1.0, y0=1.0), payoff, id=f"{kind.value}-{i}"
+            ))
+    return cases
+
+
+@pytest.mark.parametrize("model, payoff", _phi_route_cases())
+def test_equilibria_match_phi_route_oracle(model, payoff):
+    # roots of the first-order gap G against sign changes of Phi(y) - y
+    expected = phi_route_equilibria(model, payoff)
+    eq = mfg_equilibrium(model, payoff)
+    assert len(eq) == len(expected) >= 1
+    for point, (y, slope, label) in zip(eq.points, expected):
+        assert point.stability == label
+        assert point.threshold == pytest.approx(y, abs=2.0 * _FIXED_POINT_TOL)
+        assert point.map_slope == pytest.approx(slope, abs=1e-5)
 
 
 def _record_priced_grids(monkeypatch):
@@ -271,26 +310,12 @@ def test_classify_stability_constant_price(benchmark_model):
     [(0.5, "stable"), (-0.8, "stable"), (2.0, "unstable"), (-1.6, "unstable")],
 )
 def test_classify_stability_by_map_slope(benchmark_model, rate_payoff, monkeypatch, slope, expected):
-    # contract check against synthetic best-response maps of known slope
+    # the label rule on synthetic map slopes
     import harvestfield.meanfield as mf
-    from harvestfield.impulse import ThresholdSolution
 
     payoff = resolve_payoff(benchmark_model, rate_payoff)
-    y_star = 5.0
-
-    def fake_phi_map(model, pay, y, *, numerics=None):
-        return ThresholdSolution(
-            threshold=y_star + slope * (y - y_star),
-            value=1.0,
-            residual=0.0,
-            bracket=(0.0, 0.0),
-            iterations=0,
-        )
-
-    monkeypatch.setattr(mf, "phi_map", fake_phi_map)
-    label, measured = classify_stability(benchmark_model, payoff, y_star)
-    assert label == expected
-    assert measured == pytest.approx(slope, rel=1e-6)
+    monkeypatch.setattr(mf, "_map_slope", lambda model, pay, y: slope)
+    assert classify_stability(benchmark_model, payoff, 5.0) == (expected, slope)
 
 
 def test_classify_stability_rate_equilibrium(benchmark_model, rate_payoff):

@@ -18,7 +18,7 @@ from helpers import first_order_root
 from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
 from harvestfield.errors import HarvestFieldError
 from harvestfield.hitting import XiEvaluator
-from harvestfield.impulse import best_response, optimal_threshold_basic, optimal_thresholds_on_grid
+from harvestfield.impulse import best_response, optimal_threshold_basic
 from harvestfield.meanfield import resolve_payoff
 from harvestfield.payoff import Interaction, PayoffSpec
 from harvestfield.stationary import stock_bounds
@@ -84,13 +84,10 @@ def test_tabulated_route_matches_closed_forms(params):
 @given(ergodic, st.floats(0.05, 3.0))
 def test_threshold_solves_match_first_order_root(params, k):
     ev = XiEvaluator(logistic_model(**params))
-    costs = np.array([k, 2.0 * k])
-    grid = optimal_thresholds_on_grid(ev, costs)
-    for kt, from_grid in zip(costs, grid):
-        sol = optimal_threshold_basic(ev, float(kt))
-        root = first_order_root(ev, float(kt), sol.bracket)
+    for kt in (k, 2.0 * k):
+        sol = optimal_threshold_basic(ev, kt)
+        root = first_order_root(ev, kt, sol.bracket)
         assert_close(sol.threshold, root, 1e-9)
-        assert_close(from_grid, root, 1e-9)
 
 
 @given(
