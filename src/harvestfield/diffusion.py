@@ -6,28 +6,23 @@ the scale integrals. Only differences of the scale function and products of
 scale and speed densities ever enter downstream formulas, so the choice of
 ``a`` is immaterial; it defaults to ``y0``.
 
-The scale density, speed density and their integrals come from one
-tabulated calculus, with closed forms beside it for the logistic family:
+The scale density, speed density and their integrals come from one table per
+model, the same for every model. It integrates ``log s``, ``S``, the speed
+integrals, the hitting-time integral ``xi = int M[0,u] s(u) du`` and the
+cycle stock on Chebyshev panels in ``log x`` (:class:`_Table`), built on its
+first query. It grows outward from ``y0`` in whole segments of ``log x``,
+each growth one vectorized batch over all its panels, and a scalar reads it
+in plain floats (``bisect`` on the panel edges, then a Clenshaw sum).
 
-* one table per model integrates ``log s``, ``S``, the speed integrals and
-  the hitting-time integral ``xi = int M[0,u] s(u) du`` on Chebyshev panels
-  in ``log x`` (:class:`_Table`), built on its first query. It grows outward
-  from ``y0`` in whole segments of ``log x``, each growth one vectorized
-  batch over all its panels, and a scalar reads it in plain floats
-  (``bisect`` on the panel edges, then a Clenshaw sum). Every model reads
-  ``S`` from it, and ``xi`` on both sides of ``y0``. Only the piece of each
-  speed integral next to the entrance boundary 0 goes through
-  :func:`integrate_to_zero`, which detects divergence there;
-* closed forms for the logistic family ``dX = X (g - b X) dt + beta X dW``,
-  whose densities are explicit and whose speed integrals reduce to lower
-  incomplete gamma functions. Their Kummer series make ``M0 s`` and
-  ``xm0 s`` power series in ``rho u`` with one shared antiderivative, so a
-  single series gives both ``xi`` and the cycle stock ``int xm0 s``
-  (:meth:`_Calculus.series_increment`).
-
-The two routes are deliberately kept independent; the test-suite pins their
-agreement. Each model's calculus is built on first use and kept on the model
-instance, so it lives exactly as long as the model.
+What the table cannot reach is a per-model constant: the speed integrals from
+the entrance boundary 0 up to ``y0`` and out to infinity. Logistic models
+``dX = X (g - b X) dt + beta X dW`` read them from lower incomplete gamma
+functions; other models integrate the piece next to 0 with
+:func:`integrate_to_zero`, which detects divergence there. The logistic
+closed forms of the functions themselves live in the test-suite, as the
+independent oracle the table is checked against. Each model's calculus is
+built on first use and kept on the model instance, so it lives exactly as
+long as the model.
 """
 
 from __future__ import annotations
@@ -41,9 +36,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import DivergenceError, DomainError
 from .quadrature import integrate_to_inf, integrate_to_zero
 
 __all__ = [
@@ -195,14 +190,9 @@ _PANEL_MIN = 1e-9       # narrowest panel; accepted even if it fails the checks
 _PANEL_SPREAD = 2.0     # bound on the change of log s (plus 2) across one panel
 _PANEL_TAIL = 1e-13     # bound on the top Chebyshev coefficients of each integrand
 _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double precision
-_AHEAD = 2              # segments built past the one a query needs, so outward searches grow less often
+_AHEAD = 2              # segments built past the one a scalar query needs, so outward searches grow less often
 _MAX_PANELS = 20_000
 _ENTRANCE = 2.0**-40    # relative to y0: below it the speed integrals go through integrate_to_zero
-
-# logistic hitting-time series (see _Calculus.series_increment)
-_SERIES_REL_EPS = 1e-14
-_SERIES_MAX_TERMS = 100_000
-_SERIES_ARG_CAP = 700.0  # rho*y past which the terms overflow; callers switch to quadrature
 
 # table components
 _LOG_S, _S, _M, _XM, _XI, _CYC = range(6)
@@ -236,14 +226,16 @@ class _Table:
     the Chebyshev coefficients of every component as one flat array row.
 
     The table grows outward from ``y0`` in whole segments of ``log x`` of
-    length 0.5 anchored at ``log y0``, two segments past the one a query
-    needs, in one batch per growth (:meth:`_grow`). One vectorized sample of
-    ``d log s / dt`` on a uniform grid picks each segment's panels, dyadic
-    blocks of the segment, from the spread bound; one call evaluates the
-    coefficients at every panel's nodes; the checks run on all panels at once
-    and only the failing panels are halved and evaluated again. Each stage of
-    the chain (``log s``; then ``S``, ``M``, ``XM``; then ``XI``, ``CYC``) is
-    one product for all panels, with the edge values chained by ``cumsum``.
+    length 0.5 anchored at ``log y0``, in one batch per growth
+    (:meth:`_grow`): up to the segment an array query needs, and two segments
+    past the one a scalar query needs, since scalar searches step outward.
+    One vectorized sample of ``d log s / dt`` on a uniform grid picks each
+    segment's panels, dyadic blocks of the segment, from the spread bound;
+    one call evaluates the coefficients at every panel's nodes; the checks
+    run on all panels at once and only the failing panels are halved and
+    evaluated again. Each stage of the chain (``log s``; then ``S``, ``M``,
+    ``XM``; then ``XI``, ``CYC``) is one product for all panels, with the
+    edge values chained by ``cumsum``.
     Panel bounds sit at exact multiples of the sample step from ``log y0``
     (or their halves) and every sum runs in the same order whatever the
     batch, so a panel never depends on which query built it and values do
@@ -252,6 +244,7 @@ class _Table:
 
     :meth:`at` reads one component at one point without numpy: ``bisect`` on
     the panel edges, then a Clenshaw sum over the panel's coefficients.
+    Every component reads exactly 0 at ``y0``.
     """
 
     def __init__(self, drift: Callable, volatility: Callable, y0: float):
@@ -262,6 +255,7 @@ class _Table:
         # (panel bounds, coefficients (panels, components, orders), the bounds as floats, (left, right))
         self._state = (np.array([self._t0]), np.empty((0, 6, _NODES + 1)), [self._t0], (edge, edge))
         self._lock = threading.Lock()
+        self._last = [(math.nan, 0.0)] * 6   # per component, the last scalar read: (x, value)
 
     def __call__(self, x, components) -> np.ndarray:
         """One component (an int) or several (a tuple) at x > 0.
@@ -275,21 +269,31 @@ class _Table:
         t = np.log(np.asarray(x, dtype=float))
         if t.size == 0:
             return np.zeros(np.shape(components) + t.shape)
-        bounds, coef, _, _ = self._cover(float(np.min(t)), float(np.max(t)))
+        bounds, coef, _, _ = self._cover(float(np.min(t)), float(np.max(t)), 0)
         k = np.minimum(np.maximum(np.searchsorted(bounds, t, side="right") - 1, 0), len(bounds) - 2)
         lo, hi = bounds[k], bounds[k + 1]
         tau = np.minimum(np.maximum((2.0 * t - lo - hi) / (hi - lo), -1.0), 1.0)
         chebyshev = np.cos(np.multiply.outer(np.arccos(tau), _ORDERS))
         rows = coef[k[..., None], np.atleast_1d(components)]
         values = np.einsum("...ck,...k->c...", rows, chebyshev)
+        values[..., t == self._t0] = 0.0   # every component vanishes at y0 by construction
         return values if np.ndim(components) else values[0]
 
     def at(self, x: float, component: int) -> float:
-        """One component at one point, in plain floats: ``bisect``, then Clenshaw's recurrence."""
+        """One component at one point, in plain floats: ``bisect``, then Clenshaw's recurrence.
+
+        The last point read of each component is kept, since a solver step reads the same
+        component at the same point several times.
+        """
+        last = self._last[component]
+        if last[0] == x:
+            return last[1]
         t = math.log(x) if x > 0.0 else -math.inf
+        if t == self._t0:
+            return 0.0   # every component vanishes at y0 by construction
         _, coef, knots, _ = self._state
         if not knots[0] <= t <= knots[-1] or len(knots) == 1:
-            _, coef, knots, _ = self._cover(t, t)
+            _, coef, knots, _ = self._cover(t, t, _AHEAD)
         k = bisect.bisect_right(knots, t, 1, len(knots) - 1) - 1
         lo, hi = knots[k], knots[k + 1]
         tau = (2.0 * t - lo - hi) / (hi - lo)
@@ -298,9 +302,12 @@ class _Table:
         b1 = b2 = 0.0
         for cj in c[:0:-1]:
             b1, b2 = cj + two_tau * b1 - b2, b1
-        return c[0] + tau * b1 - b2
+        value = c[0] + tau * b1 - b2
+        self._last[component] = (x, value)
+        return value
 
-    def _cover(self, t_lo: float, t_hi: float):
+    def _cover(self, t_lo: float, t_hi: float, ahead: int):
+        """The state, grown to cover ``[t_lo, t_hi]`` plus ``ahead`` segments on each side grown."""
         state = self._state
         knots = state[2]
         if knots[0] <= t_lo and t_hi <= knots[-1] and len(knots) > 1:
@@ -310,11 +317,11 @@ class _Table:
         with self._lock:
             bounds, coef, knots, (left, right) = self._state
             if t_hi > knots[-1] or len(knots) == 1:
-                new_bounds, new_coef, right = self._grow(right, 1.0, t_hi, len(bounds))
+                new_bounds, new_coef, right = self._grow(right, 1.0, t_hi, ahead, len(bounds))
                 bounds = np.concatenate([bounds, new_bounds])
                 coef = np.concatenate([coef, new_coef])
             if t_lo < bounds[0]:
-                new_bounds, new_coef, left = self._grow(left, -1.0, t_lo, len(bounds))
+                new_bounds, new_coef, left = self._grow(left, -1.0, t_lo, ahead, len(bounds))
                 bounds = np.concatenate([new_bounds[::-1], bounds])
                 coef = np.concatenate([new_coef[::-1], coef])
             self._state = (bounds, coef, bounds.tolist(), (left, right))
@@ -333,8 +340,8 @@ class _Table:
             weight = 2.0 * x / sigma2
         return sigma2, rate, weight
 
-    def _grow(self, edge, direction: float, target: float, count: int):
-        """Whole segments from ``edge`` outward (direction +1 or -1) past ``target``.
+    def _grow(self, edge, direction: float, target: float, ahead: int, count: int):
+        """Whole segments from ``edge`` outward (direction +1 or -1) past ``target``, and ``ahead`` more.
 
         Returns the new panels' outer bounds and coefficients in outward order,
         and the new edge. The sampled ``log s`` (trapezoid rule, chained from
@@ -342,7 +349,7 @@ class _Table:
         from the spread bound.
         """
         built, values, sampled = edge
-        stop = max(built, int(direction * (target - self._t0) // _PANEL_MAX)) + 1 + _AHEAD
+        stop = max(built, int(direction * (target - self._t0) // _PANEL_MAX)) + 1 + ahead
         while direction * (target - self._position(stop * _SAMPLES, direction)) >= 0.0:
             stop += 1
         if count + stop - built > _MAX_PANELS:
@@ -376,16 +383,16 @@ class _Table:
             if count + len(inner) > _MAX_PANELS:
                 self._too_many(target)
             todo = np.flatnonzero(pending)
-            a = self._position(inner[todo], direction)
-            b = self._position(outer[todo], direction)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            lo = self._position(inner[todo], direction)
+            hi = self._position(outer[todo], direction)
+            if direction < 0:
+                lo, hi = hi, lo
             width = hi - lo
             x = np.exp((0.5 * (lo + hi))[:, None] + (0.5 * width)[:, None] * _TAU)
             sigma2, rate, weight = self._evaluate(x)
-            vol_bad = ~np.all((sigma2 > 0.0) & np.isfinite(sigma2), axis=1)
-            rate_bad = ~np.all(np.isfinite(rate), axis=1)
-            if vol_bad.any() or rate_bad.any():
-                i = int(np.flatnonzero(vol_bad | rate_bad)[0])
+            if not np.all(np.isfinite(rate) & np.isfinite(sigma2) & (sigma2 > 0.0)):
+                vol_bad = ~np.all((sigma2 > 0.0) & np.isfinite(sigma2), axis=1)
+                i = int(np.flatnonzero(vol_bad | ~np.all(np.isfinite(rate), axis=1))[0])
                 where = f"[{math.exp(lo[i])}, {math.exp(hi[i])}]"
                 if vol_bad[i]:
                     raise DomainError(f"volatility vanishes or is non-finite on {where}")
@@ -420,31 +427,31 @@ class _Table:
         half = (0.5 * width)[None, :, None]
         count = len(width)
         coef = np.empty((count, 6, _NODES + 1))
+        chain = np.empty((6, count + 1))   # per component: the edge value, then each panel's increment
+        chain[:, 0] = edge_values
         outer_values = np.empty(6)
 
-        def integrate(components, integrands):
-            """Antiderivatives of (components, panels, nodes) integrands; their values at the nodes."""
+        def integrate(first, last, integrands):
+            """Antiderivatives of components ``first:last`` from their (components, panels,
+            nodes) integrands; their values at the nodes."""
             both = half * _times(integrands.reshape(-1, _NODES), _INTEGRATE).reshape(
-                len(components), count, -1
+                last - first, count, -1
             )
-            local = both[..., _NODES + 1:]
-            chain = np.empty((len(components), count + 1))
-            chain[:, 0] = edge_values[components]
-            chain[:, 1:] = direction * local[..., -1]
-            chain = np.cumsum(chain, axis=1)
+            chain[first:last, 1:] = direction * both[..., -1]
+            run = np.cumsum(chain[first:last], axis=1)
             # each panel's value at its left end: the inner edge going right, the outer going left
-            start = chain[:, :-1] if direction > 0 else chain[:, 1:]
-            coef[:, components] = both[..., : _NODES + 1].swapaxes(0, 1)
-            coef[:, components, 0] += start.T
-            outer_values[components] = chain[:, -1]
-            return start[..., None] + local
+            start = run[:, :-1] if direction > 0 else run[:, 1:]
+            coef[:, first:last] = both[..., : _NODES + 1].swapaxes(0, 1)
+            coef[:, first:last, 0] += start.T
+            outer_values[first:last] = run[:, -1]
+            return start[..., None] + both[..., _NODES + 1:]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            (log_s,) = integrate([_LOG_S], rate[None])
+            (log_s,) = integrate(_LOG_S, _S, rate[None])
             s_x = np.exp(log_s) * x
             m_x = weight * np.exp(-log_s)
-            _, mass, first = integrate([_S, _M, _XM], np.stack([s_x, m_x, m_x * x]))
-            integrate([_XI, _CYC], np.stack([mass * s_x, first * s_x]))
+            _, mass, first = integrate(_S, _XI, np.stack([s_x, m_x, m_x * x]))
+            integrate(_XI, _CYC + 1, np.stack([mass * s_x, first * s_x]))
         return coef, outer_values
 
     @staticmethod
@@ -455,12 +462,13 @@ class _Table:
 
 
 class _Calculus:
-    """Per-model scale and speed calculus: one table, and closed forms for logistic models.
+    """Per-model scale and speed calculus, read from one table.
 
     It keeps the model's coefficients, not the model, so the copy cached on
     the model (see :func:`_calculus`) is freed together with the model. The
-    table is built on its first query; a logistic model that never asks for
-    ``S`` or the table's ``xi`` builds none.
+    table is built on its first query. Logistic models differ only in their
+    per-model constants: the speed integrals below ``y0`` and the totals are
+    lower incomplete gamma functions, and ``1/s`` vanishes at 0.
     """
 
     def __init__(self, model: DiffusionModel):
@@ -477,7 +485,6 @@ class _Calculus:
             self._log_cm = (
                 math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(a) + p.rho * a
             )
-            self._series_at_y0: float | None = None   # A(rho y0), see series_increment
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
         # minus lim_{u -> 0} 1/s(u) (see mum0); the limit is 0 on logistic models, where q < 0
@@ -502,16 +509,10 @@ class _Calculus:
 
     def exponent(self, x):
         """int_a^x 2 mu / sigma^2, so that s = exp(-exponent)."""
-        p = self.logistic
-        a = self._a
-        if p is None:
-            if isinstance(x, (float, int)):
-                return self._log_s_a - self._table.at(x, _LOG_S)
-            value = self._log_s_a - self._table(x, _LOG_S)
-            return float(value) if np.ndim(x) == 0 else value
-        if isinstance(x, float):
-            return (1.0 - 2.0 * p.q) * math.log(x / a) - p.rho * (x - a)
-        return (1.0 - 2.0 * p.q) * np.log(np.asarray(x) / a) - p.rho * (np.asarray(x) - a)
+        if isinstance(x, (float, int)):
+            return self._log_s_a - self._table.at(x, _LOG_S)
+        value = self._log_s_a - self._table(x, _LOG_S)
+        return float(value) if np.ndim(x) == 0 else value
 
     def s(self, x):
         if isinstance(x, (float, int)):
@@ -520,8 +521,6 @@ class _Calculus:
             try:
                 return math.exp(-self.exponent(x))
             except OverflowError:
-                if self.logistic is None:
-                    return math.inf   # as on arrays, where the table's s overflows to inf
                 raise DivergenceError(f"scale density overflows at x = {x}") from None
         if np.any(np.asarray(x) <= 0.0):
             raise DomainError("scale density needs x > 0")
@@ -556,30 +555,32 @@ class _Calculus:
             if np.any(np.asarray(x) <= 0.0):
                 raise DomainError("scale function needs x > 0")
             value = (self._table(x, _S) - self._scale_a) / self._c
-        return self._finite(value, x, "scale density")
+        return self._finite(value, x, "S")
 
     @staticmethod
-    def _finite(value, x, name: str):
+    def _finite(value, x, name: str, density: str = "scale density"):
+        """``value`` if it is finite: a table integral leaves double range only where its density does."""
         if isinstance(value, float):
-            if not math.isfinite(value):
-                raise DivergenceError(f"{name} overflows at the requested points (largest x = {x})")
-            return value
-        if not np.all(np.isfinite(value)):
-            raise DivergenceError(
-                f"{name} overflows at the requested points (largest x = {np.max(x)})"
-            )
-        return float(value) if np.ndim(x) == 0 else value
+            if math.isfinite(value):
+                return value
+        elif np.all(np.isfinite(value)):
+            return float(value) if np.ndim(x) == 0 else value
+        raise DivergenceError(
+            f"{density} overflows: {name} is not finite at the requested points "
+            f"(largest x = {np.max(x)})"
+        )
 
     # -- cumulative speed integrals from 0 ----------------------------------
 
     def _gamma_total(self, power: float) -> float:
         """``int_0^inf u^power m(u) du = cm Gamma(shape) rho^-shape``, ``shape = power - 2q``.
 
-        Summed in log space, so only a total past double range overflows; that raises.
+        Logistic models only. Summed in log space, so only a total past double
+        range overflows; that raises.
         """
         p = self.logistic
         shape = power - 2.0 * p.q
-        log_total = self._log_cm + float(gammaln(shape)) - shape * math.log(p.rho)
+        log_total = self._log_cm + math.lgamma(shape) - shape * math.log(p.rho)
         try:
             return math.exp(log_total)
         except OverflowError:
@@ -587,115 +588,68 @@ class _Calculus:
                 f"speed moment of power {power} overflows (log {log_total:.6g})"
             ) from None
 
-    def _gamma_moment(self, power: float, x) -> float:
-        """Closed form of ``int_0^x u^power m(u) du`` for logistic models."""
-        p = self.logistic
-        shape = power - 2.0 * p.q
-        total = self._gamma_total(power)
-        if isinstance(x, (float, int)):
-            return total * float(gammainc(shape, p.rho * float(x)))
-        value = total * gammainc(shape, p.rho * np.asarray(x))
-        return float(value) if np.ndim(x) == 0 else value
+    def _below_restart(self, power: int) -> float:
+        """``int_0^{y0} u^power m(u) du`` for power 0 or 1.
 
-    def _below_restart(self, weight: Callable[[float], float], component: int) -> float:
-        """``int_0^{y0} weight m``: the table down to ``y0 * 2^-40``, quadrature below.
-
-        The quadrature piece keeps divergence at 0 detected by
-        :func:`integrate_to_zero`; starting it far below ``y0`` keeps its
-        tolerance out of the values near ``y0``.
+        Logistic models read it from a lower incomplete gamma function. Other
+        models read the table down to ``y0 * 2^-40`` and integrate below with
+        :func:`integrate_to_zero`, which detects divergence at 0; starting it
+        far below ``y0`` keeps its tolerance out of the values near ``y0``.
         """
+        p = self.logistic
+        if p is not None:
+            shape = power - 2.0 * p.q
+            return self._gamma_total(power) * float(gammainc(shape, p.rho * self._y0))
         x_e = self._y0 * _ENTRANCE
-        below = integrate_to_zero(lambda u: weight(u) * self.m(u), x_e)
-        return below - self._c * self._table.at(x_e, component)
+        below = integrate_to_zero(lambda u: u**power * self.m(u), x_e)
+        return below - self._c * self._table.at(x_e, _XM if power else _M)
 
     def _mass_below_y0(self) -> float:
         if self._m0_at_y0 is None:
-            if self.logistic is not None:
-                self._m0_at_y0 = self._gamma_moment(0.0, self._y0)
-            else:
-                self._m0_at_y0 = self._below_restart(lambda u: 1.0, _M)
+            self._m0_at_y0 = self._below_restart(0)
         return self._m0_at_y0
 
     def _first_moment_below_y0(self) -> float:
         if self._xm0_at_y0 is None:
-            self._xm0_at_y0 = self._below_restart(lambda u: u, _XM)
+            self._xm0_at_y0 = self._below_restart(1)
         return self._xm0_at_y0
 
     def M0(self, x):
         """Speed mass M[0, x]."""
-        if self.logistic is not None:
-            return self._gamma_moment(0.0, x)
         if isinstance(x, (float, int)):
-            return self._mass_below_y0() + self._c * self._table.at(x, _M)
-        value = self._mass_below_y0() + self._c * self._table(x, _M)
-        return float(value) if np.ndim(x) == 0 else value
+            value = self._mass_below_y0() + self._c * self._table.at(x, _M)
+        else:
+            value = self._mass_below_y0() + self._c * self._table(x, _M)
+        return self._finite(value, x, "M0", "speed density")
 
     def xm0(self, x):
         """First speed moment ``int_0^x u m(u) du``."""
-        if self.logistic is not None:
-            return self._gamma_moment(1.0, x)
         if isinstance(x, (float, int)):
-            return self._first_moment_below_y0() + self._c * self._table.at(x, _XM)
-        value = self._first_moment_below_y0() + self._c * self._table(x, _XM)
-        return float(value) if np.ndim(x) == 0 else value
+            value = self._first_moment_below_y0() + self._c * self._table.at(x, _XM)
+        else:
+            value = self._first_moment_below_y0() + self._c * self._table(x, _XM)
+        return self._finite(value, x, "xm0", "speed density")
 
     def mum0(self, x):
         """Drift-weighted speed integral ``int_0^x mu(u) m(u) du``."""
         # mu m = d(1/s)/dx with 1/s = exp(exponent), so mum0(x) = 1/s(x) - lim_{u -> 0} 1/s(u);
         # the offset is minus that limit: the quadrature piece below y0 * 2^-40 minus 1/s there
-        with np.errstate(over="ignore"):
-            if self._mum0_offset is None:
-                x_e = self._y0 * _ENTRANCE
+        if self._mum0_offset is None:
+            x_e = self._y0 * _ENTRANCE
+            with np.errstate(over="ignore"):
                 self._mum0_offset = integrate_to_zero(
                     lambda u: float(self.drift(u)) * self.m(u), x_e
                 ) - np.exp(self.exponent(x_e))
-            if isinstance(x, float):
-                try:
-                    return self._mum0_offset + math.exp(self.exponent(x))
-                except OverflowError:
-                    return math.inf
+        if isinstance(x, float):
+            try:
+                return self._mum0_offset + math.exp(self.exponent(x))
+            except OverflowError:
+                return math.inf
+        with np.errstate(over="ignore"):
             value = self._mum0_offset + np.exp(self.exponent(x))
         return float(value) if np.ndim(x) == 0 else value
 
     # -- hitting-time integrals from y0 -------------------------------------
-
-    def _series_sum(self, t):
-        """A(t) = sum_{n>=1} t^n / (n (1-2q)_n) for logistic models, by term recurrence."""
-        c = 1.0 - 2.0 * self.logistic.q
-        if isinstance(t, float):
-            term = t / c
-            acc = term
-            for n in range(1, _SERIES_MAX_TERMS):
-                term = term * t * (n / ((n + 1.0) * (c + n)))
-                acc += term
-                if abs(term) <= _SERIES_REL_EPS * max(abs(acc), 1e-300):
-                    return acc
-            raise ConvergenceError("hitting-time series did not converge within the term budget")
-        term = t / c
-        acc = term.copy()
-        for n in range(1, _SERIES_MAX_TERMS):
-            term = term * t * (n / ((n + 1.0) * (c + n)))
-            acc += term
-            if np.all(np.abs(term) <= _SERIES_REL_EPS * np.maximum(np.abs(acc), 1e-300)):
-                return acc
-        raise ConvergenceError("hitting-time series did not converge within the term budget")
-
-    def series_increment(self, y):
-        """``A(rho y) - A(rho y0)`` for logistic models, with ``A(rho y0)`` summed once.
-
-        Expanding the lower incomplete gamma functions of ``M0`` and ``xm0`` in
-        their Kummer series (DLMF 8.7.1) turns ``M0 s`` and ``xm0 s`` into power
-        series in ``rho u`` whose antiderivatives are both this one series:
-        ``xi(y) = (log(y/y0) + increment) / (beta^2 |q|)`` and
-        ``cycle_stock(y) = increment / b``. The caller keeps ``rho y`` below
-        ``_SERIES_ARG_CAP``, past which the terms overflow.
-        """
-        rho = self.logistic.rho
-        if self._series_at_y0 is None:
-            self._series_at_y0 = self._series_sum(rho * self._y0)
-        if isinstance(y, float):
-            return self._series_sum(rho * y) - self._series_at_y0
-        return self._series_sum(rho * np.asarray(y, dtype=float)) - self._series_at_y0
 
     def xi(self, y):
         """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table, on both sides of ``y0``.
@@ -714,16 +668,8 @@ class _Calculus:
         Integration by parts turns the cycle stock integral
         ``int (S(y)-S(u)) u m(u) du + (S(y)-S(y0)) xm0(y0)`` into this form
         (the first-moment analogue of ``xi``), whose integrand needs no nested
-        quadrature. Logistic models sum it as a series (see
-        :meth:`series_increment`), others read it from the table.
+        quadrature.
         """
-        p = self.logistic
-        if p is not None:
-            top = float(np.max(y))
-            if p.rho * top >= _SERIES_ARG_CAP:
-                raise DivergenceError(f"cycle stock overflows at y = {top}")
-            value = self.series_increment(y) / p.crowding
-            return float(value) if np.ndim(y) == 0 else value
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
         else:

@@ -1,21 +1,12 @@
 """Expected threshold-hitting times and related running-cost functionals.
 
 For a threshold ``y >= y0`` the cycle length of the threshold strategy is
-``xi(y) = E_{y0}[time to first reach y]``. It is computed two independent
-ways:
-
-* a Green-kernel quadrature valid for every model,
-* a power series in ``rho * y`` available for logistic models, evaluated by a
-  term recurrence so no factorial overflows occur. The series lives on the
-  model's calculus, which also divides it by ``b`` for the cycle stock, and
-  its value at ``y0`` is summed once per model.
-
-For models without closed forms, ``xi`` is read from the tabulated calculus
-(``xi = int_{y0}^{y} M[0,u] s(u) du``, see :mod:`harvestfield.diffusion`);
-the Green-kernel quadrature stays as an independent oracle. The table's
-``xi`` also runs below ``y0`` on every model, so the expected time between
-any two levels ``x < y`` is ``xi(y) - xi(x)``; the stopping problem of
-:mod:`harvestfield.impulse` reads its running penalty from it.
+``xi(y) = E_{y0}[time to first reach y]``, read from the model's scale/speed
+table (``xi = int_{y0}^{y} M[0,u] s(u) du``, see
+:mod:`harvestfield.diffusion`) for every model. The table's ``xi`` also runs
+below ``y0``, so the expected time between any two levels ``x < y`` is
+``xi(y) - xi(x)``; the stopping problem of :mod:`harvestfield.impulse` reads
+its running penalty from it.
 
 Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``
 and ``xi'' = (2 s / sigma^2) * int_0^y (mu(u) - mu(y)) m(u) du``. The second
@@ -26,13 +17,12 @@ impulse solver.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .diffusion import _SERIES_ARG_CAP, DiffusionModel, _calculus
+from .diffusion import DiffusionModel, _calculus
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import integrate, integrate_to_zero
 
@@ -63,9 +53,6 @@ class XiEvaluator:
         self._calc = _calculus(model)
         self.logistic = model.logistic
         self.y0 = model.restart_level
-        self.mass_below_restart = self._calc.M0(self.y0)
-        if self.logistic is not None:
-            self._series_scale = 1.0 / (self.logistic.beta**2 * abs(self.logistic.q))
         self._y2: float | None = None
         self._zero_cost = None   # solved on first use by impulse.zero_cost_threshold
 
@@ -84,49 +71,7 @@ class XiEvaluator:
     def xi(self, y):
         """Expected time from y0 to the threshold y (vectorized)."""
         self._check_domain(y)
-        p = self.logistic
-        if p is None:
-            return self._calc.xi(y)
-        if isinstance(y, float) or np.ndim(y) == 0:
-            y = float(y)
-            return self._series(y) if p.rho * y < _SERIES_ARG_CAP else self.xi_by_quadrature(y)
-        y = np.asarray(y, dtype=float)
-        below = p.rho * y < _SERIES_ARG_CAP
-        if np.all(below):
-            return self._series(y)
-        return np.array(
-            [self._series(float(v)) if ok else self.xi_by_quadrature(float(v))
-             for v, ok in zip(y, below)]
-        )
-
-    def xi_by_quadrature(self, y: float) -> float:
-        """Green-kernel form: int_{y0}^{y} (S(y)-S(w)) m(w) dw + (S(y)-S(y0)) M[0,y0]."""
-        self._check_domain(y)
-        y = float(y)
-        if y == self.y0:
-            return 0.0
-        s_at_y = self._calc.S(y)
-        kernel = integrate(lambda w: (s_at_y - self._calc.S(w)) * self._calc.m(w), self.y0, y)
-        return kernel + (s_at_y - self._calc.S(self.y0)) * self.mass_below_restart
-
-    def _series(self, y):
-        """Series form at a float or a float array, every ``rho*y`` below the cap."""
-        log_ratio = math.log(y / self.y0) if isinstance(y, float) else np.log(y / self.y0)
-        return self._series_scale * (log_ratio + self._calc.series_increment(y))
-
-    def xi_series(self, y):
-        """Series form for logistic models; requires rho*y below the overflow cap."""
-        p = self.logistic
-        if p is None:
-            raise DomainError("series form requires a logistic model")
-        self._check_domain(y)
-        y = float(y) if np.ndim(y) == 0 else np.asarray(y, dtype=float)
-        if np.any(p.rho * y >= _SERIES_ARG_CAP):
-            raise DomainError(
-                f"series argument rho*y exceeds the cap {_SERIES_ARG_CAP}; "
-                "use the quadrature form"
-            )
-        return self._series(y)
+        return self._calc.xi(y)
 
     def xi_prime(self, y):
         """xi'(y) = s(y) M[0, y] > 0."""

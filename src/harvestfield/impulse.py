@@ -274,8 +274,8 @@ def solve_auxiliary(
     assumes unimodality; ``iterations`` counts its steps.
     """
     ev = _as_evaluator(model_or_ev)
-    if cost <= 0.0:
-        raise DomainError("the impulse cost K must be positive")
+    if not 0.0 < cost < math.inf:   # also rejects NaN
+        raise DomainError(f"the impulse cost K must be positive and finite, got {cost}")
     y0 = ev.y0
 
     def objective(y: float) -> float:

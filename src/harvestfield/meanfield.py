@@ -26,6 +26,7 @@ planner <= every equilibrium under the expected-stock channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -75,8 +76,8 @@ _PRICE_STEP = 1e-6           # step of the central difference phi', relative to 
 
 def resolve_payoff(model: DiffusionModel, payoff: PayoffSpec) -> PayoffSpec:
     """Attach the attainable interaction domain and sanity-check the price curve."""
-    if payoff.cost <= 0.0:
-        raise DomainError("the impulse cost K must be positive")
+    if not 0.0 < payoff.cost < math.inf:   # also rejects NaN
+        raise DomainError(f"the impulse cost K must be positive and finite, got {payoff.cost}")
     if payoff.interaction is Interaction.HARVEST_RATE:
         lo, hi = 0.0, max_harvest_rate(model)
     else:

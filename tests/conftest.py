@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from harvestfield.diffusion import custom_model, logistic_model
@@ -9,11 +11,15 @@ try:
 except ImportError:  # test_properties.py skips itself without hypothesis
     pass
 else:
-    # Property tests replay the same examples on every run, with a bounded budget.
+    # Property tests replay the same examples on every run, with a bounded budget;
+    # HYPOTHESIS_PROFILE=ci replays a larger one.
     settings.register_profile(
         "harvestfield", derandomize=True, max_examples=25, deadline=None, database=None
     )
-    settings.load_profile("harvestfield")
+    settings.register_profile(
+        "ci", derandomize=True, max_examples=500, deadline=None, database=None
+    )
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "harvestfield"))
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +37,8 @@ def benchmark_evaluator(benchmark_model):
 def quadrature_twin():
     """Same coefficients as the benchmark, but without the analytic tag.
 
-    Forces every quantity through the tabulated route (the scale/speed table
-    of models without closed forms), giving an independent second path for
-    closed-form comparisons.
+    Both read the same scale/speed table; the twin takes its speed integrals
+    below y0 from quadrature instead of the logistic closed forms.
     """
     return custom_model(
         drift=lambda x: x * (1.5 - 0.5 * x),

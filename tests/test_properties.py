@@ -1,19 +1,20 @@
 """Property tests of the tabulated route and the threshold solves.
 
 Over the ergodic logistic region, each example builds the same diffusion
-twice, once with its closed forms and once through ``custom_model``, which
-takes the tabulated route; over the same region, both threshold solves are
-checked against an independent root of the first-order condition. Over
-logistic-shaped custom coefficients, ergodic or not, the solvers may fail
-only with the package's own errors.
+twice, once as a logistic model and once through ``custom_model``; both read
+the one scale/speed table, and both are checked against the closed forms and
+series of :mod:`oracle`. Over the same region, both threshold solves are
+checked against the root of the first-order condition on the oracle's ``xi``
+and ``xi'``. Over logistic-shaped custom coefficients, ergodic or not, the
+solvers may fail only with the package's own errors.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from helpers import first_order_root
+from oracle import LogisticOracle, gompertz_log_scale, gompertz_mass
 
 from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
 from harvestfield.errors import HarvestFieldError
@@ -56,37 +57,38 @@ def test_tabulated_route_matches_closed_forms(params):
     closed, tabulated = twins(**params)
     y0, beta = params["y0"], params["beta"]
     xs = np.geomspace(y0 / 10.0, 20.0 * y0, 15)
-    exact, table = _calculus(closed), _calculus(tabulated)
-    for name in ("s", "m", "S", "M0", "xm0"):
-        assert_close(getattr(table, name)(xs), getattr(exact, name)(xs), 1e-8)
-    # the closed form of mum0 subtracts two gamma integrals of size growth * xm0,
-    # which is as far as it resolves the difference
+    exact = LogisticOracle(closed)
     growth = closed.logistic.growth
-    assert_close(table.mum0(xs), exact.mum0(xs), 1e-8, scale=growth * exact.xm0(xs))
-    for calc in (exact, table):
-        assert_close(calc.m(xs) * calc.s(xs) * (beta * xs) ** 2, 2.0, 1e-12)
-
     ys = xs[xs > y0]
-    ev_exact, ev_table = XiEvaluator(closed), XiEvaluator(tabulated)
-    assert_close(ev_table.xi(ys), ev_exact.xi(ys), 1e-8)
-    assert_close(ev_table.xi_prime(ys), ev_exact.xi_prime(ys), 1e-8)
-    # xi'' changes sign once: compare it on the scale of the two terms it subtracts
     mu, sigma2 = ys * (growth - params["b"] * ys), (beta * ys) ** 2
-    terms = 2.0 * exact.s(ys) / sigma2 * (np.abs(exact.mum0(ys)) + np.abs(mu) * exact.M0(ys))
-    assert_close(ev_table.xi_second(ys), ev_exact.xi_second(ys), 1e-8, scale=terms)
-    assert_close(table.cycle_stock(ys), exact.cycle_stock(ys), 1e-8)
-
     for model in (closed, tabulated):
+        table = _calculus(model)
+        for name in ("s", "m", "S", "M0", "xm0"):
+            assert_close(getattr(table, name)(xs), getattr(exact, name)(xs), 1e-8)
+        # mum0 = 1/s, plus on the custom twin a quadrature estimate of -lim_{u -> 0} 1/s = 0:
+        # compare it on the scale of growth * xm0, the size of the parts of int_0^x mu m
+        assert_close(table.mum0(xs), exact.mum0(xs), 1e-8, scale=growth * exact.xm0(xs))
+        assert_close(table.m(xs) * table.s(xs) * (beta * xs) ** 2, 2.0, 1e-12)
+
+        ev = XiEvaluator(model)
+        assert_close(ev.xi(ys), exact.xi(ys), 1e-8)
+        assert_close(ev.xi_prime(ys), exact.xi_prime(ys), 1e-8)
+        # xi'' changes sign once: compare it on the scale of the two terms it subtracts
+        terms = 2.0 * exact.s(ys) / sigma2 * (np.abs(exact.mum0(ys)) + np.abs(mu) * exact.M0(ys))
+        assert_close(ev.xi_second(ys), exact.xi_second(ys), 1e-8, scale=terms)
+        assert_close(table.cycle_stock(ys), exact.cycle_stock(ys), 1e-8)
+
         z1, z2 = stock_bounds(model)
         assert z1 <= z2
 
 
 @given(ergodic, st.floats(0.05, 3.0))
 def test_threshold_solves_match_first_order_root(params, k):
-    ev = XiEvaluator(logistic_model(**params))
+    model = logistic_model(**params)
+    ev, exact = XiEvaluator(model), LogisticOracle(model)
     for kt in (k, 2.0 * k):
         sol = optimal_threshold_basic(ev, kt)
-        root = first_order_root(ev, kt, sol.bracket)
+        root = first_order_root(exact, kt, sol.bracket)
         assert_close(sol.threshold, root, 1e-9)
 
 
@@ -124,22 +126,14 @@ def test_custom_models_raise_only_package_errors(growth_ratio, b, beta, cost):
     st.floats(0.5, 2.0),     # y0
 )
 def test_tabulated_gompertz_matches_closed_form(a, b, beta, y0):
-    # drift x (a - b log x), vol beta x: in t = log x, d log s / dt = -(2/beta^2)(a - b t),
-    # so log s = L(t) - L(log y0) with L(t) = -(2/beta^2)(a t - b t^2/2), and
-    # m du = (2/beta^2) exp(-log s - t) dt is a Gaussian in t, which gives M0 by ndtr
+    # closed forms of drift x (a - b log x), vol beta x: see oracle.gompertz_log_scale
     model = custom_model(lambda x: x * (a - b * np.log(x)), lambda x: beta * x, y0=y0)
     calc = _calculus(model)
     xs = np.geomspace(y0 / 10.0, 20.0 * y0, 15)
-
-    def big_l(t):
-        return -(2.0 / beta**2) * (a * t - 0.5 * b * t**2)
-
-    log_s = big_l(np.log(xs)) - big_l(math.log(y0))
+    log_s = gompertz_log_scale(a, b, beta, y0, xs)
     assert_close(calc.s(xs), np.exp(log_s), 1e-10)
     assert_close(calc.m(xs), 2.0 / (beta * xs) ** 2 * np.exp(-log_s), 1e-10)
-    p, q = b / beta**2, 2.0 * a / beta**2 - 1.0
-    log_mass = math.log(2.0 / beta**2) + big_l(math.log(y0)) + q * q / (4.0 * p) + 0.5 * math.log(math.pi / p)
-    mass = np.exp(log_mass) * ndtr(math.sqrt(2.0 * p) * (np.log(xs) - q / (2.0 * p)))
+    mass = gompertz_mass(a, b, beta, y0, xs)
     # the table adds M[y0, x] to M0(y0): below y0 that sum rounds on the scale of M0(y0)
     floor = 1e-4 * calc.M0(y0)
     assert_close(calc.M0(xs), mass, 1e-10, scale=floor)
