@@ -3,7 +3,8 @@
 Every subcommand reads one scenario file, runs its task and writes
 ``report.json`` plus ``table.txt`` (and task-specific CSVs) into the output
 directory. Exit codes: 0 success, 2 scenario/parse error (nothing written),
-3 solver failure, 4 threshold-ordering violation.
+3 solver failure (a floating-point fault included), 4 threshold-ordering
+violation.
 """
 
 from __future__ import annotations
@@ -288,7 +289,9 @@ def main(argv=None) -> int:
     except ComparisonError as exc:
         print(f"comparison violation: {exc}", file=sys.stderr)
         return 4
-    except HarvestFieldError as exc:
+    except (HarvestFieldError, FloatingPointError, ZeroDivisionError) as exc:
+        # a float division by zero, or numpy's FloatingPointError where its error state
+        # raises, is a failure of the numerics, not a traceback
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

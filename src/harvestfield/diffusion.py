@@ -36,7 +36,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
-from scipy.special import gammainc
 
 from .errors import DivergenceError, DomainError
 from .quadrature import integrate_to_inf, integrate_to_zero
@@ -554,7 +553,9 @@ class _Calculus:
         else:
             if np.any(np.asarray(x) <= 0.0):
                 raise DomainError("scale function needs x > 0")
-            value = (self._table(x, _S) - self._scale_a) / self._c
+            table = self._table(x, _S)
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = (table - self._scale_a) / self._c
         return self._finite(value, x, "S")
 
     @staticmethod
@@ -591,13 +592,16 @@ class _Calculus:
     def _below_restart(self, power: int) -> float:
         """``int_0^{y0} u^power m(u) du`` for power 0 or 1.
 
-        Logistic models read it from a lower incomplete gamma function. Other
+        Logistic models read it from a lower incomplete gamma function
+        (``scipy.special``, imported here on first use). Other
         models read the table down to ``y0 * 2^-40`` and integrate below with
         :func:`integrate_to_zero`, which detects divergence at 0; starting it
         far below ``y0`` keeps its tolerance out of the values near ``y0``.
         """
         p = self.logistic
         if p is not None:
+            from scipy.special import gammainc
+
             shape = power - 2.0 * p.q
             return self._gamma_total(power) * float(gammainc(shape, p.rho * self._y0))
         x_e = self._y0 * _ENTRANCE
@@ -619,7 +623,9 @@ class _Calculus:
         if isinstance(x, (float, int)):
             value = self._mass_below_y0() + self._c * self._table.at(x, _M)
         else:
-            value = self._mass_below_y0() + self._c * self._table(x, _M)
+            table = self._table(x, _M)
+            with np.errstate(over="ignore"):
+                value = self._mass_below_y0() + self._c * table
         return self._finite(value, x, "M0", "speed density")
 
     def xm0(self, x):
@@ -627,7 +633,9 @@ class _Calculus:
         if isinstance(x, (float, int)):
             value = self._first_moment_below_y0() + self._c * self._table.at(x, _XM)
         else:
-            value = self._first_moment_below_y0() + self._c * self._table(x, _XM)
+            table = self._table(x, _XM)
+            with np.errstate(over="ignore"):
+                value = self._first_moment_below_y0() + self._c * table
         return self._finite(value, x, "xm0", "speed density")
 
     def mum0(self, x):
@@ -658,9 +666,12 @@ class _Calculus:
         """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _XI)
+            value = self._mass_below_y0() / self._c * scale + tail
         else:
             scale, tail = self._table(y, (_S, _XI))
-        return self._finite(self._mass_below_y0() / self._c * scale + tail, y, "xi")
+            with np.errstate(over="ignore"):
+                value = self._mass_below_y0() / self._c * scale + tail
+        return self._finite(value, y, "xi")
 
     def cycle_stock(self, y):
         """``int_{y0}^y xm0(u) s(u) du``, the stock accumulated over one cycle; ``y >= y0``.
@@ -672,9 +683,11 @@ class _Calculus:
         """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
+            value = self._first_moment_below_y0() / self._c * scale + tail
         else:
             scale, tail = self._table(y, (_S, _CYC))
-        value = self._first_moment_below_y0() / self._c * scale + tail
+            with np.errstate(over="ignore"):
+                value = self._first_moment_below_y0() / self._c * scale + tail
         return self._finite(value, y, "cycle stock")
 
     def speed_mass_total(self) -> float:

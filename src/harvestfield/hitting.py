@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import integrate, integrate_to_zero
@@ -127,7 +127,7 @@ class XiEvaluator:
             else:
                 raise ConvergenceError("xi never turned convex within the doubling budget")
         tol = 1e-10 * max(1.0, hi)
-        y2 = brentq(self.xi_second, lo, hi, xtol=tol)
+        y2 = zeroin(self.xi_second, lo, hi, xtol=tol)
         while not self.xi_second(y2) > 0.0:   # report a point on the convex side
             y2 = min(y2 + tol, hi)
         self._y2 = y2

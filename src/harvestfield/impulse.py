@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._brent import localmin
 from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
 from .diffusion import DiffusionModel
 from .errors import DivergenceError, DomainError, NoRootError
@@ -244,19 +244,16 @@ def critical_bounds(model_or_ev, payoff: PayoffSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _bounded_max(fn: Callable[[float], float], lo: float, hi: float):
-    """Maximize ``fn`` on ``[lo, hi]`` by Brent's parabolic/golden-section method.
+    """Maximize ``fn`` on ``[lo, hi]`` by Brent's bounded minimizer on ``-fn``.
 
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
-    as ``scipy.optimize.minimize_scalar(method="bounded")``, with the
-    absolute x tolerance ``1e-9 * max(hi, 1)``; scipy adds ``sqrt(eps) |x|``
-    to it, so the maximizer is fixed to about 1.5e-8 relative. Returns
-    ``(x, fn(x), iterations)``.
+    :func:`harvestfield._brent.localmin` (Brent 1973, ch. 5: parabolic steps
+    safeguarded by golden section) with the absolute x tolerance
+    ``1e-9 * max(hi, 1)``; it adds ``3 sqrt(eps) |x|`` to that, so the
+    maximizer is fixed to about 1.5e-8 relative. Returns
+    ``(x, fn(x), evaluations)``.
     """
-    res = minimize_scalar(
-        lambda y: -fn(y), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-9 * max(hi, 1.0)},
-    )
-    return float(res.x), -float(res.fun), int(res.nit)
+    x, value, evaluations = localmin(lambda y: -fn(y), lo, hi, xatol=1e-9 * max(hi, 1.0))
+    return x, -float(value), evaluations
 
 
 def solve_auxiliary(

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import zeroin
 from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
 from .diffusion import DiffusionModel, _calculus, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
@@ -328,11 +328,11 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [float(y) for y in ys[gaps == 0.0]]
         for i in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
             a, b = float(ys[i]), float(ys[i + 1])
-            # brentq starts from the scan's G at the cell ends: no cell end is
+            # zeroin starts from the scan's G at the cell ends: no cell end is
             # priced twice, and the sign change it needs is the one the scan found
             ends = {a: gaps[i], b: gaps[i + 1]}
             try:
-                root = brentq(
+                root = zeroin(
                     lambda y: ends[y] if y in ends else gap(y), a, b,
                     xtol=_FIXED_POINT_TOL, maxiter=_FIXED_POINT_MAX_ITER,
                 )

@@ -1,6 +1,8 @@
 """Quadrature helpers: finite integrals and improper endpoints.
 
-Finite smooth segments are delegated to QUADPACK. Improper endpoints (the
+Finite smooth segments are delegated to QUADPACK, through
+``scipy.integrate.quad``, imported on the first call so that a run that
+integrates nothing never loads ``scipy.integrate``. Improper endpoints (the
 entrance boundary at 0 and the +inf tail) are handled explicitly so that
 non-convergence is *detected and reported* instead of silently truncated:
 the 0 end by halving an inner cutoff until the increment is negligible, the
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from typing import Callable
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DivergenceError
 
@@ -41,6 +41,8 @@ def integrate(
     """Integral of ``f`` over the finite interval [lo, hi]."""
     if lo == hi:
         return 0.0
+    from scipy.integrate import IntegrationWarning, quad
+
     sign = 1.0
     if hi < lo:
         lo, hi = hi, lo

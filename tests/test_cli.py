@@ -145,6 +145,50 @@ def test_module_entry_point_runs(tmp_path):
     assert read_report(out)["results"]["speed_mass_finite"] is True
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import harvestfield.cli
+seen = {"import": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}
+for command, scenario, out in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = harvestfield.cli.main([command, "--scenario", scenario, "--out", out])
+    assert code == 0, (command, scenario, code)
+    seen[command + " " + scenario] = sorted(
+        m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules
+    )
+print(json.dumps(seen))
+"""
+
+
+def test_logistic_runs_leave_scipy_solvers_unloaded(tmp_path):
+    # importing the CLI loads no scipy at all; a logistic compare, verify, solve-single or
+    # simulate loads neither scipy.optimize nor scipy.integrate (one process, in turn)
+    import os
+    import subprocess
+    import sys
+
+    import harvestfield
+
+    runs = [
+        [command, scenario, str(tmp_path / f"{command}-{i}")]
+        for command in ("compare", "verify", "solve-single")
+        for i, scenario in enumerate((RATE_SCENARIO, STOCK_SCENARIO))
+    ] + [["simulate", RATE_SCENARIO, str(tmp_path / "simulate")]]
+    # the child imports the same copy of the package as this test
+    src = str(Path(harvestfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") == []
+    assert len(seen) == len(runs)
+    assert all(loaded == [] for loaded in seen.values()), seen
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     from harvestfield.cli import _parser
 
@@ -462,6 +506,18 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "mfg_equilibrium", boom)
     assert main(["solve-mfg", "--scenario", RATE_SCENARIO, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError])
+def test_floating_point_fault_maps_to_exit_3(tmp_path, monkeypatch, capsys, error):
+    import harvestfield.cli as cli
+
+    def boom(*args, **kwargs):
+        raise error("float fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "compare", boom)
+    assert main(["compare", "--scenario", RATE_SCENARIO, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "solver error: float fault\n"
 
 
 def test_report_round_trip_renders_identically(tmp_path):

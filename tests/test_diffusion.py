@@ -117,7 +117,9 @@ def test_cycle_stock_vanishes_at_restart_on_the_twin(quadrature_twin):
     assert calc.cycle_stock(np.array([1.0, 2.0]))[0] == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_logistic_overflow_raises_divergence():
+    # an array read past double range raises DivergenceError without a numpy RuntimeWarning
     from harvestfield.diffusion import _calculus
     from harvestfield.errors import DivergenceError
 
@@ -131,6 +133,10 @@ def test_logistic_overflow_raises_divergence():
         calc.cycle_stock(7.5)
     with pytest.raises(DivergenceError, match="scale density overflows: cycle stock"):
         calc.cycle_stock(np.array([2.0, 7.5]))
+    with pytest.raises(DivergenceError, match="scale density overflows: xi"):
+        calc.xi(np.array([2.0, 7.5]))
+    with pytest.raises(DivergenceError, match="scale density overflows: S"):
+        calc.S(np.array([2.0, 12.0]))
 
 
 def test_scalar_only_coefficients_are_wrapped():

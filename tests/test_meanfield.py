@@ -188,7 +188,7 @@ def test_fixed_point_refinement_failure_is_solver_error(benchmark_model, rate_pa
     def exhausted(*args, **kwargs):
         raise RuntimeError("Failed to converge after 200 iterations")
 
-    monkeypatch.setattr(mf, "brentq", exhausted)
+    monkeypatch.setattr(mf, "zeroin", exhausted)
     with pytest.raises(SolverError, match="fixed-point refinement"):
         mfg_equilibrium(benchmark_model, rate_payoff)
 
