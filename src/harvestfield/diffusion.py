@@ -1,10 +1,10 @@
 """One-dimensional regular diffusions on (0, inf): scale/speed calculus.
 
 A :class:`DiffusionModel` bundles drift and volatility with a restart level
-``y0`` (where impulses put the state) and a reference point ``a`` anchoring
-the scale integrals. Only differences of the scale function and products of
-scale and speed densities ever enter downstream formulas, so the choice of
-``a`` is immaterial; it defaults to ``y0``.
+``y0`` (where impulses put the state). The scale calculus is normalized there:
+``s(y0) = 1`` and ``S(y0) = 0``. Only differences of the scale function and
+products of scale and speed densities ever enter downstream formulas, so no
+result depends on that choice.
 
 The scale density, speed density and their integrals come from one table per
 model, the same for every model. It integrates ``log s``, ``S``, the speed
@@ -31,7 +31,6 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,7 +78,6 @@ class DiffusionModel:
     drift: Callable[[float], float]
     volatility: Callable[[float], float]
     restart_level: float
-    reference_point: float
     logistic: Optional[LogisticParams] = None
     drift_source: Optional[str] = None
     vol_source: Optional[str] = None
@@ -87,8 +85,6 @@ class DiffusionModel:
     def __post_init__(self):
         if self.restart_level <= 0.0:
             raise DomainError("restart level must be positive")
-        if self.reference_point <= 0.0:
-            raise DomainError("reference point must be positive")
         for x in (self.restart_level / 8.0, self.restart_level, 8.0 * self.restart_level):
             if not float(self.volatility(x)) > 0.0:
                 raise DomainError(f"volatility must be positive; got {self.volatility(x)} at x={x}")
@@ -105,7 +101,6 @@ def logistic_model(
     y0: float,
     q: float | None = None,
     growth: float | None = None,
-    reference_point: float | None = None,
 ) -> DiffusionModel:
     """Logistic diffusion, parameterized either by ``q = 1/2 - growth/beta^2`` or by ``growth``."""
     if (q is None) == (growth is None):
@@ -118,7 +113,6 @@ def logistic_model(
         drift=lambda x: x * (g - bb * x),
         volatility=lambda x: bet * x,
         restart_level=float(y0),
-        reference_point=float(y0 if reference_point is None else reference_point),
         logistic=params,
         drift_source=f"x*({g!r} - {bb!r}*x)",
         vol_source=f"{bet!r}*x",
@@ -130,7 +124,6 @@ def custom_model(
     volatility: Callable[[float], float],
     y0: float,
     *,
-    reference_point: float | None = None,
     drift_source: str | None = None,
     vol_source: str | None = None,
 ) -> DiffusionModel:
@@ -138,7 +131,6 @@ def custom_model(
         drift=drift,
         volatility=volatility,
         restart_level=float(y0),
-        reference_point=float(y0 if reference_point is None else reference_point),
         logistic=None,
         drift_source=drift_source,
         vol_source=vol_source,
@@ -473,44 +465,27 @@ class _Calculus:
     def __init__(self, model: DiffusionModel):
         self.logistic = model.logistic
         self.drift, self.volatility = _vector_coefficients(model)
-        self._y0 = model.restart_level
-        a = model.reference_point
-        self._a = a
-        self._table = _Table(self.drift, self.volatility, self._y0)
+        self._y0 = y0 = model.restart_level
+        self._table = _Table(self.drift, self.volatility, y0)
         if model.logistic is not None:
             p = model.logistic
-            # m(x) = cm * x^(-2q-1) * exp(-rho x) with all reference dependence in cm, kept as
-            # its log so that a cm past double range still cancels against Gamma(shape) rho^-shape
+            # m(x) = cm * x^(-2q-1) * exp(-rho x) with m normalized at y0, kept as log cm
+            # so that a cm past double range still cancels against Gamma(shape) rho^-shape
             self._log_cm = (
-                math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(a) + p.rho * a
+                math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(y0) + p.rho * y0
             )
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
         # minus lim_{u -> 0} 1/s(u) (see mum0); the limit is 0 on logistic models, where q < 0
         self._mum0_offset: float | None = 0.0 if model.logistic is not None else None
 
-    # s and S are normalized at a, the table at y0: s = table s / c, m = c * table m.
-    # Read on first use, so that a model builds its table only when it queries it.
-
-    @cached_property
-    def _log_s_a(self) -> float:
-        return self._table.at(self._a, _LOG_S)
-
-    @cached_property
-    def _scale_a(self) -> float:
-        return self._table.at(self._a, _S)
-
-    @cached_property
-    def _c(self) -> float:
-        return math.exp(self._log_s_a)
-
     # -- densities ---------------------------------------------------------
 
     def exponent(self, x):
-        """int_a^x 2 mu / sigma^2, so that s = exp(-exponent)."""
+        """int_{y0}^x 2 mu / sigma^2, so that s = exp(-exponent)."""
         if isinstance(x, (float, int)):
-            return self._log_s_a - self._table.at(x, _LOG_S)
-        value = self._log_s_a - self._table(x, _LOG_S)
+            return -self._table.at(x, _LOG_S)
+        value = -self._table(x, _LOG_S)
         return float(value) if np.ndim(x) == 0 else value
 
     def s(self, x):
@@ -523,45 +498,48 @@ class _Calculus:
                 raise DivergenceError(f"scale density overflows at x = {x}") from None
         if np.any(np.asarray(x) <= 0.0):
             raise DomainError("scale density needs x > 0")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):   # _finite reports an overflow
             value = np.exp(-self.exponent(x))
-        return float(value) if np.ndim(x) == 0 else value
+        return self._finite(value, x, "s")
 
     def m(self, x):
+        # the exponent is read before sigma^2, so a volatility that underflows raises the
+        # table's package error instead of dividing by zero
         if isinstance(x, (float, int)):
             if x <= 0.0:
                 raise DomainError("speed density needs x > 0")
+            exponent = self.exponent(x)
             sigma2 = float(self.volatility(float(x))) ** 2
             try:
-                return 2.0 / sigma2 * math.exp(self.exponent(x))
+                return 2.0 / sigma2 * math.exp(exponent)
             except OverflowError:
                 raise DivergenceError(f"speed density overflows at x = {x}") from None
         xa = np.asarray(x, dtype=float)
         if np.any(xa <= 0.0):
             raise DomainError("speed density needs x > 0")
-        value = 2.0 / np.asarray(self.volatility(xa)) ** 2 * np.exp(self.exponent(xa))
-        return float(value) if np.ndim(x) == 0 else value
+        exponent = self.exponent(xa)
+        with np.errstate(all="ignore"):   # _finite reports a value past double range
+            value = 2.0 / np.asarray(self.volatility(xa)) ** 2 * np.exp(exponent)
+        return self._finite(value, x, "m", "speed density")
 
     # -- scale function ----------------------------------------------------
 
     def S(self, x):
-        """``S(x) = int_a^x s`` from the table; past double range of ``s`` it raises."""
+        """``S(x) = int_{y0}^x s`` from the table; past double range of ``s`` it raises."""
         if isinstance(x, (float, int)):
             if x <= 0.0:
                 raise DomainError("scale function needs x > 0")
-            value = (self._table.at(x, _S) - self._scale_a) / self._c
+            value = self._table.at(x, _S)
         else:
             if np.any(np.asarray(x) <= 0.0):
                 raise DomainError("scale function needs x > 0")
-            table = self._table(x, _S)
-            with np.errstate(over="ignore"):   # _finite reports an overflow
-                value = (table - self._scale_a) / self._c
+            value = self._table(x, _S)
         return self._finite(value, x, "S")
 
     @staticmethod
     def _finite(value, x, name: str, density: str = "scale density"):
         """``value`` if it is finite: a table integral leaves double range only where its density does."""
-        if isinstance(value, float):
+        if type(value) is float:
             if math.isfinite(value):
                 return value
         elif np.all(np.isfinite(value)):
@@ -606,7 +584,7 @@ class _Calculus:
             return self._gamma_total(power) * float(gammainc(shape, p.rho * self._y0))
         x_e = self._y0 * _ENTRANCE
         below = integrate_to_zero(lambda u: u**power * self.m(u), x_e)
-        return below - self._c * self._table.at(x_e, _XM if power else _M)
+        return below - self._table.at(x_e, _XM if power else _M)
 
     def _mass_below_y0(self) -> float:
         if self._m0_at_y0 is None:
@@ -621,21 +599,21 @@ class _Calculus:
     def M0(self, x):
         """Speed mass M[0, x]."""
         if isinstance(x, (float, int)):
-            value = self._mass_below_y0() + self._c * self._table.at(x, _M)
+            value = self._mass_below_y0() + self._table.at(x, _M)
         else:
             table = self._table(x, _M)
-            with np.errstate(over="ignore"):
-                value = self._mass_below_y0() + self._c * table
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = self._mass_below_y0() + table
         return self._finite(value, x, "M0", "speed density")
 
     def xm0(self, x):
         """First speed moment ``int_0^x u m(u) du``."""
         if isinstance(x, (float, int)):
-            value = self._first_moment_below_y0() + self._c * self._table.at(x, _XM)
+            value = self._first_moment_below_y0() + self._table.at(x, _XM)
         else:
             table = self._table(x, _XM)
-            with np.errstate(over="ignore"):
-                value = self._first_moment_below_y0() + self._c * table
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = self._first_moment_below_y0() + table
         return self._finite(value, x, "xm0", "speed density")
 
     def mum0(self, x):
@@ -666,11 +644,11 @@ class _Calculus:
         """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _XI)
-            value = self._mass_below_y0() / self._c * scale + tail
+            value = self._mass_below_y0() * scale + tail
         else:
             scale, tail = self._table(y, (_S, _XI))
-            with np.errstate(over="ignore"):
-                value = self._mass_below_y0() / self._c * scale + tail
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = self._mass_below_y0() * scale + tail
         return self._finite(value, y, "xi")
 
     def cycle_stock(self, y):
@@ -683,11 +661,11 @@ class _Calculus:
         """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
-            value = self._first_moment_below_y0() / self._c * scale + tail
+            value = self._first_moment_below_y0() * scale + tail
         else:
             scale, tail = self._table(y, (_S, _CYC))
-            with np.errstate(over="ignore"):
-                value = self._first_moment_below_y0() / self._c * scale + tail
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = self._first_moment_below_y0() * scale + tail
         return self._finite(value, y, "cycle stock")
 
     def speed_mass_total(self) -> float:
@@ -714,17 +692,17 @@ def _calculus(model: DiffusionModel) -> _Calculus:
 # ---------------------------------------------------------------------------
 
 def scale_density(model: DiffusionModel, x: float):
-    """s(x) = exp(-int_a^x 2 mu / sigma^2)."""
+    """s(x) = exp(-int_{y0}^x 2 mu / sigma^2), so that s(y0) = 1."""
     return _calculus(model).s(x)
 
 
 def speed_density(model: DiffusionModel, x: float):
-    """m(x) = (2 / sigma^2(x)) exp(int_a^x 2 mu / sigma^2); satisfies m s sigma^2 = 2."""
+    """m(x) = (2 / sigma^2(x)) exp(int_{y0}^x 2 mu / sigma^2); satisfies m s sigma^2 = 2."""
     return _calculus(model).m(x)
 
 
 def scale_function(model: DiffusionModel, x: float) -> float:
-    """S(x) = int_a^x s(u) du, normalized by S(a) = 0."""
+    """S(x) = int_{y0}^x s(u) du, so that S(y0) = 0."""
     return _calculus(model).S(x)
 
 
@@ -891,19 +869,19 @@ def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
 def model_to_dict(model: DiffusionModel) -> dict:
     if model.logistic is not None:
         p = model.logistic
-        d = {"kind": "logistic", "q": p.q, "b": p.crowding, "beta": p.beta, "y0": model.restart_level}
-    else:
-        if model.drift_source is None or model.vol_source is None:
-            raise DomainError("custom model without expression sources cannot be serialized")
-        d = {
-            "kind": "custom",
-            "drift": model.drift_source,
-            "vol": model.vol_source,
-            "y0": model.restart_level,
-        }
-    if model.reference_point != model.restart_level:
-        d["reference_point"] = model.reference_point
-    return d
+        return {"kind": "logistic", "q": p.q, "b": p.crowding, "beta": p.beta, "y0": model.restart_level}
+    if model.drift_source is None or model.vol_source is None:
+        raise DomainError("custom model without expression sources cannot be serialized")
+    return {
+        "kind": "custom",
+        "drift": model.drift_source,
+        "vol": model.vol_source,
+        "y0": model.restart_level,
+    }
+
+
+# the fields of each model kind besides "kind"; any other key is rejected
+_MODEL_KEYS = {"logistic": {"q", "b", "beta", "y0"}, "custom": {"drift", "vol", "y0"}}
 
 
 def model_from_dict(data: dict) -> DiffusionModel:
@@ -912,32 +890,25 @@ def model_from_dict(data: dict) -> DiffusionModel:
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("model spec must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise DomainError(f"unknown model kind {kind!r}")
+    missing = _MODEL_KEYS[kind] - data.keys()
+    if missing:
+        raise DomainError(f"{kind} model spec is missing {sorted(missing)}")
+    unknown = data.keys() - _MODEL_KEYS[kind] - {"kind"}
+    if unknown:
+        raise DomainError(f"unknown {kind} model key(s): {sorted(unknown)}")
     if kind == "logistic":
-        keys = {"q", "b", "beta", "y0"}
-        missing = keys - data.keys()
-        if missing:
-            raise DomainError(f"logistic model spec is missing {sorted(missing)}")
         return logistic_model(
             q=float(data["q"]),
             b=float(data["b"]),
             beta=float(data["beta"]),
             y0=float(data["y0"]),
-            reference_point=data.get("reference_point"),
         )
-    if kind == "custom":
-        keys = {"drift", "vol", "y0"}
-        missing = keys - data.keys()
-        if missing:
-            raise DomainError(f"custom model spec is missing {sorted(missing)}")
-        drift = parse_expression(data["drift"], "x")
-        vol = parse_expression(data["vol"], "x")
-        ref = data.get("reference_point")
-        return custom_model(
-            drift,
-            vol,
-            float(data["y0"]),
-            reference_point=None if ref is None else float(ref),
-            drift_source=data["drift"],
-            vol_source=data["vol"],
-        )
-    raise DomainError(f"unknown model kind {kind!r}")
+    return custom_model(
+        parse_expression(data["drift"], "x"),
+        parse_expression(data["vol"], "x"),
+        float(data["y0"]),
+        drift_source=data["drift"],
+        vol_source=data["vol"],
+    )

@@ -384,7 +384,6 @@ def stopping_value(
     h: Optional[Callable[[float], float]],
     cost: float,
     rho_star: float,
-    grid: Optional[np.ndarray] = None,
     *,
     threshold_hint: Optional[float] = None,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
@@ -403,14 +402,13 @@ def stopping_value(
     y0 = ev.y0
     if threshold_hint is None:
         threshold_hint = solve_auxiliary(ev, f, h, cost).threshold
-    if grid is None:
-        if not 2 <= numerics.stopping_grid_points <= MAX_GRID_POINTS:
-            raise DomainError(
-                f"numerics.stopping_grid_points must lie in [2, {MAX_GRID_POINTS}]: "
-                f"{numerics.stopping_grid_points}"
-            )
-        grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
-    grid = np.unique(np.concatenate([np.asarray(grid, dtype=float), [y0, threshold_hint]]))
+    if not 2 <= numerics.stopping_grid_points <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"numerics.stopping_grid_points must lie in [2, {MAX_GRID_POINTS}]: "
+            f"{numerics.stopping_grid_points}"
+        )
+    grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
+    grid = np.unique(np.concatenate([grid, [y0, threshold_hint]]))
 
     def potential(x):
         return _running_potential(ev, h, rho_star, x)
@@ -443,7 +441,6 @@ def verify_solution(
     h: Optional[Callable[[float], float]],
     cost: float,
     *,
-    grid: Optional[np.ndarray] = None,
     tolerance: float = 1e-6,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> VerificationReport:
@@ -454,8 +451,7 @@ def verify_solution(
     """
     ev = _as_evaluator(model_or_ev)
     sv = stopping_value(
-        ev, f, h, cost, solution.value,
-        grid=grid, threshold_hint=solution.threshold, numerics=numerics,
+        ev, f, h, cost, solution.value, threshold_hint=solution.threshold, numerics=numerics
     )
     g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - ev.y0))])
     # stopping is offered only at x >= y0, so only there must g dominate f - K

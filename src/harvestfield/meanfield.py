@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .impulse import (
     zero_cost_threshold,
 )
 from .payoff import Interaction, PayoffSpec
-from .stationary import expected_stock, expected_stock_grid, stock_bounds
+from .stationary import expected_stock, stock_bounds
 
 __all__ = [
     "EquilibriumPoint",
@@ -106,9 +106,7 @@ def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
     if payoff.interaction is Interaction.HARVEST_RATE:
         value = (np.asarray(y, dtype=float) - model.restart_level) / np.asarray(xi)
         return float(value) if np.ndim(y) == 0 else value
-    if np.ndim(y) == 0:
-        return expected_stock(model, float(y), xi)
-    return expected_stock_grid(model, np.asarray(y, dtype=float), xi)
+    return expected_stock(model, y, xi)
 
 
 def _price(model: DiffusionModel, payoff: PayoffSpec, y: float, xi: float) -> float:
@@ -547,25 +545,24 @@ def ordering_sweep(
     n_draws: int = 100,
     *,
     seed: int = 2024,
-    phi: Optional[Callable[[float], float]] = None,
-    phi_source: str = "1/(1+z)",
     tolerance: float = 1e-6,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> list[SweepRow]:
     """Randomized logistic scenarios; checks the ordering in every draw.
 
     Draws q in (-2, -0.2), b in (0.2, 1), K in (0.5, 2) with beta = 1 and
-    y0 = 1, mirroring the ergodic parameter region.
+    y0 = 1, mirroring the ergodic parameter region, with the price 1/(1+z).
     """
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
-    price = phi if phi is not None else (lambda z: 1.0 / (1.0 + z))
     for _ in range(n_draws):
         q = rng.uniform(-2.0, -0.2)
         b = rng.uniform(0.2, 1.0)
         cost = rng.uniform(0.5, 2.0)
         model = logistic_model(q=q, b=b, beta=1.0, y0=1.0)
-        payoff = PayoffSpec(cost=cost, phi=price, interaction=interaction, phi_source=phi_source)
+        payoff = PayoffSpec(
+            cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=interaction, phi_source="1/(1+z)"
+        )
         try:
             report = compare(model, payoff, tolerance=tolerance, numerics=numerics)
             margin = min(report.margins)

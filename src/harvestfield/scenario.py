@@ -15,7 +15,7 @@ Schema::
     }
 
 Expressions use the grammar of :mod:`harvestfield.expressions`. An unknown
-key in ``numerics`` or ``simulation``, a number field that does not convert
+key in ``model``, ``numerics`` or ``simulation``, a number field that does not convert
 (or a model that overflows while it is built), or ``draws < 1`` raises
 :class:`ScenarioError`.
 """

@@ -79,7 +79,6 @@ class PathRecord:
     threshold: float
     restart_level: float
     floor_activations: int
-    cumulative_reward: Optional[float] = None
 
     @property
     def impulse_count(self) -> int:
@@ -128,14 +127,10 @@ def simulate_path(
     config: SimConfig,
     *,
     horizon: Optional[float] = None,
-    payoff: Optional[PayoffSpec] = None,
-    z: Optional[float] = None,
 ) -> PathRecord:
     """One Euler path on [0, horizon] with impulses back to y0 at the threshold.
 
-    ``threshold=inf`` yields the uncontrolled path for the same seed. When a
-    payoff (and interaction level z) is supplied the cumulative impulse reward
-    is accumulated alongside.
+    ``threshold=inf`` yields the uncontrolled path for the same seed.
     """
     if threshold <= model.restart_level and math.isfinite(threshold):
         raise DomainError("threshold must exceed the restart level")
@@ -154,7 +149,6 @@ def simulate_path(
     impulse_times: list[float] = []
     pre_states: list[float] = []
     floor_hits = 0
-    reward = 0.0
     x = y0
     for k in range(n_steps):
         x = x + float(drift(x)) * dt + float(vol(x)) * sqdt * float(normals[k])
@@ -164,8 +158,6 @@ def simulate_path(
         if x >= detect:
             impulse_times.append((k + 1) * dt)
             pre_states.append(x)
-            if payoff is not None and z is not None:
-                reward += payoff.gamma(x, z, y0) - payoff.cost
             x = y0
         states[k + 1] = x
     return PathRecord(
@@ -176,7 +168,6 @@ def simulate_path(
         threshold=threshold,
         restart_level=y0,
         floor_activations=floor_hits,
-        cumulative_reward=reward if payoff is not None and z is not None else None,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "controlled_stationary",
     "controlled_cdf",
     "expected_stock",
-    "expected_stock_grid",
     "reflected_mean",
     "uncontrolled_mean",
     "stock_bounds",
@@ -98,28 +97,22 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     return float(value) if np.ndim(x) == 0 else value
 
 
-def expected_stock(model: DiffusionModel, y: float, xi: Optional[float] = None) -> float:
+def expected_stock(model: DiffusionModel, y, xi=None):
     """Mean of the controlled stationary law; continuous and increasing in y.
 
-    ``xi``, the cycle length ``xi(y)``, is computed unless given.
+    ``y`` is a float or an array of thresholds in any order. ``xi``, the
+    cycle length ``xi(y)``, is computed unless given. A float takes no numpy
+    call, since the stock channel's root finder prices one point at a time.
     """
-    _require_threshold(model, y)
+    if isinstance(y, (float, int)):
+        y = float(y)
+        _require_threshold(model, y)
+    else:
+        y = np.asarray(y, dtype=float)
+        _require_threshold(model, float(y.min(initial=math.inf)))
     if xi is None:
         xi = get_evaluator(model).xi(y)
-    return _calculus(model).cycle_stock(float(y)) / xi
-
-
-def expected_stock_grid(
-    model: DiffusionModel, ys: np.ndarray, xi: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Vectorized :func:`expected_stock` over an ascending grid of thresholds."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or np.any(np.diff(ys) <= 0.0):
-        raise DomainError("grid must be strictly increasing")
-    _require_threshold(model, float(ys[0]))
-    if xi is None:
-        xi = get_evaluator(model).xi(ys)
-    return _calculus(model).cycle_stock(ys) / np.asarray(xi)
+    return _calculus(model).cycle_stock(y) / xi
 
 
 def reflected_mean(model: DiffusionModel) -> float:

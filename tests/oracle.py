@@ -33,9 +33,9 @@ _QUAD = dict(epsabs=0.0, epsrel=1e-12, limit=200)
 class LogisticOracle:
     """Closed forms of one logistic model's scale/speed calculus, normalized as the package's.
 
-    ``s`` is 1 at the reference point ``a``, ``S(a) = 0``, and ``xi`` and the
-    cycle stock vanish at the restart level ``y0``. Every method takes a
-    float or an array.
+    The formulas take a reference point ``a``: ``s(a) = 1`` and ``S(a) = 0``.
+    It is the restart level ``y0``, where the package normalizes; ``xi`` and
+    the cycle stock vanish there too. Every method takes a float or an array.
     """
 
     def __init__(self, model):
@@ -45,7 +45,7 @@ class LogisticOracle:
         self.q, self.rho, self.crowding, self.beta = p.q, p.rho, p.crowding, p.beta
         self.growth = p.growth
         self.y0 = model.restart_level
-        self.a = model.reference_point
+        self.a = model.restart_level
         # m(x) = cm * x^(-2q-1) * exp(-rho x), with log cm carrying the reference point
         self.log_cm = (
             math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(self.a) + p.rho * self.a

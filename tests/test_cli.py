@@ -361,6 +361,20 @@ def test_unknown_numerics_key_exits_2(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+# a key the model does not read (the anchor of the scale function is y0) and a misspelling
+@pytest.mark.parametrize(
+    "scenario_file, key",
+    [(RATE_SCENARIO, "reference_point"), (CUSTOM_SCENARIO, "y_0")],
+    ids=["logistic-reference_point", "custom-y_0"],
+)
+def test_unknown_model_key_exits_2(tmp_path, capsys, scenario_file, key):
+    model = {**json.loads(Path(scenario_file).read_text())["model"], key: 2.5}
+    code, out = run(tmp_path, "solve-mfg", with_section(tmp_path, scenario_file, model=model))
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (model fields, exit code, exit code of validate), which reports a speed mass
 # past double range instead of failing
 _MODEL_INPUTS = [

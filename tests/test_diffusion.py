@@ -26,8 +26,12 @@ E = math.e
 # ---------------------------------------------------------------------------
 
 def test_scale_density_at_reference_is_one(benchmark_model, quadrature_twin):
-    assert scale_density(benchmark_model, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert scale_density(quadrature_twin, 1.0) == pytest.approx(1.0, rel=1e-12)
+    # the calculus is normalized at y0 = 1 exactly, for floats and arrays, logistic and custom
+    for model in (benchmark_model, quadrature_twin):
+        assert scale_density(model, 1.0) == 1.0
+        assert scale_function(model, 1.0) == 0.0
+        assert scale_density(model, np.array([1.0, 2.0]))[0] == 1.0
+        assert scale_function(model, np.array([1.0, 2.0]))[0] == 0.0
 
 
 def test_scale_density_closed_form_at_two(benchmark_model):
@@ -84,7 +88,7 @@ def test_logistic_drift_weighted_speed_keeps_its_digits():
     [
         dict(q=-1.0, b=0.5, beta=1.0, y0=1.0),
         dict(q=-3.0, b=1.5, beta=0.7, y0=2.0),
-        dict(q=-0.2, b=0.05, beta=1.3, y0=0.5, reference_point=3.0),
+        dict(q=-0.2, b=0.05, beta=1.3, y0=0.5),
     ],
 )
 def test_logistic_cycle_stock_series_matches_quadrature(params):
@@ -128,6 +132,15 @@ def test_logistic_overflow_raises_divergence():
     calc = _calculus(logistic_model(q=-1.0, b=50.0, beta=1.0, y0=1.0))
     with pytest.raises(DivergenceError, match="scale density overflows"):
         calc.s(12.0)
+    with pytest.raises(DivergenceError, match="scale density overflows: s"):
+        calc.s(np.array([2.0, 12.0]))
+    # sigma^2 = x^2 underflows near 1e-162: the table, read before sigma^2, reports it
+    with pytest.raises(DivergenceError, match="scale/speed table exceeds"):
+        calc.m(1e-300)
+    with pytest.raises(DivergenceError, match="scale/speed table exceeds"):
+        calc.m(np.array([1e-300, 1.0]))
+    with pytest.raises(DomainError, match="volatility vanishes"):
+        calc.m(np.array([1e-170, 1.0]))
     assert calc.cycle_stock(7.0) == pytest.approx(1.188e294, rel=1e-3)
     with pytest.raises(DivergenceError, match="scale density overflows: cycle stock"):
         calc.cycle_stock(7.5)

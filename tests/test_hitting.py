@@ -5,7 +5,7 @@ import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import _calculus, logistic_model
+from harvestfield.diffusion import _calculus
 from harvestfield.errors import DomainError
 from harvestfield.hitting import XiEvaluator
 
@@ -125,23 +125,6 @@ def test_xi_prime_integrates_back_to_xi(benchmark_evaluator):
     primes = benchmark_evaluator.xi_prime(ys)
     trapz = float(np.sum(0.5 * (primes[1:] + primes[:-1]) * np.diff(ys)))
     assert trapz == pytest.approx(benchmark_evaluator.xi(5.0), rel=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# reference-point invariance
-# ---------------------------------------------------------------------------
-
-def test_reference_point_shift_invariance(benchmark_evaluator):
-    shifted = logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0, reference_point=2.5)
-    ev2 = XiEvaluator(shifted)
-    for y in (1.5, 3.0, 12.0):
-        assert ev2.xi(y) == pytest.approx(benchmark_evaluator.xi(y), rel=1e-8)
-        assert ev2.xi_prime(y) == pytest.approx(benchmark_evaluator.xi_prime(y), rel=1e-8)
-        assert ev2.xi_second(y) == pytest.approx(benchmark_evaluator.xi_second(y), rel=1e-8)
-    cost = lambda u: u
-    assert ev2.expected_running_cost(cost, 1.0, 3.0) == pytest.approx(
-        benchmark_evaluator.expected_running_cost(cost, 1.0, 3.0), rel=1e-8
-    )
 
 
 # ---------------------------------------------------------------------------

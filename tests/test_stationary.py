@@ -12,7 +12,6 @@ from harvestfield.stationary import (
     controlled_stationary,
     density_table,
     expected_stock,
-    expected_stock_grid,
     reflected_mean,
     stock_bounds,
     uncontrolled_mean,
@@ -90,7 +89,7 @@ def test_expected_stock_reference_values(benchmark_model):
 def test_expected_stock_increasing(benchmark_model):
     assert expected_stock(benchmark_model, 3.0) < expected_stock(benchmark_model, 6.0)
     ys = np.geomspace(1.01, 25.0, 60)
-    vals = expected_stock_grid(benchmark_model, ys)
+    vals = expected_stock(benchmark_model, ys)
     assert np.all(np.diff(vals) > 0.0)
 
 
@@ -113,7 +112,7 @@ def test_expected_stock_within_bounds(benchmark_model):
 
 def test_grid_matches_scalar(benchmark_model):
     ys = np.geomspace(1.2, 40.0, 30)
-    grid = expected_stock_grid(benchmark_model, ys)
+    grid = expected_stock(benchmark_model, ys)
     scalars = [expected_stock(benchmark_model, float(y)) for y in ys]
     assert np.allclose(grid, scalars, rtol=1e-9)
 
