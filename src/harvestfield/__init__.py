@@ -10,7 +10,6 @@ The package computes, for a regular diffusion on (0, inf) restarted at y0:
 * Monte-Carlo cross-validation of every analytic quantity.
 """
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import (
     AssumptionReport,
     DiffusionModel,

@@ -31,7 +31,6 @@ from .hitting import get_evaluator
 from .impulse import best_response, verify_solution
 from .meanfield import (
     compare,
-    interaction_level,
     mfc_optimum,
     mfg_equilibrium,
     ordering_sweep,
@@ -50,22 +49,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="path to the scenario JSON file")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    parser.add_argument("--tol", type=float, default=1e-6, help="comparison/verification tolerance")
-    parser.add_argument("--grid", type=int, default=None, help="override scan/stopping grid sizes")
-    parser.add_argument("--dt", type=float, default=None, help="override the simulation time step")
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    sim = scenario.sim
     if args.seed is not None:
-        sim = dataclasses.replace(sim, seed=args.seed)
-    if args.dt is not None:
-        sim = dataclasses.replace(sim, dt=args.dt)
-    if args.grid is not None:
-        scenario.numerics = dataclasses.replace(
-            scenario.numerics, scan_points=args.grid, stopping_grid_points=args.grid
-        )
-    scenario.sim = sim
+        scenario.sim = dataclasses.replace(scenario.sim, seed=args.seed)
     return scenario
 
 
@@ -97,7 +85,7 @@ def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
 # subcommand handlers; each returns (results, diagnostics, exit_code)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
+def _cmd_validate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     report = validate_assumptions(scenario.model)
     return report.to_dict(), {}, 0
 
@@ -111,7 +99,7 @@ def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
     return z
 
 
-def _cmd_solve_single(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
+def _cmd_solve_single(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
     if z is None:
@@ -121,8 +109,8 @@ def _cmd_solve_single(scenario: Scenario, out: Path, args) -> tuple[dict, dict, 
     return results, {"payoff": payoff.to_dict()}, 0
 
 
-def _cmd_solve_mfg(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
-    eq = mfg_equilibrium(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+def _cmd_solve_mfg(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+    eq = mfg_equilibrium(scenario.model, scenario.require_payoff())
     results = eq.to_dict()
     if len(eq) == 0:
         return results, {"error": "no equilibrium found"}, 3
@@ -130,30 +118,25 @@ def _cmd_solve_mfg(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int
     return results, {}, 0
 
 
-def _cmd_solve_mfc(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
-    sol = mfc_optimum(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+def _cmd_solve_mfc(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+    sol = mfc_optimum(scenario.model, scenario.require_payoff())
     _write_density_csv(out, scenario, sol.threshold)
     return sol.to_dict(), {}, 0
 
 
-def _cmd_compare(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
-    report = compare(
-        scenario.model,
-        scenario.require_payoff(),
-        tolerance=args.tol,
-        numerics=scenario.numerics,
-    )
+def _cmd_compare(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+    report = compare(scenario.model, scenario.require_payoff())
     return report.to_dict(), {}, 0
 
 
-def _cmd_simulate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
+def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     model = scenario.model
     threshold = scenario.simulate_threshold
     payoff = scenario.payoff
     if threshold is None:
         if payoff is None:
             raise ScenarioError("simulate needs either simulate.threshold or a payoff to solve for one")
-        eq = mfg_equilibrium(model, payoff, numerics=scenario.numerics)
+        eq = mfg_equilibrium(model, payoff)
         if len(eq) == 0:
             raise SolverError("no equilibrium to simulate")
         threshold = eq.points[0].threshold
@@ -178,40 +161,26 @@ def _cmd_simulate(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]
     return results, {"seed": scenario.sim.seed, "dt": scenario.sim.dt}, 0
 
 
-def _cmd_verify(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
+def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     model = scenario.model
     payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
     if z is None:
-        eq = mfg_equilibrium(model, payoff, numerics=scenario.numerics)
+        eq = mfg_equilibrium(model, payoff)
         if len(eq) == 0:
             raise SolverError("no equilibrium to verify")
         z = eq.points[0].interaction
     sol = best_response(model, payoff, z)
     price = float(payoff.phi(z))
     y0 = model.restart_level
-    report = verify_solution(
-        model,
-        sol,
-        lambda y: price * (y - y0),
-        None,
-        payoff.cost,
-        tolerance=args.tol,
-        numerics=scenario.numerics,
-    )
+    report = verify_solution(model, sol, lambda y: price * (y - y0), None, payoff.cost)
     results = {"solution": sol.to_dict(), "verification": report.to_dict(), "interaction_level": z}
     return results, {}, 0 if report.passed else 3
 
 
-def _cmd_sweep(scenario: Scenario, out: Path, args) -> tuple[dict, dict, int]:
+def _cmd_sweep(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     payoff = scenario.require_payoff()
-    rows = ordering_sweep(
-        payoff.interaction,
-        scenario.sweep_draws,
-        seed=scenario.sim.seed,
-        tolerance=args.tol,
-        numerics=scenario.numerics,
-    )
+    rows = ordering_sweep(payoff.interaction, scenario.sweep_draws, seed=scenario.sim.seed)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -279,7 +248,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        results, diagnostics, code = _HANDLERS[args.command](scenario, out, args)
+        results, diagnostics, code = _HANDLERS[args.command](scenario, out)
         report = _write(out, args.command, scenario, results, diagnostics)
         sys.stdout.write(render_table(report))
         return code

@@ -183,6 +183,7 @@ _PANEL_TAIL = 1e-13     # bound on the top Chebyshev coefficients of each integr
 _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double precision
 _AHEAD = 2              # segments built past the one a scalar query needs, so outward searches grow less often
 _MAX_PANELS = 20_000
+_SIGMA2_MIN = np.finfo(float).tiny   # a subnormal sigma^2 counts as vanishing: d log s / dt is noise there
 _ENTRANCE = 2.0**-40    # relative to y0: below it the speed integrals go through integrate_to_zero
 
 # table components
@@ -348,7 +349,11 @@ class _Table:
 
         # the sampled bound: the spread |d log s / dt| + 2 wherever s is not saturated
         u = np.arange(built * _SAMPLES, stop * _SAMPLES + 1, dtype=float)
-        _, rate, _ = self._evaluate(np.exp(self._position(u, direction)))
+        sigma2, rate, _ = self._evaluate(np.exp(self._position(u, direction)))
+        vanishing = np.flatnonzero(~(sigma2 >= _SIGMA2_MIN))
+        if len(vanishing):
+            j = int(vanishing[0])
+            self._vanishing(*sorted(self._position(u[[max(j - 1, 0), j]], direction)))
         steps = (0.5 * direction * _STEP) * (rate[:-1] + rate[1:])
         log_s = np.cumsum(np.concatenate([[sampled], steps]))
         spread = np.where(np.abs(log_s) > _EXP_SATURATED, 0.0, np.abs(rate) + 2.0)
@@ -381,13 +386,14 @@ class _Table:
             width = hi - lo
             x = np.exp((0.5 * (lo + hi))[:, None] + (0.5 * width)[:, None] * _TAU)
             sigma2, rate, weight = self._evaluate(x)
-            if not np.all(np.isfinite(rate) & np.isfinite(sigma2) & (sigma2 > 0.0)):
-                vol_bad = ~np.all((sigma2 > 0.0) & np.isfinite(sigma2), axis=1)
+            if not np.all(np.isfinite(rate) & np.isfinite(sigma2) & (sigma2 >= _SIGMA2_MIN)):
+                vol_bad = ~np.all((sigma2 >= _SIGMA2_MIN) & np.isfinite(sigma2), axis=1)
                 i = int(np.flatnonzero(vol_bad | ~np.all(np.isfinite(rate), axis=1))[0])
-                where = f"[{math.exp(lo[i])}, {math.exp(hi[i])}]"
                 if vol_bad[i]:
-                    raise DomainError(f"volatility vanishes or is non-finite on {where}")
-                raise DivergenceError(f"drift is not finite on {where}")
+                    self._vanishing(lo[i], hi[i])
+                raise DivergenceError(
+                    f"drift is not finite on [{math.exp(lo[i])}, {math.exp(hi[i])}]"
+                )
             saturated = np.abs(np.interp(inner[todo], u, log_s)) > _EXP_SATURATED
             fail = (width > _PANEL_MIN) & (
                 (~saturated & (width * (np.max(np.abs(rate), axis=1) + 2.0) > _PANEL_SPREAD))
@@ -444,6 +450,12 @@ class _Table:
             _, mass, first = integrate(_S, _XI, np.stack([s_x, m_x, m_x * x]))
             integrate(_XI, _CYC + 1, np.stack([mass * s_x, first * s_x]))
         return coef, outer_values
+
+    @staticmethod
+    def _vanishing(t_lo: float, t_hi: float):
+        raise DomainError(
+            f"volatility vanishes or is non-finite on [{math.exp(t_lo)}, {math.exp(t_hi)}]"
+        )
 
     @staticmethod
     def _too_many(target: float):
@@ -839,8 +851,7 @@ def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
 
     y0 = model.restart_level
     try:
-        s_at_y0 = calc.S(y0)
-        entrance_value = integrate_to_zero(lambda u: (s_at_y0 - calc.S(u)) * calc.m(u), y0)
+        entrance_value = integrate_to_zero(lambda u: -calc.S(u) * calc.m(u), y0)
         entrance_ok = math.isfinite(entrance_value)
     except DivergenceError as exc:
         entrance_value, entrance_ok = math.nan, False

@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._brent import localmin
-from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
 from .diffusion import DiffusionModel
 from .errors import DivergenceError, DomainError, NoRootError
 from .hitting import _BRACKET_DOUBLINGS, XiEvaluator, get_evaluator
@@ -58,6 +57,8 @@ __all__ = [
 # the root, and |F|/xi at the accepted root
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
+_STOPPING_GRID_POINTS = 400   # geometric grid of the stopping-problem verification
+_VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,6 @@ def stopping_value(
     rho_star: float,
     *,
     threshold_hint: Optional[float] = None,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> StoppingValue:
     """Value function of the stopping problem with running penalty ``h + rho_star``.
 
@@ -402,12 +402,7 @@ def stopping_value(
     y0 = ev.y0
     if threshold_hint is None:
         threshold_hint = solve_auxiliary(ev, f, h, cost).threshold
-    if not 2 <= numerics.stopping_grid_points <= MAX_GRID_POINTS:
-        raise DomainError(
-            f"numerics.stopping_grid_points must lie in [2, {MAX_GRID_POINTS}]: "
-            f"{numerics.stopping_grid_points}"
-        )
-    grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, numerics.stopping_grid_points)
+    grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, _STOPPING_GRID_POINTS)
     grid = np.unique(np.concatenate([grid, [y0, threshold_hint]]))
 
     def potential(x):
@@ -440,9 +435,6 @@ def verify_solution(
     f: Callable[[float], float],
     h: Optional[Callable[[float], float]],
     cost: float,
-    *,
-    tolerance: float = 1e-6,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> VerificationReport:
     """Check the stopping-problem identities for a claimed solution.
 
@@ -450,9 +442,7 @@ def verify_solution(
     threshold (whose renewal value is sub-optimal) fails the checks.
     """
     ev = _as_evaluator(model_or_ev)
-    sv = stopping_value(
-        ev, f, h, cost, solution.value, threshold_hint=solution.threshold, numerics=numerics
-    )
+    sv = stopping_value(ev, f, h, cost, solution.value, threshold_hint=solution.threshold)
     g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - ev.y0))])
     # stopping is offered only at x >= y0, so only there must g dominate f - K
     above = sv.grid >= ev.y0
@@ -461,18 +451,18 @@ def verify_solution(
     u_max = float(np.max(u))
     u_at_threshold = float(u[np.argmin(np.abs(xs - solution.threshold))])
     flags = []
-    if abs(g_at_y0) > tolerance:
+    if abs(g_at_y0) > _VERIFY_TOL:
         flags.append("stopping value does not vanish at the restart level")
-    if u_max > tolerance:
+    if u_max > _VERIFY_TOL:
         flags.append("stopping value fails to dominate the harvest payoff")
-    if abs(u_at_threshold) > tolerance:
+    if abs(u_at_threshold) > _VERIFY_TOL:
         flags.append("claimed threshold is not a stopping point")
     return VerificationReport(
         passed=not flags,
         g_at_restart=g_at_y0,
         u_max_on_grid=u_max,
         u_at_threshold=u_at_threshold,
-        tolerance=tolerance,
+        tolerance=_VERIFY_TOL,
         grid_points=len(sv.grid),
         flags=tuple(flags),
     )

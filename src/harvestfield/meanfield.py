@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from ._brent import zeroin
-from .config import DEFAULT_NUMERICS, MAX_GRID_POINTS, NumericsConfig
 from .diffusion import DiffusionModel, _calculus, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
 from .hitting import get_evaluator
@@ -68,6 +67,8 @@ _FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point
 _FIXED_POINT_MAX_ITER = 200
 _TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
 _PRICE_STEP = 1e-6           # step of the central difference phi', relative to the domain width
+_SCAN_POINTS = 500           # threshold grid shared by the equilibrium and planner solves
+_ORDER_TOL = 1e-6            # slack of the game/planner threshold ordering
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +260,17 @@ class _Scan:
         return self._xi[lo:hi].copy()
 
 
-def _scan(model: DiffusionModel, payoff: PayoffSpec, *, numerics: NumericsConfig) -> _Scan:
+def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
     """Resolve the payoff once and lay a grid that reaches past ``2 * y_hi``.
 
     Phi maps into ``[y_lo, y_hi]``, so every fixed point lies inside the grid,
     and the planner's maximizer lies below ``max(20 * y_hat0, 2 * y_hi)``.
     """
-    points = numerics.scan_points
-    if not 2 <= points <= MAX_GRID_POINTS:
-        raise DomainError(f"numerics.scan_points must lie in [2, {MAX_GRID_POINTS}]: {points}")
     payoff = resolve_payoff(model, payoff)
     y_lo, y_hi = critical_bounds(model, payoff)
     y_hat0 = zero_cost_threshold(model).threshold
     y0 = model.restart_level
-    grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), points)
+    grid = np.geomspace(y0 * (1.0 + 1e-3), max(20.0 * y_hat0, 2.0 * y_hi), _SCAN_POINTS)
     return _Scan(model, payoff, (y_lo, y_hi), grid)
 
 
@@ -356,12 +354,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     return EquilibriumSet(points=points, bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
 
-def mfg_equilibrium(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> EquilibriumSet:
+def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet:
     """All threshold equilibria of the market, with stability labels.
 
     One search serves both channels: the roots of ``G(y) = phi(c(y)) k(y) - K``,
@@ -374,7 +367,7 @@ def mfg_equilibrium(
     midpoint is returned without pricing the grid. Each point's residual is
     ``|Phi(y) - y|`` from one Phi step.
     """
-    return _equilibria(model, _scan(model, payoff, numerics=numerics))
+    return _equilibria(model, _scan(model, payoff))
 
 
 def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
@@ -464,12 +457,7 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     )
 
 
-def mfc_optimum(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    *,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> MfcSolution:
+def mfc_optimum(model: DiffusionModel, payoff: PayoffSpec) -> MfcSolution:
     """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y) over thresholds.
 
     ``H`` is read off the shared scan grid; each local maximum of the grid is
@@ -477,22 +465,16 @@ def mfc_optimum(
     ``[lo, hi]`` (x tolerance as in :func:`impulse._bounded_max`). Maxima within a
     relative ``1e-6`` of the best are reported as ties, the smallest first.
     """
-    return _planner(model, _scan(model, payoff, numerics=numerics))
+    return _planner(model, _scan(model, payoff))
 
 
 # ---------------------------------------------------------------------------
 # comparison and sweeps
 # ---------------------------------------------------------------------------
 
-def compare(
-    model: DiffusionModel,
-    payoff: PayoffSpec,
-    *,
-    tolerance: float = 1e-6,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> CompareReport:
+def compare(model: DiffusionModel, payoff: PayoffSpec) -> CompareReport:
     """Solve both problems and assert the threshold ordering for the channel."""
-    scan = _scan(model, payoff, numerics=numerics)
+    scan = _scan(model, payoff)
     equilibria = _equilibria(model, scan)
     planner = _planner(model, scan)
     if len(equilibria) == 0:
@@ -503,7 +485,7 @@ def compare(
     else:
         margins = tuple(p.threshold - planner.threshold for p in equilibria.points)
         ordering = "planner threshold <= each equilibrium threshold"
-    ok = all(m >= -tolerance for m in margins)
+    ok = all(m >= -_ORDER_TOL for m in margins)
     report = CompareReport(
         equilibria=equilibria, planner=planner, margins=margins, ordering=ordering, ok=ok
     )
@@ -545,8 +527,6 @@ def ordering_sweep(
     n_draws: int = 100,
     *,
     seed: int = 2024,
-    tolerance: float = 1e-6,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> list[SweepRow]:
     """Randomized logistic scenarios; checks the ordering in every draw.
 
@@ -564,7 +544,7 @@ def ordering_sweep(
             cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=interaction, phi_source="1/(1+z)"
         )
         try:
-            report = compare(model, payoff, tolerance=tolerance, numerics=numerics)
+            report = compare(model, payoff)
             margin = min(report.margins)
             ok = report.ok
             eq_t = tuple(p.threshold for p in report.equilibria.points)

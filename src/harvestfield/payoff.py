@@ -29,9 +29,6 @@ class PayoffSpec:
     phi_source: Optional[str] = None         # expression text, for reports
     domain: Optional[tuple[float, float]] = None  # attainable z range, filled on resolve
 
-    def gamma(self, y: float, z: float, y0: float) -> float:
-        return (y - y0) * self.phi(z)
-
     def with_domain(self, lo: float, hi: float) -> "PayoffSpec":
         return replace(self, domain=(float(lo), float(hi)))
 

@@ -7,17 +7,16 @@ Schema::
                | {"kind": "custom", "drift": "<expr in x>", "vol": "<expr in x>", "y0": 1.0},
       "payoff":  {"K": 1.0, "phi": "<expr in z>",
                   "interaction": "harvest_rate" | "expected_stock"},   # optional
-      "numerics":   {"scan_points": 500, "stopping_grid_points": 400}, # optional
       "simulation": {<SimConfig field>: value, ...},                   # optional
       "single":   {"z": 0.7},                                          # optional
       "simulate": {"threshold": 5.13, "horizon": 50.0},                # optional
       "sweep":    {"draws": 100}                                       # optional
     }
 
-Expressions use the grammar of :mod:`harvestfield.expressions`. An unknown
-key in ``model``, ``numerics`` or ``simulation``, a number field that does not convert
-(or a model that overflows while it is built), or ``draws < 1`` raises
-:class:`ScenarioError`.
+Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
+key other than these six sections, an unknown key in ``model`` or
+``simulation``, a number field that does not convert (or a model that
+overflows while it is built), or ``draws < 1`` raises :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .diffusion import DiffusionModel, model_from_dict
 from .errors import ScenarioError
 from .expressions import parse_expression
@@ -37,12 +35,13 @@ from .simulation import SimConfig
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
+_SECTIONS = frozenset({"model", "payoff", "simulation", "single", "simulate", "sweep"})
+
 
 @dataclass
 class Scenario:
     model: DiffusionModel
     payoff: Optional[PayoffSpec]
-    numerics: NumericsConfig
     sim: SimConfig
     single_z: Optional[float]
     simulate_threshold: Optional[float]
@@ -98,6 +97,9 @@ def _field(data: dict, section: str, key: str, source: str, convert=float, defau
 def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
+    unknown = set(data) - _SECTIONS
+    if unknown:
+        raise ScenarioError(f"{source}: unknown section(s): {sorted(unknown)}")
     if "model" not in data:
         raise ScenarioError(f"{source}: missing 'model' section")
     try:
@@ -128,7 +130,6 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
             phi_source=spec["phi"],
         )
 
-    numerics = _build_config(DEFAULT_NUMERICS, data.get("numerics"), "numerics")
     sim = _build_config(SimConfig(), data.get("simulation"), "simulation")
 
     draws = _field(data, "sweep", "draws", source, int, 100)
@@ -137,7 +138,6 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
     return Scenario(
         model=model,
         payoff=payoff,
-        numerics=numerics,
         sim=sim,
         single_z=_field(data, "single", "z", source),
         simulate_threshold=_field(data, "simulate", "threshold", source),

@@ -71,29 +71,29 @@ def controlled_density(model: DiffusionModel, y: float, x):
 
 
 def controlled_cdf(model: DiffusionModel, y: float, x):
-    """CDF of the controlled stationary law, exact up to quadrature tolerance.
+    """CDF of the controlled stationary law, read off the scale/speed table.
 
-    Uses ``int_{y0}^{v} m S du = M[0,v] S(v) - M[0,y0] S(y0) - xi(v)`` (by
-    parts, since ``xi(v) = int_{y0}^{v} M[0,u] s(u) du``), so no extra
-    integrals beyond the cached ones are needed.
+    Uses ``int_{y0}^{v} m S du = M[0,v] S(v) - xi(v)`` (by parts, since
+    ``S(y0) = 0`` and ``xi(v) = int_{y0}^{v} M[0,u] s(u) du``), so no extra
+    integrals beyond the tabulated ones are needed.
     """
     _require_threshold(model, y)
     calc = _calculus(model)
     ev = get_evaluator(model)
     kappa = 1.0 / ev.xi(y)
     y0 = model.restart_level
-    s_y, s_y0 = calc.S(y), calc.S(y0)
+    s_y = calc.S(y)
     m0_y0 = calc.M0(y0)
     xa = np.asarray(x, dtype=float)
     value = np.where(xa >= y, 1.0, 0.0)
     low = (xa > 0.0) & (xa <= y0)
-    value[low] = kappa * (s_y - s_y0) * calc.M0(xa[low])
+    value[low] = kappa * s_y * calc.M0(xa[low])
     mid = (xa > y0) & (xa < y)
     if np.any(mid):
         v = xa[mid]
         m0_v = calc.M0(v)
-        ms_v = m0_v * calc.S(v) - m0_y0 * s_y0 - ev.xi(v)
-        value[mid] = kappa * ((s_y - s_y0) * m0_y0 + s_y * (m0_v - m0_y0) - ms_v)
+        ms_v = m0_v * calc.S(v) - ev.xi(v)
+        value[mid] = kappa * (s_y * m0_y0 + s_y * (m0_v - m0_y0) - ms_v)
     return float(value) if np.ndim(x) == 0 else value
 
 

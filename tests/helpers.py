@@ -10,7 +10,7 @@ public best-response map instead of roots of the first-order condition.
 import numpy as np
 from scipy.optimize import brentq
 
-from harvestfield.config import DEFAULT_NUMERICS
+from harvestfield import meanfield
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import critical_bounds, zero_cost_threshold
 from harvestfield.meanfield import phi_map, resolve_payoff
@@ -105,7 +105,7 @@ def phi_route_equilibria(model, payoff):
     y_lo, y_hi = critical_bounds(model, payoff)
     y0 = model.restart_level
     y_cap = max(20.0 * zero_cost_threshold(model).threshold, 2.0 * y_hi)
-    grid = np.geomspace(y0 * (1.0 + 1e-3), y_cap, DEFAULT_NUMERICS.scan_points)
+    grid = np.geomspace(y0 * (1.0 + 1e-3), y_cap, meanfield._SCAN_POINTS)
     lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
     hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
     ys = grid[lo:hi]

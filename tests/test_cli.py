@@ -204,11 +204,14 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert "solve-single" in capsys.readouterr().out
 
 
-def test_grid_option_sets_scan_points(tmp_path):
+def test_scan_grid_size_leaves_the_equilibrium(tmp_path, monkeypatch):
+    import harvestfield.meanfield as meanfield
+
     code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
     assert code == 0
     default = read_report(out)["results"]
-    code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO, "--grid", "200")
+    monkeypatch.setattr(meanfield, "_SCAN_POINTS", 200)
+    code, out = run(tmp_path, "solve-mfg", STOCK_SCENARIO)
     assert code == 0
     coarse = read_report(out)["results"]
     assert default["diagnostics"]["scan"]["points"] == 500
@@ -219,13 +222,6 @@ def test_grid_option_sets_scan_points(tmp_path):
     )
 
 
-@pytest.mark.parametrize("numerics", [{"scan_points": 1}])
-def test_unusable_equilibrium_numerics_exit_3(tmp_path, numerics):
-    scenario = with_section(tmp_path, STOCK_SCENARIO, numerics=numerics)
-    code, _ = run(tmp_path, "solve-mfg", scenario)
-    assert code == 3
-
-
 def test_verify_passes_on_benchmark(tmp_path):
     code, out = run(tmp_path, "verify", RATE_SCENARIO)
     assert code == 0
@@ -233,33 +229,29 @@ def test_verify_passes_on_benchmark(tmp_path):
     assert results["verification"]["passed"] is True
 
 
-def test_grid_option_sets_stopping_grid_points(tmp_path):
+def test_stopping_grid_size_leaves_verify_passing(tmp_path, monkeypatch):
+    import harvestfield.impulse as impulse
+
     code, out = run(tmp_path / "default", "verify", RATE_SCENARIO)
     assert code == 0
+    # the grid plus y0 and the claimed threshold
     assert read_report(out)["results"]["verification"]["grid_points"] == 402
-    code, out = run(tmp_path / "coarse", "verify", RATE_SCENARIO, "--grid", "200")
+    monkeypatch.setattr(impulse, "_STOPPING_GRID_POINTS", 200)
+    code, out = run(tmp_path / "coarse", "verify", RATE_SCENARIO)
     assert code == 0
     verification = read_report(out)["results"]["verification"]
-    # the grid plus y0 and the claimed threshold
     assert verification["grid_points"] == 202
     assert verification["passed"] is True
 
 
-@pytest.mark.parametrize("points", [-5, 0, 1])
-def test_verify_rejects_stopping_grid_below_two_points(tmp_path, points):
-    scenario = with_section(tmp_path, RATE_SCENARIO, numerics={"stopping_grid_points": points})
-    code, out = run(tmp_path, "verify", scenario)
-    assert code == 3
-    assert not (out / "report.json").exists()
-
-
-def test_oversized_grids_exit_3_before_allocating(tmp_path):
-    # 1e12 points would need terabytes; the size check runs before any grid is built
-    for numerics in ({"scan_points": 1e12}, {"stopping_grid_points": 1e12}):
-        scenario = with_section(tmp_path, RATE_SCENARIO, numerics=numerics)
-        code, out = run(tmp_path, "verify", scenario)
-        assert code == 3
-        assert not (out / "report.json").exists()
+# grid sizes, tolerances and the time step are fixed in the code or the scenario
+@pytest.mark.parametrize("flag", [["--grid", "200"], ["--tol", "1e-3"], ["--dt", "0.01"]])
+def test_removed_flags_exit_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as caught:
+        run(tmp_path, "solve-mfg", RATE_SCENARIO, *flag)
+    assert caught.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_passes_on_stock_scenario(tmp_path):
@@ -344,21 +336,23 @@ def test_malformed_phi_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
-# a misspelling, and three tolerances that are constants of the solvers, not scenario options
+# grid sizes and tolerances are constants of the solvers: a numerics section is
+# rejected by name, whatever key it holds
 @pytest.mark.parametrize("key", ["scan_pts", "series_arg_cap", "quad_rel_tol", "golden_rel_tol"])
 def test_unknown_numerics_key_exits_2(tmp_path, capsys, key):
-    scenario = tmp_path / "bad.json"
-    scenario.write_text(
-        json.dumps(
-            {
-                "model": {"kind": "logistic", "q": -1, "b": 0.5, "beta": 1.0, "y0": 1.0},
-                "payoff": {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"},
-                "numerics": {key: 100},
-            }
-        )
-    )
-    assert main(["solve-mfg", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert key in capsys.readouterr().err
+    scenario = with_section(tmp_path, RATE_SCENARIO, numerics={key: 100})
+    code, out = run(tmp_path, "solve-mfg", scenario)
+    assert code == 2
+    assert "'numerics'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelled_section_exits_2(tmp_path, capsys):
+    scenario = with_section(tmp_path, RATE_SCENARIO, simulaton={"seed": 99})
+    code, out = run(tmp_path, "solve-single", scenario)
+    assert code == 2
+    assert "'simulaton'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a key the model does not read (the anchor of the scale function is y0) and a misspelling

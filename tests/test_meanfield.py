@@ -520,6 +520,6 @@ def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
     scenario = load_scenario(
         str(resources.files("harvestfield") / "scenarios" / "logistic-expected-stock.json")
     )
-    report = compare(scenario.model, scenario.require_payoff(), numerics=scenario.numerics)
+    report = compare(scenario.model, scenario.require_payoff())
     assert report.ok
     assert calls == []
