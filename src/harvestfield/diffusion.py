@@ -471,7 +471,7 @@ class _Calculus:
     the model (see :func:`_calculus`) is freed together with the model. The
     table is built on its first query. Logistic models differ only in their
     per-model constants: the speed integrals below ``y0`` and the totals are
-    lower incomplete gamma functions, and ``1/s`` vanishes at 0.
+    lower incomplete gamma functions.
     """
 
     def __init__(self, model: DiffusionModel):
@@ -488,8 +488,6 @@ class _Calculus:
             )
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
-        # minus lim_{u -> 0} 1/s(u) (see mum0); the limit is 0 on logistic models, where q < 0
-        self._mum0_offset: float | None = 0.0 if model.logistic is not None else None
 
     # -- densities ---------------------------------------------------------
 
@@ -627,25 +625,6 @@ class _Calculus:
             with np.errstate(over="ignore"):   # _finite reports an overflow
                 value = self._first_moment_below_y0() + table
         return self._finite(value, x, "xm0", "speed density")
-
-    def mum0(self, x):
-        """Drift-weighted speed integral ``int_0^x mu(u) m(u) du``."""
-        # mu m = d(1/s)/dx with 1/s = exp(exponent), so mum0(x) = 1/s(x) - lim_{u -> 0} 1/s(u);
-        # the offset is minus that limit: the quadrature piece below y0 * 2^-40 minus 1/s there
-        if self._mum0_offset is None:
-            x_e = self._y0 * _ENTRANCE
-            with np.errstate(over="ignore"):
-                self._mum0_offset = integrate_to_zero(
-                    lambda u: float(self.drift(u)) * self.m(u), x_e
-                ) - np.exp(self.exponent(x_e))
-        if isinstance(x, float):
-            try:
-                return self._mum0_offset + math.exp(self.exponent(x))
-            except OverflowError:
-                return math.inf
-        with np.errstate(over="ignore"):
-            value = self._mum0_offset + np.exp(self.exponent(x))
-        return float(value) if np.ndim(x) == 0 else value
 
     # -- hitting-time integrals from y0 -------------------------------------
 

