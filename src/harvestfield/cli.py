@@ -173,7 +173,7 @@ def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     sol = best_response(model, payoff, z)
     price = float(payoff.phi(z))
     y0 = model.restart_level
-    report = verify_solution(model, sol, lambda y: price * (y - y0), None, payoff.cost)
+    report = verify_solution(model, sol, lambda y: price * (y - y0), 0.0, payoff.cost)
     results = {"solution": sol.to_dict(), "verification": report.to_dict(), "interaction_level": z}
     return results, {}, 0 if report.passed else 3
 
@@ -258,9 +258,9 @@ def main(argv=None) -> int:
     except ComparisonError as exc:
         print(f"comparison violation: {exc}", file=sys.stderr)
         return 4
-    except (HarvestFieldError, FloatingPointError, ZeroDivisionError) as exc:
-        # a float division by zero, or numpy's FloatingPointError where its error state
-        # raises, is a failure of the numerics, not a traceback
+    except (HarvestFieldError, ArithmeticError) as exc:
+        # a float division by zero or overflow, or numpy's FloatingPointError where its
+        # error state raises, is a failure of the numerics, not a traceback
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

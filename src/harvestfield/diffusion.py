@@ -14,15 +14,17 @@ first query. It grows outward from ``y0`` in whole segments of ``log x``,
 each growth one vectorized batch over all its panels, and a scalar reads it
 in plain floats (``bisect`` on the panel edges, then a Clenshaw sum).
 
-What the table cannot reach is a per-model constant: the speed integrals from
-the entrance boundary 0 up to ``y0`` and out to infinity. Logistic models
-``dX = X (g - b X) dt + beta X dW`` read them from lower incomplete gamma
-functions; other models integrate the piece next to 0 with
-:func:`integrate_to_zero`, which detects divergence there. The logistic
-closed forms of the functions themselves live in the test-suite, as the
-independent oracle the table is checked against. Each model's calculus is
-built on first use and kept on the model instance, so it lives exactly as
-long as the model.
+The improper pieces come from the same table: the speed integrals from the
+entrance boundary 0 up to ``y0`` and out to infinity, and the entrance probe
+``int_0^{y0} (S(y0) - S) m`` of Feller's boundary test. :meth:`_Table.limit`
+grows the table toward 0 or infinity and sums a component's increments per
+segment until they settle, extrapolating a geometric tail and reporting
+divergence when they stop shrinking. Logistic models
+``dX = X (g - b X) dt + beta X dW`` read their two speed integrals from 0 from
+lower incomplete gamma functions instead. The logistic closed forms of the
+functions themselves live in the test-suite, as the independent oracle the
+table is checked against. Each model's calculus is built on first use and
+kept on the model instance, so it lives exactly as long as the model.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .errors import DivergenceError, DomainError
-from .quadrature import integrate_to_inf, integrate_to_zero
 
 __all__ = [
     "LogisticParams",
@@ -88,6 +89,8 @@ class DiffusionModel:
         for x in (self.restart_level / 8.0, self.restart_level, 8.0 * self.restart_level):
             if not float(self.volatility(x)) > 0.0:
                 raise DomainError(f"volatility must be positive; got {self.volatility(x)} at x={x}")
+        if self.logistic is not None and not 0.0 < self.logistic.crowding < math.inf:
+            raise DomainError(f"logistic model needs a finite b > 0, got b={self.logistic.crowding}")
         if self.logistic is not None and self.logistic.q >= 0.0:
             raise DomainError(
                 f"logistic model needs q = 1/2 - growth/beta^2 < 0 for ergodicity, got q={self.logistic.q}"
@@ -146,10 +149,11 @@ def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
     """
     probe = np.array([model.restart_level, 2.0 * model.restart_level])
     try:
-        if np.shape(model.drift(probe)) == probe.shape and np.shape(
-            model.volatility(probe)
-        ) == probe.shape:
-            return model.drift, model.volatility
+        with np.errstate(all="ignore"):   # only the shapes count here
+            if np.shape(model.drift(probe)) == probe.shape and np.shape(
+                model.volatility(probe)
+            ) == probe.shape:
+                return model.drift, model.volatility
     except (TypeError, ValueError, ArithmeticError):
         pass
     return np.vectorize(model.drift, otypes=[float]), np.vectorize(
@@ -184,10 +188,16 @@ _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double pr
 _AHEAD = 2              # segments built past the one a scalar query needs, so outward searches grow less often
 _MAX_PANELS = 20_000
 _SIGMA2_MIN = np.finfo(float).tiny   # a subnormal sigma^2 counts as vanishing: d log s / dt is noise there
-_ENTRANCE = 2.0**-40    # relative to y0: below it the speed integrals go through integrate_to_zero
+# segments of the first batch of a limit: toward 0 down to y0 e^-32, which settles most models in
+# one batch; toward infinity only to y0 e^4, since panels narrow there as |d log s / dt| grows with x
+_LIMIT_FIRST_TO_0 = 64
+_LIMIT_FIRST_TO_INF = 8
+_LIMIT_REL_TOL = 1e-15  # a segment's increment below this, relative to the sum, is negligible
+_LIMIT_RATIO = 0.985    # increment ratio per segment at or above which a limit diverges
 
 # table components
-_LOG_S, _S, _M, _XM, _XI, _CYC = range(6)
+_COMPONENTS = 7
+_LOG_S, _S, _M, _XM, _XI, _CYC, _ENT = range(_COMPONENTS)
 
 
 def _times(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -208,7 +218,7 @@ class _Table:
 
     * ``log s = -int 2 mu / sigma^2``,
     * ``S = int s``, ``M = int m``, ``XM = int u m``,
-    * ``XI = int M s`` and ``CYC = int XM s``,
+    * ``XI = int M s``, ``CYC = int XM s`` and the entrance probe ``ENT = int S m``,
 
     with ``s = exp(log s)`` and ``m = 2 / (sigma^2 s)`` (so ``s(y0) = 1``).
     Each panel holds 17 Chebyshev-Lobatto nodes; its width keeps ``log s``
@@ -226,7 +236,7 @@ class _Table:
     one call evaluates the coefficients at every panel's nodes; the checks
     run on all panels at once and only the failing panels are halved and
     evaluated again. Each stage of the chain (``log s``; then ``S``, ``M``,
-    ``XM``; then ``XI``, ``CYC``) is one product for all panels, with the
+    ``XM``; then ``XI``, ``CYC``, ``ENT``) is one product for all panels, with the
     edge values chained by ``cumsum``.
     Panel bounds sit at exact multiples of the sample step from ``log y0``
     (or their halves) and every sum runs in the same order whatever the
@@ -236,18 +246,19 @@ class _Table:
 
     :meth:`at` reads one component at one point without numpy: ``bisect`` on
     the panel edges, then a Clenshaw sum over the panel's coefficients.
-    Every component reads exactly 0 at ``y0``.
+    Every component reads exactly 0 at ``y0``. :meth:`limit` reads a
+    component's limit toward 0 or infinity.
     """
 
     def __init__(self, drift: Callable, volatility: Callable, y0: float):
         self._drift = drift
         self._volatility = volatility
         self._t0 = math.log(y0)
-        edge = (0, np.zeros(6), 0.0)   # (segments built, component values, sampled log s) at the edge
+        edge = (0, np.zeros(_COMPONENTS), 0.0)   # (segments built, component values, sampled log s) at the edge
         # (panel bounds, coefficients (panels, components, orders), the bounds as floats, (left, right))
-        self._state = (np.array([self._t0]), np.empty((0, 6, _NODES + 1)), [self._t0], (edge, edge))
+        self._state = (np.array([self._t0]), np.empty((0, _COMPONENTS, _NODES + 1)), [self._t0], (edge, edge))
         self._lock = threading.Lock()
-        self._last = [(math.nan, 0.0)] * 6   # per component, the last scalar read: (x, value)
+        self._last = [(math.nan, 0.0)] * _COMPONENTS   # per component, the last scalar read: (x, value)
 
     def __call__(self, x, components) -> np.ndarray:
         """One component (an int) or several (a tuple) at x > 0.
@@ -319,18 +330,74 @@ class _Table:
             self._state = (bounds, coef, bounds.tolist(), (left, right))
             return self._state
 
+    def limit(self, component: int, direction: float) -> float:
+        """The limit of ``component`` toward 0 (``direction`` -1) or infinity (+1).
+
+        The table grows outward in batches that double the span it covers on
+        that side, and the limit is the sum of the component's increments per
+        segment. A panel's increment is twice the sum of its odd Chebyshev
+        coefficients, so no increment is a difference of two large values.
+        The rule is the one for halving a cutoff toward 0, with segments of
+        0.5 in ``log x`` for halvings: the sum settles once two successive
+        increments are negligible; once three successive increment ratios
+        agree on some ``r < 0.985``, the geometric tail ``d r / (1 - r)`` is
+        added if its error estimate is negligible. A ratio that agrees at
+        ``r >= 0.985`` from the eighth segment on, a sum that leaves double
+        range and the panel cap raise :class:`DivergenceError`.
+        """
+        toward = "0" if direction < 0 else "infinity"
+        outward = direction * 2.0 * (np.arange(_NODES + 1) % 2)   # coefficients -> outward increment
+        total, increments, negligible = 0.0, [], 0
+        segments = _LIMIT_FIRST_TO_0 if direction < 0 else _LIMIT_FIRST_TO_INF
+        while True:
+            t = self._position((segments - 0.5) * _SAMPLES, direction)
+            bounds, coef, _, _ = self._cover(min(t, self._t0), max(t, self._t0), 0)
+            edges = self._position(np.arange(len(increments), segments + 1) * _SAMPLES, direction)
+            starts = np.searchsorted(bounds, edges)
+            lo, hi = min(starts[0], starts[-1]), max(starts[0], starts[-1])
+            with np.errstate(invalid="ignore", over="ignore"):   # a non-finite sum raises below
+                new = np.add.reduceat(coef[lo:hi, component] @ outward, np.sort(starts)[:-1] - lo)
+            for d in (new if direction > 0 else new[::-1]).tolist():
+                total += d
+                increments.append(d)
+                if not math.isfinite(total):
+                    raise DivergenceError(f"integral toward {toward} overflows")
+                tol = _LIMIT_REL_TOL * abs(total)
+                negligible = negligible + 1 if abs(d) <= tol else 0
+                if negligible == 2:
+                    return total
+                if len(increments) >= 6 and all(v != 0.0 for v in increments[-4:-1]):
+                    ratios = [increments[k + 1] / increments[k] for k in (-4, -3, -2)]
+                    r = ratios[-1]
+                    drift = max(abs(v - r) for v in ratios) / abs(r)
+                    if drift < 2e-3:
+                        if r >= _LIMIT_RATIO and len(increments) >= 8:
+                            raise DivergenceError(
+                                f"integral toward {toward} diverges "
+                                f"(segment ratio {r:.4f} does not decay)"
+                            )
+                        if 0.0 < r < _LIMIT_RATIO:
+                            tail = d * r / (1.0 - r)
+                            if abs(tail) * (10.0 * drift + 1e-12) / (1.0 - r) < tol:
+                                return total + tail
+            segments *= 2
+
     def _position(self, u, direction: float):
         """log x at ``u`` sample steps outward from y0; exact steps, so every batch agrees."""
         return self._t0 + direction * (u * _STEP)
 
-    def _evaluate(self, x: np.ndarray):
-        """``sigma^2``, ``d log s / dt`` and ``m x s`` at the points ``x``, in one call each."""
-        flat = x.ravel()
+    def _evaluate(self, t: np.ndarray):
+        """``x = exp(t)``, and ``sigma^2``, ``d log s / dt`` and ``m x s`` there, in one call each.
+
+        An ``x`` past double range reads as a coefficient that is not finite.
+        """
         with np.errstate(all="ignore"):
+            x = np.exp(t)
+            flat = x.ravel()
             sigma2 = np.asarray(self._volatility(flat), dtype=float).reshape(x.shape) ** 2
             rate = -2.0 * np.asarray(self._drift(flat), dtype=float).reshape(x.shape) * x / sigma2
             weight = 2.0 * x / sigma2
-        return sigma2, rate, weight
+        return x, sigma2, rate, weight
 
     def _grow(self, edge, direction: float, target: float, ahead: int, count: int):
         """Whole segments from ``edge`` outward (direction +1 or -1) past ``target``, and ``ahead`` more.
@@ -349,7 +416,7 @@ class _Table:
 
         # the sampled bound: the spread |d log s / dt| + 2 wherever s is not saturated
         u = np.arange(built * _SAMPLES, stop * _SAMPLES + 1, dtype=float)
-        sigma2, rate, _ = self._evaluate(np.exp(self._position(u, direction)))
+        _, sigma2, rate, _ = self._evaluate(self._position(u, direction))
         vanishing = np.flatnonzero(~(sigma2 >= _SIGMA2_MIN))
         if len(vanishing):
             j = int(vanishing[0])
@@ -384,8 +451,8 @@ class _Table:
             if direction < 0:
                 lo, hi = hi, lo
             width = hi - lo
-            x = np.exp((0.5 * (lo + hi))[:, None] + (0.5 * width)[:, None] * _TAU)
-            sigma2, rate, weight = self._evaluate(x)
+            middle, half = 0.5 * (lo + hi), 0.5 * width
+            x, sigma2, rate, weight = self._evaluate(middle[:, None] + half[:, None] * _TAU)
             if not np.all(np.isfinite(rate) & np.isfinite(sigma2) & (sigma2 >= _SIGMA2_MIN)):
                 vol_bad = ~np.all((sigma2 >= _SIGMA2_MIN) & np.isfinite(sigma2), axis=1)
                 i = int(np.flatnonzero(vol_bad | ~np.all(np.isfinite(rate), axis=1))[0])
@@ -423,10 +490,10 @@ class _Table:
         """Every component's coefficients on the panels (outward order), chained from the edge."""
         half = (0.5 * width)[None, :, None]
         count = len(width)
-        coef = np.empty((count, 6, _NODES + 1))
-        chain = np.empty((6, count + 1))   # per component: the edge value, then each panel's increment
+        coef = np.empty((count, _COMPONENTS, _NODES + 1))
+        chain = np.empty((_COMPONENTS, count + 1))   # per component: the edge value, then each panel's increment
         chain[:, 0] = edge_values
-        outer_values = np.empty(6)
+        outer_values = np.empty(_COMPONENTS)
 
         def integrate(first, last, integrands):
             """Antiderivatives of components ``first:last`` from their (components, panels,
@@ -447,8 +514,8 @@ class _Table:
             (log_s,) = integrate(_LOG_S, _S, rate[None])
             s_x = np.exp(log_s) * x
             m_x = weight * np.exp(-log_s)
-            _, mass, first = integrate(_S, _XI, np.stack([s_x, m_x, m_x * x]))
-            integrate(_XI, _CYC + 1, np.stack([mass * s_x, first * s_x]))
+            scale, mass, first = integrate(_S, _XI, np.stack([s_x, m_x, m_x * x]))
+            integrate(_XI, _ENT + 1, np.stack([mass * s_x, first * s_x, scale * m_x]))
         return coef, outer_values
 
     @staticmethod
@@ -581,10 +648,8 @@ class _Calculus:
         """``int_0^{y0} u^power m(u) du`` for power 0 or 1.
 
         Logistic models read it from a lower incomplete gamma function
-        (``scipy.special``, imported here on first use). Other
-        models read the table down to ``y0 * 2^-40`` and integrate below with
-        :func:`integrate_to_zero`, which detects divergence at 0; starting it
-        far below ``y0`` keeps its tolerance out of the values near ``y0``.
+        (``scipy.special``, imported here on first use). Other models read the
+        table's limit toward 0, which detects divergence there.
         """
         p = self.logistic
         if p is not None:
@@ -592,9 +657,7 @@ class _Calculus:
 
             shape = power - 2.0 * p.q
             return self._gamma_total(power) * float(gammainc(shape, p.rho * self._y0))
-        x_e = self._y0 * _ENTRANCE
-        below = integrate_to_zero(lambda u: u**power * self.m(u), x_e)
-        return below - self._table.at(x_e, _XM if power else _M)
+        return -self._table.limit(_XM if power else _M, -1.0)
 
     def _mass_below_y0(self) -> float:
         if self._m0_at_y0 is None:
@@ -643,12 +706,12 @@ class _Calculus:
         return self._finite(value, y, "xi")
 
     def cycle_stock(self, y):
-        """``int_{y0}^y xm0(u) s(u) du``, the stock accumulated over one cycle; ``y >= y0``.
+        """``P(y) = int_{y0}^y xm0(u) s(u) du``, on both sides of ``y0``.
 
-        Integration by parts turns the cycle stock integral
-        ``int (S(y)-S(u)) u m(u) du + (S(y)-S(y0)) xm0(y0)`` into this form
-        (the first-moment analogue of ``xi``), whose integrand needs no nested
-        quadrature.
+        For ``y >= y0`` it is the stock accumulated over one cycle: integration
+        by parts turns ``int (S(y)-S(u)) u m(u) du + (S(y)-S(y0)) xm0(y0)``
+        into this form (the first-moment analogue of ``xi``). The same parts
+        give ``E_x int_0^{tau_c} X = P(c) - P(x)`` for any ``x < c``.
         """
         if isinstance(y, (float, int)):
             scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
@@ -662,12 +725,16 @@ class _Calculus:
     def speed_mass_total(self) -> float:
         if self.logistic is not None:
             return self._gamma_total(0.0)
-        return self.M0(self._y0) + integrate_to_inf(self.m, self._y0)
+        return self._mass_below_y0() + self._table.limit(_M, 1.0)
 
     def xm_total(self) -> float:
         if self.logistic is not None:
             return self._gamma_total(1.0)
-        return self.xm0(self._y0) + integrate_to_inf(lambda u: u * self.m(u), self._y0)
+        return self._first_moment_below_y0() + self._table.limit(_XM, 1.0)
+
+    def entrance(self) -> float:
+        """``int_0^{y0} (S(y0) - S(u)) m(u) du``: finite iff 0 is an entrance (or regular) boundary."""
+        return self._table.limit(_ENT, -1.0)
 
 
 def _calculus(model: DiffusionModel) -> _Calculus:
@@ -760,15 +827,17 @@ class AssumptionReport:
 def _probe_turning_point(model: DiffusionModel) -> tuple[bool, Optional[float], list[str]]:
     notes: list[str] = []
     y0 = model.restart_level
-    grid = np.geomspace(y0 * 1e-2, y0 * 1e3, 241)
-    mu = np.array([float(model.drift(x)) for x in grid])
+    with np.errstate(all="ignore"):   # a grid or drift past double range fails the checks below
+        grid = np.geomspace(y0 * 1e-2, y0 * 1e3, 241)
+        mu = np.array([float(model.drift(x)) for x in grid])
+        steps = np.diff(mu)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
     i_star = int(np.argmax(mu))
     if i_star >= len(grid) - 1:
         notes.append("drift still rising at the largest probe point; no saturation found")
         return False, None, notes
-    rising = bool(np.all(np.diff(mu[: i_star + 1]) >= -slack)) if i_star > 0 else True
-    falling = bool(np.all(np.diff(mu[i_star:]) <= slack))
+    rising = bool(np.all(steps[:i_star] >= -slack))
+    falling = bool(np.all(steps[i_star:] <= slack))
     strictly_falls = mu[-1] < mu[i_star] - slack
     ok = rising and falling and strictly_falls
     if not rising:
@@ -828,9 +897,8 @@ def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
     if not scale_ok:
         notes.append("scale density does not appear to diverge")
 
-    y0 = model.restart_level
     try:
-        entrance_value = integrate_to_zero(lambda u: -calc.S(u) * calc.m(u), y0)
+        entrance_value = calc.entrance()
         entrance_ok = math.isfinite(entrance_value)
     except DivergenceError as exc:
         entrance_value, entrance_ok = math.nan, False
@@ -888,17 +956,18 @@ def model_from_dict(data: dict) -> DiffusionModel:
     unknown = data.keys() - _MODEL_KEYS[kind] - {"kind"}
     if unknown:
         raise DomainError(f"unknown {kind} model key(s): {sorted(unknown)}")
+
+    def number(key: str) -> float:
+        if isinstance(data[key], bool):   # float(True) is 1.0; refused as every scenario number is
+            raise DomainError(f"{kind} model field {key!r} expects a number, got {data[key]!r}")
+        return float(data[key])
+
     if kind == "logistic":
-        return logistic_model(
-            q=float(data["q"]),
-            b=float(data["b"]),
-            beta=float(data["beta"]),
-            y0=float(data["y0"]),
-        )
+        return logistic_model(q=number("q"), b=number("b"), beta=number("beta"), y0=number("y0"))
     return custom_model(
         parse_expression(data["drift"], "x"),
         parse_expression(data["vol"], "x"),
-        float(data["y0"]),
+        number("y0"),
         drift_source=data["drift"],
         vol_source=data["vol"],
     )

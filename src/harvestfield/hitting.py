@@ -1,4 +1,4 @@
-"""Expected threshold-hitting times and related running-cost functionals.
+"""Expected threshold-hitting times and their derivatives.
 
 For a threshold ``y >= y0`` the cycle length of the threshold strategy is
 ``xi(y) = E_{y0}[time to first reach y]``, read from the model's scale/speed
@@ -6,7 +6,9 @@ table (``xi = int_{y0}^{y} M[0,u] s(u) du``, see
 :mod:`harvestfield.diffusion`) for every model. The table's ``xi`` also runs
 below ``y0``, so the expected time between any two levels ``x < y`` is
 ``xi(y) - xi(x)``; the stopping problem of :mod:`harvestfield.impulse` reads
-its running penalty from it.
+its running penalty from it, and a holding cost ``a x`` on the stock from the
+table's cycle stock (:meth:`harvestfield.diffusion._Calculus.cycle_stock`) in
+the same way.
 
 Derivatives come from the scale/speed calculus directly: ``xi' = s(y) M[0,y]``,
 and differentiating it with ``s' = -(2 mu / sigma^2) s`` and ``M[0,y]' = m(y)
@@ -19,14 +21,11 @@ by the impulse solver.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus
-from .errors import ConvergenceError, DivergenceError, DomainError
-from .quadrature import integrate, integrate_to_zero
+from .errors import ConvergenceError, DomainError
 
 __all__ = ["XiEvaluator", "get_evaluator"]
 
@@ -132,22 +131,3 @@ class XiEvaluator:
             y2 = min(y2 + tol, hi)
         self._y2 = y2
         return y2
-
-    # ------------------------------------------------------------------
-    # running costs
-    # ------------------------------------------------------------------
-
-    def expected_running_cost(
-        self, h: Callable[[float], float], x: float, b: float
-    ) -> float:
-        """E_x[int_0^{tau_b} h(X_s) ds] for continuous nonnegative h of linear growth."""
-        if not 0.0 < x < b:
-            raise DomainError("need 0 < x < b")
-        calc = self._calc
-        s_at_b = calc.S(b)
-        kernel = integrate(lambda u: (s_at_b - calc.S(u)) * float(h(u)) * calc.m(u), x, b)
-        try:
-            below = integrate_to_zero(lambda u: float(h(u)) * calc.m(u), x)
-        except DivergenceError as exc:
-            raise DomainError(f"h is incompatible with the entrance region: {exc}") from exc
-        return kernel + (s_at_b - calc.S(x)) * below

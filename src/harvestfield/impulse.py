@@ -10,15 +10,15 @@ positive at the left end of that interval and strictly decreasing past it,
 with slope ``F' = -(y - y0 - Kt) * xi''(y) < 0``. Bracket expansion finds a
 sign change, and a safeguarded Newton iteration (Newton steps on F that fall
 back to bisection whenever they leave the bracket) converges to the root in
-a handful of steps. The general auxiliary problem (increasing reward f,
-running cost h) is only known to be unimodal, so it is solved by derivative
-bracketing plus Brent's bounded maximization (parabolic steps safeguarded by
-golden section).
+a handful of steps. The auxiliary problem of the planner's Lagrange argument
+(increasing reward f, holding cost ``h(x) = a x`` on the stock) is only known
+to be unimodal, so it is solved by derivative bracketing plus Brent's bounded
+maximization (parabolic steps safeguarded by golden section).
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
 
-    g(x) = sup_y [ f(y) - K - E_x int_0^{tau_y} (h + rho) ]
+    g(x) = sup_y [ f(y) - K - E_x int_0^{tau_y} (a X + rho) ]
 
 must vanish at y0, dominate f - K everywhere, and make the claimed threshold
 a stopping point. Feeding a wrong threshold (hence a sub-optimal rho) breaks
@@ -257,28 +257,35 @@ def _bounded_max(fn: Callable[[float], float], lo: float, hi: float):
     return x, -float(value), evaluations
 
 
+def _check_holding(holding: float) -> None:
+    if not 0.0 <= holding < math.inf:   # also rejects NaN
+        raise DomainError(f"the holding cost a must be nonnegative and finite, got {holding}")
+
+
 def solve_auxiliary(
     model_or_ev,
     f: Callable[[float], float],
-    h: Optional[Callable[[float], float]],
+    holding: float,
     cost: float,
 ) -> ThresholdSolution:
-    """Maximize ``(f(y) - K - E_{y0} int_0^{tau_y} h) / xi(y)`` over thresholds.
+    """Maximize ``(f(y) - K - a E_{y0} int_0^{tau_y} X) / xi(y)`` over thresholds.
 
-    ``f`` must be continuous and increasing with ``f(y0) = 0``; ``h``
-    continuous, nonnegative, of linear growth (``None`` means identically 0).
-    The maximizer is located by bracketing a sign change of the numeric
-    derivative and refining with Brent's bounded maximization, which only
-    assumes unimodality; ``iterations`` counts its steps.
+    ``f`` must be continuous and increasing with ``f(y0) = 0``; ``holding``
+    is the ``a >= 0`` of the holding cost ``h(x) = a x`` (0 for none), and
+    ``E_{y0} int_0^{tau_y} X`` is the table's cycle stock. The maximizer is
+    located by bracketing a sign change of the numeric derivative and
+    refining with Brent's bounded maximization, which only assumes
+    unimodality; ``iterations`` counts its steps.
     """
     ev = _as_evaluator(model_or_ev)
     if not 0.0 < cost < math.inf:   # also rejects NaN
         raise DomainError(f"the impulse cost K must be positive and finite, got {cost}")
+    _check_holding(holding)
     y0 = ev.y0
 
     def objective(y: float) -> float:
         try:
-            running = 0.0 if h is None else ev.expected_running_cost(h, y0, y)
+            running = holding * ev._calc.cycle_stock(y) if holding else 0.0
             value = (float(f(y)) - cost - running) / ev.xi(y)
         except (OverflowError, DivergenceError):
             return math.nan
@@ -357,38 +364,26 @@ class VerificationReport:
         }
 
 
-def _running_potential(ev: XiEvaluator, h: Optional[Callable[[float], float]], rho: float, x):
-    """``Xi(x)``, with ``E_x int_0^{tau_c} (h + rho) = Xi(c) - Xi(x)`` for ``x <= c``.
+def _running_potential(ev: XiEvaluator, holding: float, rho: float, x):
+    """``Xi(x)``, with ``E_x int_0^{tau_c} (a X + rho) = Xi(c) - Xi(x)`` for ``x <= c``.
 
-    ``Xi = rho xi`` on the table's ``xi``, which runs on both sides of ``y0``;
-    a user ``h`` adds ``E_{y0} int_0^{tau_x} h`` above ``y0`` and
-    ``-E_x int_0^{tau_{y0}} h`` below it. Floats or arrays.
+    ``Xi = rho xi + a P`` on the table's ``xi`` and cycle stock ``P``, which
+    both run on both sides of ``y0``. Floats or arrays.
     """
     value = rho * ev._calc.xi(x)
-    if h is None:
-        return value
-    y0 = ev.y0
-
-    def from_y0(v: float) -> float:
-        if v > y0:
-            return ev.expected_running_cost(h, y0, v)
-        return -ev.expected_running_cost(h, v, y0) if v < y0 else 0.0
-
-    if np.ndim(x) == 0:
-        return value + from_y0(float(x))
-    return value + np.array([from_y0(float(v)) for v in np.asarray(x)])
+    return value + holding * ev._calc.cycle_stock(x) if holding else value
 
 
 def stopping_value(
     model_or_ev,
     f: Callable[[float], float],
-    h: Optional[Callable[[float], float]],
+    holding: float,
     cost: float,
     rho_star: float,
     *,
     threshold_hint: Optional[float] = None,
 ) -> StoppingValue:
-    """Value function of the stopping problem with running penalty ``h + rho_star``.
+    """Value function of the stopping problem with running penalty ``a x + rho_star``.
 
     With the potential ``Xi`` of :func:`_running_potential`, continuing from
     x to a level ``c >= x`` costs ``Xi(c) - Xi(x)``, so
@@ -399,14 +394,15 @@ def stopping_value(
     candidate fixes it, and it counts for every x below it.
     """
     ev = _as_evaluator(model_or_ev)
+    _check_holding(holding)
     y0 = ev.y0
     if threshold_hint is None:
-        threshold_hint = solve_auxiliary(ev, f, h, cost).threshold
+        threshold_hint = solve_auxiliary(ev, f, holding, cost).threshold
     grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, _STOPPING_GRID_POINTS)
     grid = np.unique(np.concatenate([grid, [y0, threshold_hint]]))
 
     def potential(x):
-        return _running_potential(ev, h, rho_star, x)
+        return _running_potential(ev, holding, rho_star, x)
 
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))
@@ -433,7 +429,7 @@ def verify_solution(
     model_or_ev,
     solution: ThresholdSolution,
     f: Callable[[float], float],
-    h: Optional[Callable[[float], float]],
+    holding: float,
     cost: float,
 ) -> VerificationReport:
     """Check the stopping-problem identities for a claimed solution.
@@ -442,7 +438,7 @@ def verify_solution(
     threshold (whose renewal value is sub-optimal) fails the checks.
     """
     ev = _as_evaluator(model_or_ev)
-    sv = stopping_value(ev, f, h, cost, solution.value, threshold_hint=solution.threshold)
+    sv = stopping_value(ev, f, holding, cost, solution.value, threshold_hint=solution.threshold)
     g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - ev.y0))])
     # stopping is offered only at x >= y0, so only there must g dominate f - K
     above = sv.grid >= ev.y0

@@ -15,8 +15,9 @@ Schema::
 
 Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
 key other than these six sections, an unknown key in ``model`` or
-``simulation``, a number field that does not convert (or a model that
-overflows while it is built), or ``draws < 1`` raises :class:`ScenarioError`.
+``simulation``, a number field that does not convert or lies out of range
+(``dt <= 0``, a logistic ``b <= 0``, ...), a model that overflows while it is
+built, or ``draws < 1`` raises :class:`ScenarioError`.
 A flag such as ``barrier_correction`` takes only ``true``/``false``, a
 number field takes no ``true``/``false``, and an integer field (``seed``,
 ``n_paths``, ``draws``, ...) takes no fraction.
@@ -89,7 +90,10 @@ def _build_config(cls_default, section: dict | None, name: str):
             coerced[key] = _convert(value, type(getattr(cls_default, key)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{name}.{key}: {exc}") from exc
-    return dataclasses.replace(cls_default, **coerced)
+    try:
+        return dataclasses.replace(cls_default, **coerced)
+    except ValueError as exc:   # the section's own range checks raise DomainError
+        raise ScenarioError(f"{name}: {exc}") from exc
 
 
 def _field(data: dict, section: str, key: str, source: str, kind=float, default=None):

@@ -66,8 +66,8 @@ class SimConfig:
     chunk_size: int = 8192
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:   # also rejects NaN
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,24 @@ the package's table or quadrature stack:
 * Gompertz: ``log s`` is a quadratic in ``log x`` and ``M0`` a normal CDF in
   ``log x``.
 
+It also holds the QUADPACK wrappers (:func:`integrate` and the improper
+:func:`integrate_to_zero` and :func:`integrate_to_inf`), which detect and
+report divergence instead of truncating; the acceptance criteria and the
+quadrature checks integrate the package's densities with them.
+
 :class:`LogisticOracle` has the ``y0``, ``xi`` and ``xi_prime`` that
 ``helpers.first_order_root`` reads, so an oracle threshold needs no package
 solver and no table.
 """
 
 import math
+import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, ndtr
+
+from harvestfield.errors import DivergenceError
 
 _SERIES_REL_EPS = 1e-14
 _SERIES_MAX_TERMS = 100_000
@@ -138,19 +146,23 @@ class LogisticOracle:
         return 2.0 * self.s(y) / (self.beta * y) ** 2 * (self.mum0(y) - mu * self.M0(y))
 
     def xi_by_quadrature(self, y):
-        """Green-kernel form ``int_{y0}^y (S(y) - S(w)) m(w) dw + (S(y) - S(y0)) M[0, y0]``.
+        """Green-kernel form ``int_{y0}^y (S(y) - S(w)) m(w) dw + (S(y) - S(y0)) M[0, y0]``."""
+        return self._map(lambda v: self.running_cost(1.0, 0.0, self.y0, v), y)
 
-        ``S(y) - S(w)`` is one QUADPACK integral of the explicit ``s`` over ``[w, y]``.
+    def running_cost(self, rate, holding, x, c):
+        """``E_x int_0^{tau_c} (rate + holding X)`` for ``x <= c``, by the Green kernel.
+
+        ``int_x^c (S(c) - S(w)) h(w) m(w) dw + (S(c) - S(x)) int_0^x h m``, with
+        ``h = rate + holding w``; ``S(c) - S(w)`` is one QUADPACK integral of the
+        explicit ``s`` over ``[w, c]``, and ``int_0^x h m`` the closed-form moments.
         """
-
-        def one(y):
-            if y == self.y0:
-                return 0.0
-            gap = lambda w: quad(lambda u: float(self.s(u)), w, y, **_QUAD)[0]   # noqa: E731
-            kernel = quad(lambda w: gap(w) * float(self.m(w)), self.y0, y, **_QUAD)[0]
-            return kernel + gap(self.y0) * float(self.M0(self.y0))
-
-        return self._map(one, y)
+        if x == c:
+            return 0.0
+        gap = lambda w: quad(lambda u: float(self.s(u)), w, c, **_QUAD)[0]   # noqa: E731
+        h = lambda w: rate + holding * w   # noqa: E731
+        kernel = quad(lambda w: gap(w) * h(w) * float(self.m(w)), x, c, **_QUAD)[0]
+        below = rate * float(self.M0(x)) + holding * float(self.xm0(x))
+        return kernel + gap(x) * below
 
 
 def gompertz_log_scale(a, b, beta, y0, x):
@@ -176,3 +188,102 @@ def gompertz_mass(a, b, beta, y0, x):
         + 0.5 * math.log(math.pi / p)
     )
     return np.exp(log_mass) * ndtr(math.sqrt(2.0 * p) * (np.log(x) - q / (2.0 * p)))
+
+
+# ---------------------------------------------------------------------------
+# QUADPACK with detected divergence at improper endpoints
+# ---------------------------------------------------------------------------
+
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_EPS_HALVINGS = 40      # refinement budget toward a 0 endpoint
+_TAIL_DOUBLINGS = 60    # interval doublings toward +inf
+
+
+def integrate(f, lo, hi, *, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, limit=200):
+    """Integral of ``f`` over the finite interval [lo, hi]."""
+    if lo == hi:
+        return 0.0
+    sign = 1.0
+    if hi < lo:
+        lo, hi = hi, lo
+        sign = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, _ = quad(f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+    if not math.isfinite(value):
+        raise DivergenceError(f"integral over [{lo}, {hi}] is not finite")
+    return sign * value
+
+
+def integrate_to_zero(f, hi):
+    """Improper integral of ``f`` over (0, hi].
+
+    The inner cutoff starts at hi/2 and is halved until the added slice is
+    below tolerance. For algebraic endpoint singularities the slices form a
+    geometric sequence, so once three consecutive slice ratios agree the
+    remaining tail is summed by extrapolation; a ratio pinned at 1 is the
+    signature of a log-divergent integral, which raises
+    :class:`DivergenceError`, as does exhausting the halving budget.
+    """
+    if hi <= 0.0:
+        raise DivergenceError("upper limit must be positive")
+    eps = hi / 2.0
+    total = integrate(f, eps, hi)
+    slices = []
+    for _ in range(_EPS_HALVINGS):
+        slice_value = integrate(f, eps / 2.0, eps)
+        total += slice_value
+        slices.append(slice_value)
+        eps /= 2.0
+        if not math.isfinite(total):
+            raise DivergenceError("integral toward 0 overflowed")
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
+        if abs(slice_value) < tol:
+            return total
+        if len(slices) >= 6 and all(s != 0.0 for s in slices[-4:-1]):
+            tail_ratios = [
+                slices[k + 1] / slices[k] for k in range(len(slices) - 4, len(slices) - 1)
+            ]
+            r = tail_ratios[-1]
+            drift = max(abs(v - r) for v in tail_ratios) / abs(r)
+            if drift < 2e-3:
+                if r >= 0.98 and len(slices) >= 8:
+                    raise DivergenceError(
+                        f"integral toward 0 diverges (slice ratio {r:.4f} does not decay)"
+                    )
+                if 0.0 < r < 0.98:
+                    tail = slice_value * r / (1.0 - r)
+                    err_est = abs(tail) * (10.0 * drift + 1e-12) / (1.0 - r)
+                    if err_est < tol:
+                        return total + tail
+    raise DivergenceError(
+        f"integral toward 0 did not settle after {_EPS_HALVINGS} refinements "
+        f"(last slice {slice_value:.3e})"
+    )
+
+
+def integrate_to_inf(f, lo):
+    """Improper integral of ``f`` over [lo, +inf) by interval doubling."""
+    a = lo
+    width = max(abs(lo), 1.0)
+    total = 0.0
+    settled = 0
+    for _ in range(_TAIL_DOUBLINGS):
+        b = a + width
+        segment = integrate(f, a, b)
+        total += segment
+        if not math.isfinite(total) or abs(total) > 1e150:
+            raise DivergenceError("tail integral is diverging")
+        if abs(segment) < max(_ABS_TOL, _REL_TOL * abs(total)):
+            settled += 1
+            if settled >= 2:
+                return total
+        else:
+            settled = 0
+        a = b
+        width *= 2.0
+    raise DivergenceError(
+        f"tail integral did not settle after {_TAIL_DOUBLINGS} doublings "
+        f"(last segment {segment:.3e})"
+    )

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 from helpers import equilibria_oracle
-from oracle import LogisticOracle
+from oracle import LogisticOracle, integrate, integrate_to_zero
 
 from harvestfield.diffusion import logistic_model, scale_density, speed_density
 from harvestfield.hitting import XiEvaluator
@@ -23,7 +23,6 @@ from harvestfield.meanfield import (
     resolve_payoff,
 )
 from harvestfield.payoff import Interaction, PayoffSpec
-from harvestfield.quadrature import integrate, integrate_to_zero
 from harvestfield.simulation import (
     SimConfig,
     estimate_hitting_time,
@@ -333,7 +332,7 @@ def test_criterion_8_stopping_verification(capsys, model, evaluator, rate_payoff
     price = float(payoff.phi(z))
     reward = lambda y: price * (y - 1.0)
     solution = best_response(model, payoff, z)
-    good = verify_solution(model, solution, reward, None, 1.0)
+    good = verify_solution(model, solution, reward, 0.0, 1.0)
 
     def perturbed(shift):
         y_fed = solution.threshold + shift
@@ -344,7 +343,7 @@ def test_criterion_8_stopping_verification(capsys, model, evaluator, rate_payoff
             bracket=(0.0, 0.0),
             iterations=0,
         )
-        return verify_solution(model, fed, reward, None, 1.0)
+        return verify_solution(model, fed, reward, 0.0, 1.0)
 
     bad_up = perturbed(+0.5)
     bad_down = perturbed(-0.5)

@@ -161,8 +161,10 @@ print(json.dumps(seen))
 
 
 def test_logistic_runs_leave_scipy_solvers_unloaded(tmp_path):
-    # importing the CLI loads no scipy at all; a logistic compare, verify, solve-single or
-    # simulate loads neither scipy.optimize nor scipy.integrate (one process, in turn)
+    # importing the CLI loads no scipy at all; no run loads scipy.optimize or scipy.integrate
+    # (one process, in turn): a logistic compare, verify, solve-single, validate or simulate,
+    # and every analytic command on the custom scenario, whose improper integrals come
+    # from the table's limits
     import os
     import subprocess
     import sys
@@ -171,9 +173,12 @@ def test_logistic_runs_leave_scipy_solvers_unloaded(tmp_path):
 
     runs = [
         [command, scenario, str(tmp_path / f"{command}-{i}")]
-        for command in ("compare", "verify", "solve-single")
+        for command in ("compare", "verify", "solve-single", "validate")
         for i, scenario in enumerate((RATE_SCENARIO, STOCK_SCENARIO))
-    ] + [["simulate", RATE_SCENARIO, str(tmp_path / "simulate")]]
+    ] + [["simulate", RATE_SCENARIO, str(tmp_path / "simulate")]] + [
+        [command, CUSTOM_SCENARIO, str(tmp_path / f"custom-{command}")]
+        for command in ("validate", "solve-single", "solve-mfg", "solve-mfc", "compare", "verify")
+    ]
     # the child imports the same copy of the package as this test
     src = str(Path(harvestfield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -607,3 +612,35 @@ def test_validate_reports_speed_density_overflow(tmp_path):
     assert results["entrance_finite"] is False
     assert results["all_passed"] is False
     assert any(note.startswith("entrance boundary") for note in results["notes"])
+
+
+# every field of the bundled rate scenario, and the custom model's own, replaced in turn
+_FUZZ_FIELDS = [
+    (RATE_SCENARIO, section, key)
+    for section, keys in json.loads(Path(RATE_SCENARIO).read_text()).items()
+    for key in keys
+] + [(CUSTOM_SCENARIO, "model", key) for key in ("drift", "vol", "y0")]
+_FUZZ_VALUES = [True, "x", None, math.nan, -1, 0, 1e308, [], {}, 1e-300]
+
+
+@pytest.mark.parametrize(
+    "scenario_file, section, key",
+    _FUZZ_FIELDS,
+    ids=[f"{Path(f).stem}-{s}.{k}" for f, s, k in _FUZZ_FIELDS],
+)
+def test_fuzzed_field_ends_in_a_documented_exit_code(tmp_path, scenario_file, section, key):
+    # a value of the wrong kind or range exits 0, 2, 3 or 4; no exception escapes main
+    data = json.loads(Path(scenario_file).read_text())
+    escaped = []
+    for i, value in enumerate(_FUZZ_VALUES):
+        data[section] = {**data[section], key: value}
+        scenario = tmp_path / f"fuzz-{i}.json"
+        scenario.write_text(json.dumps(data))
+        for command in ("solve-single", "validate", "verify"):
+            try:
+                code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+            except Exception as exc:   # noqa: BLE001 - the test reports whatever escapes
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4):
+                escaped.append((value, command, code))
+    assert escaped == []

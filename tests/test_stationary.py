@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 from helpers import simpson_refine
+from oracle import integrate, integrate_to_zero
 
 from harvestfield.errors import DomainError
-from harvestfield.quadrature import integrate, integrate_to_zero
 from harvestfield.stationary import (
     controlled_cdf,
     controlled_density,
