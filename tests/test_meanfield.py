@@ -510,3 +510,32 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     per_point = [int(np.count_nonzero(seen == y)) for y in grid]
     assert max(per_point) == 1
     assert sum(per_point) == len(grid)
+
+
+def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
+    # xi, the cycle stock and the speed limits come from the table, and the speed integrals
+    # below y0 from closed forms: a logistic compare needs no quadrature. scipy's quad
+    # looks its QUADPACK routines up on each call, so this sees every caller of quad
+    from importlib import resources
+
+    from scipy.integrate import _quadpack
+
+    from harvestfield.scenario import load_scenario
+
+    calls = []
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"QUADPACK routine {name} called")
+
+        return refuse
+
+    for name in [name for name in dir(_quadpack) if name.startswith("_qa")]:
+        monkeypatch.setattr(_quadpack, name, refusing(name))
+    scenario = load_scenario(
+        str(resources.files("harvestfield") / "scenarios" / "logistic-expected-stock.json")
+    )
+    report = compare(scenario.model, scenario.require_payoff())
+    assert report.ok
+    assert calls == []
