@@ -108,8 +108,12 @@ def logistic_model(
     """Logistic diffusion, parameterized either by ``q = 1/2 - growth/beta^2`` or by ``growth``."""
     if (q is None) == (growth is None):
         raise DomainError("give exactly one of q or growth")
+    try:
+        beta2 = float(beta) ** 2
+    except OverflowError:
+        raise DomainError(f"logistic model field 'beta' = {beta} is too large: beta^2 overflows") from None
     if growth is None:
-        growth = (0.5 - q) * beta**2
+        growth = (0.5 - q) * beta2
     params = LogisticParams(growth=float(growth), crowding=float(b), beta=float(beta))
     g, bb, bet = params.growth, params.crowding, params.beta
     return DiffusionModel(

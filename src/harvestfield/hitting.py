@@ -86,7 +86,10 @@ class XiEvaluator:
         calc = self._calc
         if isinstance(y, float):
             # the safeguarded Newton solve calls this once per step: no numpy round trip
-            sigma2 = float(calc.volatility(y)) ** 2
+            try:
+                sigma2 = float(calc.volatility(y)) ** 2
+            except OverflowError:
+                raise DomainError(f"sigma^2 overflows at x = {y}") from None
             return 2.0 / sigma2 * (1.0 - float(calc.drift(y)) * calc.s(y) * calc.M0(y))
         ya = np.asarray(y, dtype=float)
         mu_y = np.asarray(calc.drift(ya))

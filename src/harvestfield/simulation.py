@@ -20,7 +20,13 @@ Estimators are deterministic per chunk: cycles are split into chunks, each
 chunk draws its normals from its own generator seeded by
 ``(seed, chunk_index)`` in fixed blocks of steps for its own live paths, so a
 chunk's cycles are bit-identical whether it runs alone or stacked with others,
-and results are aggregated in index order.
+and results are aggregated in index order. All chunks step together in one
+array until a chunk is down to a few live paths; it then finishes in plain
+floats, where a step costs far less than a numpy row. The finisher draws the
+same blocks and does the same float operations in the same order, so it
+changes no result where the scalar and array coefficients agree to the last
+bit (they do for the logistic model), and since a chunk leaves on its own
+live count, stacking changes nothing for any model.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ _BARRIER_BETA = 0.5825971579390107
 
 # Euler steps per block of normals; finished paths are dropped at block ends
 _BLOCK_STEPS = 16
+
+# a chunk with this many live paths or fewer leaves the stacked array at a block
+# end and finishes in plain floats, where a step costs far less than a numpy row
+_TAIL_PATHS = 24
 
 
 @dataclass(frozen=True)
@@ -198,7 +208,10 @@ def _first_passages(
     cycles are bit-identical whether it runs alone or stacked with others. All
     chunks step together in one array; paths that cross keep stepping to the
     end of the block, where they are recorded at their first crossing and
-    dropped.
+    dropped. A chunk down to ``_TAIL_PATHS`` live paths at a block end leaves
+    the array for :func:`_finish_chunk`, which draws and steps exactly as the
+    array would; since the switch depends on the chunk's own live count only,
+    stacking still changes nothing.
     """
     drift, vol = _vector_coefficients(model)
     detect = _detection_level(model, threshold, config)
@@ -211,13 +224,28 @@ def _first_passages(
     times = np.full(n, config.time_cap)
     integrals = np.zeros(n)
     pre_states = np.empty(n)
-    floored = 0
+    floored = capped = 0
     max_steps = int(math.ceil(config.time_cap / dt))
     # one buffer for the stacked block, one for a chunk's draws; both reused
     buffer = np.empty(_BLOCK_STEPS * n)
     draws = np.empty(_BLOCK_STEPS * min(n, config.chunk_size))
     done = 0
     while ids.size and done < max_steps:
+        tail = (live > 0) & (live <= _TAIL_PATHS)
+        if tail.any():
+            chunk = ids // config.chunk_size
+            for c in np.flatnonzero(tail):
+                sel = chunk == c
+                f, cap = _finish_chunk(
+                    model, rngs[c], ids[sel], x[sel], acc[sel], done, max_steps,
+                    detect, config, running, (times, integrals, pre_states),
+                )
+                floored += f
+                capped += cap
+            keep = ~tail[chunk]
+            ids, x, acc = ids[keep], x[keep], acc[keep]
+            live[tail] = 0
+            continue   # every chunk may have left
         steps = min(_BLOCK_STEPS, max_steps - done)
         path = buffer[: steps * ids.size].reshape(steps, ids.size)
         lo = 0
@@ -244,9 +272,7 @@ def _first_passages(
             left = np.empty_like(path)
             left[0] = start
             np.maximum(path[:-1], floor, out=left[1:])
-            gains = running(left.ravel()).reshape(left.shape) * dt
-            np.cumsum(gains, axis=0, out=gains)
-            acc = acc + gains[last, np.arange(ids.size)]
+            acc = acc + _running_gains(running, left, dt)[last, np.arange(ids.size)]
         if cols.size:
             out = ids[cols]
             times[out] = (done + last[cols] + 1) * dt
@@ -259,7 +285,79 @@ def _first_passages(
         done += steps
     integrals[ids] = acc
     pre_states[ids] = x
-    return _Cycles(times, integrals, pre_states, int(ids.size), floored)
+    return _Cycles(times, integrals, pre_states, capped + int(ids.size), floored)
+
+
+def _running_gains(running: Callable, left: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative ``running(X) dt`` down each column of a block of left states."""
+    gains = running(left.ravel()).reshape(left.shape) * dt
+    return np.cumsum(gains, axis=0, out=gains)
+
+
+def _finish_chunk(
+    model: DiffusionModel,
+    rng: np.random.Generator,
+    ids: np.ndarray,
+    x: np.ndarray,
+    acc: np.ndarray,
+    done: int,
+    max_steps: int,
+    detect: float,
+    config: SimConfig,
+    running: Optional[Callable[[np.ndarray], np.ndarray]],
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, int]:
+    """Step one chunk's last live paths in plain floats from step ``done`` on.
+
+    The stacked engine's twin, bit for bit: the same ``(steps, live)`` blocks
+    from the chunk's generator with the live count shrinking only at block
+    ends, the same float operations in the same order, the first unclamped
+    state at or above ``detect`` recorded, each clamp at ``eps_floor`` counted
+    up to the crossing, and the running integrand called once per block on the
+    matrix of left states. Results go to ``out`` (times, integrals, pre-states)
+    at ``ids``; returns the clamp count and the number of capped paths.
+    """
+    times, integrals, pre_states = out
+    drift, vol = model.drift, model.volatility
+    dt, sqdt, floor = config.dt, math.sqrt(config.dt), config.eps_floor
+    ids, xs, accs = ids.tolist(), x.tolist(), acc.tolist()
+    floored = 0
+    while ids and done < max_steps:
+        steps = min(_BLOCK_STEPS, max_steps - done)
+        normals = (rng.standard_normal((steps, len(ids))) * sqdt).T.tolist()
+        lasts, crossed, stay, lefts = [], [], [], []
+        for j, (row, y) in enumerate(zip(normals, xs)):
+            left = [y]
+            for last, v in enumerate(row):
+                v = v * vol(y) + drift(y) * dt + y
+                if v < floor:
+                    floored += 1
+                    y = floor
+                else:
+                    y = v
+                if v >= detect:
+                    crossed.append((j, v))
+                    break
+                left.append(y)
+            else:
+                stay.append(j)
+            xs[j] = y
+            lasts.append(last)
+            if running is not None:
+                # rows past the crossing are never summed; repeat a state they can take
+                lefts.append(left[:steps] + left[-1:] * (steps - len(left)))
+        if running is not None:
+            gains = _running_gains(running, np.array(lefts).T, dt)
+            accs = (np.array(accs) + gains[lasts, range(len(ids))]).tolist()
+        for j, v in crossed:
+            times[ids[j]] = (done + lasts[j] + 1) * dt
+            integrals[ids[j]] = accs[j]
+            pre_states[ids[j]] = v
+        ids, xs, accs = [ids[j] for j in stay], [xs[j] for j in stay], [accs[j] for j in stay]
+        done += steps
+    integrals[ids] = accs
+    pre_states[ids] = xs
+    return floored, len(ids)
 
 
 def _check_threshold(model: DiffusionModel, threshold: float) -> None:

@@ -419,6 +419,20 @@ def test_malformed_or_extreme_model_fields_exit_cleanly(
     assert run(tmp_path, command, scenario)[0] == expected
 
 
+@pytest.mark.parametrize(
+    "field, code, named",
+    [
+        ("y0", 3, "sigma^2 overflows at x = 1e+308"),   # sigma(y0)^2 in the threshold solve
+        ("beta", 2, "field 'beta' = 1e+308"),            # beta^2 while the model is built
+    ],
+)
+def test_overflowing_model_field_is_named(tmp_path, capsys, field, code, named):
+    model = {**json.loads(Path(RATE_SCENARIO).read_text())["model"], field: 1e308}
+    scenario = with_section(tmp_path, RATE_SCENARIO, model=model)
+    assert run(tmp_path, "solve-single", scenario)[0] == code
+    assert named in capsys.readouterr().err
+
+
 _PAYOFF = {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"}
 
 

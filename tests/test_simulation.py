@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from harvestfield import simulation
+from harvestfield.diffusion import custom_model, logistic_model
 from harvestfield.errors import DomainError
+from harvestfield.expressions import parse_expression
 from harvestfield.meanfield import mfc_optimum
 from harvestfield.simulation import (
     SimConfig,
@@ -123,15 +126,71 @@ def test_capped_paths_are_flagged(benchmark_model):
     assert report.flags
 
 
-def test_chunk_cycles_do_not_depend_on_stacking(benchmark_model):
+def _assert_stacking_changes_nothing(model):
     # chunk 0 alone and stacked with two more chunks draws and steps identically
     config = SimConfig(dt=2e-3, seed=61, chunk_size=400, time_cap=1e3)
-    alone = _first_passages(benchmark_model, 3.0, 400, config, running=lambda x: x)
-    stacked = _first_passages(benchmark_model, 3.0, 1100, config, running=lambda x: x)
+    alone = _first_passages(model, 3.0, 400, config, running=lambda x: x)
+    stacked = _first_passages(model, 3.0, 1100, config, running=lambda x: x)
     assert np.array_equal(alone.times, stacked.times[:400])
     assert np.array_equal(alone.integrals, stacked.integrals[:400])
     assert np.array_equal(alone.pre_states, stacked.pre_states[:400])
     assert not np.array_equal(stacked.times[:400], stacked.times[400:800])
+
+
+def test_chunk_cycles_do_not_depend_on_stacking(benchmark_model):
+    _assert_stacking_changes_nothing(benchmark_model)
+
+
+@pytest.mark.parametrize("vol", ["0.3*x^0.5", "0.3*x^1.5"])
+def test_chunk_cycles_do_not_depend_on_stacking_under_power_noise(vol):
+    # a parsed ``^`` may round differently for a float and an array (x^1.5 does
+    # on this seed), so the plain-float tail and the array engine need not agree
+    # to the last bit; stacking still changes nothing since a chunk leaves the
+    # array on its own live count
+    model = custom_model(parse_expression("x*(1.5 - 0.5*x)"), parse_expression(vol), y0=1.0)
+    _assert_stacking_changes_nothing(model)
+
+
+def _tail_case(case, benchmark_model):
+    """(model, threshold, n, config, running) of each finisher case."""
+    if case == "bundled":
+        return benchmark_model, 4.0, 700, SimConfig(dt=2e-3, seed=71, chunk_size=300), lambda x: x
+    if case == "floor":
+        # x drifts up from 0 at unit rate under unit noise, so steps below 0 are clamped
+        model = custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0 + 0.0 * x, y0=1.0)
+        return model, 2.5, 300, SimConfig(dt=2e-3, seed=3, time_cap=1e3), lambda x: x
+    # about 18 of 300 cycles outlast the cap, all after the chunk has left the array
+    return benchmark_model, 4.0, 300, SimConfig(dt=5e-3, seed=3, time_cap=10.0), np.sqrt
+
+
+@pytest.mark.parametrize("case", ["bundled", "floor", "cap"])
+def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, case):
+    model, threshold, n, config, running = _tail_case(case, benchmark_model)
+    finished = []
+
+    def spy(*args, _finish=simulation._finish_chunk):
+        finished.append(_finish(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(simulation, "_finish_chunk", spy)
+    tail = _first_passages(model, threshold, n, config, running=running)
+    monkeypatch.setattr(simulation, "_TAIL_PATHS", 0)   # every step in the array
+    array = _first_passages(model, threshold, n, config, running=running)
+    for field, got, want in zip(tail._fields, tail, array):
+        assert np.array_equal(got, want), field
+    floored, capped = (sum(counts) for counts in zip(*finished))
+    assert {"bundled": len(finished) >= 2, "floor": floored > 0, "cap": capped > 0}[case]
+
+
+@pytest.mark.parametrize(
+    "params", [dict(q=-1.0, b=0.5, beta=1.0, y0=1.0), dict(q=-0.37, b=0.123, beta=0.71, y0=0.9)]
+)
+def test_logistic_coefficients_agree_bitwise_on_floats_and_arrays(params):
+    # the plain-float tail reproduces the array engine only if they do
+    model = logistic_model(**params)
+    xs = np.concatenate([np.geomspace(1e-8, 1e3, 2000), np.random.default_rng(5).uniform(0.0, 20.0, 2000)])
+    for coefficient in (model.drift, model.volatility):
+        assert np.array_equal(coefficient(xs), [coefficient(x) for x in xs.tolist()])
 
 
 def test_long_run_capped_cycles_are_flagged(benchmark_model, rate_payoff):
@@ -221,6 +280,14 @@ def test_running_cost_estimator(benchmark_model):
     config = SimConfig(dt=1e-3, seed=53, n_paths=20_000, time_cap=2e3)
     report = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config)
     assert report.within(2.4550772022054387, 3.0)
+
+
+def test_running_cost_takes_an_array_only_integrand(benchmark_model):
+    # the tail calls the integrand on arrays too, never on a float
+    config = SimConfig(dt=2e-3, seed=53, n_paths=300)
+    plain = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config)
+    clipped = estimate_running_cost(benchmark_model, lambda x: x.clip(min=0.0), 3.0, config)
+    assert clipped.value == plain.value and clipped.std_error == plain.std_error
 
 
 def test_occupation_histogram_matches_stationary_density(benchmark_model):
