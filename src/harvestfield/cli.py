@@ -241,7 +241,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
-    except ScenarioError as exc:
+    except (ScenarioError, DomainError) as exc:   # a DomainError here is a refused --seed
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

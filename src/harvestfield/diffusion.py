@@ -828,12 +828,16 @@ class AssumptionReport:
         }
 
 
+def _drift_probe(calc: _Calculus) -> tuple[np.ndarray, np.ndarray]:
+    """The drift on ``geomspace(y0 / 100, 1000 y0, 241)``, where its turning point is looked for."""
+    grid = np.geomspace(calc._y0 * 1e-2, calc._y0 * 1e3, 241)
+    return grid, calc.drift(grid)
+
+
 def _probe_turning_point(model: DiffusionModel) -> tuple[bool, Optional[float], list[str]]:
     notes: list[str] = []
-    y0 = model.restart_level
     with np.errstate(all="ignore"):   # a grid or drift past double range fails the checks below
-        grid = np.geomspace(y0 * 1e-2, y0 * 1e3, 241)
-        mu = np.array([float(model.drift(x)) for x in grid])
+        grid, mu = _drift_probe(_calculus(model))
         steps = np.diff(mu)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
     i_star = int(np.argmax(mu))

@@ -48,6 +48,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _power(base, exponent):
+    """``base ^ exponent`` by ``np.power`` for floats and arrays alike, so both round the same."""
+    with np.errstate(invalid="ignore"):   # a negative base under a fractional exponent: NaN
+        value = np.power(base, exponent)
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
 class _Parser:
     def __init__(self, tokens, variable):
         self.tokens = tokens
@@ -106,7 +113,7 @@ class _Parser:
         if self.peek()[1] == "^":
             self.take()
             exponent = self.factor()
-            return lambda v, f=base, g=exponent: f(v) ** g(v)
+            return lambda v, f=base, g=exponent: _power(f(v), g(v))
         return base
 
     def primary(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._brent import zeroin
-from .diffusion import DiffusionModel, _calculus
+from .diffusion import DiffusionModel, _calculus, _drift_probe
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["XiEvaluator", "get_evaluator"]
@@ -105,8 +105,8 @@ class XiEvaluator:
         p = self.logistic
         if p is not None:
             return p.growth / (2.0 * p.crowding)
-        grid = np.geomspace(self.y0 * 1e-2, self.y0 * 1e3, 241)
-        return float(grid[int(np.argmax(self._calc.drift(grid)))])
+        grid, mu = _drift_probe(self._calc)
+        return float(grid[int(np.argmax(mu))])
 
     def convexity_switch(self) -> float:
         """Smallest y2 >= y0 with xi convex on (y2, inf); cached after the first call."""

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ._brent import localmin
-from .diffusion import DiffusionModel
+from .diffusion import DiffusionModel, _calculus
 from .errors import DivergenceError, DomainError, NoRootError
 from .hitting import _BRACKET_DOUBLINGS, XiEvaluator, get_evaluator
 from .payoff import PayoffSpec
@@ -83,14 +83,6 @@ class ThresholdSolution:
         }
 
 
-def _as_evaluator(model_or_ev) -> XiEvaluator:
-    if isinstance(model_or_ev, XiEvaluator):
-        return model_or_ev
-    if isinstance(model_or_ev, DiffusionModel):
-        return get_evaluator(model_or_ev)
-    raise DomainError(f"expected a DiffusionModel or XiEvaluator, got {type(model_or_ev)!r}")
-
-
 # ---------------------------------------------------------------------------
 # basic problem: (y - y0 - Kt) / xi(y)
 # ---------------------------------------------------------------------------
@@ -118,17 +110,14 @@ def _newton_step(ev: XiEvaluator, y: float, k_tilde: float, f: float, lo: float,
     return 0.5 * (lo + hi)
 
 
-def optimal_threshold_basic(
-    model_or_ev,
-    k_tilde: float,
-) -> ThresholdSolution:
+def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdSolution:
     """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton.
 
     A doubling phase brackets the sign change of F; each Newton step then
     shrinks the bracket by the sign of F and falls back to the midpoint when
     the Newton point leaves it. ``iterations`` counts the Newton steps.
     """
-    ev = _as_evaluator(model_or_ev)
+    ev = get_evaluator(model)
     if k_tilde < 0.0:
         raise DomainError("k_tilde must be nonnegative")
     y0 = ev.y0
@@ -200,43 +189,37 @@ def optimal_threshold_basic(
     )
 
 
-def zero_cost_threshold(model_or_ev) -> ThresholdSolution:
-    """The basic solve at ``k_tilde = 0``, solved once per evaluator."""
-    ev = _as_evaluator(model_or_ev)
+def zero_cost_threshold(model: DiffusionModel) -> ThresholdSolution:
+    """The basic solve at ``k_tilde = 0``, solved once per model."""
+    ev = get_evaluator(model)
     if ev._zero_cost is None:
-        ev._zero_cost = optimal_threshold_basic(ev, 0.0)
+        ev._zero_cost = optimal_threshold_basic(model, 0.0)
     return ev._zero_cost
 
 
-def max_harvest_rate(model_or_ev) -> float:
+def max_harvest_rate(model: DiffusionModel) -> float:
     """Largest attainable long-run harvesting rate, reached by the zero-cost threshold."""
-    return zero_cost_threshold(model_or_ev).value
+    return zero_cost_threshold(model).value
 
 
-def best_response(
-    model_or_ev,
-    payoff: PayoffSpec,
-    z: float,
-) -> ThresholdSolution:
+def best_response(model: DiffusionModel, payoff: PayoffSpec, z: float) -> ThresholdSolution:
     """Optimal threshold against a fixed interaction level z: the basic solve at K/phi(z)."""
-    ev = _as_evaluator(model_or_ev)
     price = float(payoff.phi(z))
     if not price > 0.0 or not math.isfinite(price):
         raise DomainError(f"phi(z) must be positive and finite; got {price} at z={z}")
-    base = optimal_threshold_basic(ev, payoff.cost / price)
+    base = optimal_threshold_basic(model, payoff.cost / price)
     value = price * base.value
     flags = base.flags if value > 0.0 else tuple(set(base.flags) | {"no profitable harvest"})
     return replace(base, value=value, profitable=value > 0.0, flags=flags)
 
 
-def critical_bounds(model_or_ev, payoff: PayoffSpec) -> tuple[float, float]:
+def critical_bounds(model: DiffusionModel, payoff: PayoffSpec) -> tuple[float, float]:
     """Range of best responses over the closed interaction domain (monotone in z)."""
-    ev = _as_evaluator(model_or_ev)
     if payoff.domain is None:
         raise DomainError("payoff domain is not resolved; use meanfield.resolve_payoff")
     lo_z, hi_z = payoff.domain
-    y_at_lo = best_response(ev, payoff, lo_z).threshold
-    y_at_hi = best_response(ev, payoff, hi_z).threshold
+    y_at_lo = best_response(model, payoff, lo_z).threshold
+    y_at_hi = best_response(model, payoff, hi_z).threshold
     return (min(y_at_lo, y_at_hi), max(y_at_lo, y_at_hi))
 
 
@@ -263,7 +246,7 @@ def _check_holding(holding: float) -> None:
 
 
 def solve_auxiliary(
-    model_or_ev,
+    model: DiffusionModel,
     f: Callable[[float], float],
     holding: float,
     cost: float,
@@ -277,7 +260,7 @@ def solve_auxiliary(
     refining with Brent's bounded maximization, which only assumes
     unimodality; ``iterations`` counts its steps.
     """
-    ev = _as_evaluator(model_or_ev)
+    ev, calc = get_evaluator(model), _calculus(model)
     if not 0.0 < cost < math.inf:   # also rejects NaN
         raise DomainError(f"the impulse cost K must be positive and finite, got {cost}")
     _check_holding(holding)
@@ -285,7 +268,7 @@ def solve_auxiliary(
 
     def objective(y: float) -> float:
         try:
-            running = holding * ev._calc.cycle_stock(y) if holding else 0.0
+            running = holding * calc.cycle_stock(y) if holding else 0.0
             value = (float(f(y)) - cost - running) / ev.xi(y)
         except (OverflowError, DivergenceError):
             return math.nan
@@ -364,24 +347,24 @@ class VerificationReport:
         }
 
 
-def _running_potential(ev: XiEvaluator, holding: float, rho: float, x):
+def _running_potential(model: DiffusionModel, holding: float, rho: float, x):
     """``Xi(x)``, with ``E_x int_0^{tau_c} (a X + rho) = Xi(c) - Xi(x)`` for ``x <= c``.
 
     ``Xi = rho xi + a P`` on the table's ``xi`` and cycle stock ``P``, which
     both run on both sides of ``y0``. Floats or arrays.
     """
-    value = rho * ev._calc.xi(x)
-    return value + holding * ev._calc.cycle_stock(x) if holding else value
+    calc = _calculus(model)
+    value = rho * calc.xi(x)
+    return value + holding * calc.cycle_stock(x) if holding else value
 
 
 def stopping_value(
-    model_or_ev,
+    model: DiffusionModel,
     f: Callable[[float], float],
     holding: float,
     cost: float,
     rho_star: float,
-    *,
-    threshold_hint: Optional[float] = None,
+    threshold: float,
 ) -> StoppingValue:
     """Value function of the stopping problem with running penalty ``a x + rho_star``.
 
@@ -393,16 +376,13 @@ def stopping_value(
     does not depend on x; one bounded Brent maximization around the best
     candidate fixes it, and it counts for every x below it.
     """
-    ev = _as_evaluator(model_or_ev)
     _check_holding(holding)
-    y0 = ev.y0
-    if threshold_hint is None:
-        threshold_hint = solve_auxiliary(ev, f, holding, cost).threshold
-    grid = np.geomspace(1e-2 * y0, 1.5 * threshold_hint, _STOPPING_GRID_POINTS)
-    grid = np.unique(np.concatenate([grid, [y0, threshold_hint]]))
+    y0 = model.restart_level
+    grid = np.geomspace(1e-2 * y0, 1.5 * threshold, _STOPPING_GRID_POINTS)
+    grid = np.unique(np.concatenate([grid, [y0, threshold]]))
 
     def potential(x):
-        return _running_potential(ev, holding, rho_star, x)
+        return _running_potential(model, holding, rho_star, x)
 
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))
@@ -422,11 +402,11 @@ def stopping_value(
     best = np.maximum.accumulate(reward[::-1])[::-1]
     best = best[np.maximum(np.arange(len(grid)) - first, 0)]
     best = np.where(target > np.maximum(grid, y0), np.maximum(best, target_reward), best)
-    return StoppingValue(grid=grid, values=running + best, threshold=float(threshold_hint))
+    return StoppingValue(grid=grid, values=running + best, threshold=float(threshold))
 
 
 def verify_solution(
-    model_or_ev,
+    model: DiffusionModel,
     solution: ThresholdSolution,
     f: Callable[[float], float],
     holding: float,
@@ -437,11 +417,11 @@ def verify_solution(
     Uses the solution's own value as the running penalty, so a perturbed
     threshold (whose renewal value is sub-optimal) fails the checks.
     """
-    ev = _as_evaluator(model_or_ev)
-    sv = stopping_value(ev, f, holding, cost, solution.value, threshold_hint=solution.threshold)
-    g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - ev.y0))])
+    y0 = model.restart_level
+    sv = stopping_value(model, f, holding, cost, solution.value, solution.threshold)
+    g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - y0))])
     # stopping is offered only at x >= y0, so only there must g dominate f - K
-    above = sv.grid >= ev.y0
+    above = sv.grid >= y0
     xs = sv.grid[above]
     u = np.array([float(f(x)) for x in xs]) - cost - sv.values[above]
     u_max = float(np.max(u))

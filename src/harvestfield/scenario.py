@@ -15,18 +15,19 @@ Schema::
 
 Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
 key other than these six sections, an unknown key in ``model`` or
-``simulation``, a number field that does not convert or lies out of range
-(``dt <= 0``, a logistic ``b <= 0``, ...), a model that overflows while it is
-built, or ``draws < 1`` raises :class:`ScenarioError`.
-A flag such as ``barrier_correction`` takes only ``true``/``false``, a
-number field takes no ``true``/``false``, and an integer field (``seed``,
-``n_paths``, ``draws``, ...) takes no fraction.
+``simulation`` (``dt``, ``horizon``, ``seed``, ``chunk_size``), a number field
+that does not convert or lies out of range (``dt <= 0``, a negative ``seed``,
+a ``simulate.horizon <= 0``, a logistic ``b <= 0``, ...), a model that
+overflows while it is built, or ``draws < 1`` raises :class:`ScenarioError`.
+A number field takes no ``true``/``false``, and an integer field (``seed``,
+``chunk_size``, ``draws``) takes no fraction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -60,11 +61,7 @@ class Scenario:
 
 
 def _convert(value, kind):
-    """``value`` as a ``bool``, ``int`` or ``float``, refusing a conversion that would change it."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value
+    """``value`` as an ``int`` or ``float``, refusing a conversion that would change it."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     if kind is int and not isinstance(value, int):
@@ -150,13 +147,16 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
     draws = _field(data, "sweep", "draws", source, int, 100)
     if draws < 1:
         raise ScenarioError(f"{source}: sweep.draws must be at least 1, got {draws}")
+    horizon = _field(data, "simulate", "horizon", source)
+    if horizon is not None and not 0.0 < horizon < math.inf:   # also rejects NaN
+        raise ScenarioError(f"{source}: simulate.horizon must be positive and finite, got {horizon}")
     return Scenario(
         model=model,
         payoff=payoff,
         sim=sim,
         single_z=_field(data, "single", "z", source),
         simulate_threshold=_field(data, "simulate", "threshold", source),
-        simulate_horizon=_field(data, "simulate", "horizon", source),
+        simulate_horizon=horizon,
         sweep_draws=draws,
         raw=data,
     )

@@ -6,7 +6,7 @@ at grid times only, which by itself overestimates hitting times by O(sqrt(dt))
 because excursions inside a step are missed. The engine therefore detects
 crossings against a barrier lowered by the standard continuity correction
 ``0.5826 * sigma(y) * sqrt(dt)``; the recorded pre-impulse state then also has
-mean ``y`` up to O(dt). The correction can be disabled per config.
+mean ``y`` up to O(dt).
 
 Every estimator samples independent cycles from ``y0`` to the detection level
 with one first-passage engine: the passage time, the running integral and the
@@ -63,21 +63,27 @@ _BLOCK_STEPS = 16
 # end and finishes in plain floats, where a step costs far less than a numpy row
 _TAIL_PATHS = 24
 
+_EPS_FLOOR = 1e-8   # positivity floor of every Euler step; activations are counted
+_TIME_CAP = 1e4     # hard cap on each sampled cycle; capped cycles are counted
+_MAX_PATH_STEPS = 10**7   # bounds on the work of one call, checked before anything is allocated
+_MAX_CYCLES = 10**6
+
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-3
-    horizon: float = 1e4          # long-run estimators average ceil(horizon / xi(y)) cycles
-    n_paths: int = 100_000        # independent paths for first-passage estimators
+    horizon: float = 1e4     # long-run estimators average ceil(horizon / xi(y)) cycles
     seed: int = 0
-    eps_floor: float = 1e-8       # positivity floor; activations are counted
-    time_cap: float = 1e4         # hard cap on each sampled cycle; capped cycles are counted
-    barrier_correction: bool = True
-    chunk_size: int = 8192
+    chunk_size: int = 8192   # paths per chunk; each chunk draws from its own generator
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:   # also rejects NaN
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        for name, value in (("dt", self.dt), ("horizon", self.horizon)):
+            if not 0.0 < value < math.inf:   # also rejects NaN
+                raise DomainError(f"{name} must be positive and finite, got {value}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        if self.chunk_size < 1:
+            raise DomainError(f"chunk_size must be at least 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _detection_level(model: DiffusionModel, threshold: float, config: SimConfig) -> float:
-    if not config.barrier_correction or not math.isfinite(threshold):
+    if not math.isfinite(threshold):
         return threshold
     shift = _BARRIER_BETA * float(model.volatility(threshold)) * math.sqrt(config.dt)
     return max(threshold - shift, model.restart_level * (1.0 + 1e-9))
@@ -136,17 +142,18 @@ def simulate_path(
     threshold: float,
     config: SimConfig,
     *,
-    horizon: Optional[float] = None,
+    horizon: float,
 ) -> PathRecord:
     """One Euler path on [0, horizon] with impulses back to y0 at the threshold.
 
     ``threshold=inf`` yields the uncontrolled path for the same seed.
     """
-    if threshold <= model.restart_level and math.isfinite(threshold):
-        raise DomainError("threshold must exceed the restart level")
-    horizon = config.horizon if horizon is None else float(horizon)
+    _check_threshold(model, threshold)
     dt = config.dt
-    n_steps = int(round(horizon / dt))
+    steps = horizon / dt
+    if not 0.0 <= steps <= _MAX_PATH_STEPS:   # also rejects NaN
+        raise DomainError(f"horizon {horizon} takes {steps:.4g} steps; at most {_MAX_PATH_STEPS} allowed")
+    n_steps = int(round(steps))
     drift, vol = model.drift, model.volatility
     y0 = model.restart_level
     detect = _detection_level(model, threshold, config)
@@ -162,8 +169,8 @@ def simulate_path(
     x = y0
     for k in range(n_steps):
         x = x + float(drift(x)) * dt + float(vol(x)) * sqdt * float(normals[k])
-        if x < config.eps_floor:
-            x = config.eps_floor
+        if x < _EPS_FLOOR:
+            x = _EPS_FLOOR
             floor_hits += 1
         if x >= detect:
             impulse_times.append((k + 1) * dt)
@@ -186,7 +193,7 @@ def simulate_path(
 # ---------------------------------------------------------------------------
 
 class _Cycles(NamedTuple):
-    times: np.ndarray       # passage times; ``time_cap`` for capped cycles
+    times: np.ndarray       # passage times; ``_TIME_CAP`` for capped cycles
     integrals: np.ndarray   # left-Riemann ``int_0^tau running(X) dt`` (zeros without ``running``)
     pre_states: np.ndarray  # state at the crossing step; the state reached for capped cycles
     capped: int
@@ -213,19 +220,21 @@ def _first_passages(
     array would; since the switch depends on the chunk's own live count only,
     stacking still changes nothing.
     """
+    if n > _MAX_CYCLES:
+        raise DomainError(f"{n:.4g} cycles requested; at most {_MAX_CYCLES} allowed")
     drift, vol = _vector_coefficients(model)
     detect = _detection_level(model, threshold, config)
-    dt, sqdt, floor = config.dt, math.sqrt(config.dt), config.eps_floor
+    dt, sqdt, floor = config.dt, math.sqrt(config.dt), _EPS_FLOOR
     rngs = [_rng(config.seed, c) for c in range(-(-n // config.chunk_size))]
     ids = np.arange(n)
     live = np.bincount(ids // config.chunk_size, minlength=len(rngs))
     x = np.full(n, model.restart_level)
     acc = np.zeros(n)
-    times = np.full(n, config.time_cap)
+    times = np.full(n, _TIME_CAP)
     integrals = np.zeros(n)
     pre_states = np.empty(n)
     floored = capped = 0
-    max_steps = int(math.ceil(config.time_cap / dt))
+    max_steps = int(math.ceil(_TIME_CAP / dt))
     # one buffer for the stacked block, one for a chunk's draws; both reused
     buffer = np.empty(_BLOCK_STEPS * n)
     draws = np.empty(_BLOCK_STEPS * min(n, config.chunk_size))
@@ -312,14 +321,14 @@ def _finish_chunk(
     The stacked engine's twin, bit for bit: the same ``(steps, live)`` blocks
     from the chunk's generator with the live count shrinking only at block
     ends, the same float operations in the same order, the first unclamped
-    state at or above ``detect`` recorded, each clamp at ``eps_floor`` counted
+    state at or above ``detect`` recorded, each clamp at ``_EPS_FLOOR`` counted
     up to the crossing, and the running integrand called once per block on the
     matrix of left states. Results go to ``out`` (times, integrals, pre-states)
     at ``ids``; returns the clamp count and the number of capped paths.
     """
     times, integrals, pre_states = out
     drift, vol = model.drift, model.volatility
-    dt, sqdt, floor = config.dt, math.sqrt(config.dt), config.eps_floor
+    dt, sqdt, floor = config.dt, math.sqrt(config.dt), _EPS_FLOOR
     ids, xs, accs = ids.tolist(), x.tolist(), acc.tolist()
     floored = 0
     while ids and done < max_steps:
@@ -387,12 +396,11 @@ def estimate_hitting_time(
     threshold: float,
     config: SimConfig,
     *,
-    n_paths: Optional[int] = None,
+    n_paths: int = 100_000,
 ) -> EstimateReport:
     """Sample mean and standard error of the first passage time from y0 to the threshold."""
     _check_threshold(model, threshold)
-    n = config.n_paths if n_paths is None else int(n_paths)
-    cycles = _first_passages(model, threshold, n, config)
+    cycles = _first_passages(model, threshold, int(n_paths), config)
     return _sample_report(cycles.times, cycles, config)
 
 
@@ -402,12 +410,11 @@ def estimate_running_cost(
     threshold: float,
     config: SimConfig,
     *,
-    n_paths: Optional[int] = None,
+    n_paths: int = 100_000,
 ) -> EstimateReport:
     """Sample mean of ``int_0^{tau_y} h(X_s) ds`` over first passages from y0."""
     _check_threshold(model, threshold)
-    n = config.n_paths if n_paths is None else int(n_paths)
-    cycles = _first_passages(model, threshold, n, config, running=h)
+    cycles = _first_passages(model, threshold, int(n_paths), config, running=h)
     return _sample_report(cycles.integrals, cycles, config)
 
 
@@ -424,7 +431,8 @@ def _long_run_cycles(
     """``ceil(horizon / xi(y))`` cycles: on average they span the configured horizon."""
     _check_threshold(model, threshold)
     xi_y = float(get_evaluator(model).xi(threshold))
-    n = max(2, int(math.ceil(config.horizon / xi_y)))
+    n = config.horizon / xi_y   # inf past double range, which the cycle bound refuses
+    n = max(2, math.ceil(n)) if n < math.inf else n
     return _first_passages(model, threshold, n, config, running)
 
 

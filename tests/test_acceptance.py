@@ -250,9 +250,7 @@ capsys,
 
 def test_criterion_6_monte_carlo_cross_validation(capsys, model, rate_payoff):
     start = time.monotonic()
-    tau = estimate_hitting_time(
-        model, 2.0, SimConfig(dt=1e-3, n_paths=100_000, seed=101, time_cap=1e4)
-    )
+    tau = estimate_hitting_time(model, 2.0, SimConfig(dt=1e-3, seed=101), n_paths=100_000)
     stock = estimate_stationary_mean(model, 4.0, SimConfig(dt=1e-3, horizon=1e5, seed=103))
     payoff = resolve_payoff(model, rate_payoff)
     ev = XiEvaluator(model)

@@ -360,11 +360,8 @@ def test_misspelled_section_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# a flag takes only true/false, a number no true/false and an integer no fraction
-@pytest.mark.parametrize(
-    "field, value",
-    [("barrier_correction", "false"), ("seed", 7.9), ("seed", True), ("dt", True)],
-)
+# a number takes no true/false and an integer no fraction
+@pytest.mark.parametrize("field, value", [("seed", 7.9), ("seed", True), ("dt", True)])
 def test_simulation_field_of_wrong_kind_exits_2(tmp_path, capsys, field, value):
     scenario = with_section(tmp_path, RATE_SCENARIO, simulation={field: value})
     code, out = run(tmp_path, "solve-single", scenario)
@@ -377,10 +374,60 @@ def test_simulation_fields_keep_their_values():
     from harvestfield.scenario import scenario_from_dict
 
     data = json.loads(Path(RATE_SCENARIO).read_text())
-    data["simulation"] = {"seed": 7.0, "barrier_correction": False, "dt": 1}
+    data["simulation"] = {"seed": 7.0, "dt": 1}
     sim = scenario_from_dict(data).sim
-    assert (sim.seed, sim.barrier_correction, sim.dt) == (7, False, 1.0)
+    assert (sim.seed, sim.dt) == (7, 1.0)
     assert type(sim.seed) is int and type(sim.dt) is float
+
+
+# the path count, positivity floor, cycle cap and barrier shift are constants of the engine
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_paths", 1000), ("eps_floor", 1e-8), ("time_cap", 10.0), ("barrier_correction", False)],
+)
+def test_deleted_simulation_key_exits_2(tmp_path, capsys, key, value):
+    scenario = with_section(tmp_path, RATE_SCENARIO, simulation={"seed": 7, key: value})
+    code, out = run(tmp_path, "simulate", scenario)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a run length the engine cannot run: refused by the loader (2) or by a bound on the
+# path steps or cycles, before anything is allocated (3)
+@pytest.mark.parametrize(
+    "section, key, value, code, message",
+    [
+        ("simulation", "horizon", math.nan, 2, "horizon must be positive and finite"),
+        ("simulation", "horizon", -1.0, 2, "horizon must be positive and finite"),
+        ("simulation", "horizon", math.inf, 2, "horizon must be positive and finite"),
+        ("simulation", "seed", -1, 2, "seed must be nonnegative"),
+        ("simulation", "chunk_size", 0, 2, "chunk_size must be at least 1"),
+        ("simulate", "horizon", -5.0, 2, "simulate.horizon must be positive and finite"),
+        ("simulate", "horizon", math.nan, 2, "simulate.horizon must be positive and finite"),
+        ("simulate", "horizon", 1e300, 3, "at most 10000000 allowed"),
+        ("simulation", "horizon", 1e300, 3, "at most 1000000 allowed"),
+        ("simulate", "threshold", 1.0001, 3, "at most 1000000 allowed"),
+        ("simulate", "threshold", 1.000000001, 3, "at most 1000000 allowed"),
+    ],
+)
+def test_simulate_refuses_run_lengths_it_cannot_run(
+    tmp_path, capsys, section, key, value, code, message
+):
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    sections = {"simulation": data["simulation"], "simulate": {**data["simulate"], "horizon": 5.0}}
+    sections[section] = {**sections[section], key: value}
+    got, out = run(tmp_path, "simulate", with_section(tmp_path, RATE_SCENARIO, **sections))
+    assert got == code
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, "solve-single", RATE_SCENARIO, "--seed", "-1")
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a key the model does not read (the anchor of the scale function is y0) and a misspelling
@@ -658,3 +705,66 @@ def test_fuzzed_field_ends_in_a_documented_exit_code(tmp_path, scenario_file, se
             if code not in (0, 2, 3, 4):
                 escaped.append((value, command, code))
     assert escaped == []
+
+
+# the run lengths of simulate, on a copy of the rate scenario short enough to fuzz;
+# dt stays out: a tiny dt is valid but makes a cycle take up to the cycle cap over dt steps
+_SIMULATE_FUZZ_FIELDS = [
+    ("simulation", "horizon"),
+    ("simulation", "seed"),
+    ("simulation", "chunk_size"),
+    ("simulate", "threshold"),
+    ("simulate", "horizon"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key", _SIMULATE_FUZZ_FIELDS, ids=[f"{s}.{k}" for s, k in _SIMULATE_FUZZ_FIELDS]
+)
+def test_fuzzed_simulate_field_ends_in_a_documented_exit_code(tmp_path, section, key):
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    data["simulation"]["horizon"] = 100.0
+    data["simulate"]["horizon"] = 1.0
+    escaped = []
+    for i, value in enumerate(_FUZZ_VALUES):
+        data[section] = {**data[section], key: value}
+        scenario = tmp_path / f"fuzz-{i}.json"
+        scenario.write_text(json.dumps(data))
+        try:
+            code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        except Exception as exc:   # noqa: BLE001 - the test reports whatever escapes
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 2, 3, 4):
+            escaped.append((value, code))
+    assert escaped == []
+
+
+def test_simulate_solves_its_own_threshold(tmp_path):
+    # no simulate.threshold: simulate runs at the lowest equilibrium of solve-mfg
+    scenario = with_section(tmp_path, STOCK_SCENARIO, simulation={"seed": 7, "horizon": 200.0})
+    code, out = run(tmp_path / "simulate", "simulate", scenario)
+    assert code == 0
+    code, mfg = run(tmp_path / "mfg", "solve-mfg", scenario)
+    assert code == 0
+    lowest = min(point["threshold"] for point in read_report(mfg)["results"]["equilibria"])
+    assert read_report(out)["results"]["threshold"] == lowest
+
+
+def test_simulate_without_threshold_or_payoff_exits_2(tmp_path, capsys):
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    del data["payoff"], data["simulate"]
+    scenario = tmp_path / "bare.json"
+    scenario.write_text(json.dumps(data))
+    code, out = run(tmp_path, "simulate", scenario)
+    assert code == 2
+    assert "simulate.threshold" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-single", "compare"])
+def test_power_of_a_negative_base_is_not_finite(tmp_path, capsys, command):
+    # (x-2)^0.5 is NaN below x = 2, where Python's ** would give a complex
+    model = {"kind": "custom", "drift": "x*(1.5 - 0.5*x) + 0.1*(x-2)^0.5", "vol": "x", "y0": 1.0}
+    code, _ = run(tmp_path, command, with_section(tmp_path, CUSTOM_SCENARIO, model=model))
+    assert code == 3
+    assert "drift is not finite" in capsys.readouterr().err

@@ -50,3 +50,13 @@ def test_rejects_malformed(text):
 def test_unknown_variable_names_the_expected_one():
     with pytest.raises(ScenarioError, match="free variable"):
         parse_expression("q + 1", "z")
+
+
+@pytest.mark.parametrize("text", ["0.3*x^0.5", "0.3*x^1.5", "x^x", "2^x"])
+def test_power_rounds_alike_on_floats_and_arrays(text):
+    # the Monte-Carlo tail steps in floats what the stacked engine steps in arrays
+    f = parse_expression(text)
+    xs = np.random.default_rng(0).uniform(0.01, 5.0, 20_000)
+    on_floats = [f(x) for x in xs.tolist()]
+    assert all(type(v) is float for v in on_floats)
+    assert np.array_equal(f(xs), on_floats)

@@ -151,55 +151,55 @@ def test_xi_prime_integrates_back_to_xi(benchmark_evaluator):
 _LEVELS = ((1.0, 3.0), (0.3, 4.0), (1.2, 4.0))   # (x, c), from y0 and from either side of it
 
 
-def running_cost(ev, rate, holding, x, c):
-    return _running_potential(ev, holding, rate, c) - _running_potential(ev, holding, rate, x)
+def running_cost(model, rate, holding, x, c):
+    return _running_potential(model, holding, rate, c) - _running_potential(model, holding, rate, x)
 
 
-def test_running_cost_of_unit_rate_is_xi(benchmark_model, benchmark_evaluator, quadrature_twin):
+def test_running_cost_of_unit_rate_is_xi(benchmark_model, quadrature_twin):
     oracle = LogisticOracle(benchmark_model)
-    for ev in (benchmark_evaluator, XiEvaluator(quadrature_twin)):
+    for model in (benchmark_model, quadrature_twin):
         for x, c in _LEVELS:
             expected = oracle.running_cost(1.0, 0.0, x, c)
-            assert running_cost(ev, 1.0, 0.0, x, c) == pytest.approx(expected, rel=1e-9)
+            assert running_cost(model, 1.0, 0.0, x, c) == pytest.approx(expected, rel=1e-9)
 
 
-def test_running_cost_of_zero_is_zero(benchmark_evaluator):
+def test_running_cost_of_zero_is_zero(benchmark_model):
     xs = np.array([0.3, 1.0, 1.2, 3.0, 4.0])
-    assert np.all(_running_potential(benchmark_evaluator, 0.0, 0.0, xs) == 0.0)
-    assert _running_potential(benchmark_evaluator, 0.0, 0.0, 0.3) == 0.0
+    assert np.all(_running_potential(benchmark_model, 0.0, 0.0, xs) == 0.0)
+    assert _running_potential(benchmark_model, 0.0, 0.0, 0.3) == 0.0
 
 
-def test_running_cost_linear_state(benchmark_model, benchmark_evaluator, quadrature_twin):
+def test_running_cost_linear_state(benchmark_model, quadrature_twin):
     # independent 40-digit value of E_1[int_0^tau_3 X dt]
-    assert running_cost(benchmark_evaluator, 0.0, 1.0, 1.0, 3.0) == pytest.approx(
+    assert running_cost(benchmark_model, 0.0, 1.0, 1.0, 3.0) == pytest.approx(
         2.4550772022054387, rel=1e-12
     )
     oracle = LogisticOracle(benchmark_model)
-    for ev in (benchmark_evaluator, XiEvaluator(quadrature_twin)):
+    for model in (benchmark_model, quadrature_twin):
         for x, c in _LEVELS:
             expected = oracle.running_cost(0.0, 1.0, x, c)
-            assert running_cost(ev, 0.0, 1.0, x, c) == pytest.approx(expected, rel=1e-9)
+            assert running_cost(model, 0.0, 1.0, x, c) == pytest.approx(expected, rel=1e-9)
             # floats and arrays read the same potential
-            on_array = _running_potential(ev, 1.0, 0.0, np.array([x, c]))
+            on_array = _running_potential(model, 1.0, 0.0, np.array([x, c]))
             assert on_array[1] - on_array[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_running_cost_additive_in_h(benchmark_model, benchmark_evaluator):
-    both = running_cost(benchmark_evaluator, 1.0, 1.0, 1.2, 4.0)
-    rate = running_cost(benchmark_evaluator, 1.0, 0.0, 1.2, 4.0)
-    holding = running_cost(benchmark_evaluator, 0.0, 1.0, 1.2, 4.0)
+def test_running_cost_additive_in_h(benchmark_model):
+    both = running_cost(benchmark_model, 1.0, 1.0, 1.2, 4.0)
+    rate = running_cost(benchmark_model, 1.0, 0.0, 1.2, 4.0)
+    holding = running_cost(benchmark_model, 0.0, 1.0, 1.2, 4.0)
     assert both == pytest.approx(rate + holding, rel=1e-12)
     oracle = LogisticOracle(benchmark_model)
     assert both == pytest.approx(oracle.running_cost(1.0, 1.0, 1.2, 4.0), rel=1e-9)
 
 
-def test_running_cost_domain_checks(benchmark_evaluator):
+def test_running_cost_domain_checks(benchmark_model):
     # the potential has no value at the boundary 0, and a holding cost must be a >= 0
     with pytest.raises(DivergenceError):
-        _running_potential(benchmark_evaluator, 1.0, 0.0, 0.0)
+        _running_potential(benchmark_model, 1.0, 0.0, 0.0)
     for holding in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError, match="holding cost"):
-            solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, holding, 1.0)
+            solve_auxiliary(benchmark_model, lambda y: y - 1.0, holding, 1.0)
 
 
 def test_xi_between_twin_routes(benchmark_evaluator, quadrature_twin):

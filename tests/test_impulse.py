@@ -23,14 +23,14 @@ from harvestfield.payoff import Interaction, PayoffSpec
 # basic problem
 # ---------------------------------------------------------------------------
 
-def test_threshold_monotone_in_cost(benchmark_evaluator):
+def test_threshold_monotone_in_cost(benchmark_model):
     costs = [0.0, 0.3, 1.0, 2.5]
-    thresholds = [optimal_threshold_basic(benchmark_evaluator, k).threshold for k in costs]
+    thresholds = [optimal_threshold_basic(benchmark_model, k).threshold for k in costs]
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
 
-def test_threshold_beats_brute_force_grid(benchmark_evaluator):
-    sol = optimal_threshold_basic(benchmark_evaluator, 1.0)
+def test_threshold_beats_brute_force_grid(benchmark_model, benchmark_evaluator):
+    sol = optimal_threshold_basic(benchmark_model, 1.0)
     ys = np.linspace(1.0 + 1e-4, 40.0, 10_000)
     grid_vals = (ys - 1.0 - 1.0) / np.asarray(benchmark_evaluator.xi(ys))
     assert sol.value >= grid_vals.max() - 1e-12
@@ -45,13 +45,13 @@ def test_objective_has_single_local_max(benchmark_evaluator):
     assert switches <= 1
 
 
-def test_threshold_exceeds_restart_plus_cost(benchmark_evaluator):
+def test_threshold_exceeds_restart_plus_cost(benchmark_model):
     for k in (0.0, 1.0, 4.0):
-        assert optimal_threshold_basic(benchmark_evaluator, k).threshold >= 1.0 + k
+        assert optimal_threshold_basic(benchmark_model, k).threshold >= 1.0 + k
 
 
-def test_solution_invariants(benchmark_evaluator):
-    sol = optimal_threshold_basic(benchmark_evaluator, 1.0)
+def test_solution_invariants(benchmark_model, benchmark_evaluator):
+    sol = optimal_threshold_basic(benchmark_model, 1.0)
     lo, hi = sol.bracket
     assert lo < sol.threshold < hi
     assert abs(sol.residual) < 1e-10
@@ -59,15 +59,15 @@ def test_solution_invariants(benchmark_evaluator):
     assert sol.value == pytest.approx(recomputed, abs=1e-10)
 
 
-def test_negative_cost_rejected(benchmark_evaluator):
+def test_negative_cost_rejected(benchmark_model):
     with pytest.raises(DomainError):
-        optimal_threshold_basic(benchmark_evaluator, -0.5)
+        optimal_threshold_basic(benchmark_model, -0.5)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 2.5])
-def test_newton_solve_takes_few_steps(benchmark_evaluator, k):
+def test_newton_solve_takes_few_steps(benchmark_model, k):
     # Newton converges quadratically from the doubling bracket; bisection needs about 32 steps
-    sol = optimal_threshold_basic(benchmark_evaluator, k)
+    sol = optimal_threshold_basic(benchmark_model, k)
     assert sol.iterations <= 10
     assert sol.residual < 1e-10
 
@@ -82,7 +82,7 @@ def test_degenerate_zero_cost_maximizer():
     model = logistic_model(q=-0.55, b=0.85, beta=1.0, y0=1.0)
     ev = XiEvaluator(model)
     assert ev.xi_second(1.0) > 0.0
-    sol = optimal_threshold_basic(ev, 0.0)
+    sol = optimal_threshold_basic(model, 0.0)
     assert sol.threshold == 1.0
     assert sol.value == pytest.approx(1.0 / ev.xi_prime(1.0), rel=1e-12)
     assert "maximizer degenerates to the restart level" in sol.flags
@@ -91,10 +91,10 @@ def test_degenerate_zero_cost_maximizer():
     assert np.all(rates <= sol.value + 1e-12)
 
 
-def test_max_harvest_rate(benchmark_evaluator):
-    rate = max_harvest_rate(benchmark_evaluator)
+def test_max_harvest_rate(benchmark_model, benchmark_evaluator):
+    rate = max_harvest_rate(benchmark_model)
     assert rate > 0.0
-    y_hat = optimal_threshold_basic(benchmark_evaluator, 0.0).threshold
+    y_hat = optimal_threshold_basic(benchmark_model, 0.0).threshold
     ys = np.linspace(1.0 + 1e-4, 30.0, 4000)
     rates = (ys - 1.0) / np.asarray(benchmark_evaluator.xi(ys))
     assert rate >= rates.max() - 1e-12
@@ -192,44 +192,44 @@ def test_critical_bounds_requires_domain(benchmark_model, rate_payoff):
 # auxiliary problem
 # ---------------------------------------------------------------------------
 
-def test_auxiliary_reduces_to_basic(benchmark_evaluator):
-    aux = solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, 0.0, 1.0)
-    basic = optimal_threshold_basic(benchmark_evaluator, 1.0)
+def test_auxiliary_reduces_to_basic(benchmark_model):
+    aux = solve_auxiliary(benchmark_model, lambda y: y - 1.0, 0.0, 1.0)
+    basic = optimal_threshold_basic(benchmark_model, 1.0)
     assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
     assert aux.value == pytest.approx(basic.value, rel=1e-9)
 
 
-def test_auxiliary_scaled_reward_reduces_to_scaled_basic(benchmark_evaluator):
+def test_auxiliary_scaled_reward_reduces_to_scaled_basic(benchmark_model):
     price = 0.6
-    aux = solve_auxiliary(benchmark_evaluator, lambda y: price * (y - 1.0), 0.0, 1.0)
-    basic = optimal_threshold_basic(benchmark_evaluator, 1.0 / price)
+    aux = solve_auxiliary(benchmark_model, lambda y: price * (y - 1.0), 0.0, 1.0)
+    basic = optimal_threshold_basic(benchmark_model, 1.0 / price)
     assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
     assert aux.value == pytest.approx(price * basic.value, rel=1e-9)
 
 
-def test_auxiliary_threshold_decreases_with_linear_running_cost(benchmark_evaluator):
+def test_auxiliary_threshold_decreases_with_linear_running_cost(benchmark_model):
     # penalizing standing stock makes waiting costlier, so the threshold
     # shrinks toward y0 as the rate grows (and -> y0 in the limit)
     thresholds = [
-        solve_auxiliary(benchmark_evaluator, lambda y: y - 1.0, holding, 1.0).threshold
+        solve_auxiliary(benchmark_model, lambda y: y - 1.0, holding, 1.0).threshold
         for holding in (0.0, 0.05, 0.1)
     ]
     assert thresholds[0] > thresholds[1] > thresholds[2]
 
 
-def test_auxiliary_flags_unprofitable(benchmark_evaluator):
+def test_auxiliary_flags_unprofitable(benchmark_model):
     # bounded reward plus a stock-proportional running cost: the best
     # achievable long-run rate is interior but negative
-    sol = solve_auxiliary(benchmark_evaluator, lambda y: 1.0 - 1.0 / y, 0.5, 2.0)
+    sol = solve_auxiliary(benchmark_model, lambda y: 1.0 - 1.0 / y, 0.5, 2.0)
     assert not sol.profitable
     assert sol.value < 0.0
     assert "no profitable harvest" in sol.flags
 
 
-def test_auxiliary_reports_bracket_exhaustion(benchmark_evaluator):
+def test_auxiliary_reports_bracket_exhaustion(benchmark_model):
     # reward growing super-exponentially: no interior maximizer exists
     with pytest.raises(NoRootError):
-        solve_auxiliary(benchmark_evaluator, lambda y: math.exp(y * y) - 1.0, 0.0, 1.0)
+        solve_auxiliary(benchmark_model, lambda y: math.exp(y * y) - 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,7 @@ def solved_benchmark(benchmark_model, benchmark_evaluator, rate_payoff):
 
 def test_stopping_value_identities(benchmark_model, solved_benchmark):
     sol, reward = solved_benchmark
-    sv = stopping_value(
-        benchmark_model, reward, 0.0, 1.0, sol.value, threshold_hint=sol.threshold
-    )
+    sv = stopping_value(benchmark_model, reward, 0.0, 1.0, sol.value, sol.threshold)
     g0 = sv.values[np.argmin(np.abs(sv.grid - 1.0))]
     assert abs(g0) < 1e-6
     i_star = np.argmin(np.abs(sv.grid - sol.threshold))

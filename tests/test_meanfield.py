@@ -482,10 +482,10 @@ def test_rate_compare_solves_zero_cost_threshold_once(rate_payoff, monkeypatch):
     real = impulse.optimal_threshold_basic
     zero_cost = []
 
-    def counting(model_or_ev, k_tilde, **kwargs):
+    def counting(model, k_tilde, **kwargs):
         if k_tilde == 0.0:
             zero_cost.append(k_tilde)
-        return real(model_or_ev, k_tilde, **kwargs)
+        return real(model, k_tilde, **kwargs)
 
     monkeypatch.setattr(impulse, "optimal_threshold_basic", counting)
     compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0), rate_payoff)

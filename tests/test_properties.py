@@ -95,9 +95,9 @@ def test_table_limits_match_gamma_forms(params):
 @given(ergodic, st.floats(0.05, 3.0))
 def test_threshold_solves_match_first_order_root(params, k):
     model = logistic_model(**params)
-    ev, exact = XiEvaluator(model), LogisticOracle(model)
+    exact = LogisticOracle(model)
     for kt in (k, 2.0 * k):
-        sol = optimal_threshold_basic(ev, kt)
+        sol = optimal_threshold_basic(model, kt)
         root = first_order_root(exact, kt, sol.bracket)
         assert_close(sol.threshold, root, 1e-9)
 

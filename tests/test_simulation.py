@@ -65,8 +65,7 @@ def test_impulse_frequency_matches_renewal_rate(benchmark_model, benchmark_evalu
 
 
 def test_hitting_time_estimator_matches_analytic(benchmark_model):
-    config = SimConfig(dt=1e-3, seed=11, n_paths=20_000, time_cap=2e3)
-    report = estimate_hitting_time(benchmark_model, 2.0, config)
+    report = estimate_hitting_time(benchmark_model, 2.0, SimConfig(dt=1e-3, seed=11), n_paths=20_000)
     assert report.n == 20_000
     assert report.details["capped"] == 0
     assert report.details["floor_activations"] == 0
@@ -74,61 +73,49 @@ def test_hitting_time_estimator_matches_analytic(benchmark_model):
 
 
 def test_hitting_time_estimator_is_deterministic(benchmark_model):
-    config = SimConfig(dt=2e-3, seed=11, n_paths=4000, time_cap=1e3)
-    a = estimate_hitting_time(benchmark_model, 2.0, config)
-    b = estimate_hitting_time(benchmark_model, 2.0, config)
+    config = SimConfig(dt=2e-3, seed=11)
+    a = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=4000)
+    b = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=4000)
     assert a.value == b.value and a.std_error == b.std_error
 
 
 def test_standard_error_scales_with_paths(benchmark_model):
-    small = estimate_hitting_time(
-        benchmark_model, 2.0, SimConfig(dt=2e-3, seed=13, n_paths=10_000, time_cap=1e3)
-    )
-    large = estimate_hitting_time(
-        benchmark_model, 2.0, SimConfig(dt=2e-3, seed=13, n_paths=40_000, time_cap=1e3)
-    )
+    config = SimConfig(dt=2e-3, seed=13)
+    small = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=10_000)
+    large = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=40_000)
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(2.0, rel=0.25)
 
 
 def test_time_step_consistency(benchmark_model):
     # halving dt moves the corrected estimate by less than 2 combined SEs
-    coarse = estimate_hitting_time(
-        benchmark_model, 2.0, SimConfig(dt=2e-3, seed=17, n_paths=20_000, time_cap=1e3)
-    )
-    fine = estimate_hitting_time(
-        benchmark_model, 2.0, SimConfig(dt=1e-3, seed=19, n_paths=20_000, time_cap=1e3)
-    )
+    coarse = estimate_hitting_time(benchmark_model, 2.0, SimConfig(dt=2e-3, seed=17), n_paths=20_000)
+    fine = estimate_hitting_time(benchmark_model, 2.0, SimConfig(dt=1e-3, seed=19), n_paths=20_000)
     combined = math.hypot(coarse.std_error, fine.std_error)
     assert abs(coarse.value - fine.value) <= 2.0 * combined
 
 
-def test_barrier_correction_removes_crossing_bias(benchmark_model):
+def test_barrier_correction_removes_crossing_bias(benchmark_model, monkeypatch):
     # the uncorrected estimator overshoots xi(2) by O(sqrt(dt)), many SEs at
     # this sample size; the corrected one stays within 3
-    corrected = estimate_hitting_time(
-        benchmark_model, 2.0, SimConfig(dt=1e-3, seed=23, n_paths=20_000, time_cap=1e3)
-    )
-    raw = estimate_hitting_time(
-        benchmark_model,
-        2.0,
-        SimConfig(dt=1e-3, seed=23, n_paths=20_000, time_cap=1e3, barrier_correction=False),
-    )
+    config = SimConfig(dt=1e-3, seed=23)
+    corrected = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=20_000)
+    monkeypatch.setattr(simulation, "_BARRIER_BETA", 0.0)   # detect at the threshold itself
+    raw = estimate_hitting_time(benchmark_model, 2.0, config, n_paths=20_000)
     assert corrected.within(XI_2, 3.0)
     assert raw.value - XI_2 > 3.0 * raw.std_error
 
 
-def test_capped_paths_are_flagged(benchmark_model):
-    report = estimate_hitting_time(
-        benchmark_model, 6.0, SimConfig(dt=5e-3, seed=29, n_paths=500, time_cap=5.0)
-    )
+def test_capped_paths_are_flagged(benchmark_model, monkeypatch):
+    monkeypatch.setattr(simulation, "_TIME_CAP", 5.0)
+    report = estimate_hitting_time(benchmark_model, 6.0, SimConfig(dt=5e-3, seed=29), n_paths=500)
     assert report.details["capped"] > 0
     assert report.flags
 
 
 def _assert_stacking_changes_nothing(model):
     # chunk 0 alone and stacked with two more chunks draws and steps identically
-    config = SimConfig(dt=2e-3, seed=61, chunk_size=400, time_cap=1e3)
+    config = SimConfig(dt=2e-3, seed=61, chunk_size=400)
     alone = _first_passages(model, 3.0, 400, config, running=lambda x: x)
     stacked = _first_passages(model, 3.0, 1100, config, running=lambda x: x)
     assert np.array_equal(alone.times, stacked.times[:400])
@@ -143,10 +130,7 @@ def test_chunk_cycles_do_not_depend_on_stacking(benchmark_model):
 
 @pytest.mark.parametrize("vol", ["0.3*x^0.5", "0.3*x^1.5"])
 def test_chunk_cycles_do_not_depend_on_stacking_under_power_noise(vol):
-    # a parsed ``^`` may round differently for a float and an array (x^1.5 does
-    # on this seed), so the plain-float tail and the array engine need not agree
-    # to the last bit; stacking still changes nothing since a chunk leaves the
-    # array on its own live count
+    # a chunk leaves the array on its own live count, whatever the coefficients
     model = custom_model(parse_expression("x*(1.5 - 0.5*x)"), parse_expression(vol), y0=1.0)
     _assert_stacking_changes_nothing(model)
 
@@ -158,14 +142,21 @@ def _tail_case(case, benchmark_model):
     if case == "floor":
         # x drifts up from 0 at unit rate under unit noise, so steps below 0 are clamped
         model = custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0 + 0.0 * x, y0=1.0)
-        return model, 2.5, 300, SimConfig(dt=2e-3, seed=3, time_cap=1e3), lambda x: x
-    # about 18 of 300 cycles outlast the cap, all after the chunk has left the array
-    return benchmark_model, 4.0, 300, SimConfig(dt=5e-3, seed=3, time_cap=10.0), np.sqrt
+        return model, 2.5, 300, SimConfig(dt=2e-3, seed=3), lambda x: x
+    if case == "power":
+        # a parsed ``^`` rounds alike on floats and arrays, so the tail agrees here too
+        model = custom_model(parse_expression("x*(1.5 - 0.5*x)"), parse_expression("0.3*x^1.5"), y0=1.0)
+        return model, 3.0, 1100, SimConfig(dt=2e-3, seed=61, chunk_size=400), lambda x: x
+    # with a cycle cap of 10, about 18 of 300 cycles outlast it, all after the
+    # chunk has left the array
+    return benchmark_model, 4.0, 300, SimConfig(dt=5e-3, seed=3), np.sqrt
 
 
-@pytest.mark.parametrize("case", ["bundled", "floor", "cap"])
+@pytest.mark.parametrize("case", ["bundled", "floor", "power", "cap"])
 def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, case):
     model, threshold, n, config, running = _tail_case(case, benchmark_model)
+    if case == "cap":
+        monkeypatch.setattr(simulation, "_TIME_CAP", 10.0)
     finished = []
 
     def spy(*args, _finish=simulation._finish_chunk):
@@ -179,7 +170,9 @@ def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, ca
     for field, got, want in zip(tail._fields, tail, array):
         assert np.array_equal(got, want), field
     floored, capped = (sum(counts) for counts in zip(*finished))
-    assert {"bundled": len(finished) >= 2, "floor": floored > 0, "cap": capped > 0}[case]
+    assert {
+        "bundled": len(finished) >= 2, "floor": floored > 0, "power": len(finished) >= 2, "cap": capped > 0
+    }[case]
 
 
 @pytest.mark.parametrize(
@@ -193,8 +186,9 @@ def test_logistic_coefficients_agree_bitwise_on_floats_and_arrays(params):
         assert np.array_equal(coefficient(xs), [coefficient(x) for x in xs.tolist()])
 
 
-def test_long_run_capped_cycles_are_flagged(benchmark_model, rate_payoff):
-    config = SimConfig(dt=5e-3, seed=31, horizon=100.0, time_cap=5.0)
+def test_long_run_capped_cycles_are_flagged(benchmark_model, rate_payoff, monkeypatch):
+    monkeypatch.setattr(simulation, "_TIME_CAP", 5.0)
+    config = SimConfig(dt=5e-3, seed=31, horizon=100.0)
     for report in (
         estimate_stationary_mean(benchmark_model, 6.0, config),
         estimate_value(benchmark_model, rate_payoff, 6.0, config, z=0.3),
@@ -277,16 +271,16 @@ def test_planner_value_cross_validated(benchmark_model, rate_payoff):
 
 def test_running_cost_estimator(benchmark_model):
     # E_1[int_0^{tau_3} X dt] frozen from a 40-digit Green-kernel evaluation
-    config = SimConfig(dt=1e-3, seed=53, n_paths=20_000, time_cap=2e3)
-    report = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config)
+    config = SimConfig(dt=1e-3, seed=53)
+    report = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config, n_paths=20_000)
     assert report.within(2.4550772022054387, 3.0)
 
 
 def test_running_cost_takes_an_array_only_integrand(benchmark_model):
     # the tail calls the integrand on arrays too, never on a float
-    config = SimConfig(dt=2e-3, seed=53, n_paths=300)
-    plain = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config)
-    clipped = estimate_running_cost(benchmark_model, lambda x: x.clip(min=0.0), 3.0, config)
+    config = SimConfig(dt=2e-3, seed=53)
+    plain = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config, n_paths=300)
+    clipped = estimate_running_cost(benchmark_model, lambda x: x.clip(min=0.0), 3.0, config, n_paths=300)
     assert clipped.value == plain.value and clipped.std_error == plain.std_error
 
 
@@ -311,7 +305,7 @@ def test_occupation_histogram_matches_stationary_density(benchmark_model):
     for k in range(steps_burn + steps_window):
         z = rng.standard_normal(n_chunks)
         x = x + drift(x) * dt + vol(x) * sqdt * z
-        x = np.maximum(x, config.eps_floor)
+        x = np.maximum(x, simulation._EPS_FLOOR)
         hit = x >= detect
         if np.any(hit):
             x[hit] = benchmark_model.restart_level
@@ -328,6 +322,29 @@ def test_occupation_histogram_matches_stationary_density(benchmark_model):
 
 def test_rejects_threshold_at_restart(benchmark_model):
     with pytest.raises(DomainError):
-        estimate_hitting_time(benchmark_model, 1.0, SimConfig(n_paths=10))
+        estimate_hitting_time(benchmark_model, 1.0, SimConfig(), n_paths=10)
     with pytest.raises(DomainError):
         simulate_path(benchmark_model, 0.8, SimConfig(), horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", math.nan), ("horizon", -1.0), ("horizon", math.inf), ("seed", -1), ("chunk_size", 0)],
+)
+def test_config_refuses_run_lengths_it_cannot_run(field, value):
+    with pytest.raises(DomainError, match=field):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("horizon", [-5.0, math.nan, 1e300])
+def test_path_length_is_bounded(benchmark_model, horizon):
+    with pytest.raises(DomainError, match="steps"):
+        simulate_path(benchmark_model, 4.0, SimConfig(), horizon=horizon)
+
+
+def test_cycle_count_is_bounded(benchmark_model, rate_payoff):
+    # a threshold just above y0 asks for about 1.1e9 cycles of a 1e4 horizon
+    with pytest.raises(DomainError, match="cycles"):
+        estimate_value(benchmark_model, rate_payoff, 1.0001, SimConfig(), z=0.3)
+    with pytest.raises(DomainError, match=r"^1e\+06 cycles requested"):
+        estimate_hitting_time(benchmark_model, 2.0, SimConfig(), n_paths=simulation._MAX_CYCLES + 1)
