@@ -17,8 +17,9 @@ Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
 key other than these six sections, an unknown key in ``model`` or
 ``simulation`` (``dt``, ``horizon``, ``seed``, ``chunk_size``), a number field
 that does not convert or lies out of range (``dt <= 0``, a negative ``seed``,
-a ``simulate.horizon <= 0``, a logistic ``b <= 0``, ...), a model that
-overflows while it is built, or ``draws < 1`` raises :class:`ScenarioError`.
+a ``simulate.horizon <= 0``, a non-finite ``simulate.threshold``, a logistic
+``b <= 0``, ...), a model that overflows while it is built, or ``draws < 1``
+raises :class:`ScenarioError`, whose message starts with the scenario's path.
 A number field takes no ``true``/``false``, and an integer field (``seed``,
 ``chunk_size``, ``draws``) takes no fraction.
 """
@@ -72,25 +73,25 @@ def _convert(value, kind):
     return kind(value)
 
 
-def _build_config(cls_default, section: dict | None, name: str):
+def _build_config(cls_default, section: dict | None, name: str, source: str):
     if section is None:
         return cls_default
     if not isinstance(section, dict):
-        raise ScenarioError(f"'{name}' must be an object")
+        raise ScenarioError(f"{source}: '{name}' must be an object")
     valid = {f.name for f in dataclasses.fields(cls_default)}
     unknown = set(section) - valid
     if unknown:
-        raise ScenarioError(f"unknown {name} option(s): {sorted(unknown)}")
+        raise ScenarioError(f"{source}: unknown {name} option(s): {sorted(unknown)}")
     coerced = {}
     for key, value in section.items():
         try:
             coerced[key] = _convert(value, type(getattr(cls_default, key)))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{name}.{key}: {exc}") from exc
+            raise ScenarioError(f"{source}: {name}.{key}: {exc}") from exc
     try:
         return dataclasses.replace(cls_default, **coerced)
     except ValueError as exc:   # the section's own range checks raise DomainError
-        raise ScenarioError(f"{name}: {exc}") from exc
+        raise ScenarioError(f"{source}: {name}: {exc}") from exc
 
 
 def _field(data: dict, section: str, key: str, source: str, kind=float, default=None):
@@ -142,7 +143,7 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
             phi_source=spec["phi"],
         )
 
-    sim = _build_config(SimConfig(), data.get("simulation"), "simulation")
+    sim = _build_config(SimConfig(), data.get("simulation"), "simulation", source)
 
     draws = _field(data, "sweep", "draws", source, int, 100)
     if draws < 1:
@@ -150,12 +151,15 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
     horizon = _field(data, "simulate", "horizon", source)
     if horizon is not None and not 0.0 < horizon < math.inf:   # also rejects NaN
         raise ScenarioError(f"{source}: simulate.horizon must be positive and finite, got {horizon}")
+    threshold = _field(data, "simulate", "threshold", source)
+    if threshold is not None and not math.isfinite(threshold):
+        raise ScenarioError(f"{source}: simulate.threshold must be finite, got {threshold}")
     return Scenario(
         model=model,
         payoff=payoff,
         sim=sim,
         single_z=_field(data, "single", "z", source),
-        simulate_threshold=_field(data, "simulate", "threshold", source),
+        simulate_threshold=threshold,
         simulate_horizon=horizon,
         sweep_draws=draws,
         raw=data,

@@ -405,6 +405,9 @@ def test_deleted_simulation_key_exits_2(tmp_path, capsys, key, value):
         ("simulation", "chunk_size", 0, 2, "chunk_size must be at least 1"),
         ("simulate", "horizon", -5.0, 2, "simulate.horizon must be positive and finite"),
         ("simulate", "horizon", math.nan, 2, "simulate.horizon must be positive and finite"),
+        ("simulate", "threshold", math.nan, 2, "simulate.threshold must be finite"),
+        ("simulate", "threshold", math.inf, 2, "simulate.threshold must be finite"),
+        ("simulate", "threshold", -math.inf, 2, "simulate.threshold must be finite"),
         ("simulate", "horizon", 1e300, 3, "at most 10000000 allowed"),
         ("simulation", "horizon", 1e300, 3, "at most 1000000 allowed"),
         ("simulate", "threshold", 1.0001, 3, "at most 1000000 allowed"),
@@ -421,6 +424,35 @@ def test_simulate_refuses_run_lengths_it_cannot_run(
     assert got == code
     assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "simulation",
+    [5, {"n_paths": 1000}, {"seed": "a"}, {"horizon": math.nan}],
+    ids=["not-an-object", "unknown-key", "not-a-number", "out-of-range"],
+)
+def test_simulation_section_errors_start_with_the_scenario_path(tmp_path, capsys, simulation):
+    scenario = with_section(tmp_path, RATE_SCENARIO, simulation=simulation)
+    code, out = run(tmp_path, "simulate", scenario)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
+    assert not out.exists()
+
+
+def test_chunk_size_past_the_cycle_count_is_one_chunk(tmp_path):
+    # a chunk of as many paths as the estimate needs or more is the one chunk
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    data["simulation"]["horizon"] = 100.0
+    data["simulate"]["horizon"] = 1.0
+    results = []
+    for chunk_size in (8192, 1e308):
+        data["simulation"]["chunk_size"] = chunk_size
+        scenario = tmp_path / f"chunk-{chunk_size}.json"
+        scenario.write_text(json.dumps(data))
+        code, out = run(tmp_path / str(chunk_size), "simulate", scenario)
+        assert code == 0
+        results.append(read_report(out)["results"])
+    assert results[0] == results[1]
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):

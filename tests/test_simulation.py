@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,6 +177,88 @@ def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, ca
     }[case]
 
 
+@pytest.mark.parametrize("case", ["logistic", "scalar-only"])
+def test_cycles_do_not_depend_on_the_worker_count(benchmark_model, monkeypatch, case):
+    # 1 to 5 chunks of 40 paths, the last one partial, on 1, 2 and 3 groups; every
+    # chunk's last live paths go through the tail finisher, on whichever thread
+    if case == "logistic":
+        model, threshold, running = benchmark_model, 2.5, lambda x: x
+        monkeypatch.setattr(simulation, "_TIME_CAP", 3.0)   # some cycles are capped
+    else:
+        # math.fabs refuses arrays, so the array engine steps np.vectorize wrappers;
+        # x drifts up from 0 at unit rate under unit noise, so steps below 0 are clamped
+        model = custom_model(lambda x: 1.0 - 0.5 * math.fabs(x), lambda x: 1.0, y0=1.0)
+        threshold, running = 1.8, np.sqrt
+    config = SimConfig(dt=2e-3, seed=17, chunk_size=40)
+    finishers = set()
+
+    def spy(*args, _finish=simulation._finish_chunk):
+        finishers.add(threading.current_thread().name)
+        return _finish(*args)
+
+    monkeypatch.setattr(simulation, "_finish_chunk", spy)
+    monkeypatch.setattr(simulation, "_GROUP_PATHS", 1)
+    counted = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # hand the interpreter lock over as often as it goes
+    try:
+        for chunks in range(1, 6):
+            n = 40 * chunks - 13
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+                runs.append(_first_passages(model, threshold, n, config, running=running))
+            for cycles in runs[1:]:
+                for field, got, want in zip(cycles._fields, cycles, runs[0]):
+                    assert np.array_equal(got, want), (chunks, field)
+            counted += runs[0].capped if case == "logistic" else runs[0].floored
+    finally:
+        sys.setswitchinterval(interval)
+    assert counted > 0
+    assert threading.main_thread().name in finishers and len(finishers) > 1
+
+
+def test_groups_take_at_least_group_paths_each(benchmark_model, monkeypatch):
+    # 5 chunks of 50 paths on 4 CPUs, but 100 paths a group at least: 2 groups
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(simulation, "_GROUP_PATHS", 100)
+    finishers = set()
+
+    def spy(*args, _finish=simulation._finish_chunk):
+        finishers.add(threading.current_thread().name)
+        return _finish(*args)
+
+    monkeypatch.setattr(simulation, "_finish_chunk", spy)
+    _first_passages(benchmark_model, 2.0, 250, SimConfig(dt=2e-3, seed=3, chunk_size=50))
+    assert len(finishers) == 2
+
+
+def _fail_off_the_calling_thread(fail):
+    """A running integrand that is ``x`` on the calling thread and ``fail(x)`` on any other."""
+    def running(x):
+        return x if threading.current_thread() is threading.main_thread() else fail(x)
+    return running
+
+
+def test_worker_error_reaches_the_caller_and_every_thread_ends(benchmark_model, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_GROUP_PATHS", 100)
+    config = SimConfig(dt=2e-3, seed=5, chunk_size=100)
+
+    def fail(x):
+        raise KeyError("worker integrand")
+
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="worker integrand"):
+        estimate_running_cost(benchmark_model, _fail_off_the_calling_thread(fail), 3.0, config, n_paths=200)
+    assert threading.active_count() == before
+    # the caller's np.errstate reaches the worker group
+    overflow = _fail_off_the_calling_thread(lambda x: np.exp(x + 1e3))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        estimate_running_cost(benchmark_model, overflow, 3.0, config, n_paths=200)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize(
     "params", [dict(q=-1.0, b=0.5, beta=1.0, y0=1.0), dict(q=-0.37, b=0.123, beta=0.71, y0=0.9)]
 )
@@ -348,3 +432,5 @@ def test_cycle_count_is_bounded(benchmark_model, rate_payoff):
         estimate_value(benchmark_model, rate_payoff, 1.0001, SimConfig(), z=0.3)
     with pytest.raises(DomainError, match=r"^1e\+06 cycles requested"):
         estimate_hitting_time(benchmark_model, 2.0, SimConfig(), n_paths=simulation._MAX_CYCLES + 1)
+    with pytest.raises(DomainError, match=r"^0 cycles requested"):
+        estimate_hitting_time(benchmark_model, 2.0, SimConfig(), n_paths=0)
