@@ -17,11 +17,6 @@ from .diffusion import (
     custom_model,
     logistic_model,
     model_from_dict,
-    model_to_dict,
-    scale_density,
-    scale_function,
-    speed_density,
-    speed_measure,
     validate_assumptions,
 )
 from .errors import (
@@ -69,16 +64,13 @@ from .simulation import (
     PathRecord,
     SimConfig,
     estimate_hitting_time,
-    estimate_running_cost,
     estimate_stationary_mean,
     estimate_value,
     simulate_path,
 )
 from .stationary import (
-    StationaryDensity,
     controlled_cdf,
     controlled_density,
-    controlled_stationary,
     density_table,
     expected_stock,
     reflected_mean,

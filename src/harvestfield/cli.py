@@ -2,9 +2,9 @@
 
 Every subcommand reads one scenario file, runs its task and writes
 ``report.json`` plus ``table.txt`` (and task-specific CSVs) into the output
-directory. Exit codes: 0 success, 2 scenario/parse error (nothing written),
-3 solver failure (a floating-point fault included), 4 threshold-ordering
-violation.
+directory. Exit codes: 0 success, 2 scenario/parse error (nothing written)
+or an output directory that cannot be created or written, 3 solver failure
+(a floating-point fault included), 4 threshold-ordering violation.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except ComparisonError as exc:
         print(f"comparison violation: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:   # --out names a file, lies below one, or is not writable
+        print(f"error: cannot write output to {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (HarvestFieldError, ArithmeticError) as exc:
         # a float division by zero or overflow, or numpy's FloatingPointError where its
         # error state raises, is a failure of the numerics, not a traceback

@@ -46,12 +46,7 @@ __all__ = [
     "AssumptionReport",
     "logistic_model",
     "custom_model",
-    "scale_density",
-    "speed_density",
-    "scale_function",
-    "speed_measure",
     "validate_assumptions",
-    "model_to_dict",
     "model_from_dict",
 ]
 
@@ -80,8 +75,6 @@ class DiffusionModel:
     volatility: Callable[[float], float]
     restart_level: float
     logistic: Optional[LogisticParams] = None
-    drift_source: Optional[str] = None
-    vol_source: Optional[str] = None
 
     def __post_init__(self):
         if self.restart_level <= 0.0:
@@ -121,8 +114,6 @@ def logistic_model(
         volatility=lambda x: bet * x,
         restart_level=float(y0),
         logistic=params,
-        drift_source=f"x*({g!r} - {bb!r}*x)",
-        vol_source=f"{bet!r}*x",
     )
 
 
@@ -130,18 +121,8 @@ def custom_model(
     drift: Callable[[float], float],
     volatility: Callable[[float], float],
     y0: float,
-    *,
-    drift_source: str | None = None,
-    vol_source: str | None = None,
 ) -> DiffusionModel:
-    return DiffusionModel(
-        drift=drift,
-        volatility=volatility,
-        restart_level=float(y0),
-        logistic=None,
-        drift_source=drift_source,
-        vol_source=vol_source,
-    )
+    return DiffusionModel(drift=drift, volatility=volatility, restart_level=float(y0))
 
 
 def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
@@ -749,40 +730,6 @@ def _calculus(model: DiffusionModel) -> _Calculus:
     return calc
 
 
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def scale_density(model: DiffusionModel, x: float):
-    """s(x) = exp(-int_{y0}^x 2 mu / sigma^2), so that s(y0) = 1."""
-    return _calculus(model).s(x)
-
-
-def speed_density(model: DiffusionModel, x: float):
-    """m(x) = (2 / sigma^2(x)) exp(int_{y0}^x 2 mu / sigma^2); satisfies m s sigma^2 = 2."""
-    return _calculus(model).m(x)
-
-
-def scale_function(model: DiffusionModel, x: float) -> float:
-    """S(x) = int_{y0}^x s(u) du, so that S(y0) = 0."""
-    return _calculus(model).S(x)
-
-
-def speed_measure(model: DiffusionModel, lo: float, hi: float) -> float:
-    """Speed mass M[lo, hi]; ``lo=0`` and ``hi=inf`` are allowed as improper endpoints."""
-    if lo < 0.0 or hi < lo:
-        raise DomainError("need 0 <= lo <= hi")
-    calc = _calculus(model)
-    if lo == hi:
-        return 0.0
-    if math.isinf(hi):
-        total = calc.speed_mass_total()
-        return total if lo == 0.0 else total - calc.M0(lo)
-    if lo == 0.0:
-        return calc.M0(hi)
-    return calc.M0(hi) - calc.M0(lo)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Numeric evidence behind each standing-assumption probe."""
@@ -932,20 +879,6 @@ def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def model_to_dict(model: DiffusionModel) -> dict:
-    if model.logistic is not None:
-        p = model.logistic
-        return {"kind": "logistic", "q": p.q, "b": p.crowding, "beta": p.beta, "y0": model.restart_level}
-    if model.drift_source is None or model.vol_source is None:
-        raise DomainError("custom model without expression sources cannot be serialized")
-    return {
-        "kind": "custom",
-        "drift": model.drift_source,
-        "vol": model.vol_source,
-        "y0": model.restart_level,
-    }
-
-
 # the fields of each model kind besides "kind"; any other key is rejected
 _MODEL_KEYS = {"logistic": {"q", "b", "beta", "y0"}, "custom": {"drift", "vol", "y0"}}
 
@@ -976,6 +909,4 @@ def model_from_dict(data: dict) -> DiffusionModel:
         parse_expression(data["drift"], "x"),
         parse_expression(data["vol"], "x"),
         number("y0"),
-        drift_source=data["drift"],
-        vol_source=data["vol"],
     )

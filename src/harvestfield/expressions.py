@@ -155,6 +155,4 @@ def parse_expression(text: str, variable: str = "x") -> Callable[[float], float]
     def compiled(v, _node=node):
         return _node(np.asarray(v, dtype=float)) if isinstance(v, np.ndarray) else _node(v)
 
-    compiled.source = text  # type: ignore[attr-defined]
-    compiled.variable = variable  # type: ignore[attr-defined]
     return compiled

@@ -508,19 +508,6 @@ class SweepRow:
     margin: float              # worst-case signed ordering margin
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "b": self.b,
-            "K": self.cost,
-            "equilibrium_thresholds": list(self.equilibrium_thresholds),
-            "equilibrium_values": list(self.equilibrium_values),
-            "planner_threshold": self.planner_threshold,
-            "planner_value": self.planner_value,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
-
 
 def ordering_sweep(
     interaction: Interaction,

@@ -37,12 +37,8 @@ def build_report(command: str, scenario: dict, results: dict, diagnostics: dict 
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool) or value is None:
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

@@ -135,7 +135,10 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
                 f"{source}: interaction must be one of "
                 f"{[i.value for i in Interaction]}, got {spec['interaction']!r}"
             )
-        phi = parse_expression(spec["phi"], "z")
+        try:
+            phi = parse_expression(spec["phi"], "z")
+        except ScenarioError as exc:
+            raise ScenarioError(f"{source}: payoff.phi: {exc}") from exc
         payoff = PayoffSpec(
             cost=_field(data, "payoff", "K", source),
             phi=phi,

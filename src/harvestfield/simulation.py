@@ -57,7 +57,6 @@ __all__ = [
     "EstimateReport",
     "simulate_path",
     "estimate_hitting_time",
-    "estimate_running_cost",
     "estimate_value",
     "estimate_stationary_mean",
 ]
@@ -108,8 +107,6 @@ class PathRecord:
     states: np.ndarray
     impulse_times: np.ndarray
     pre_impulse_states: np.ndarray
-    threshold: float
-    restart_level: float
     floor_activations: int
 
     @property
@@ -127,15 +124,6 @@ class EstimateReport:
 
     def within(self, target: float, k_std_errors: float = 3.0) -> bool:
         return abs(self.value - target) <= k_std_errors * self.std_error
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n": self.n,
-            "details": self.details,
-            "flags": list(self.flags),
-        }
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -198,8 +186,6 @@ def simulate_path(
         states=states,
         impulse_times=np.asarray(impulse_times),
         pre_impulse_states=np.asarray(pre_states),
-        threshold=threshold,
-        restart_level=y0,
         floor_activations=floor_hits,
     )
 
@@ -493,20 +479,6 @@ def estimate_hitting_time(
     _check_threshold(model, threshold)
     cycles = _first_passages(model, threshold, int(n_paths), config)
     return _sample_report(cycles.times, cycles, config)
-
-
-def estimate_running_cost(
-    model: DiffusionModel,
-    h: Callable[[np.ndarray], np.ndarray],
-    threshold: float,
-    config: SimConfig,
-    *,
-    n_paths: int = 100_000,
-) -> EstimateReport:
-    """Sample mean of ``int_0^{tau_y} h(X_s) ds`` over first passages from y0."""
-    _check_threshold(model, threshold)
-    cycles = _first_passages(model, threshold, int(n_paths), config, running=h)
-    return _sample_report(cycles.integrals, cycles, config)
 
 
 # ---------------------------------------------------------------------------

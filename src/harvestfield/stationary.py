@@ -11,8 +11,6 @@ The long-run mean stock of any admissible strategy is bracketed by ``z1``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,9 +19,7 @@ from .errors import DomainError
 from .hitting import get_evaluator
 
 __all__ = [
-    "StationaryDensity",
     "controlled_density",
-    "controlled_stationary",
     "controlled_cdf",
     "expected_stock",
     "reflected_mean",
@@ -34,18 +30,6 @@ __all__ = [
 
 _MIN_GAP = 1e-6  # thresholds this close to y0 degenerate to instant re-impulse
 _TABLE_POINTS = 2000  # points of the density table
-
-
-@dataclass(frozen=True)
-class StationaryDensity:
-    """A stationary law with its normalization constant and support bound."""
-
-    kind: str                      # "uncontrolled" | "reflected_at_y0" | "controlled"
-    normalization: float           # kappa
-    support_upper: float           # y for controlled laws, inf otherwise
-    pdf: Callable[[float], float]
-    cdf: Callable[[float], float]
-    mean: float
 
 
 def _require_threshold(model: DiffusionModel, y: float) -> None:
@@ -134,19 +118,6 @@ def uncontrolled_mean(model: DiffusionModel) -> float:
 def stock_bounds(model: DiffusionModel) -> tuple[float, float]:
     """(z1, z2): attainable range of long-run mean stocks over admissible strategies."""
     return reflected_mean(model), uncontrolled_mean(model)
-
-
-def controlled_stationary(model: DiffusionModel, y: float) -> StationaryDensity:
-    _require_threshold(model, y)
-    ev = get_evaluator(model)
-    return StationaryDensity(
-        kind="controlled",
-        normalization=1.0 / ev.xi(y),
-        support_upper=float(y),
-        pdf=lambda x: controlled_density(model, y, x),
-        cdf=lambda x: controlled_cdf(model, y, x),
-        mean=expected_stock(model, y),
-    )
 
 
 def density_table(model: DiffusionModel, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -44,8 +44,6 @@ def quadrature_twin():
         drift=lambda x: x * (1.5 - 0.5 * x),
         volatility=lambda x: x,
         y0=1.0,
-        drift_source="x*(1.5 - 0.5*x)",
-        vol_source="x",
     )
 
 

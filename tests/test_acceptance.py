@@ -12,7 +12,7 @@ import pytest
 from helpers import equilibria_oracle
 from oracle import LogisticOracle, integrate, integrate_to_zero
 
-from harvestfield.diffusion import logistic_model, scale_density, speed_density
+from harvestfield.diffusion import _calculus, logistic_model
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import ThresholdSolution, best_response, verify_solution
 from harvestfield.meanfield import (
@@ -279,14 +279,14 @@ def test_criterion_7_identity_suite(capsys, model, evaluator):
     grid = np.linspace(1.0, 10.0, 50)
     drift_identity = max(
         abs(
-            scale_density(model, float(x))
-            * integrate_to_zero(lambda u: model.drift(u) * speed_density(model, u), float(x))
+            _calculus(model).s(float(x))
+            * integrate_to_zero(lambda u: model.drift(u) * _calculus(model).m(u), float(x))
             - 1.0
         )
         for x in grid
     )
     density_identity = max(
-        abs(speed_density(model, float(x)) * scale_density(model, float(x)) * float(x) ** 2 - 2.0)
+        abs(_calculus(model).m(float(x)) * _calculus(model).s(float(x)) * float(x) ** 2 - 2.0)
         for x in grid
     )
     ys = np.geomspace(1.0, 100.0, 400)

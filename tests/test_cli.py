@@ -439,6 +439,27 @@ def test_simulation_section_errors_start_with_the_scenario_path(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phi", ["1/(1+", 3, "1/(1+x)"], ids=["truncated", "not-a-string", "wrong-variable"])
+def test_payoff_phi_errors_start_with_the_scenario_path(tmp_path, capsys, phi):
+    payoff = {"K": 1.0, "phi": phi, "interaction": "harvest_rate"}
+    scenario = with_section(tmp_path, RATE_SCENARIO, payoff=payoff)
+    code, out = run(tmp_path, "solve-single", scenario)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: payoff.phi: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["a-file", "below-a-file"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken.joinpath(*below)
+    assert main(["validate", "--scenario", RATE_SCENARIO, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output to {out}: ")
+    assert "Traceback" not in err
+
+
 def test_chunk_size_past_the_cycle_count_is_one_chunk(tmp_path):
     # a chunk of as many paths as the estimate needs or more is the one chunk
     data = json.loads(Path(RATE_SCENARIO).read_text())

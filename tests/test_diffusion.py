@@ -6,14 +6,10 @@ from helpers import simpson_refine
 from oracle import LogisticOracle, integrate_to_zero
 
 from harvestfield.diffusion import (
+    _calculus,
     custom_model,
     logistic_model,
     model_from_dict,
-    model_to_dict,
-    scale_density,
-    scale_function,
-    speed_density,
-    speed_measure,
     validate_assumptions,
 )
 from harvestfield.errors import DomainError
@@ -28,40 +24,40 @@ E = math.e
 def test_scale_density_at_reference_is_one(benchmark_model, quadrature_twin):
     # the calculus is normalized at y0 = 1 exactly, for floats and arrays, logistic and custom
     for model in (benchmark_model, quadrature_twin):
-        assert scale_density(model, 1.0) == 1.0
-        assert scale_function(model, 1.0) == 0.0
-        assert scale_density(model, np.array([1.0, 2.0]))[0] == 1.0
-        assert scale_function(model, np.array([1.0, 2.0]))[0] == 0.0
+        assert _calculus(model).s(1.0) == 1.0
+        assert _calculus(model).S(1.0) == 0.0
+        assert _calculus(model).s(np.array([1.0, 2.0]))[0] == 1.0
+        assert _calculus(model).S(np.array([1.0, 2.0]))[0] == 0.0
 
 
 def test_scale_density_closed_form_at_two(benchmark_model):
     # closed form x^(-3) e^(x-1); the exponent oracle below recomputes it
-    assert scale_density(benchmark_model, 2.0) == pytest.approx(E / 8.0, rel=1e-12)
+    assert _calculus(benchmark_model).s(2.0) == pytest.approx(E / 8.0, rel=1e-12)
     exponent = simpson_refine(lambda y: 2.0 * y * (1.5 - 0.5 * y) / y**2, 1.0, 2.0, tol=1e-12)
-    assert scale_density(benchmark_model, 2.0) == pytest.approx(math.exp(-exponent), rel=1e-9)
+    assert _calculus(benchmark_model).s(2.0) == pytest.approx(math.exp(-exponent), rel=1e-9)
 
 
 def test_speed_density_values(benchmark_model):
-    assert speed_density(benchmark_model, 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert speed_density(benchmark_model, 3.0) == pytest.approx(6.0 * math.exp(-2.0), rel=1e-12)
+    assert _calculus(benchmark_model).m(1.0) == pytest.approx(2.0, rel=1e-12)
+    assert _calculus(benchmark_model).m(3.0) == pytest.approx(6.0 * math.exp(-2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.11, 0.5, 1.0, 2.7, 9.0, 40.0])
 def test_speed_scale_volatility_identity(benchmark_model, quadrature_twin, x):
     for model in (benchmark_model, quadrature_twin):
         sigma2 = model.volatility(x) ** 2
-        product = speed_density(model, x) * scale_density(model, x) * sigma2
+        product = _calculus(model).m(x) * _calculus(model).s(x) * sigma2
         assert abs(product - 2.0) < 1e-8
 
 
 def test_closed_forms_match_generic_quadrature_route(benchmark_model, quadrature_twin):
     xs = np.geomspace(0.1, 100.0, 25)
     for x in xs:
-        assert scale_density(quadrature_twin, float(x)) == pytest.approx(
-            scale_density(benchmark_model, float(x)), rel=1e-8
+        assert _calculus(quadrature_twin).s(float(x)) == pytest.approx(
+            _calculus(benchmark_model).s(float(x)), rel=1e-8
         )
-        assert speed_density(quadrature_twin, float(x)) == pytest.approx(
-            speed_density(benchmark_model, float(x)), rel=1e-8
+        assert _calculus(quadrature_twin).m(float(x)) == pytest.approx(
+            _calculus(benchmark_model).m(float(x)), rel=1e-8
         )
 
 
@@ -69,9 +65,9 @@ def test_drift_weighted_speed_identity(benchmark_model):
     # s(x) * int_0^x mu m du = 1 on [y0, 10 y0], with the integral by quadrature
     for x in np.linspace(1.0, 10.0, 50):
         mu_m = integrate_to_zero(
-            lambda u: benchmark_model.drift(u) * speed_density(benchmark_model, u), float(x)
+            lambda u: benchmark_model.drift(u) * _calculus(benchmark_model).m(u), float(x)
         )
-        assert abs(scale_density(benchmark_model, float(x)) * mu_m - 1.0) < 1e-6
+        assert abs(_calculus(benchmark_model).s(float(x)) * mu_m - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -86,8 +82,6 @@ def test_logistic_cycle_stock_series_matches_quadrature(params):
     # the table's cycle stock against the oracle series (A(rho y) - A(rho y0)) / b, and the
     # series against a direct quadrature of the oracle's closed-form xm0 s
     from scipy.integrate import quad
-
-    from harvestfield.diffusion import _calculus
 
     model = logistic_model(**params)
     calc, oracle = _calculus(model), LogisticOracle(model)
@@ -105,8 +99,6 @@ def test_logistic_cycle_stock_series_matches_quadrature(params):
 
 def test_cycle_stock_vanishes_at_restart_on_the_twin(quadrature_twin):
     # every table component is 0 at y0 by construction: no rounding residue of either sign
-    from harvestfield.diffusion import _calculus
-
     calc = _calculus(quadrature_twin)
     assert calc.cycle_stock(1.0) == 0.0
     assert calc.cycle_stock(np.array([1.0, 2.0]))[0] == 0.0
@@ -115,7 +107,6 @@ def test_cycle_stock_vanishes_at_restart_on_the_twin(quadrature_twin):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_logistic_overflow_raises_divergence():
     # an array read past double range raises DivergenceError without a numpy RuntimeWarning
-    from harvestfield.diffusion import _calculus
     from harvestfield.errors import DivergenceError
 
     # s(x) = x^-3 exp(100 (x - 1)) leaves double range just past x = 8.1; the cycle stock,
@@ -148,8 +139,8 @@ def test_scalar_only_coefficients_are_wrapped():
     model = custom_model(lambda x: x * (1.5 - 0.5 * math.exp(math.log(x))), lambda x: x, y0=1.0)
     drift, _ = _vector_coefficients(model)
     assert drift(np.array([1.0, 2.0])) == pytest.approx([1.0, 1.0], rel=1e-12)
-    assert scale_function(model, np.array([2.0, 3.0])) == pytest.approx(
-        [scale_function(model, 2.0), scale_function(model, 3.0)], rel=1e-12
+    assert _calculus(model).S(np.array([2.0, 3.0])) == pytest.approx(
+        [_calculus(model).S(2.0), _calculus(model).S(3.0)], rel=1e-12
     )
 
 
@@ -171,10 +162,10 @@ def test_tabulated_values_do_not_depend_on_query_order():
 
     xs = np.geomspace(0.05, 60.0, 40)
     forward, backward = twin(), twin()
-    values = [scale_function(forward, float(x)) for x in xs]
-    values_reversed = [scale_function(backward, float(x)) for x in xs[::-1]][::-1]
+    values = [_calculus(forward).S(float(x)) for x in xs]
+    values_reversed = [_calculus(backward).S(float(x)) for x in xs[::-1]][::-1]
     assert values == values_reversed
-    assert scale_function(twin(), xs) == pytest.approx(values, rel=1e-14)
+    assert _calculus(twin()).S(xs) == pytest.approx(values, rel=1e-14)
 
 
 def test_concurrent_table_growth_matches_serial():
@@ -182,8 +173,6 @@ def test_concurrent_table_growth_matches_serial():
     # under the lock must leave one consistent table with the serial values
     import sys
     from concurrent.futures import ThreadPoolExecutor
-
-    from harvestfield.diffusion import _calculus
 
     def twin():
         return custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
@@ -206,7 +195,6 @@ def test_concurrent_table_growth_matches_serial():
 def test_calculus_is_freed_with_its_model():
     import weakref
 
-    from harvestfield.diffusion import _calculus
     from harvestfield.hitting import get_evaluator
 
     model = custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
@@ -219,8 +207,6 @@ def test_calculus_is_freed_with_its_model():
 
 def test_cold_queries_build_the_table_in_few_drift_calls():
     # one batch per growth: a sample of the grid, the panels' nodes, and the halved panels
-    from harvestfield.diffusion import _calculus
-
     calls = []
 
     def drift(x):
@@ -235,8 +221,6 @@ def test_cold_queries_build_the_table_in_few_drift_calls():
 
 
 def test_scalar_lookup_matches_array_element():
-    from harvestfield.diffusion import _calculus
-
     table = _calculus(custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0))._table
     xs = np.geomspace(2.0**-40, 60.0, 200)
     components = tuple(range(6))
@@ -279,12 +263,12 @@ def test_singular_drift_stops_at_the_panel_guard(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_scale_function_zero_at_reference(benchmark_model):
-    assert scale_function(benchmark_model, 1.0) == 0.0
+    assert _calculus(benchmark_model).S(1.0) == 0.0
 
 
 def test_scale_function_monotone(benchmark_model):
     xs = np.geomspace(0.2, 30.0, 12)
-    vals = [scale_function(benchmark_model, float(x)) for x in xs]
+    vals = [_calculus(benchmark_model).S(float(x)) for x in xs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -292,7 +276,7 @@ def test_scale_function_against_simpson_oracle(benchmark_model):
     # independent composite-Simpson refinement; mpmath gives 0.5433373558694929
     oracle = simpson_refine(lambda u: u**-3 * math.exp(u - 1.0), 1.0, 2.0, tol=1e-11)
     assert oracle == pytest.approx(0.5433373558694929, rel=1e-10)
-    diff = scale_function(benchmark_model, 2.0) - scale_function(benchmark_model, 1.0)
+    diff = _calculus(benchmark_model).S(2.0) - _calculus(benchmark_model).S(1.0)
     assert diff == pytest.approx(oracle, rel=1e-9)
 
 
@@ -300,31 +284,23 @@ def test_scale_function_against_simpson_oracle(benchmark_model):
 # speed measure
 # ---------------------------------------------------------------------------
 
-def test_speed_measure_degenerate_interval(benchmark_model):
-    assert speed_measure(benchmark_model, 2.0, 2.0) == 0.0
-
-
 def test_speed_measure_total_mass(benchmark_model, quadrature_twin):
     # Gamma-integral reduction: int_0^inf 2 x e^(1-x) dx = 2e
-    assert speed_measure(benchmark_model, 0.0, math.inf) == pytest.approx(2.0 * E, rel=1e-12)
-    assert speed_measure(quadrature_twin, 0.0, math.inf) == pytest.approx(2.0 * E, rel=1e-8)
+    assert _calculus(benchmark_model).speed_mass_total() == pytest.approx(2.0 * E, rel=1e-12)
+    assert _calculus(quadrature_twin).speed_mass_total() == pytest.approx(2.0 * E, rel=1e-8)
 
 
 def test_speed_measure_below_restart(benchmark_model):
     oracle = simpson_refine(lambda u: 2.0 * u * math.exp(1.0 - u), 1e-9, 1.0, tol=1e-11)
-    assert speed_measure(benchmark_model, 0.0, 1.0) == pytest.approx(oracle, rel=1e-8)
-    assert speed_measure(benchmark_model, 0.0, 1.0) == pytest.approx(2.0 * E - 4.0, rel=1e-12)
+    assert _calculus(benchmark_model).M0(1.0) == pytest.approx(oracle, rel=1e-8)
+    assert _calculus(benchmark_model).M0(1.0) == pytest.approx(2.0 * E - 4.0, rel=1e-12)
 
 
 def test_speed_measure_is_additive(benchmark_model):
-    total = speed_measure(benchmark_model, 0.5, 7.0)
-    split = speed_measure(benchmark_model, 0.5, 2.0) + speed_measure(benchmark_model, 2.0, 7.0)
+    M0 = _calculus(benchmark_model).M0
+    total = M0(7.0) - M0(0.5)
+    split = (M0(2.0) - M0(0.5)) + (M0(7.0) - M0(2.0))
     assert total == pytest.approx(split, rel=1e-10)
-
-
-def test_speed_measure_rejects_bad_interval(benchmark_model):
-    with pytest.raises(DomainError):
-        speed_measure(benchmark_model, 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +392,11 @@ def test_rejects_vanishing_volatility():
         custom_model(lambda x: 1.0 - x, lambda x: 0.0, y0=1.0)
 
 
-def test_model_dict_round_trip(benchmark_model):
-    data = model_to_dict(benchmark_model)
-    assert data == {"kind": "logistic", "q": -1.0, "b": 0.5, "beta": 1.0, "y0": 1.0}
-    again = model_from_dict(data)
-    assert scale_density(again, 2.0) == pytest.approx(scale_density(benchmark_model, 2.0))
-
-
-def test_custom_model_dict_round_trip():
-    data = {"kind": "custom", "drift": "x*(1.5 - 0.5*x)", "vol": "x", "y0": 1.0}
-    model = model_from_dict(data)
-    assert model_to_dict(model) == data
-    assert speed_density(model, 1.0) == pytest.approx(2.0, rel=1e-9)
+def test_model_from_dict_builds_both_kinds(benchmark_model):
+    logistic = model_from_dict({"kind": "logistic", "q": -1.0, "b": 0.5, "beta": 1.0, "y0": 1.0})
+    assert _calculus(logistic).s(2.0) == pytest.approx(_calculus(benchmark_model).s(2.0))
+    custom = model_from_dict({"kind": "custom", "drift": "x*(1.5 - 0.5*x)", "vol": "x", "y0": 1.0})
+    assert _calculus(custom).m(1.0) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_model_from_dict_rejects_junk():

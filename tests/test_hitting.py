@@ -5,7 +5,7 @@ import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import custom_model
+from harvestfield.diffusion import _calculus, custom_model
 from harvestfield.errors import DivergenceError, DomainError
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import _running_potential, solve_auxiliary
@@ -71,10 +71,8 @@ def test_xi_prime_positive(benchmark_evaluator):
 
 
 def test_xi_prime_at_restart_equals_speed_mass(benchmark_evaluator, benchmark_model):
-    from harvestfield.diffusion import speed_measure
-
     assert benchmark_evaluator.xi_prime(1.0) == pytest.approx(
-        speed_measure(benchmark_model, 0.0, 1.0), rel=1e-12
+        _calculus(benchmark_model).M0(1.0), rel=1e-12
     )
 
 

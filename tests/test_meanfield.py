@@ -429,7 +429,7 @@ def test_ordering_sweep_smoke():
 def test_sweep_is_deterministic():
     a = ordering_sweep(Interaction.HARVEST_RATE, 3, seed=5)
     b = ordering_sweep(Interaction.HARVEST_RATE, 3, seed=5)
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    assert a == b
 
 
 def test_concurrent_evaluation_matches_serial(benchmark_model, rate_payoff):

@@ -13,12 +13,11 @@ from harvestfield.meanfield import mfc_optimum
 from harvestfield.simulation import (
     SimConfig,
     estimate_hitting_time,
-    estimate_running_cost,
     estimate_stationary_mean,
     estimate_value,
     simulate_path,
 )
-from harvestfield.simulation import _first_passages
+from harvestfield.simulation import _first_passages, _sample_report
 from harvestfield.stationary import controlled_cdf, expected_stock, stock_bounds
 
 XI_2 = 1.2038881223660562
@@ -250,12 +249,12 @@ def test_worker_error_reaches_the_caller_and_every_thread_ends(benchmark_model, 
 
     before = threading.active_count()
     with pytest.raises(KeyError, match="worker integrand"):
-        estimate_running_cost(benchmark_model, _fail_off_the_calling_thread(fail), 3.0, config, n_paths=200)
+        _first_passages(benchmark_model, 3.0, 200, config, running=_fail_off_the_calling_thread(fail))
     assert threading.active_count() == before
     # the caller's np.errstate reaches the worker group
     overflow = _fail_off_the_calling_thread(lambda x: np.exp(x + 1e3))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        estimate_running_cost(benchmark_model, overflow, 3.0, config, n_paths=200)
+        _first_passages(benchmark_model, 3.0, 200, config, running=overflow)
     assert threading.active_count() == before
 
 
@@ -356,15 +355,19 @@ def test_planner_value_cross_validated(benchmark_model, rate_payoff):
 def test_running_cost_estimator(benchmark_model):
     # E_1[int_0^{tau_3} X dt] frozen from a 40-digit Green-kernel evaluation
     config = SimConfig(dt=1e-3, seed=53)
-    report = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config, n_paths=20_000)
+    cycles = _first_passages(benchmark_model, 3.0, 20_000, config, running=lambda x: x)
+    report = _sample_report(cycles.integrals, cycles, config)
     assert report.within(2.4550772022054387, 3.0)
 
 
 def test_running_cost_takes_an_array_only_integrand(benchmark_model):
     # the tail calls the integrand on arrays too, never on a float
     config = SimConfig(dt=2e-3, seed=53)
-    plain = estimate_running_cost(benchmark_model, lambda x: x, 3.0, config, n_paths=300)
-    clipped = estimate_running_cost(benchmark_model, lambda x: x.clip(min=0.0), 3.0, config, n_paths=300)
+    reports = []
+    for h in (lambda x: x, lambda x: x.clip(min=0.0)):
+        cycles = _first_passages(benchmark_model, 3.0, 300, config, running=h)
+        reports.append(_sample_report(cycles.integrals, cycles, config))
+    plain, clipped = reports
     assert clipped.value == plain.value and clipped.std_error == plain.std_error
 
 
