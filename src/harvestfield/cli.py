@@ -57,11 +57,13 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
-def _write(out: Path, command: str, scenario: Scenario, results: dict, diagnostics: dict) -> dict:
+def _write(out: Path, command: str, scenario: Scenario, results: dict, diagnostics: dict) -> str:
+    """Write ``report.json`` and ``table.txt``; return the table."""
     report = build_report(command, scenario.raw, results, diagnostics)
     dump_json(report, out / "report.json")
-    (out / "table.txt").write_text(render_table(report))
-    return report
+    table = render_table(report)
+    (out / "table.txt").write_text(table)
+    return table
 
 
 _CSV_ROWS = 4096  # rows converted to Python numbers at a time
@@ -249,8 +251,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         results, diagnostics, code = _HANDLERS[args.command](scenario, out)
-        report = _write(out, args.command, scenario, results, diagnostics)
-        sys.stdout.write(render_table(report))
+        sys.stdout.write(_write(out, args.command, scenario, results, diagnostics))
         return code
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

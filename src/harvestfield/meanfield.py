@@ -17,7 +17,11 @@ most once per solve:
   nondecreasing and several equilibria may coexist.
 * cooperative (planner) optimum: maximizer of
   ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid plus
-  Brent's bounded maximization around each local maximum of the scan.
+  Brent's bounded maximization around each local maximum of the scan. The
+  scan stops one point past the first grid point beyond ``2 y_hi`` when the
+  zero-cost bound ``H(y) < phi(z_lo) (y - y0)/xi(y)``, which falls past
+  ``y_hat0 < y_hi``, is there below the best maximum by more than the tie
+  tolerance; no later maximum could then win or tie.
 
 The threshold ordering between the two solutions is checked by
 :func:`compare`: planner >= equilibrium under the harvest-rate channel and
@@ -83,14 +87,29 @@ def resolve_payoff(model: DiffusionModel, payoff: PayoffSpec) -> PayoffSpec:
         lo, hi = 0.0, max_harvest_rate(model)
     else:
         lo, hi = stock_bounds(model)
-    zs = np.linspace(lo, hi, 65)
-    phi_vals = np.array([float(payoff.phi(z)) for z in zs])
+    phi_vals = _phi_levels(payoff.phi, np.linspace(lo, hi, 65))
     if np.any(~np.isfinite(phi_vals)) or np.any(phi_vals <= 0.0):
         raise DomainError("phi must be positive and finite on the interaction domain")
     scale = float(np.max(phi_vals))
     if np.any(np.diff(phi_vals) > 1e-9 * scale):
         raise DomainError("phi must be nonincreasing on the interaction domain")
     return payoff.with_domain(lo, hi)
+
+
+def _phi_levels(phi, z: np.ndarray) -> np.ndarray:
+    """``phi`` at each level of ``z``, from one call on the array.
+
+    A ``phi`` that refuses an array, or does not return one value per level
+    (a constant, or a function of Python floats such as ``math.exp``), is
+    called once per level instead.
+    """
+    try:
+        values = phi(z)
+    except (TypeError, ValueError, ArithmeticError):
+        values = None
+    if np.shape(values) != z.shape:
+        return np.array([float(phi(v)) for v in z])
+    return np.asarray(values, dtype=float)
 
 
 def interaction_level(
@@ -226,8 +245,10 @@ class _Scan:
     """A log grid of population thresholds, each priced at most once, on first use.
 
     The price of a grid point y is ``phi(c(y))`` with c clamped to the
-    interaction domain. The equilibrium search prices only the cells that meet
-    the best-response range; the planner prices the whole grid. The ``xi``
+    interaction domain, from one call of ``phi`` on the new levels. The
+    equilibrium search prices only the cells that meet the best-response
+    range; the planner prices the grid up to just past ``2 y_hi``, and the
+    rest only where the zero-cost bound does not rule it out. The ``xi``
     values that pricing computes are kept for both.
     """
 
@@ -248,7 +269,7 @@ class _Scan:
             ys = self.grid[lo:hi][todo]
             xi[todo] = get_evaluator(self.model).xi(ys)
             z = np.clip(_interaction(self.model, self.payoff, ys, xi[todo]), *self.payoff.domain)
-            new = np.array([float(self.payoff.phi(v)) for v in z])
+            new = _phi_levels(self.payoff.phi, z)
             if not np.all(new > 0.0):
                 raise DomainError("phi must stay positive on the attainable interaction range")
             prices[todo] = new
@@ -265,6 +286,8 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
 
     Phi maps into ``[y_lo, y_hi]``, so every fixed point lies inside the grid,
     and the planner's maximizer lies below ``max(20 * y_hat0, 2 * y_hi)``.
+    The planner usually needs the grid only up to just past ``2 * y_hi``
+    (see :func:`mfc_optimum`).
     """
     payoff = resolve_payoff(model, payoff)
     y_lo, y_hi = critical_bounds(model, payoff)
@@ -418,7 +441,25 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     payoff, grid = scan.payoff, scan.grid
     ev = get_evaluator(model)
     y0 = model.restart_level
-    h_grid = (scan.prices() * (grid - y0) - payoff.cost) / scan.xi()
+    n = len(grid)
+    # grid[:check + 2] has the local maxima of the whole grid up to `check`, the first point
+    # past 2 y_hi; each maximum past it is bracketed above grid[check], where the zero-cost
+    # bound on H (see mfc_optimum) rules it out once below the best priced maximum
+    check = int(np.searchsorted(grid, 2.0 * scan.bounds[1], side="right"))
+    for end in (min(check + 2, n), n):
+        xi = scan.xi(0, end)
+        h_grid = (scan.prices(0, end) * (grid[:end] - y0) - payoff.cost) / xi
+        interior = np.arange(1, end - 1)
+        local_max = interior[
+            (h_grid[interior] >= h_grid[interior - 1]) & (h_grid[interior] >= h_grid[interior + 1])
+        ]
+        if end == n:
+            break
+        if len(local_max):
+            best = float(np.max(h_grid[local_max]))
+            bound = float(payoff.phi(payoff.domain[0])) * (grid[check] - y0) / xi[check]
+            if bound < best - _TIE_REL_TOL * max(abs(best), 1e-12):
+                break
 
     def h_scalar(y: float) -> float:
         xi = ev.xi(y)
@@ -430,10 +471,6 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
         y_ref, v_ref, _ = _bounded_max(h_scalar, lo, hi)
         return y_ref, v_ref
 
-    interior = np.arange(1, len(grid) - 1)
-    local_max = interior[
-        (h_grid[interior] >= h_grid[interior - 1]) & (h_grid[interior] >= h_grid[interior + 1])
-    ]
     if len(local_max) == 0:
         local_max = np.array([int(np.argmax(h_grid))])
     refined = sorted((refine_around(int(i)) for i in local_max), key=lambda t: -t[1])
@@ -464,6 +501,15 @@ def mfc_optimum(model: DiffusionModel, payoff: PayoffSpec) -> MfcSolution:
     refined by Brent's bounded maximization on its two neighbouring cells
     ``[lo, hi]`` (x tolerance as in :func:`impulse._bounded_max`). Maxima within a
     relative ``1e-6`` of the best are reported as ties, the smallest first.
+
+    The grid is priced up to the first point past ``2 y_hi`` and its right
+    neighbour. With ``K > 0`` and ``phi`` nonincreasing,
+    ``H(y) < phi(z_lo) (y - y0)/xi(y)``, the zero-cost objective, which falls
+    past its maximizer ``y_hat0 < y_hi``. So when that bound at the check
+    point is below the best local maximum priced by more than the tie
+    tolerance, no maximum further out can win or tie, and the rest of the grid
+    is not priced; otherwise it is, and either way the result is that of the
+    full scan.
     """
     return _planner(model, _scan(model, payoff))
 

@@ -68,6 +68,6 @@ def render_table(report: dict) -> str:
 
 
 def dump_json(report: dict, path) -> None:
+    """Write the report as indented JSON in one write."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False, default=_jsonable)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, default=_jsonable) + "\n")

@@ -4,15 +4,16 @@ These deliberately avoid the package's quadrature stack: composite Simpson
 with interval doubling, central finite differences, and brute-force grids.
 The equilibrium and threshold oracles use only xi and xi' and never a
 package solver; the Phi-route oracle finds equilibria as fixed points of the
-public best-response map instead of roots of the first-order condition.
+public best-response map instead of roots of the first-order condition. The
+full-scan planner prices the planner's whole threshold grid, with no cutoff.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
 from harvestfield import meanfield
-from harvestfield.hitting import XiEvaluator
-from harvestfield.impulse import critical_bounds, zero_cost_threshold
+from harvestfield.hitting import XiEvaluator, get_evaluator
+from harvestfield.impulse import _bounded_max, critical_bounds, zero_cost_threshold
 from harvestfield.meanfield import phi_map, resolve_payoff
 
 
@@ -131,3 +132,54 @@ def phi_route_equilibria(model, payoff):
         label = "marginal" if abs(abs(d) - 1.0) < 1e-3 else "stable" if abs(d) < 1.0 else "unstable"
         points.append((y, d, label))
     return points
+
+
+def full_scan_planner(model, payoff):
+    """The planner optimum from every point of the package's scan grid.
+
+    The package's planner stops pricing the grid where the zero-cost bound
+    rules out every later maximum; this one prices all of it, then refines
+    each local maximum of the grid the same way, so the two agree exactly.
+    """
+    scan = meanfield._scan(model, payoff)
+    payoff, grid = scan.payoff, scan.grid
+    ev = get_evaluator(model)
+    y0 = model.restart_level
+    h_grid = (scan.prices() * (grid - y0) - payoff.cost) / scan.xi()
+
+    def h_scalar(y):
+        xi = ev.xi(y)
+        return (meanfield._price(model, payoff, y, xi) * (y - y0) - payoff.cost) / xi
+
+    interior = np.arange(1, len(grid) - 1)
+    local_max = interior[
+        (h_grid[interior] >= h_grid[interior - 1]) & (h_grid[interior] >= h_grid[interior + 1])
+    ]
+    if len(local_max) == 0:
+        local_max = np.array([int(np.argmax(h_grid))])
+    refined = []
+    for i in local_max:
+        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+        y, v, _ = _bounded_max(h_scalar, lo, hi)
+        refined.append((y, v))
+    refined.sort(key=lambda t: -t[1])
+    best_y, best_v = refined[0]
+    tol = meanfield._TIE_REL_TOL * max(abs(best_v), 1e-12)
+    ties = sorted(set(round(y, 12) for y, v in refined if abs(v - best_v) <= tol))
+    flags = []
+    if len(ties) > 1:
+        flags.append("multiple maximizers within tolerance; smallest threshold reported")
+        best_y = ties[0]
+        best_v = h_scalar(best_y)
+    if best_v <= 0.0:
+        flags.append("no profitable harvest")
+    z_best, _ = meanfield._clamp_to_domain(
+        meanfield.interaction_level(model, payoff, best_y), payoff.domain
+    )
+    return meanfield.MfcSolution(
+        threshold=best_y,
+        value=best_v,
+        interaction=z_best,
+        ties=tuple(ties) if len(ties) > 1 else (),
+        flags=tuple(flags),
+    )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import simpson_refine
-from oracle import LogisticOracle, integrate_to_zero
+from oracle import LogisticOracle, integrate, integrate_to_zero
 
 from harvestfield.diffusion import (
     _calculus,
@@ -296,11 +296,16 @@ def test_speed_measure_below_restart(benchmark_model):
     assert _calculus(benchmark_model).M0(1.0) == pytest.approx(2.0 * E - 4.0, rel=1e-12)
 
 
-def test_speed_measure_is_additive(benchmark_model):
+def test_speed_mass_differences_match_explicit_density(benchmark_model):
+    # M0(b) - M0(a) against QUADPACK on the benchmark's explicit speed density 2u e^(1-u)
     M0 = _calculus(benchmark_model).M0
-    total = M0(7.0) - M0(0.5)
-    split = (M0(2.0) - M0(0.5)) + (M0(7.0) - M0(2.0))
-    assert total == pytest.approx(split, rel=1e-10)
+
+    def m(u):
+        return 2.0 * u * math.exp(1.0 - u)
+
+    for hi in (7.0, 2.0):
+        expected = integrate(m, 0.5, hi, abs_tol=0.0, rel_tol=1e-13)
+        assert M0(hi) - M0(0.5) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
-from helpers import central_diff, equilibria_oracle, phi_route_equilibria
+from helpers import central_diff, equilibria_oracle, full_scan_planner, phi_route_equilibria
 
-from harvestfield.diffusion import custom_model, logistic_model
+from harvestfield import meanfield
+from harvestfield.diffusion import _calculus, custom_model, logistic_model
 from harvestfield.errors import DomainError, SolverError
+from harvestfield.expressions import parse_expression
 from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import max_harvest_rate, optimal_threshold_basic
 from harvestfield.meanfield import (
@@ -18,6 +23,7 @@ from harvestfield.meanfield import (
     resolve_payoff,
 )
 from harvestfield.payoff import Interaction, PayoffSpec
+from harvestfield.scenario import load_scenario
 
 
 def flat_payoff(kind=Interaction.HARVEST_RATE, price=0.7, cost=1.0):
@@ -494,6 +500,9 @@ def test_rate_compare_solves_zero_cost_threshold_once(rate_payoff, monkeypatch):
 
 @pytest.mark.parametrize("payoff_fixture", ["rate_payoff", "stock_payoff"])
 def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkeypatch):
+    # each grid point is priced at most once; the planner stops pricing one point past the
+    # first grid point beyond 2 y_hi (the check point and its bracket neighbour), so every
+    # point up to there is priced exactly once and none past it
     real = XiEvaluator.xi
     points: list[float] = []
 
@@ -506,21 +515,101 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
                      request.getfixturevalue(payoff_fixture))
     scan = report.equilibria.diagnostics["scan"]
     grid = np.geomspace(1.0 + 1e-3, scan["cap"], scan["points"])
+    end = int(np.searchsorted(grid, 2.0 * report.equilibria.bounds[1], side="right")) + 2
+    assert end < len(grid)
     seen = np.array(points)
     per_point = [int(np.count_nonzero(seen == y)) for y in grid]
     assert max(per_point) == 1
-    assert sum(per_point) == len(grid)
+    assert per_point[:end] == [1] * end
+    assert per_point[end:] == [0] * (len(grid) - end)
+
+
+# ---------------------------------------------------------------------------
+# the planner's cutoff against the full-grid scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(Interaction), ids=lambda kind: kind.value)
+def test_planner_matches_full_scan_on_drawn_scenarios(kind, monkeypatch):
+    priced = _record_priced_grids(monkeypatch)
+    draws = _sweep_draws(40, seed=31)
+    stopped = 0
+    for q, b, cost in draws:
+        payoff = PayoffSpec(cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=kind)
+        del priced[:]
+        solution = mfc_optimum(logistic_model(q=q, b=b, beta=1.0, y0=1.0), payoff)
+        stopped += len(priced) < meanfield._SCAN_POINTS
+        full = full_scan_planner(logistic_model(q=q, b=b, beta=1.0, y0=1.0), payoff)
+        assert solution == full, (q, b, cost)
+    assert stopped > len(draws) // 2
+
+
+def _benchmark():
+    return logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0)
+
+
+def _special_planner_cases():
+    bundled = str(
+        resources.files("harvestfield") / "scenarios" / "custom-logistic-harvest-rate.json"
+    )
+    cases = [pytest.param(lambda: load_scenario(bundled).model,
+                          load_scenario(bundled).require_payoff(), False, id="bundled-custom")]
+    for kind in Interaction:
+        constant = PayoffSpec(cost=1.0, phi=parse_expression("2", "z"), interaction=kind)
+        scalar_only = PayoffSpec(cost=1.0, phi=lambda z: math.exp(-z), interaction=kind)
+        cases += [
+            pytest.param(_benchmark, constant, False, id=f"constant-{kind.value}"),
+            pytest.param(_benchmark, scalar_only, False, id=f"scalar-only-{kind.value}"),
+        ]
+    # the whole grid is priced where the zero-cost bound at the check point is above the best
+    # priced maximum (a drawn scenario whose H peaks at y = 14 with 2 y_hi = 20.9), and where
+    # a large K makes 2 y_hi the grid's cap
+    def weak_crowding():
+        return logistic_model(q=-1.9774901935255111, b=0.306515578754639, beta=1.0, y0=1.0)
+
+    cases += [
+        pytest.param(weak_crowding, PayoffSpec(
+            cost=0.5209473390156748, phi=lambda z: 1.0 / (1.0 + z),
+            interaction=Interaction.HARVEST_RATE,
+        ), True, id="bound-above-best"),
+        pytest.param(_benchmark, PayoffSpec(
+            cost=20.0, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE
+        ), True, id="cap-is-2-y_hi"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("make_model, payoff, whole_grid", _special_planner_cases())
+def test_planner_matches_full_scan(make_model, payoff, whole_grid, monkeypatch):
+    priced = _record_priced_grids(monkeypatch)
+    solution = mfc_optimum(make_model(), payoff)
+    assert (len(priced) == meanfield._SCAN_POINTS) == whole_grid
+    assert solution == full_scan_planner(make_model(), payoff)
+
+
+@pytest.mark.parametrize("text", ["1/(1+z)", "exp(-z)", "2/(1+z)^2"])
+def test_array_pricing_matches_per_level_pricing(text):
+    phi = parse_expression(text, "z")
+    z = np.concatenate([np.linspace(0.0, 3.0, 1001), np.geomspace(1e-6, 50.0, 500)])
+    per_level = np.array([float(phi(v)) for v in z])
+    assert meanfield._phi_levels(phi, z).tobytes() == per_level.tobytes()
+
+
+def test_rate_compare_keeps_the_table_below_the_scan_cap():
+    # the planner stops pricing near 2 y_hi, so the table is not grown to the grid's cap
+    for q, b, cost in _sweep_draws(5, seed=31):
+        model = logistic_model(q=q, b=b, beta=1.0, y0=1.0)
+        payoff = PayoffSpec(cost=cost, phi=lambda z: 1.0 / (1.0 + z),
+                            interaction=Interaction.HARVEST_RATE)
+        report = compare(model, payoff)
+        right_edge = _calculus(model)._table._state[2][-1]   # in log x
+        assert right_edge < math.log(report.equilibria.diagnostics["scan"]["cap"])
 
 
 def test_logistic_stock_compare_makes_no_quadpack_call(monkeypatch):
     # xi, the cycle stock and the speed limits come from the table, and the speed integrals
     # below y0 from closed forms: a logistic compare needs no quadrature. scipy's quad
     # looks its QUADPACK routines up on each call, so this sees every caller of quad
-    from importlib import resources
-
     from scipy.integrate import _quadpack
-
-    from harvestfield.scenario import load_scenario
 
     calls = []
 

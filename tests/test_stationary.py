@@ -6,7 +6,6 @@ from helpers import simpson_refine
 from oracle import integrate, integrate_to_zero
 
 from harvestfield.errors import DomainError
-from harvestfield.hitting import get_evaluator
 from harvestfield.stationary import (
     controlled_cdf,
     controlled_density,
@@ -59,9 +58,11 @@ def test_normalizer_equals_cycle_length(benchmark_model, benchmark_evaluator):
         S_y * simpson_refine(m, 1e-9, 1.0, tol=1e-11)
     )
     assert kappa_inv == pytest.approx(benchmark_evaluator.xi(y), rel=1e-7)
-    # the normalizer that controlled_density and controlled_cdf apply
-    kappa = 1.0 / get_evaluator(benchmark_model).xi(y)
-    assert kappa == pytest.approx(1.0 / kappa_inv, rel=1e-7)
+    # the density the normalizer feeds: kappa m(x) (S(y) - S(max(x, y0))) below y, 0 above
+    for x in (0.3, 1.0, 2.5, 4.9):
+        expected = m(x) * (S_y - S(max(x, 1.0))) / kappa_inv
+        assert controlled_density(benchmark_model, y, x) == pytest.approx(expected, rel=1e-7)
+    assert controlled_density(benchmark_model, y, 5.5) == 0.0
 
 
 def test_cdf_endpoints_and_monotonicity(benchmark_model):
