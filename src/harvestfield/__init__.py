@@ -15,6 +15,7 @@ from .diffusion import (
     DiffusionModel,
     LogisticParams,
     custom_model,
+    get_evaluator,
     logistic_model,
     model_from_dict,
     validate_assumptions,
@@ -29,7 +30,6 @@ from .errors import (
     ScenarioError,
     SolverError,
 )
-from .hitting import XiEvaluator, get_evaluator
 from .impulse import (
     StoppingValue,
     ThresholdSolution,

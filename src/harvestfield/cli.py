@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import validate_assumptions
+from .diffusion import _calculus, validate_assumptions
 from .errors import (
     ComparisonError,
     DomainError,
@@ -27,7 +27,6 @@ from .errors import (
     ScenarioError,
     SolverError,
 )
-from .hitting import get_evaluator
 from .impulse import best_response, verify_solution
 from .meanfield import (
     compare,
@@ -146,8 +145,7 @@ def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     record = simulate_path(model, threshold, scenario.sim, horizon=horizon)
     flags = np.isin(np.round(record.times, 12), np.round(record.impulse_times, 12)).astype(int)
     _write_columns_csv(out / "path.csv", ["t", "x", "impulse_flag"], record.times, record.states, flags)
-    ev = get_evaluator(model)
-    xi = ev.xi(threshold)
+    xi = _calculus(model).xi(threshold)
     results = {
         "threshold": threshold,
         "horizon": horizon,

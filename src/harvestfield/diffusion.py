@@ -25,6 +25,20 @@ lower incomplete gamma functions instead. The logistic closed forms of the
 functions themselves live in the test-suite, as the independent oracle the
 table is checked against. Each model's calculus is built on first use and
 kept on the model instance, so it lives exactly as long as the model.
+
+For a threshold ``y >= y0`` the cycle length of the threshold strategy is
+``xi(y) = E_{y0}[time to first reach y]``. The table's integral also runs
+below ``y0``, so the expected time between any two levels ``x < y`` is
+``xi(y) - xi(x)``; the stopping problem of :mod:`harvestfield.impulse` reads
+its running penalty from it, and a holding cost ``a x`` from the cycle stock
+in the same way. The public ``xi`` and its derivatives refuse thresholds
+below ``y0``. Derivatives come from the calculus directly:
+``xi' = s(y) M[0,y]``, and differentiating it with
+``s' = -(2 mu / sigma^2) s`` and ``M[0,y]' = m(y) = 2 / (sigma^2 s)`` gives
+the generator identity ``xi'' = (2 / sigma^2(y)) * (1 - mu(y) xi'(y))``, so
+no second integral is read. The second derivative changes sign at most once
+on ``[y0, inf)``, from concave to convex; the switch point ``y2`` localizes
+every root bracket of the impulse solver.
 """
 
 from __future__ import annotations
@@ -38,7 +52,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-from .errors import DivergenceError, DomainError
+from ._brent import zeroin
+from .errors import ConvergenceError, DivergenceError, DomainError
 
 __all__ = [
     "LogisticParams",
@@ -48,7 +63,10 @@ __all__ = [
     "custom_model",
     "validate_assumptions",
     "model_from_dict",
+    "get_evaluator",
 ]
+
+_BRACKET_DOUBLINGS = 60   # budget of every bracket search by doubling
 
 
 @dataclass(frozen=True)
@@ -517,7 +535,7 @@ class _Table:
 
 
 class _Calculus:
-    """Per-model scale and speed calculus, read from one table.
+    """Per-model scale and speed calculus, read from one table; safe for concurrent reads.
 
     It keeps the model's coefficients, not the model, so the copy cached on
     the model (see :func:`_calculus`) is freed together with the model. The
@@ -529,7 +547,7 @@ class _Calculus:
     def __init__(self, model: DiffusionModel):
         self.logistic = model.logistic
         self.drift, self.volatility = _vector_coefficients(model)
-        self._y0 = y0 = model.restart_level
+        self.y0 = y0 = model.restart_level
         self._table = _Table(self.drift, self.volatility, y0)
         if model.logistic is not None:
             p = model.logistic
@@ -540,6 +558,8 @@ class _Calculus:
             )
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
+        self._y2: float | None = None
+        self._zero_cost = None   # solved on first use by impulse.zero_cost_threshold
 
     # -- densities ---------------------------------------------------------
 
@@ -641,7 +661,7 @@ class _Calculus:
             from scipy.special import gammainc
 
             shape = power - 2.0 * p.q
-            return self._gamma_total(power) * float(gammainc(shape, p.rho * self._y0))
+            return self._gamma_total(power) * float(gammainc(shape, p.rho * self.y0))
         return -self._table.limit(_XM if power else _M, -1.0)
 
     def _mass_below_y0(self) -> float:
@@ -676,7 +696,39 @@ class _Calculus:
 
     # -- hitting-time integrals from y0 -------------------------------------
 
+    def _check_domain(self, y) -> None:
+        floor = self.y0 * (1.0 - 1e-12)
+        if y < floor if isinstance(y, (float, int)) else np.any(np.asarray(y) < floor):
+            raise DomainError(f"thresholds live in [y0, inf) = [{self.y0}, inf)")
+
     def xi(self, y):
+        """Expected time from y0 to the threshold ``y >= y0`` (vectorized)."""
+        self._check_domain(y)
+        return self._xi_both_sides(y)
+
+    def xi_prime(self, y):
+        """xi'(y) = s(y) M[0, y] > 0."""
+        self._check_domain(y)
+        value = self.s(y) * self.M0(y)
+        return float(value) if np.ndim(y) == 0 else value
+
+    def xi_second(self, y):
+        """xi''(y) = (2 / sigma^2(y)) * (1 - mu(y) xi'(y)), the generator identity."""
+        self._check_domain(y)
+        if isinstance(y, float):
+            # the safeguarded Newton solve calls this once per step: no numpy round trip
+            try:
+                sigma2 = float(self.volatility(y)) ** 2
+            except OverflowError:
+                raise DomainError(f"sigma^2 overflows at x = {y}") from None
+            return 2.0 / sigma2 * (1.0 - float(self.drift(y)) * self.s(y) * self.M0(y))
+        ya = np.asarray(y, dtype=float)
+        mu_y = np.asarray(self.drift(ya))
+        sigma2 = np.asarray(self.volatility(ya)) ** 2
+        value = 2.0 / sigma2 * (1.0 - mu_y * self.s(y) * self.M0(y))
+        return float(value) if np.ndim(y) == 0 else value
+
+    def _xi_both_sides(self, y):
         """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table, on both sides of ``y0``.
 
         For ``x < y`` the expected time from ``x`` to ``y`` is ``xi(y) - xi(x)``.
@@ -721,13 +773,55 @@ class _Calculus:
         """``int_0^{y0} (S(y0) - S(u)) m(u) du``: finite iff 0 is an entrance (or regular) boundary."""
         return self._table.limit(_ENT, -1.0)
 
+    # -- convexity switch ----------------------------------------------------
+
+    def drift_turning_point(self) -> float:
+        p = self.logistic
+        if p is not None:
+            return p.growth / (2.0 * p.crowding)
+        grid, mu = _drift_probe(self)
+        return float(grid[int(np.argmax(mu))])
+
+    def convexity_switch(self) -> float:
+        """Smallest y2 >= y0 with xi convex on (y2, inf); cached after the first call."""
+        if self._y2 is not None:
+            return self._y2
+        y0 = self.y0
+        if self.xi_second(y0) > 0.0:
+            self._y2 = y0
+            return y0
+        lo = max(y0, self.drift_turning_point())
+        if self.xi_second(lo) > 0.0:
+            lo, hi = y0, lo
+        else:
+            hi = lo
+            for _ in range(_BRACKET_DOUBLINGS):
+                hi *= 2.0
+                if self.xi_second(hi) > 0.0:
+                    break
+                lo = hi
+            else:
+                raise ConvergenceError("xi never turned convex within the doubling budget")
+        tol = 1e-10 * max(1.0, hi)
+        y2 = zeroin(self.xi_second, lo, hi, xtol=tol)
+        while not self.xi_second(y2) > 0.0:   # report a point on the convex side
+            y2 = min(y2 + tol, hi)
+        self._y2 = y2
+        return y2
+
 
 def _calculus(model: DiffusionModel) -> _Calculus:
-    """The model's calculus, built on first use and kept on the model instance."""
+    """The model's calculus, built on first use and kept on the model instance.
+
+    Everything it caches is value-immutable.
+    """
     calc = model.__dict__.get("_calculus")
     if calc is None:
         calc = model.__dict__.setdefault("_calculus", _Calculus(model))
     return calc
+
+
+get_evaluator = _calculus
 
 
 @dataclass(frozen=True)
@@ -777,7 +871,7 @@ class AssumptionReport:
 
 def _drift_probe(calc: _Calculus) -> tuple[np.ndarray, np.ndarray]:
     """The drift on ``geomspace(y0 / 100, 1000 y0, 241)``, where its turning point is looked for."""
-    grid = np.geomspace(calc._y0 * 1e-2, calc._y0 * 1e3, 241)
+    grid = np.geomspace(calc.y0 * 1e-2, calc.y0 * 1e3, 241)
     return grid, calc.drift(grid)
 
 

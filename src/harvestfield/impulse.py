@@ -34,9 +34,8 @@ from typing import Callable
 import numpy as np
 
 from ._brent import localmin
-from .diffusion import DiffusionModel, _calculus
+from .diffusion import _BRACKET_DOUBLINGS, DiffusionModel, _calculus, _Calculus
 from .errors import DivergenceError, DomainError, NoRootError
-from .hitting import _BRACKET_DOUBLINGS, XiEvaluator, get_evaluator
 from .payoff import PayoffSpec
 
 __all__ = [
@@ -87,13 +86,13 @@ class ThresholdSolution:
 # basic problem: (y - y0 - Kt) / xi(y)
 # ---------------------------------------------------------------------------
 
-def _first_order_condition(ev: XiEvaluator, y: float, k_tilde: float) -> tuple[float, float]:
+def _first_order_condition(calc: _Calculus, y: float, k_tilde: float) -> tuple[float, float]:
     """``F = xi - (y - y0 - Kt) xi'`` and ``xi`` at y."""
-    xi = ev.xi(y)
-    return xi - (y - ev.y0 - k_tilde) * ev.xi_prime(y), xi
+    xi = calc.xi(y)
+    return xi - (y - calc.y0 - k_tilde) * calc.xi_prime(y), xi
 
 
-def _newton_step(ev: XiEvaluator, y: float, k_tilde: float, f: float, lo: float, hi: float):
+def _newton_step(calc: _Calculus, y: float, k_tilde: float, f: float, lo: float, hi: float):
     """Next iterate of the safeguarded Newton solve (Press et al., Numerical Recipes 9.4).
 
     The Newton point ``y - F/F'``, with ``F' = -(y - y0 - Kt) xi''``, if
@@ -102,7 +101,7 @@ def _newton_step(ev: XiEvaluator, y: float, k_tilde: float, f: float, lo: float,
     at its exact root (``F == 0``, Newton point on ``hi``) stays put instead
     of bisecting.
     """
-    slope = -(y - ev.y0 - k_tilde) * ev.xi_second(y)
+    slope = -(y - calc.y0 - k_tilde) * calc.xi_second(y)
     if slope < 0.0:
         newton = y - f / slope
         if lo <= newton <= hi:
@@ -117,20 +116,20 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
     shrinks the bracket by the sign of F and falls back to the midpoint when
     the Newton point leaves it. ``iterations`` counts the Newton steps.
     """
-    ev = get_evaluator(model)
+    calc = _calculus(model)
     if k_tilde < 0.0:
         raise DomainError("k_tilde must be nonnegative")
-    y0 = ev.y0
+    y0 = calc.y0
 
     def f_of(y: float) -> float:
-        return _first_order_condition(ev, y, k_tilde)[0]
+        return _first_order_condition(calc, y, k_tilde)[0]
 
-    if k_tilde == 0.0 and ev.xi_second(y0) > 0.0:
+    if k_tilde == 0.0 and calc.xi_second(y0) > 0.0:
         # zero cost with xi convex from the start: (y - y0)/xi(y) decreases on
         # all of (y0, inf), so the supremum 1/xi'(y0) is approached at y0 itself
         return ThresholdSolution(
             threshold=y0,
-            value=1.0 / ev.xi_prime(y0),
+            value=1.0 / calc.xi_prime(y0),
             residual=0.0,
             bracket=(y0, y0),
             iterations=0,
@@ -138,7 +137,7 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
             flags=("maximizer degenerates to the restart level",),
         )
 
-    left = max(y0 + k_tilde, ev.convexity_switch()) + 1e-6
+    left = max(y0 + k_tilde, calc.convexity_switch()) + 1e-6
     lo = left
     if f_of(lo) <= 0.0:
         # theory puts the root right of `left`; tolerate rounding at the corner
@@ -165,14 +164,14 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
     y_next = 0.5 * (lo + hi)
     while iterations < 400:
         y = y_next
-        f, xi = _first_order_condition(ev, y, k_tilde)
+        f, xi = _first_order_condition(calc, y, k_tilde)
         iterations += 1
         if f > 0.0:
             lo = y
         else:
             hi = y
         residual = abs(f) / xi
-        y_next = _newton_step(ev, y, k_tilde, f, lo, hi)
+        y_next = _newton_step(calc, y, k_tilde, f, lo, hi)
         tol = _BRACKET_REL_TOL * y
         if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
             break
@@ -191,10 +190,10 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
 
 def zero_cost_threshold(model: DiffusionModel) -> ThresholdSolution:
     """The basic solve at ``k_tilde = 0``, solved once per model."""
-    ev = get_evaluator(model)
-    if ev._zero_cost is None:
-        ev._zero_cost = optimal_threshold_basic(model, 0.0)
-    return ev._zero_cost
+    calc = _calculus(model)
+    if calc._zero_cost is None:
+        calc._zero_cost = optimal_threshold_basic(model, 0.0)
+    return calc._zero_cost
 
 
 def max_harvest_rate(model: DiffusionModel) -> float:
@@ -260,16 +259,16 @@ def solve_auxiliary(
     refining with Brent's bounded maximization, which only assumes
     unimodality; ``iterations`` counts its steps.
     """
-    ev, calc = get_evaluator(model), _calculus(model)
+    calc = _calculus(model)
     if not 0.0 < cost < math.inf:   # also rejects NaN
         raise DomainError(f"the impulse cost K must be positive and finite, got {cost}")
     _check_holding(holding)
-    y0 = ev.y0
+    y0 = calc.y0
 
     def objective(y: float) -> float:
         try:
             running = holding * calc.cycle_stock(y) if holding else 0.0
-            value = (float(f(y)) - cost - running) / ev.xi(y)
+            value = (float(f(y)) - cost - running) / calc.xi(y)
         except (OverflowError, DivergenceError):
             return math.nan
         return value if math.isfinite(value) else math.nan
@@ -350,11 +349,11 @@ class VerificationReport:
 def _running_potential(model: DiffusionModel, holding: float, rho: float, x):
     """``Xi(x)``, with ``E_x int_0^{tau_c} (a X + rho) = Xi(c) - Xi(x)`` for ``x <= c``.
 
-    ``Xi = rho xi + a P`` on the table's ``xi`` and cycle stock ``P``, which
-    both run on both sides of ``y0``. Floats or arrays.
+    ``Xi = rho xi + a P`` on the table's ``xi`` (``_xi_both_sides``) and cycle
+    stock ``P``, which both run on both sides of ``y0``. Floats or arrays.
     """
     calc = _calculus(model)
-    value = rho * calc.xi(x)
+    value = rho * calc._xi_both_sides(x)
     return value + holding * calc.cycle_stock(x) if holding else value
 
 

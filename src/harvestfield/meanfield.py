@@ -39,7 +39,6 @@ import numpy as np
 from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
-from .hitting import get_evaluator
 from .impulse import (
     ThresholdSolution,
     _bounded_max,
@@ -118,7 +117,7 @@ def interaction_level(
     """c(y): harvesting rate (y-y0)/xi(y) or expected stock, per the payoff's channel."""
     if np.any(np.asarray(y) <= model.restart_level):
         raise DomainError("interaction level is defined for thresholds above y0")
-    return _interaction(model, payoff, y, get_evaluator(model).xi(y))
+    return _interaction(model, payoff, y, _calculus(model).xi(y))
 
 
 def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
@@ -267,7 +266,7 @@ class _Scan:
         todo = np.isnan(prices)
         if np.any(todo):
             ys = self.grid[lo:hi][todo]
-            xi[todo] = get_evaluator(self.model).xi(ys)
+            xi[todo] = _calculus(self.model).xi(ys)
             z = np.clip(_interaction(self.model, self.payoff, ys, xi[todo]), *self.payoff.domain)
             new = _phi_levels(self.payoff.phi, z)
             if not np.all(new > 0.0):
@@ -302,7 +301,7 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
 # ---------------------------------------------------------------------------
 
 def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
-    xi = get_evaluator(model).xi(y_star)
+    xi = _calculus(model).xi(y_star)
     price = _price(model, payoff, y_star, xi)
     stability, slope = classify_stability(model, payoff, y_star)
     return EquilibriumPoint(
@@ -317,7 +316,7 @@ def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
 
 def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     payoff, grid = scan.payoff, scan.grid
-    ev = get_evaluator(model)
+    calc = _calculus(model)
     y0 = model.restart_level
     y_lo, y_hi = scan.bounds
     diagnostics: dict = {"bounds": [y_lo, y_hi]}
@@ -327,8 +326,8 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [0.5 * (y_lo + y_hi)]
     else:
         def gap(y: float) -> float:
-            xi = ev.xi(y)
-            return _price(model, payoff, y, xi) * (y - y0 - xi / ev.xi_prime(y)) - payoff.cost
+            xi = calc.xi(y)
+            return _price(model, payoff, y, xi) * (y - y0 - xi / calc.xi_prime(y)) - payoff.cost
 
         # G has the sign of y - Phi(y), and Phi maps into [y_lo, y_hi]: only the
         # cells that meet [y_lo, y_hi] can hold a sign change
@@ -336,7 +335,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
         ys = grid[lo:hi]
         xi = scan.xi(lo, hi)
-        gaps = scan.prices(lo, hi) * (ys - y0 - xi / ev.xi_prime(ys)) - payoff.cost
+        gaps = scan.prices(lo, hi) * (ys - y0 - xi / calc.xi_prime(ys)) - payoff.cost
         diagnostics["scan"] = {
             "points": len(grid),
             "cap": float(grid[-1]),
@@ -399,8 +398,8 @@ def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
     ``k' = xi xi''/xi'^2`` and ``p' = phi'(c) c'``, with ``phi'`` a central
     difference inside the domain and ``p' = 0`` where c is on or outside it.
     """
-    ev = get_evaluator(model)
-    xi, xi_prime = ev.xi(y), ev.xi_prime(y)
+    calc = _calculus(model)
+    xi, xi_prime = calc.xi(y), calc.xi_prime(y)
     c = _interaction(model, payoff, y, xi)
     lo, hi = payoff.domain
     if not lo < c < hi:
@@ -408,11 +407,10 @@ def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
     if payoff.interaction is Interaction.HARVEST_RATE:
         dc = (xi - (y - model.restart_level) * xi_prime) / xi**2
     else:
-        calc = _calculus(model)
         dc = (calc.xm0(y) * calc.s(y) * xi - calc.cycle_stock(y) * xi_prime) / xi**2
     a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
     dp = (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
-    return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * ev.xi_second(y))
+    return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * calc.xi_second(y))
 
 
 def classify_stability(
@@ -439,7 +437,7 @@ def classify_stability(
 
 def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     payoff, grid = scan.payoff, scan.grid
-    ev = get_evaluator(model)
+    calc = _calculus(model)
     y0 = model.restart_level
     n = len(grid)
     # grid[:check + 2] has the local maxima of the whole grid up to `check`, the first point
@@ -462,7 +460,7 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
                 break
 
     def h_scalar(y: float) -> float:
-        xi = ev.xi(y)
+        xi = calc.xi(y)
         return (_price(model, payoff, y, xi) * (y - y0) - payoff.cost) / xi
 
     def refine_around(i: int) -> tuple[float, float]:
@@ -482,8 +480,6 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
         best_v = h_scalar(best_y)
-    if best_v <= 0.0:
-        flags.append("no profitable harvest")
     z_best, _ = _clamp_to_domain(interaction_level(model, payoff, best_y), payoff.domain)
     return MfcSolution(
         threshold=best_y,

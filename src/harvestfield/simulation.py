@@ -46,9 +46,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _vector_coefficients
+from .diffusion import DiffusionModel, _calculus, _vector_coefficients
 from .errors import DomainError
-from .hitting import get_evaluator
 from .payoff import PayoffSpec
 
 __all__ = [
@@ -493,7 +492,7 @@ def _long_run_cycles(
 ) -> _Cycles:
     """``ceil(horizon / xi(y))`` cycles: on average they span the configured horizon."""
     _check_threshold(model, threshold)
-    xi_y = float(get_evaluator(model).xi(threshold))
+    xi_y = float(_calculus(model).xi(threshold))
     n = config.horizon / xi_y   # inf past double range, which the cycle bound refuses
     n = max(2, math.ceil(n)) if n < math.inf else n
     return _first_passages(model, threshold, n, config, running)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .diffusion import DiffusionModel, _calculus
 from .errors import DomainError
-from .hitting import get_evaluator
 
 __all__ = [
     "controlled_density",
@@ -43,7 +42,7 @@ def controlled_density(model: DiffusionModel, y: float, x):
     """Stationary density of the threshold-y controlled process at x (vectorized in x)."""
     _require_threshold(model, y)
     calc = _calculus(model)
-    kappa = 1.0 / get_evaluator(model).xi(y)
+    kappa = 1.0 / calc.xi(y)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("the state space is (0, inf)")
@@ -63,8 +62,7 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     """
     _require_threshold(model, y)
     calc = _calculus(model)
-    ev = get_evaluator(model)
-    kappa = 1.0 / ev.xi(y)
+    kappa = 1.0 / calc.xi(y)
     y0 = model.restart_level
     s_y = calc.S(y)
     m0_y0 = calc.M0(y0)
@@ -76,7 +74,7 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     if np.any(mid):
         v = xa[mid]
         m0_v = calc.M0(v)
-        ms_v = m0_v * calc.S(v) - ev.xi(v)
+        ms_v = m0_v * calc.S(v) - calc.xi(v)
         value[mid] = kappa * (s_y * m0_y0 + s_y * (m0_v - m0_y0) - ms_v)
     return float(value) if np.ndim(x) == 0 else value
 
@@ -94,9 +92,10 @@ def expected_stock(model: DiffusionModel, y, xi=None):
     else:
         y = np.asarray(y, dtype=float)
         _require_threshold(model, float(y.min(initial=math.inf)))
+    calc = _calculus(model)
     if xi is None:
-        xi = get_evaluator(model).xi(y)
-    return _calculus(model).cycle_stock(y) / xi
+        xi = calc.xi(y)
+    return calc.cycle_stock(y) / xi
 
 
 def reflected_mean(model: DiffusionModel) -> float:

@@ -2,8 +2,7 @@ import os
 
 import pytest
 
-from harvestfield.diffusion import custom_model, logistic_model
-from harvestfield.hitting import XiEvaluator
+from harvestfield.diffusion import _calculus, custom_model, logistic_model
 from harvestfield.payoff import Interaction, PayoffSpec
 
 try:
@@ -30,7 +29,7 @@ def benchmark_model():
 
 @pytest.fixture(scope="session")
 def benchmark_evaluator(benchmark_model):
-    return XiEvaluator(benchmark_model)
+    return _calculus(benchmark_model)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from harvestfield import meanfield
-from harvestfield.hitting import XiEvaluator, get_evaluator
+from harvestfield.diffusion import _calculus
 from harvestfield.impulse import _bounded_max, critical_bounds, zero_cost_threshold
 from harvestfield.meanfield import phi_map, resolve_payoff
 
@@ -72,7 +72,7 @@ def equilibria_oracle(model, phi, cost, c, c_max):
     by brentq. Only xi, xi' and the caller's c are used: no equilibrium
     solver, Phi step or threshold optimizer.
     """
-    ev = XiEvaluator(model)
+    ev = _calculus(model)
     y0 = model.restart_level
 
     def k(y):
@@ -143,7 +143,7 @@ def full_scan_planner(model, payoff):
     """
     scan = meanfield._scan(model, payoff)
     payoff, grid = scan.payoff, scan.grid
-    ev = get_evaluator(model)
+    ev = _calculus(model)
     y0 = model.restart_level
     h_grid = (scan.prices() * (grid - y0) - payoff.cost) / scan.xi()
 
@@ -171,8 +171,6 @@ def full_scan_planner(model, payoff):
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
         best_v = h_scalar(best_y)
-    if best_v <= 0.0:
-        flags.append("no profitable harvest")
     z_best, _ = meanfield._clamp_to_domain(
         meanfield.interaction_level(model, payoff, best_y), payoff.domain
     )

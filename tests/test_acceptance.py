@@ -13,7 +13,6 @@ from helpers import equilibria_oracle
 from oracle import LogisticOracle, integrate, integrate_to_zero
 
 from harvestfield.diffusion import _calculus, logistic_model
-from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import ThresholdSolution, best_response, verify_solution
 from harvestfield.meanfield import (
     mfc_optimum,
@@ -54,7 +53,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def evaluator(model):
-    return XiEvaluator(model)
+    return _calculus(model)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +252,7 @@ def test_criterion_6_monte_carlo_cross_validation(capsys, model, rate_payoff):
     tau = estimate_hitting_time(model, 2.0, SimConfig(dt=1e-3, seed=101), n_paths=100_000)
     stock = estimate_stationary_mean(model, 4.0, SimConfig(dt=1e-3, horizon=1e5, seed=103))
     payoff = resolve_payoff(model, rate_payoff)
-    ev = XiEvaluator(model)
+    ev = _calculus(model)
     z_eq = (5.13 - 1.0) / ev.xi(5.13)
     analytic_value = (payoff.phi(z_eq) * (5.13 - 1.0) - 1.0) / ev.xi(5.13)
     value = estimate_value(model, payoff, 5.13, SimConfig(dt=1e-3, horizon=1e5, seed=107))

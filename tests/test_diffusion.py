@@ -192,13 +192,19 @@ def test_concurrent_table_growth_matches_serial():
     assert np.all(np.diff(bounds) > 0.0) and len(coef) == len(bounds) - 1
 
 
-def test_calculus_is_freed_with_its_model():
+def test_calculus_is_freed_with_its_model(rate_payoff):
+    import dataclasses
     import weakref
 
-    from harvestfield.hitting import get_evaluator
+    from harvestfield import get_evaluator
+    from harvestfield.meanfield import compare
 
     model = custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
-    get_evaluator(model).xi(3.0)
+    compare(model, rate_payoff)
+    # xi, its derivatives, the convexity switch and the zero-cost solve share one object
+    cached = set(vars(model)) - {f.name for f in dataclasses.fields(model)}
+    assert cached == {"_calculus"}
+    assert get_evaluator(model) is _calculus(model)
     assert get_evaluator(model) is get_evaluator(model)
     calc = weakref.ref(_calculus(model))
     del model

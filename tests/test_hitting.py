@@ -5,9 +5,8 @@ import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import _calculus, custom_model
+from harvestfield.diffusion import _calculus, _Calculus, custom_model
 from harvestfield.errors import DivergenceError, DomainError
-from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import _running_potential, solve_auxiliary
 
 # frozen against an independent 40-digit series evaluation (mpmath)
@@ -23,7 +22,7 @@ XI_REFERENCE = {
 
 def test_xi_vanishes_at_restart(benchmark_model, benchmark_evaluator, quadrature_twin):
     # exactly 0, not a rounding residue of either sign, on scalar and array reads of both routes
-    for ev in (benchmark_evaluator, XiEvaluator(quadrature_twin)):
+    for ev in (benchmark_evaluator, _calculus(quadrature_twin)):
         assert ev.xi(1.0) == 0.0
         assert ev.xi(np.array([1.0, 2.0]))[0] == 0.0
     oracle = LogisticOracle(benchmark_model)
@@ -85,8 +84,8 @@ def test_xi_prime_matches_finite_difference(benchmark_evaluator):
 def _custom_evaluators():
     """A model with a finite limit 1/s(0+) > 0, and the sqrt-noise model whose 0 is an entrance."""
     return [
-        XiEvaluator(custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0, y0=1.0)),
-        XiEvaluator(custom_model(lambda x: 1.5 - x, lambda x: math.sqrt(x), y0=1.0)),
+        _calculus(custom_model(lambda x: 1.0 - 0.5 * x, lambda x: 1.0, y0=1.0)),
+        _calculus(custom_model(lambda x: 1.5 - x, lambda x: math.sqrt(x), y0=1.0)),
     ]
 
 
@@ -127,7 +126,7 @@ def test_convexity_switch_brackets_sign(benchmark_evaluator):
 @pytest.mark.parametrize("route", ["benchmark_evaluator", "quadrature_twin"])
 def test_scalar_xi_second_matches_array_element(route, request):
     ev = request.getfixturevalue(route)
-    ev = ev if isinstance(ev, XiEvaluator) else XiEvaluator(ev)
+    ev = ev if isinstance(ev, _Calculus) else _calculus(ev)
     ys = np.array([1.2, 1.7, 3.0, 8.0, 20.0])   # away from the sign change near 2.15
     on_array = ev.xi_second(ys)
     for y, expected in zip(ys, on_array):
@@ -201,7 +200,7 @@ def test_running_cost_domain_checks(benchmark_model):
 
 
 def test_xi_between_twin_routes(benchmark_evaluator, quadrature_twin):
-    ev_twin = XiEvaluator(quadrature_twin)
+    ev_twin = _calculus(quadrature_twin)
     for y in (1.5, 2.0, 5.0):
         assert ev_twin.xi(y) == pytest.approx(benchmark_evaluator.xi(y), rel=1e-7)
         assert ev_twin.xi_prime(y) == pytest.approx(benchmark_evaluator.xi_prime(y), rel=1e-7)

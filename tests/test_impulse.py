@@ -76,11 +76,10 @@ def test_degenerate_zero_cost_maximizer():
     # drift saturating below the restart level: xi is convex from y0 on, the
     # zero-cost rate (y-y0)/xi(y) is decreasing, and its supremum 1/xi'(y0)
     # is only approached at the restart level itself
-    from harvestfield.diffusion import logistic_model
-    from harvestfield.hitting import XiEvaluator
+    from harvestfield.diffusion import _calculus, logistic_model
 
     model = logistic_model(q=-0.55, b=0.85, beta=1.0, y0=1.0)
-    ev = XiEvaluator(model)
+    ev = _calculus(model)
     assert ev.xi_second(1.0) > 0.0
     sol = optimal_threshold_basic(model, 0.0)
     assert sol.threshold == 1.0

@@ -6,10 +6,9 @@ import pytest
 from helpers import central_diff, equilibria_oracle, full_scan_planner, phi_route_equilibria
 
 from harvestfield import meanfield
-from harvestfield.diffusion import _calculus, custom_model, logistic_model
+from harvestfield.diffusion import _calculus, _Calculus, custom_model, logistic_model
 from harvestfield.errors import DomainError, SolverError
 from harvestfield.expressions import parse_expression
-from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import max_harvest_rate, optimal_threshold_basic
 from harvestfield.meanfield import (
     _FIXED_POINT_TOL,
@@ -157,7 +156,7 @@ def test_rate_equilibrium_matches_first_order_oracle(q, b, cost):
     payoff = PayoffSpec(
         cost=cost, phi=lambda z: 1.0 / (1.0 + z), interaction=Interaction.HARVEST_RATE
     )
-    ev = XiEvaluator(model)
+    ev = _calculus(model)
 
     def rate(y):
         return (y - 1.0) / ev.xi(y)
@@ -337,6 +336,12 @@ def test_classify_stability_by_map_slope(benchmark_model, rate_payoff, monkeypat
     assert classify_stability(benchmark_model, payoff, 5.0) == (expected, slope)
 
 
+def test_classify_stability_refuses_threshold_below_restart(benchmark_model, rate_payoff):
+    # the threshold reads of xi, xi' and xi'' are its only domain check
+    with pytest.raises(DomainError):
+        classify_stability(benchmark_model, rate_payoff, 0.9)
+
+
 def test_classify_stability_rate_equilibrium(benchmark_model, rate_payoff):
     payoff = resolve_payoff(benchmark_model, rate_payoff)
     eq = mfg_equilibrium(benchmark_model, payoff)
@@ -443,11 +448,10 @@ def test_concurrent_evaluation_matches_serial(benchmark_model, rate_payoff):
     # from several threads must reproduce the serial answers exactly
     from concurrent.futures import ThreadPoolExecutor
 
-    from harvestfield.hitting import XiEvaluator
     from harvestfield.stationary import expected_stock
 
     fresh = logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0)
-    ev = XiEvaluator(fresh)
+    ev = _calculus(fresh)
     ys = list(np.linspace(1.1, 9.0, 40)) * 4
 
     def work(y):
@@ -503,14 +507,14 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     # each grid point is priced at most once; the planner stops pricing one point past the
     # first grid point beyond 2 y_hi (the check point and its bracket neighbour), so every
     # point up to there is priced exactly once and none past it
-    real = XiEvaluator.xi
+    real = _Calculus.xi
     points: list[float] = []
 
     def recording(self, y):
         points.extend(np.atleast_1d(np.asarray(y, dtype=float)))
         return real(self, y)
 
-    monkeypatch.setattr(XiEvaluator, "xi", recording)
+    monkeypatch.setattr(_Calculus, "xi", recording)
     report = compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0),
                      request.getfixturevalue(payoff_fixture))
     scan = report.equilibria.diagnostics["scan"]

@@ -20,7 +20,6 @@ from oracle import LogisticOracle, gompertz_log_scale, gompertz_mass
 
 from harvestfield.diffusion import _calculus, custom_model, logistic_model, validate_assumptions
 from harvestfield.errors import HarvestFieldError
-from harvestfield.hitting import XiEvaluator
 from harvestfield.impulse import best_response, optimal_threshold_basic
 from harvestfield.meanfield import resolve_payoff
 from harvestfield.payoff import Interaction, PayoffSpec
@@ -69,7 +68,7 @@ def test_tabulated_route_matches_closed_forms(params):
             assert_close(getattr(table, name)(xs), getattr(exact, name)(xs), 1e-8)
         assert_close(table.m(xs) * table.s(xs) * (beta * xs) ** 2, 2.0, 1e-12)
 
-        ev = XiEvaluator(model)
+        ev = _calculus(model)
         assert_close(ev.xi(ys), exact.xi(ys), 1e-8)
         assert_close(ev.xi_prime(ys), exact.xi_prime(ys), 1e-8)
         # xi'' changes sign once: compare it on the scale of the two terms it subtracts
