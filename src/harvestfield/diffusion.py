@@ -37,8 +37,9 @@ below ``y0``. Derivatives come from the calculus directly:
 ``s' = -(2 mu / sigma^2) s`` and ``M[0,y]' = m(y) = 2 / (sigma^2 s)`` gives
 the generator identity ``xi'' = (2 / sigma^2(y)) * (1 - mu(y) xi'(y))``, so
 no second integral is read. The second derivative changes sign at most once
-on ``[y0, inf)``, from concave to convex; the switch point ``y2`` localizes
-every root bracket of the impulse solver.
+on ``[y0, inf)``, from concave to convex; on the concave stretch the impulse
+solver's first-order condition cannot change sign, so its bracket search
+starts at ``y0 + Kt`` and never needs the switch point.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-from ._brent import zeroin
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import DivergenceError, DomainError
 
 __all__ = [
     "LogisticParams",
@@ -65,8 +65,6 @@ __all__ = [
     "model_from_dict",
     "get_evaluator",
 ]
-
-_BRACKET_DOUBLINGS = 60   # budget of every bracket search by doubling
 
 
 @dataclass(frozen=True)
@@ -558,7 +556,6 @@ class _Calculus:
             )
         self._m0_at_y0: float | None = None
         self._xm0_at_y0: float | None = None
-        self._y2: float | None = None
         self._zero_cost = None   # solved on first use by impulse.zero_cost_threshold
 
     # -- densities ---------------------------------------------------------
@@ -698,8 +695,10 @@ class _Calculus:
 
     def _check_domain(self, y) -> None:
         floor = self.y0 * (1.0 - 1e-12)
-        if y < floor if isinstance(y, (float, int)) else np.any(np.asarray(y) < floor):
-            raise DomainError(f"thresholds live in [y0, inf) = [{self.y0}, inf)")
+        # `not y >= floor` also rejects NaN
+        if not (y >= floor if isinstance(y, (float, int)) else np.all(np.asarray(y) >= floor)):
+            bad = np.ravel(y)[np.argmin(np.ravel(y) >= floor)]   # the first value refused
+            raise DomainError(f"thresholds live in [y0, inf) = [{self.y0}, inf), got {bad}")
 
     def xi(self, y):
         """Expected time from y0 to the threshold ``y >= y0`` (vectorized)."""
@@ -773,42 +772,6 @@ class _Calculus:
         """``int_0^{y0} (S(y0) - S(u)) m(u) du``: finite iff 0 is an entrance (or regular) boundary."""
         return self._table.limit(_ENT, -1.0)
 
-    # -- convexity switch ----------------------------------------------------
-
-    def drift_turning_point(self) -> float:
-        p = self.logistic
-        if p is not None:
-            return p.growth / (2.0 * p.crowding)
-        grid, mu = _drift_probe(self)
-        return float(grid[int(np.argmax(mu))])
-
-    def convexity_switch(self) -> float:
-        """Smallest y2 >= y0 with xi convex on (y2, inf); cached after the first call."""
-        if self._y2 is not None:
-            return self._y2
-        y0 = self.y0
-        if self.xi_second(y0) > 0.0:
-            self._y2 = y0
-            return y0
-        lo = max(y0, self.drift_turning_point())
-        if self.xi_second(lo) > 0.0:
-            lo, hi = y0, lo
-        else:
-            hi = lo
-            for _ in range(_BRACKET_DOUBLINGS):
-                hi *= 2.0
-                if self.xi_second(hi) > 0.0:
-                    break
-                lo = hi
-            else:
-                raise ConvergenceError("xi never turned convex within the doubling budget")
-        tol = 1e-10 * max(1.0, hi)
-        y2 = zeroin(self.xi_second, lo, hi, xtol=tol)
-        while not self.xi_second(y2) > 0.0:   # report a point on the convex side
-            y2 = min(y2 + tol, hi)
-        self._y2 = y2
-        return y2
-
 
 def _calculus(model: DiffusionModel) -> _Calculus:
     """The model's calculus, built on first use and kept on the model instance.
@@ -869,16 +832,12 @@ class AssumptionReport:
         }
 
 
-def _drift_probe(calc: _Calculus) -> tuple[np.ndarray, np.ndarray]:
-    """The drift on ``geomspace(y0 / 100, 1000 y0, 241)``, where its turning point is looked for."""
-    grid = np.geomspace(calc.y0 * 1e-2, calc.y0 * 1e3, 241)
-    return grid, calc.drift(grid)
-
-
 def _probe_turning_point(model: DiffusionModel) -> tuple[bool, Optional[float], list[str]]:
+    """Look for the drift's turning point on ``geomspace(y0 / 100, 1000 y0, 241)``."""
     notes: list[str] = []
     with np.errstate(all="ignore"):   # a grid or drift past double range fails the checks below
-        grid, mu = _drift_probe(_calculus(model))
+        grid = np.geomspace(model.restart_level * 1e-2, model.restart_level * 1e3, 241)
+        mu = _calculus(model).drift(grid)
         steps = np.diff(mu)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
     i_star = int(np.argmax(mu))

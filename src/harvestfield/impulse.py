@@ -5,15 +5,17 @@ unique maximizer is the unique root of
 
     F(y) = xi(y) - (y - y0 - Kt) * xi'(y)
 
-on ``[max(y0 + Kt, y2), inf)``, where y2 is the convexity switch of xi; F is
-positive at the left end of that interval and strictly decreasing past it,
-with slope ``F' = -(y - y0 - Kt) * xi''(y) < 0``. Bracket expansion finds a
-sign change, and a safeguarded Newton iteration (Newton steps on F that fall
-back to bisection whenever they leave the bracket) converges to the root in
-a handful of steps. The auxiliary problem of the planner's Lagrange argument
-(increasing reward f, holding cost ``h(x) = a x`` on the stock) is only known
-to be unimodal, so it is solved by derivative bracketing plus Brent's bounded
-maximization (parabolic steps safeguarded by golden section).
+right of ``y0 + Kt``. There ``F(y0 + Kt) = xi(y0 + Kt) >= 0`` and the slope
+is ``F' = -(y - y0 - Kt) * xi''(y)``: positive while xi is concave, negative
+once it has turned convex, and xi'' changes sign at most once. So F cannot
+change sign on the concave stretch, and doubling the right end from
+``y0 + Kt`` brackets the one root. A safeguarded Newton iteration (Newton
+steps on F that fall back to bisection whenever they leave the bracket)
+converges to it in a handful of steps. The auxiliary problem of the
+planner's Lagrange argument (increasing reward f, holding cost ``h(x) = a x``
+on the stock) is only known to be unimodal, so it is solved by derivative
+bracketing plus Brent's bounded maximization (parabolic steps safeguarded by
+golden section).
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -34,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from ._brent import localmin
-from .diffusion import _BRACKET_DOUBLINGS, DiffusionModel, _calculus, _Calculus
+from .diffusion import DiffusionModel, _calculus, _Calculus
 from .errors import DivergenceError, DomainError, NoRootError
 from .payoff import PayoffSpec
 
@@ -56,6 +58,7 @@ __all__ = [
 # the root, and |F|/xi at the accepted root
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
+_BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
 _STOPPING_GRID_POINTS = 400   # geometric grid of the stopping-problem verification
 _VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 
@@ -117,8 +120,8 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
     the Newton point leaves it. ``iterations`` counts the Newton steps.
     """
     calc = _calculus(model)
-    if k_tilde < 0.0:
-        raise DomainError("k_tilde must be nonnegative")
+    if not k_tilde >= 0.0:   # also rejects NaN
+        raise DomainError(f"k_tilde must be nonnegative, got {k_tilde}")
     y0 = calc.y0
 
     def f_of(y: float) -> float:
@@ -137,16 +140,7 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
             flags=("maximizer degenerates to the restart level",),
         )
 
-    left = max(y0 + k_tilde, calc.convexity_switch()) + 1e-6
-    lo = left
-    if f_of(lo) <= 0.0:
-        # theory puts the root right of `left`; tolerate rounding at the corner
-        lo = max(y0 * (1.0 + 1e-9), left - 2e-6)
-        if f_of(lo) <= 0.0:
-            raise NoRootError(
-                "first-order condition is nonpositive at the left end of the bracket; "
-                "model assumptions are likely violated"
-            )
+    lo = y0 + k_tilde   # F(lo) = xi(lo) >= 0, and F rises while xi is concave
     hi = 2.0 * lo
     for _ in range(_BRACKET_DOUBLINGS):
         if f_of(hi) < 0.0:

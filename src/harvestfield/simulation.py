@@ -446,8 +446,8 @@ def _finish_chunk(
 
 
 def _check_threshold(model: DiffusionModel, threshold: float) -> None:
-    if threshold <= model.restart_level:
-        raise DomainError("threshold must exceed the restart level")
+    if not threshold > model.restart_level:   # also rejects NaN; inf is the uncontrolled path
+        raise DomainError(f"threshold must exceed the restart level, got {threshold}")
 
 
 def _cap_flags(capped: int, n: int, what: str) -> tuple[str, ...]:

@@ -201,7 +201,7 @@ def test_calculus_is_freed_with_its_model(rate_payoff):
 
     model = custom_model(lambda x: x * (1.5 - 0.5 * x), lambda x: x, y0=1.0)
     compare(model, rate_payoff)
-    # xi, its derivatives, the convexity switch and the zero-cost solve share one object
+    # xi, its derivatives and the zero-cost solve share one object
     cached = set(vars(model)) - {f.name for f in dataclasses.fields(model)}
     assert cached == {"_calculus"}
     assert get_evaluator(model) is _calculus(model)

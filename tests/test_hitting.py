@@ -54,6 +54,21 @@ def test_xi_rejects_below_restart(benchmark_evaluator):
         benchmark_evaluator.xi(0.9)
 
 
+@pytest.mark.parametrize("read", ["xi", "xi_prime", "xi_second"])
+def test_xi_reads_refuse_nan(benchmark_evaluator, read):
+    # NaN fails `y >= y0`: refused as outside the domain, not reported as a divergent table
+    for y in (math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(DomainError, match="got nan"):
+            getattr(benchmark_evaluator, read)(y)
+
+
+def test_interaction_level_refuses_nan(benchmark_model, rate_payoff):
+    from harvestfield.meanfield import interaction_level, resolve_payoff
+
+    with pytest.raises(DomainError, match="got nan"):
+        interaction_level(benchmark_model, resolve_payoff(benchmark_model, rate_payoff), math.nan)
+
+
 def test_xi_vectorized_matches_scalar(benchmark_evaluator):
     ys = np.array([1.2, 2.0, 7.5, 31.0])
     vec = benchmark_evaluator.xi(ys)
@@ -100,7 +115,7 @@ def test_xi_second_matches_finite_difference(benchmark_evaluator):
 
 
 def test_xi_concave_below_drift_saturation(benchmark_evaluator):
-    # drift peaks at 1.5; xi is concave on [y0, y2]
+    # drift peaks at 1.5; xi is concave from y0 up to its convexity switch near 2.15
     assert benchmark_evaluator.xi_second(1.2) < 0.0
 
 
@@ -111,16 +126,6 @@ def test_xi_second_single_sign_change(benchmark_evaluator):
     assert changes <= 1
     # and the change is from concave to convex
     assert signs[0] <= 0.0 and signs[-1] > 0.0
-
-
-def test_convexity_switch_brackets_sign(benchmark_evaluator):
-    for ev in (benchmark_evaluator, *_custom_evaluators()):
-        y2 = ev.convexity_switch()
-        if y2 == ev.y0:   # convex from the restart level on
-            assert ev.xi_second(y2) > 0.0
-        else:
-            assert ev.xi_second(y2 * 0.99) < 0.0
-        assert ev.xi_second(y2 * 1.01) > 0.0
 
 
 @pytest.mark.parametrize("route", ["benchmark_evaluator", "quadrature_twin"])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import second_diff
+from helpers import first_order_root, second_diff
+from oracle import LogisticOracle
 
+from harvestfield.diffusion import _calculus, logistic_model
 from harvestfield.errors import DomainError, NoRootError
 from harvestfield.impulse import (
     ThresholdSolution,
@@ -60,8 +62,9 @@ def test_solution_invariants(benchmark_model, benchmark_evaluator):
 
 
 def test_negative_cost_rejected(benchmark_model):
-    with pytest.raises(DomainError):
-        optimal_threshold_basic(benchmark_model, -0.5)
+    for k in (-0.5, math.nan):   # NaN fails `k >= 0` too
+        with pytest.raises(DomainError, match=f"got {k}"):
+            optimal_threshold_basic(benchmark_model, k)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 2.5])
@@ -88,6 +91,30 @@ def test_degenerate_zero_cost_maximizer():
     ys = np.linspace(1.0 + 1e-6, 20.0, 500)
     rates = (ys - 1.0) / np.asarray(ev.xi(ys))
     assert np.all(rates <= sol.value + 1e-12)
+
+
+# b at which xi''(1) = 0 for q = -1, beta = 1, y0 = 1: brentq on the oracle's xi''(1) in b
+_B_CONVEX_AT_RESTART = 1.0745628999535315
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+def test_zero_cost_solve_near_the_convex_start(d):
+    # xi is barely concave at y0 = 1, so the zero-cost maximizer sits just right of y0 and
+    # F = xi - (y - 1) xi' stays within rounding of 0 between them; the bracket starting
+    # at y0 still holds the root
+    model = logistic_model(q=-1.0, b=_B_CONVEX_AT_RESTART * (1.0 - d), beta=1.0, y0=1.0)
+    sol = optimal_threshold_basic(model, 0.0)
+    ev = _calculus(model)
+    ys = np.linspace(1.0 + 1e-6, 1.1, 2000)
+    # the rate is flat to about 1e-10 relative near y0, below the table's resolution there
+    assert sol.value >= np.max((ys - 1.0) / ev.xi(ys)) * (1.0 - 1e-9)
+    if d < 1e-2:
+        # so flat an F fixes the threshold only to about 1e-8 (d = 1e-4) and worse below
+        assert 1.0 <= sol.threshold <= 1.0 + max(2e-5, 2.0 * d)
+    else:
+        exact = LogisticOracle(model)
+        root = first_order_root(exact, 0.0, (0.5 * (1.0 + sol.threshold), 2.0))
+        assert sol.threshold == pytest.approx(root, rel=1e-9)
 
 
 def test_max_harvest_rate(benchmark_model, benchmark_evaluator):

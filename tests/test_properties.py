@@ -3,12 +3,12 @@
 Over the ergodic logistic region, each example builds the same diffusion
 twice, once as a logistic model and once through ``custom_model``; both read
 the one scale/speed table, and both are checked against the closed forms and
-series of :mod:`oracle`. Over the same region, both threshold solves are
-checked against the root of the first-order condition on the oracle's ``xi``
-and ``xi'``, and the custom twin's speed integrals from 0 and to infinity,
-read from the table's limits, against the oracle's gamma forms. Over
-logistic-shaped custom coefficients, ergodic or not, the solvers may fail only
-with the package's own errors.
+series of :mod:`oracle`. Over the same region, both twins' threshold solves,
+at zero and at positive cost, are checked against the root of the
+first-order condition on the oracle's ``xi`` and ``xi'``, and the custom
+twin's speed integrals from 0 and to infinity, read from the table's limits,
+against the oracle's gamma forms. Over logistic-shaped custom coefficients,
+ergodic or not, the solvers may fail only with the package's own errors.
 """
 
 import math
@@ -26,7 +26,7 @@ from harvestfield.payoff import Interaction, PayoffSpec
 from harvestfield.stationary import stock_bounds
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import event, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 ergodic = st.fixed_dictionaries(
@@ -93,12 +93,22 @@ def test_table_limits_match_gamma_forms(params):
 
 @given(ergodic, st.floats(0.05, 3.0))
 def test_threshold_solves_match_first_order_root(params, k):
-    model = logistic_model(**params)
-    exact = LogisticOracle(model)
-    for kt in (k, 2.0 * k):
-        sol = optimal_threshold_basic(model, kt)
-        root = first_order_root(exact, kt, sol.bracket)
-        assert_close(sol.threshold, root, 1e-9)
+    # both twins, at zero cost and two positive costs; the solver's bracket starts at
+    # y0 + Kt whether xi is still concave there (left of the convexity switch) or not
+    y0 = params["y0"]
+    exact = LogisticOracle(logistic_model(**params))
+    for model in twins(**params):
+        for kt in (0.0, k, 2.0 * k):
+            sol = optimal_threshold_basic(model, kt)
+            corner = y0 + kt
+            if sol.threshold == y0:   # zero cost with xi convex from y0 on: F < 0 past y0
+                assert kt == 0.0 and exact.xi_second(y0) > -1e-12
+                continue
+            event("xi concave at y0 + Kt" if exact.xi_second(corner) < 0.0 else "xi convex at y0 + Kt")
+            # F(y0) = xi(y0) = 0 at zero cost, so the oracle's bracket starts just past the corner
+            left = corner + 1e-3 * (sol.threshold - corner)
+            root = first_order_root(exact, kt, (left, sol.bracket[1]))
+            assert_close(sol.threshold, root, 1e-9)
 
 
 @given(

@@ -415,6 +415,23 @@ def test_rejects_threshold_at_restart(benchmark_model):
 
 
 @pytest.mark.parametrize(
+    "run",
+    [
+        # NaN never triggers an impulse: the uncontrolled path
+        lambda m, y, payoff: simulate_path(m, y, SimConfig(), horizon=1.0),
+        # every path would step to the time cap
+        lambda m, y, payoff: estimate_hitting_time(m, y, SimConfig(), n_paths=10),
+        lambda m, y, payoff: estimate_stationary_mean(m, y, SimConfig()),
+        lambda m, y, payoff: estimate_value(m, payoff, y, SimConfig(), z=0.3),
+    ],
+    ids=["simulate_path", "estimate_hitting_time", "estimate_stationary_mean", "estimate_value"],
+)
+def test_entry_points_refuse_nan_threshold(benchmark_model, rate_payoff, run):
+    with pytest.raises(DomainError, match="got nan"):
+        run(benchmark_model, math.nan, rate_payoff)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("horizon", math.nan), ("horizon", -1.0), ("horizon", math.inf), ("seed", -1), ("chunk_size", 0)],
 )
