@@ -87,8 +87,7 @@ def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
-    report = validate_assumptions(scenario.model)
-    return report.to_dict(), {}, 0
+    return dataclasses.asdict(validate_assumptions(scenario.model)), {}, 0
 
 
 def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
@@ -106,28 +105,35 @@ def _cmd_solve_single(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     if z is None:
         z = payoff.domain[0]
     sol = best_response(scenario.model, payoff, z)
-    results = {"interaction_level": z, **sol.to_dict()}
-    return results, {"payoff": payoff.to_dict()}, 0
+    results = {"interaction_level": z, **dataclasses.asdict(sol)}
+    diagnostics = {
+        "payoff": {
+            "K": payoff.cost,
+            "phi": payoff.phi_source,
+            "interaction": payoff.interaction.value,
+            "domain": payoff.domain,
+        }
+    }
+    return results, diagnostics, 0
 
 
 def _cmd_solve_mfg(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     eq = mfg_equilibrium(scenario.model, scenario.require_payoff())
-    results = eq.to_dict()
+    results = dataclasses.asdict(eq)
     if len(eq) == 0:
         return results, {"error": "no equilibrium found"}, 3
-    _write_density_csv(out, scenario, eq.points[-1].threshold)
+    _write_density_csv(out, scenario, eq.equilibria[-1].threshold)
     return results, {}, 0
 
 
 def _cmd_solve_mfc(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     sol = mfc_optimum(scenario.model, scenario.require_payoff())
     _write_density_csv(out, scenario, sol.threshold)
-    return sol.to_dict(), {}, 0
+    return dataclasses.asdict(sol), {}, 0
 
 
 def _cmd_compare(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
-    report = compare(scenario.model, scenario.require_payoff())
-    return report.to_dict(), {}, 0
+    return dataclasses.asdict(compare(scenario.model, scenario.require_payoff())), {}, 0
 
 
 def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
@@ -140,7 +146,7 @@ def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
         eq = mfg_equilibrium(model, payoff)
         if len(eq) == 0:
             raise SolverError("no equilibrium to simulate")
-        threshold = eq.points[0].threshold
+        threshold = eq.equilibria[0].threshold
     horizon = scenario.simulate_horizon or min(scenario.sim.horizon, 100.0)
     record = simulate_path(model, threshold, scenario.sim, horizon=horizon)
     flags = np.isin(np.round(record.times, 12), np.round(record.impulse_times, 12)).astype(int)
@@ -169,12 +175,16 @@ def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
         eq = mfg_equilibrium(model, payoff)
         if len(eq) == 0:
             raise SolverError("no equilibrium to verify")
-        z = eq.points[0].interaction
+        z = eq.equilibria[0].interaction_level
     sol = best_response(model, payoff, z)
     price = float(payoff.phi(z))
     y0 = model.restart_level
     report = verify_solution(model, sol, lambda y: price * (y - y0), 0.0, payoff.cost)
-    results = {"solution": sol.to_dict(), "verification": report.to_dict(), "interaction_level": z}
+    results = {
+        "solution": dataclasses.asdict(sol),
+        "verification": dataclasses.asdict(report),
+        "interaction_level": z,
+    }
     return results, {}, 0 if report.passed else 3
 
 

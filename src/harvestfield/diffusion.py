@@ -47,7 +47,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -802,34 +802,8 @@ class AssumptionReport:
     scale_probe_value: float
     entrance_finite: bool
     entrance_value: float
-    notes: tuple[str, ...] = field(default=())
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.speed_mass_finite
-            and self.first_moment_finite
-            and self.turning_point_ok
-            and self.scale_diverges
-            and self.entrance_finite
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "speed_mass_finite": self.speed_mass_finite,
-            "speed_mass": self.speed_mass,
-            "first_moment_finite": self.first_moment_finite,
-            "first_moment": self.first_moment,
-            "turning_point_ok": self.turning_point_ok,
-            "turning_point": self.turning_point,
-            "scale_diverges": self.scale_diverges,
-            "scale_probe_x": self.scale_probe_x,
-            "scale_probe_value": self.scale_probe_value,
-            "entrance_finite": self.entrance_finite,
-            "entrance_value": self.entrance_value,
-            "all_passed": self.all_passed,
-            "notes": list(self.notes),
-        }
+    all_passed: bool             # every probe above passed
+    notes: tuple[str, ...] = ()
 
 
 def _probe_turning_point(model: DiffusionModel) -> tuple[bool, Optional[float], list[str]]:
@@ -924,6 +898,7 @@ def validate_assumptions(model: DiffusionModel) -> AssumptionReport:
         scale_probe_value=probe_value,
         entrance_finite=entrance_ok,
         entrance_value=entrance_value,
+        all_passed=mass_ok and moment_ok and turning_ok and scale_ok and entrance_ok,
         notes=tuple(notes),
     )
 

@@ -12,11 +12,15 @@ Grammar (whitespace insensitive)::
 NUMBER accepts decimal and scientific notation. Exactly one free variable is
 allowed (``x`` for drift/volatility, ``z`` for price functions); its name is
 chosen by the caller. Compiled expressions evaluate with numpy semantics, so
-they accept scalars and arrays alike.
+they accept scalars and arrays alike. An expression nests at most 128 levels
+deep, or raises :class:`ScenarioError`: each parenthesis, call, sign and
+exponent opens a level, and each operator adds one to its operands' depth, so
+129 nested parentheses and a sum of 130 terms are both too deep.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from typing import Callable
 
@@ -55,11 +59,24 @@ def _power(base, exponent):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
+_MAX_DEPTH = 128   # the nesting bound of the module docstring; it bounds every recursion below
+
+
+def _level(depth: int) -> int:
+    """``depth``, refused past the nesting bound."""
+    if depth > _MAX_DEPTH:
+        raise ScenarioError(f"expression nests deeper than {_MAX_DEPTH} levels")
+    return depth
+
+
 class _Parser:
+    """Recursive descent; each rule returns ``(callable, depth of its operator tree)``."""
+
     def __init__(self, tokens, variable):
         self.tokens = tokens
         self.variable = variable
         self.pos = 0
+        self.open = 0   # levels opened and not yet closed
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
@@ -75,46 +92,58 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @contextlib.contextmanager
+    def inward(self):
+        """Parse the body one level further in (a ``with`` body adds no stack frame)."""
+        self.open = _level(self.open + 1)
+        yield
+        self.open -= 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] is not None:
             raise ScenarioError(f"trailing input at position {tok[2]}: {tok[1]!r}")
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.take()[1]
-            rhs = self.term()
+            rhs, rhs_depth = self.term()
             node = (lambda f, g: (lambda v: f(v) + g(v)))(node, rhs) if op == "+" else \
                 (lambda f, g: (lambda v: f(v) - g(v)))(node, rhs)
-        return node
+            depth = _level(max(depth, rhs_depth) + 1)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek()[1] in ("*", "/"):
             op = self.take()[1]
-            rhs = self.factor()
+            rhs, rhs_depth = self.factor()
             node = (lambda f, g: (lambda v: f(v) * g(v)))(node, rhs) if op == "*" else \
                 (lambda f, g: (lambda v: f(v) / g(v)))(node, rhs)
-        return node
+            depth = _level(max(depth, rhs_depth) + 1)
+        return node, depth
 
     def factor(self):
         # unary minus binds looser than the power: -x^2 means -(x^2)
         if self.peek()[1] == "-":
             self.take()
-            inner = self.factor()
-            return lambda v, f=inner: -f(v)
+            with self.inward():
+                inner, depth = self.factor()
+            return (lambda v, f=inner: -f(v)), _level(depth + 1)
         return self.power()
 
     def power(self):
-        base = self.primary()
+        base, depth = self.primary()
         if self.peek()[1] == "^":
             self.take()
-            exponent = self.factor()
-            return lambda v, f=base, g=exponent: _power(f(v), g(v))
-        return base
+            with self.inward():
+                exponent, exponent_depth = self.factor()
+            node = lambda v, f=base, g=exponent: _power(f(v), g(v))
+            return node, _level(max(depth, exponent_depth) + 1)
+        return base, depth
 
     def primary(self):
         kind, value, where = self.peek()
@@ -123,24 +152,26 @@ class _Parser:
         if kind == "num":
             self.take()
             const = float(value)
-            return lambda v, c=const: c
+            return (lambda v, c=const: c), 0
         if kind == "name":
             self.take()
             if value in ("exp", "log"):
                 self.take("op", "(")
-                inner = self.expr()
+                with self.inward():
+                    inner, depth = self.expr()
                 self.take("op", ")")
                 fn = np.exp if value == "exp" else np.log
-                return lambda v, f=inner, fn=fn: fn(f(v))
+                return (lambda v, f=inner, fn=fn: fn(f(v))), _level(depth + 1)
             if value == self.variable:
-                return lambda v: v
+                return (lambda v: v), 0
             raise ScenarioError(
                 f"unknown name {value!r} at position {where}; "
                 f"the free variable here is {self.variable!r}"
             )
         if value == "(":
             self.take()
-            inner = self.expr()
+            with self.inward():
+                inner = self.expr()
             self.take("op", ")")
             return inner
         raise ScenarioError(f"unexpected token {value!r} at position {where}")

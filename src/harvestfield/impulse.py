@@ -30,7 +30,7 @@ those identities, which is what :func:`verify_solution` detects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -54,7 +54,7 @@ __all__ = [
     "verify_solution",
 ]
 
-# stopping test of both threshold solves: Newton step or bracket width relative to
+# stopping test of optimal_threshold_basic: Newton step or bracket width relative to
 # the root, and |F|/xi at the accepted root
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
@@ -72,17 +72,6 @@ class ThresholdSolution:
     iterations: int
     profitable: bool = True
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "value": self.value,
-            "residual": self.residual,
-            "bracket": list(self.bracket),
-            "iterations": self.iterations,
-            "profitable": self.profitable,
-            "flags": list(self.flags),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +315,7 @@ class VerificationReport:
     u_at_threshold: float
     tolerance: float
     grid_points: int
-    flags: tuple[str, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "g_at_restart": self.g_at_restart,
-            "u_max_on_grid": self.u_max_on_grid,
-            "u_at_threshold": self.u_at_threshold,
-            "tolerance": self.tolerance,
-            "grid_points": self.grid_points,
-            "flags": list(self.flags),
-        }
+    flags: tuple[str, ...] = ()
 
 
 def _running_potential(model: DiffusionModel, holding: float, rho: float, x):

@@ -31,7 +31,7 @@ planner <= every equilibrium under the expected-stock channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -163,59 +163,33 @@ def phi_map(model: DiffusionModel, payoff: PayoffSpec, y: float) -> ThresholdSol
 class EquilibriumPoint:
     threshold: float
     value: float
-    interaction: float          # c(y) at the equilibrium
+    interaction_level: float    # c(y) at the equilibrium
     stability: str              # "stable" | "unstable" | "marginal"
     map_slope: float            # Phi'(y) by the implicit function theorem
     residual: float             # |Phi(y) - y|
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "value": self.value,
-            "interaction_level": self.interaction,
-            "stability": self.stability,
-            "map_slope": self.map_slope,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    points: tuple[EquilibriumPoint, ...]
+    equilibria: tuple[EquilibriumPoint, ...]
     bounds: tuple[float, float]         # best-response range [y_lo, y_hi]
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.equilibria)
 
     @property
     def thresholds(self) -> list[float]:
-        return [p.threshold for p in self.points]
-
-    def to_dict(self) -> dict:
-        return {
-            "equilibria": [p.to_dict() for p in self.points],
-            "bounds": list(self.bounds),
-            "diagnostics": self.diagnostics,
-        }
+        return [p.threshold for p in self.equilibria]
 
 
 @dataclass(frozen=True)
 class MfcSolution:
     threshold: float
     value: float
-    interaction: float
+    interaction_level: float
     ties: tuple[float, ...] = ()
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "value": self.value,
-            "interaction_level": self.interaction,
-            "ties": list(self.ties),
-            "flags": list(self.flags),
-        }
 
 
 @dataclass(frozen=True)
@@ -225,15 +199,6 @@ class CompareReport:
     margins: tuple[float, ...]   # signed; nonnegative when the ordering holds
     ordering: str                # human-readable statement of the checked direction
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "equilibria": self.equilibria.to_dict(),
-            "planner": self.planner.to_dict(),
-            "margins": list(self.margins),
-            "ordering": self.ordering,
-            "ok": self.ok,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +272,7 @@ def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
     return EquilibriumPoint(
         threshold=y_star,
         value=(price * (y_star - model.restart_level) - payoff.cost) / xi,
-        interaction=_interaction(model, payoff, y_star, xi),
+        interaction_level=_interaction(model, payoff, y_star, xi),
         stability=stability,
         map_slope=slope,
         residual=abs(phi_map(model, payoff, y_star).threshold - y_star),
@@ -369,11 +334,11 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
             "G = phi(c(y)) k(y) - K has no sign change on the scan grid; "
             "check the assumption report"
         )
-        diagnostics["assumptions"] = validate_assumptions(model).to_dict()
-        return EquilibriumSet(points=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
+        diagnostics["assumptions"] = asdict(validate_assumptions(model))
+        return EquilibriumSet(equilibria=(), bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
-    points = tuple(_equilibrium_point(model, payoff, r) for r in roots)
-    return EquilibriumSet(points=points, bounds=(y_lo, y_hi), diagnostics=diagnostics)
+    equilibria = tuple(_equilibrium_point(model, payoff, r) for r in roots)
+    return EquilibriumSet(equilibria=equilibria, bounds=(y_lo, y_hi), diagnostics=diagnostics)
 
 
 def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet:
@@ -484,7 +449,7 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     return MfcSolution(
         threshold=best_y,
         value=best_v,
-        interaction=z_best,
+        interaction_level=z_best,
         ties=tuple(ties) if len(ties) > 1 else (),
         flags=tuple(flags),
     )
@@ -522,10 +487,10 @@ def compare(model: DiffusionModel, payoff: PayoffSpec) -> CompareReport:
     if len(equilibria) == 0:
         raise SolverError("no equilibrium found; cannot compare")
     if payoff.interaction is Interaction.HARVEST_RATE:
-        margins = tuple(planner.threshold - p.threshold for p in equilibria.points)
+        margins = tuple(planner.threshold - p.threshold for p in equilibria.equilibria)
         ordering = "planner threshold >= equilibrium threshold"
     else:
-        margins = tuple(p.threshold - planner.threshold for p in equilibria.points)
+        margins = tuple(p.threshold - planner.threshold for p in equilibria.equilibria)
         ordering = "planner threshold <= each equilibrium threshold"
     ok = all(m >= -_ORDER_TOL for m in margins)
     report = CompareReport(
@@ -576,8 +541,8 @@ def ordering_sweep(
             report = compare(model, payoff)
             margin = min(report.margins)
             ok = report.ok
-            eq_t = tuple(p.threshold for p in report.equilibria.points)
-            eq_v = tuple(p.value for p in report.equilibria.points)
+            eq_t = tuple(p.threshold for p in report.equilibria.equilibria)
+            eq_v = tuple(p.value for p in report.equilibria.equilibria)
             planner = report.planner
         except ComparisonError as exc:
             raise ComparisonError(f"draw (q={q}, b={b}, K={cost}): {exc}") from exc

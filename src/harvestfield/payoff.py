@@ -31,11 +31,3 @@ class PayoffSpec:
 
     def with_domain(self, lo: float, hi: float) -> "PayoffSpec":
         return replace(self, domain=(float(lo), float(hi)))
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.cost,
-            "phi": self.phi_source,
-            "interaction": self.interaction.value,
-            "domain": list(self.domain) if self.domain is not None else None,
-        }

@@ -14,12 +14,14 @@ Schema::
     }
 
 Expressions use the grammar of :mod:`harvestfield.expressions`. A top-level
-key other than these six sections, an unknown key in ``model`` or
-``simulation`` (``dt``, ``horizon``, ``seed``, ``chunk_size``), a number field
-that does not convert or lies out of range (``dt <= 0``, a negative ``seed``,
-a ``simulate.horizon <= 0``, a non-finite ``simulate.threshold``, a logistic
-``b <= 0``, ...), a model that overflows while it is built, or ``draws < 1``
-raises :class:`ScenarioError`, whose message starts with the scenario's path.
+key other than these six sections, a section that is not an object, a key a
+section does not read (``simulation`` reads ``dt``, ``horizon``, ``seed`` and
+``chunk_size``), a number field that does not convert or lies out of range
+(``dt <= 0``, a negative ``seed``, a ``simulate.horizon <= 0``, a non-finite
+``simulate.threshold``, a logistic ``b <= 0``, ...), an expression that does
+not parse or nests too deep, a model that overflows while it is built, or
+``draws < 1`` raises :class:`ScenarioError`, whose message starts with the
+scenario's path.
 A number field takes no ``true``/``false``, and an integer field (``seed``,
 ``chunk_size``, ``draws``) takes no fraction.
 """
@@ -41,7 +43,16 @@ from .simulation import SimConfig
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
-_SECTIONS = frozenset({"model", "payoff", "simulation", "single", "simulate", "sweep"})
+_SIM_KINDS = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+
+# the keys of each section but "model", whose keys depend on its kind (see model_from_dict)
+_SECTION_KEYS = {
+    "payoff": {"K", "phi", "interaction"},
+    "simulation": _SIM_KINDS.keys(),
+    "single": {"z"},
+    "simulate": {"threshold", "horizon"},
+    "sweep": {"draws"},
+}
 
 
 @dataclass
@@ -61,6 +72,16 @@ class Scenario:
         return self.payoff
 
 
+def _object(value, keys, name: str, source: str) -> dict:
+    """``value`` if it is an object whose keys all lie in ``keys``; ``name`` names it in errors."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{source}: {name} must be an object")
+    unknown = value.keys() - keys
+    if unknown:
+        raise ScenarioError(f"{source}: unknown key(s) in {name}: {sorted(unknown)}")
+    return value
+
+
 def _convert(value, kind):
     """``value`` as an ``int`` or ``float``, refusing a conversion that would change it."""
     if isinstance(value, bool):
@@ -73,32 +94,8 @@ def _convert(value, kind):
     return kind(value)
 
 
-def _build_config(cls_default, section: dict | None, name: str, source: str):
-    if section is None:
-        return cls_default
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{source}: '{name}' must be an object")
-    valid = {f.name for f in dataclasses.fields(cls_default)}
-    unknown = set(section) - valid
-    if unknown:
-        raise ScenarioError(f"{source}: unknown {name} option(s): {sorted(unknown)}")
-    coerced = {}
-    for key, value in section.items():
-        try:
-            coerced[key] = _convert(value, type(getattr(cls_default, key)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{source}: {name}.{key}: {exc}") from exc
-    try:
-        return dataclasses.replace(cls_default, **coerced)
-    except ValueError as exc:   # the section's own range checks raise DomainError
-        raise ScenarioError(f"{source}: {name}: {exc}") from exc
-
-
-def _field(data: dict, section: str, key: str, source: str, kind=float, default=None):
-    """``data[section][key]`` converted to ``kind``, or ``default`` if the key is absent."""
-    fields = data.get(section) or {}
-    if not isinstance(fields, dict):
-        raise ScenarioError(f"{source}: '{section}' must be an object")
+def _number(fields: dict, section: str, key: str, source: str, kind=float, default=None):
+    """``fields[key]`` converted to ``kind``, or ``default`` if the key is absent."""
     if key not in fields:
         return default
     try:
@@ -107,14 +104,22 @@ def _field(data: dict, section: str, key: str, source: str, kind=float, default=
         raise ScenarioError(f"{source}: {section}.{key}: {exc}") from exc
 
 
+def _sim_config(fields: dict, source: str) -> SimConfig:
+    coerced = {key: _number(fields, "simulation", key, source, _SIM_KINDS[key]) for key in fields}
+    try:
+        return SimConfig(**coerced)
+    except ValueError as exc:   # the section's own range checks raise DomainError
+        raise ScenarioError(f"{source}: simulation: {exc}") from exc
+
+
 def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: scenario must be a JSON object")
-    unknown = set(data) - _SECTIONS
-    if unknown:
-        raise ScenarioError(f"{source}: unknown section(s): {sorted(unknown)}")
+    _object(data, _SECTION_KEYS.keys() | {"model"}, "the scenario", source)
     if "model" not in data:
         raise ScenarioError(f"{source}: missing 'model' section")
+    sections = {
+        name: _object(data.get(name, {}), keys, f"'{name}'", source)
+        for name, keys in _SECTION_KEYS.items()
+    }
     try:
         model = model_from_dict(data["model"])
     except (TypeError, ValueError, ArithmeticError) as exc:  # DomainError is a ValueError
@@ -122,9 +127,7 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
 
     payoff = None
     if "payoff" in data:
-        spec = data["payoff"]
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{source}: 'payoff' must be an object")
+        spec = sections["payoff"]
         for key in ("K", "phi", "interaction"):
             if key not in spec:
                 raise ScenarioError(f"{source}: payoff is missing '{key}'")
@@ -140,28 +143,29 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
         except ScenarioError as exc:
             raise ScenarioError(f"{source}: payoff.phi: {exc}") from exc
         payoff = PayoffSpec(
-            cost=_field(data, "payoff", "K", source),
+            cost=_number(spec, "payoff", "K", source),
             phi=phi,
             interaction=interaction,
             phi_source=spec["phi"],
         )
 
-    sim = _build_config(SimConfig(), data.get("simulation"), "simulation", source)
+    sim = _sim_config(sections["simulation"], source)
 
-    draws = _field(data, "sweep", "draws", source, int, 100)
+    simulate = sections["simulate"]
+    draws = _number(sections["sweep"], "sweep", "draws", source, int, 100)
     if draws < 1:
         raise ScenarioError(f"{source}: sweep.draws must be at least 1, got {draws}")
-    horizon = _field(data, "simulate", "horizon", source)
+    horizon = _number(simulate, "simulate", "horizon", source)
     if horizon is not None and not 0.0 < horizon < math.inf:   # also rejects NaN
         raise ScenarioError(f"{source}: simulate.horizon must be positive and finite, got {horizon}")
-    threshold = _field(data, "simulate", "threshold", source)
+    threshold = _number(simulate, "simulate", "threshold", source)
     if threshold is not None and not math.isfinite(threshold):
         raise ScenarioError(f"{source}: simulate.threshold must be finite, got {threshold}")
     return Scenario(
         model=model,
         payoff=payoff,
         sim=sim,
-        single_z=_field(data, "single", "z", source),
+        single_z=_number(sections["single"], "single", "z", source),
         simulate_threshold=threshold,
         simulate_horizon=horizon,
         sweep_draws=draws,

@@ -177,7 +177,7 @@ def full_scan_planner(model, payoff):
     return meanfield.MfcSolution(
         threshold=best_y,
         value=best_v,
-        interaction=z_best,
+        interaction_level=z_best,
         ties=tuple(ties) if len(ties) > 1 else (),
         flags=tuple(flags),
     )

@@ -81,8 +81,8 @@ def test_criterion_1_equilibrium_reproduction(capsys, model, rate_payoff):
     eq = mfg_equilibrium(model, rate_payoff)
     elapsed = time.monotonic() - start
     unique = len(eq) == 1
-    threshold = eq.points[0].threshold
-    value = eq.points[0].value
+    threshold = eq.equilibria[0].threshold
+    value = eq.equilibria[0].value
     ok = (
         unique
         and abs(threshold - 5.13) <= 0.05
@@ -107,7 +107,7 @@ def test_criterion_2_planner_reproduction(capsys, model, rate_payoff):
     start = time.monotonic()
     planner = mfc_optimum(model, rate_payoff)
     elapsed = time.monotonic() - start
-    equilibrium = mfg_equilibrium(model, rate_payoff).points[0]
+    equilibrium = mfg_equilibrium(model, rate_payoff).equilibria[0]
     ordered = planner.threshold >= equilibrium.threshold - 1e-9
     ok = (
         abs(planner.threshold - 5.9) <= 0.1
@@ -168,8 +168,8 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     one_ok = (
         len(roots) == 1
         and matches(eq.thresholds, roots)
-        and [p.stability for p in eq.points] == ["stable"]
-        and abs(eq.points[0].map_slope) < 1.0
+        and [p.stability for p in eq.equilibria] == ["stable"]
+        and abs(eq.equilibria[0].map_slope) < 1.0
     )
     orbit_ok = (
         at_top
@@ -181,25 +181,25 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     three_ok = (
         len(roots3) == 3
         and matches(eq3.thresholds, roots3)
-        and [p.stability for p in eq3.points] == labels3
+        and [p.stability for p in eq3.equilibria] == labels3
     )
     ok = one_ok and orbit_ok and three_ok and elapsed < 60.0
     detail = (
         f"stated curve: {len(eq)} at {[round(t, 6) for t in eq.thresholds]} "
-        f"{[p.stability for p in eq.points]}, oracle {[round(r, 6) for r in roots]}; "
+        f"{[p.stability for p in eq.equilibria]}, oracle {[round(r, 6) for r in roots]}; "
         f"orbit from 55.5 {[round(y, 4) for y in orbit]} (c(55.5) = {c_top!r}, z2 = {z2!r}), "
         f"sup Phi {sup_phi:.4f} < 55.5; three-root curve: "
         f"{len(eq3)} at {[round(t, 6) for t in eq3.thresholds]} "
-        f"{[p.stability for p in eq3.points]}, oracle {[round(r, 6) for r in roots3]}; "
+        f"{[p.stability for p in eq3.equilibria]}, oracle {[round(r, 6) for r in roots3]}; "
         f"{elapsed:.2f}s < 60s"
     )
     _report(capsys, 3, "multiple equilibria", ok, detail)
     assert elapsed < 60.0
     assert len(roots) == 1, detail
     assert len(eq) == 1, detail
-    assert eq.points[0].threshold == pytest.approx(roots[0], rel=1e-6), detail
-    assert eq.points[0].stability == "stable", detail
-    assert abs(eq.points[0].map_slope) < 1.0, detail
+    assert eq.equilibria[0].threshold == pytest.approx(roots[0], rel=1e-6), detail
+    assert eq.equilibria[0].stability == "stable", detail
+    assert abs(eq.equilibria[0].map_slope) < 1.0, detail
     assert at_top, detail
     assert orbit[1] == pytest.approx(6.8, rel=0.02), detail
     assert orbit[2] == pytest.approx(4.55, rel=0.02), detail
@@ -209,7 +209,7 @@ def test_criterion_3_multiple_equilibria(capsys, model, stock_payoff):
     assert len(eq3) == 3, detail
     for found, root in zip(eq3.thresholds, roots3):
         assert found == pytest.approx(root, rel=1e-6), detail
-    assert [p.stability for p in eq3.points] == labels3, detail
+    assert [p.stability for p in eq3.equilibria] == labels3, detail
 
 
 def test_criterion_4_ordering_sweeps(capsys):
@@ -324,8 +324,8 @@ def test_criterion_7_identity_suite(capsys, model, evaluator):
 
 def test_criterion_8_stopping_verification(capsys, model, evaluator, rate_payoff):
     payoff = resolve_payoff(model, rate_payoff)
-    equilibrium = mfg_equilibrium(model, payoff).points[0]
-    z = equilibrium.interaction
+    equilibrium = mfg_equilibrium(model, payoff).equilibria[0]
+    z = equilibrium.interaction_level
     price = float(payoff.phi(z))
     reward = lambda y: price * (y - 1.0)
     solution = best_response(model, payoff, z)

@@ -360,6 +360,55 @@ def test_misspelled_section_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# a misspelled key is refused in every section, as in the top level, model and simulation
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("compare", "payoff", "cost"), ("solve-single", "single", "Z"),
+     ("simulate", "simulate", "treshold"), ("sweep", "sweep", "draw")],
+    ids=["payoff", "single", "simulate", "sweep"],
+)
+def test_unknown_section_key_exits_2(tmp_path, capsys, command, section, key):
+    data = json.loads(Path(RATE_SCENARIO).read_text())
+    scenario = with_section(tmp_path, RATE_SCENARIO, **{section: {**data.get(section, {}), key: 1.0}})
+    code, out = run(tmp_path, command, scenario)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {scenario}: unknown key(s) in '{section}': ['{key}']"
+    )
+    assert not out.exists()
+
+
+# expressions past the nesting bound, which parsing or evaluation would otherwise
+# end in a RecursionError
+_TOO_DEEP = {
+    "signs": "-" * 5000 + "x",
+    "parentheses": "(" * 5000 + "x" + ")" * 5000,
+    "exponents": "^".join(["x"] * 5000),
+}
+
+
+@pytest.mark.parametrize(
+    "command, section, key, text",
+    [("validate", "model", key, text) for key in ("drift", "vol") for text in _TOO_DEEP.values()]
+    + [
+        ("compare", "model", "drift", "x*(1.5 - 0.5*x)" + " + 0*x" * 999),
+        ("solve-single", "payoff", "phi", "-" * 4000 + "1/(z+1)"),
+    ],
+    ids=[f"{key}-{name}" for key in ("drift", "vol") for name in _TOO_DEEP]
+    + ["drift-sum", "phi-signs"],
+)
+def test_too_deep_expression_exits_2(tmp_path, capsys, command, section, key, text):
+    data = json.loads(Path(CUSTOM_SCENARIO).read_text())
+    scenario = with_section(tmp_path, CUSTOM_SCENARIO, **{section: {**data[section], key: text}})
+    code, out = run(tmp_path, command, scenario)
+    assert code == 2
+    field = "model" if section == "model" else "payoff.phi"
+    assert capsys.readouterr().err.startswith(
+        f"error: {scenario}: {field}: expression nests deeper than 128 levels"
+    )
+    assert not out.exists()
+
+
 # a number takes no true/false and an integer no fraction
 @pytest.mark.parametrize("field, value", [("seed", 7.9), ("seed", True), ("dt", True)])
 def test_simulation_field_of_wrong_kind_exits_2(tmp_path, capsys, field, value):
@@ -821,3 +870,90 @@ def test_power_of_a_negative_base_is_not_finite(tmp_path, capsys, command):
     code, _ = run(tmp_path, command, with_section(tmp_path, CUSTOM_SCENARIO, model=model))
     assert code == 3
     assert "drift is not finite" in capsys.readouterr().err
+
+
+def _key_paths(value, prefix=""):
+    """Dotted paths to the leaves of a report, in order; a list of plain values is a leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _key_paths(item, f"{prefix}{key}.")
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        for i, item in enumerate(value):
+            yield from _key_paths(item, f"{prefix}{i}.")
+    else:
+        yield prefix[:-1]
+
+
+_SOLUTION = ["threshold", "value", "residual", "bracket", "iterations", "profitable", "flags"]
+_EQUILIBRIA = [
+    *(f"equilibria.0.{key}" for key in
+      ["threshold", "value", "interaction_level", "stability", "map_slope", "residual"]),
+    "bounds",
+    "diagnostics.bounds",
+    *(f"diagnostics.scan.{key}" for key in ["points", "cap", "searched", "gap_start", "gap_end"]),
+]
+_PLANNER = ["threshold", "value", "interaction_level", "ties", "flags"]
+
+# per command, the key paths of the results and of the diagnostics
+_REPORT_KEYS = {
+    "validate": (
+        [
+            "speed_mass_finite", "speed_mass", "first_moment_finite", "first_moment",
+            "turning_point_ok", "turning_point", "scale_diverges", "scale_probe_x",
+            "scale_probe_value", "entrance_finite", "entrance_value", "all_passed", "notes",
+        ],
+        [],
+    ),
+    "solve-single": (
+        ["interaction_level", *_SOLUTION],
+        ["payoff.K", "payoff.phi", "payoff.interaction", "payoff.domain"],
+    ),
+    "solve-mfg": (_EQUILIBRIA, []),
+    "solve-mfc": (_PLANNER, []),
+    "compare": (
+        [
+            *(f"equilibria.{key}" for key in _EQUILIBRIA),
+            *(f"planner.{key}" for key in _PLANNER),
+            "margins", "ordering", "ok",
+        ],
+        [],
+    ),
+    "simulate": (
+        [
+            "threshold", "horizon", "impulses", "expected_impulses", "mean_cycle_length",
+            "floor_activations", "value_estimate", "value_std_error",
+        ],
+        ["seed", "dt"],
+    ),
+    "verify": (
+        [
+            *(f"solution.{key}" for key in _SOLUTION),
+            *(f"verification.{key}" for key in [
+                "passed", "g_at_restart", "u_max_on_grid", "u_at_threshold", "tolerance",
+                "grid_points", "flags",
+            ]),
+            "interaction_level",
+        ],
+        [],
+    ),
+    "sweep": (["draws", "interaction", "all_ordered", "worst_margin"], ["seed"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, scenario",
+    [(command, scenario) for command in _REPORT_KEYS for scenario in (RATE_SCENARIO, STOCK_SCENARIO)]
+    + [("validate", CUSTOM_SCENARIO)],
+    ids=[f"{command}-{name}" for command in _REPORT_KEYS for name in ("rate", "stock")]
+    + ["validate-custom"],
+)
+def test_report_key_paths(tmp_path, command, scenario):
+    code, out = run(tmp_path, command, scenario)
+    assert code == 0
+    report = read_report(out)
+    assert list(report) == ["command", "scenario", "results", "diagnostics"]
+    scenario_keys = _key_paths(json.loads(Path(scenario).read_text()))
+    assert list(_key_paths(report["scenario"])) == list(scenario_keys)
+    results, diagnostics = _REPORT_KEYS[command]
+    assert list(_key_paths(report["results"])) == results
+    assert list(_key_paths(report["diagnostics"])) == diagnostics

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -333,7 +334,7 @@ def test_validate_benchmark(benchmark_model):
 
 def test_validate_reports_numbers_with_flags(benchmark_model):
     report = validate_assumptions(benchmark_model)
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert math.isfinite(d["speed_mass"])
     assert math.isfinite(d["first_moment"])
     assert d["turning_point"] is not None

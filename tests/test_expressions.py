@@ -60,3 +60,37 @@ def test_power_rounds_alike_on_floats_and_arrays(text):
     on_floats = [f(x) for x in xs.tolist()]
     assert all(type(v) is float for v in on_floats)
     assert np.array_equal(f(xs), on_floats)
+
+
+def test_long_sums_and_deep_parentheses_evaluate_in_order():
+    # a 100-term sum adds left to right, and parentheses change no float
+    terms = [(k + 0.5) / 7 for k in range(100)]
+    total = parse_expression(" + ".join(f"{c!r}*x^2" for c in terms))
+    nested = parse_expression("(" * 50 + "x*(1.5 - 0.5*x)" + ")" * 50)
+    for x in (np.linspace(0.1, 5.0, 9), 2.5):
+        expected = terms[0] * np.power(x, 2.0)
+        for c in terms[1:]:
+            expected = expected + c * np.power(x, 2.0)
+        assert np.array_equal(total(x), expected)
+        assert np.array_equal(nested(x), x * (1.5 - 0.5 * x))
+
+
+# 128 levels parse and evaluate; one more is refused, whether it is opened by a
+# parenthesis, a call, a sign or an exponent, or added by an operator
+@pytest.mark.parametrize(
+    "deep",
+    [
+        lambda n: "(" * n + "x" + ")" * n,
+        lambda n: "exp(" * n + "x" + ")" * n,
+        lambda n: "-" * n + "x",
+        lambda n: "^".join(["x"] * (n + 1)),
+        lambda n: "+".join(["x"] * (n + 1)),
+        lambda n: "(" * (n - 64) + "-" * 64 + "x" + ")" * (n - 64),
+    ],
+    ids=["parentheses", "calls", "signs", "exponents", "sum", "signs-in-parentheses"],
+)
+def test_nesting_bound(deep):
+    with np.errstate(all="ignore"):   # nested exponentials overflow
+        parse_expression(deep(128))(np.array([0.5, 2.0]))
+    with pytest.raises(ScenarioError, match="nests deeper than 128 levels"):
+        parse_expression(deep(129))

@@ -133,7 +133,7 @@ def test_clamp_flags_interaction_on_either_edge():
 def test_unique_equilibrium_rate_channel(benchmark_model, rate_payoff):
     eq = mfg_equilibrium(benchmark_model, rate_payoff)
     assert len(eq) == 1
-    point = eq.points[0]
+    point = eq.equilibria[0]
     assert point.threshold == pytest.approx(5.13, abs=0.05)
     assert point.value == pytest.approx(0.243, abs=0.003)
     assert point.residual < 1e-7 * point.threshold
@@ -168,7 +168,7 @@ def test_rate_equilibrium_matches_first_order_oracle(q, b, cost):
     eq = mfg_equilibrium(model, payoff)
     assert len(roots) == 1
     assert len(eq) == 1
-    assert eq.points[0].threshold == pytest.approx(roots[0], rel=1e-6)
+    assert eq.equilibria[0].threshold == pytest.approx(roots[0], rel=1e-6)
 
 
 def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, monkeypatch):
@@ -230,7 +230,7 @@ def test_equilibria_match_phi_route_oracle(model, payoff):
     expected = phi_route_equilibria(model, payoff)
     eq = mfg_equilibrium(model, payoff)
     assert len(eq) == len(expected) >= 1
-    for point, (y, slope, label) in zip(eq.points, expected):
+    for point, (y, slope, label) in zip(eq.equilibria, expected):
         assert point.stability == label
         assert point.threshold == pytest.approx(y, abs=2.0 * _FIXED_POINT_TOL)
         assert point.map_slope == pytest.approx(slope, abs=1e-5)
@@ -244,7 +244,7 @@ def test_map_slope_matches_phi_route_where_scale_is_finite_at_0(kind):
     expected = phi_route_equilibria(model, payoff)
     eq = mfg_equilibrium(model, payoff)
     assert len(eq) == len(expected) >= 1
-    for point, (y, slope, label) in zip(eq.points, expected):
+    for point, (y, slope, label) in zip(eq.equilibria, expected):
         assert point.map_slope == pytest.approx(slope, rel=1e-6)
         assert point.stability == label
 
@@ -287,15 +287,15 @@ def test_constant_price_equilibrium_is_single_agent(benchmark_model):
     eq = mfg_equilibrium(benchmark_model, flat_payoff())
     single = optimal_threshold_basic(benchmark_model, 1.0 / 0.7)
     assert len(eq) == 1
-    assert eq.points[0].threshold == pytest.approx(single.threshold, rel=1e-7)
-    assert eq.points[0].value == pytest.approx(0.7 * single.value, rel=1e-6)
+    assert eq.equilibria[0].threshold == pytest.approx(single.threshold, rel=1e-7)
+    assert eq.equilibria[0].value == pytest.approx(0.7 * single.value, rel=1e-6)
 
 
 def test_stock_channel_equilibria_are_fixed_points(benchmark_model, stock_payoff):
     eq = mfg_equilibrium(benchmark_model, stock_payoff)
     payoff = resolve_payoff(benchmark_model, stock_payoff)
     assert len(eq) >= 1
-    for point in eq.points:
+    for point in eq.equilibria:
         assert point.residual < 1e-7 * point.threshold
         assert eq.bounds[0] - 1e-6 <= point.threshold <= eq.bounds[1] + 1e-6
         again = phi_map(benchmark_model, payoff, point.threshold).threshold
@@ -312,13 +312,13 @@ def test_mild_stock_price_has_unique_equilibrium(benchmark_model):
     )
     eq = mfg_equilibrium(benchmark_model, payoff)
     assert len(eq) == 1
-    assert eq.points[0].residual < 1e-7 * eq.points[0].threshold
+    assert eq.equilibria[0].residual < 1e-7 * eq.equilibria[0].threshold
 
 
 def test_classify_stability_constant_price(benchmark_model):
     payoff = resolve_payoff(benchmark_model, flat_payoff())
     eq = mfg_equilibrium(benchmark_model, payoff)
-    label, slope = classify_stability(benchmark_model, payoff, eq.points[0].threshold)
+    label, slope = classify_stability(benchmark_model, payoff, eq.equilibria[0].threshold)
     assert label == "stable"
     assert abs(slope) < 1e-6
 
@@ -345,7 +345,7 @@ def test_classify_stability_refuses_threshold_below_restart(benchmark_model, rat
 def test_classify_stability_rate_equilibrium(benchmark_model, rate_payoff):
     payoff = resolve_payoff(benchmark_model, rate_payoff)
     eq = mfg_equilibrium(benchmark_model, payoff)
-    label, slope = classify_stability(benchmark_model, payoff, eq.points[0].threshold)
+    label, slope = classify_stability(benchmark_model, payoff, eq.equilibria[0].threshold)
     assert slope < 0.0
     assert label == "stable"
 
@@ -371,7 +371,7 @@ def test_planner_constant_price_matches_single_agent(benchmark_model):
 def test_planner_value_dominates_equilibrium(benchmark_model, rate_payoff):
     eq = mfg_equilibrium(benchmark_model, rate_payoff)
     sol = mfc_optimum(benchmark_model, rate_payoff)
-    assert sol.value >= eq.points[0].value - 1e-12
+    assert sol.value >= eq.equilibria[0].value - 1e-12
 
 
 def test_planner_first_order_condition(benchmark_model, benchmark_evaluator, rate_payoff):
@@ -392,8 +392,8 @@ def test_equilibrium_partial_condition(benchmark_model, benchmark_evaluator, rat
     # the equilibrium solves the partial-derivative condition of the
     # two-variable reward surface (fixed-point route equivalence)
     payoff = resolve_payoff(benchmark_model, rate_payoff)
-    eq = mfg_equilibrium(benchmark_model, payoff).points[0]
-    z = eq.interaction
+    eq = mfg_equilibrium(benchmark_model, payoff).equilibria[0]
+    z = eq.interaction_level
 
     def section(x1):
         return (payoff.phi(z) * (x1 - 1.0) - 1.0) / benchmark_evaluator.xi(x1)
@@ -406,7 +406,7 @@ def test_compare_rate_channel(benchmark_model, rate_payoff):
     report = compare(benchmark_model, rate_payoff)
     assert report.ok
     assert all(m >= -1e-6 for m in report.margins)
-    assert report.planner.threshold >= report.equilibria.points[0].threshold
+    assert report.planner.threshold >= report.equilibria.equilibria[0].threshold
 
 
 def test_compare_constant_price_is_tight(benchmark_model):
@@ -424,7 +424,7 @@ def test_compare_stock_channel_reversed(benchmark_model):
     )
     report = compare(benchmark_model, payoff)
     assert report.ok
-    for point in report.equilibria.points:
+    for point in report.equilibria.equilibria:
         assert report.planner.threshold <= point.threshold + 1e-6
 
 
@@ -475,10 +475,10 @@ def test_twin_routes_agree_on_market_solutions(
     payoff = request.getfixturevalue(payoff_fixture)
     exact, twin = mfg_equilibrium(benchmark_model, payoff), mfg_equilibrium(quadrature_twin, payoff)
     assert len(twin) == len(exact) >= 1
-    for a, b in zip(twin.points, exact.points):
+    for a, b in zip(twin.equilibria, exact.equilibria):
         assert a.threshold == pytest.approx(b.threshold, rel=1e-6)
         assert a.value == pytest.approx(b.value, rel=1e-6)
-        assert a.interaction == pytest.approx(b.interaction, rel=1e-6)
+        assert a.interaction_level == pytest.approx(b.interaction_level, rel=1e-6)
         assert a.stability == b.stability
     planner = mfc_optimum(benchmark_model, payoff)
     planner_twin = mfc_optimum(quadrature_twin, payoff)
