@@ -22,7 +22,6 @@ from .diffusion import (
 )
 from .errors import (
     ComparisonError,
-    ConvergenceError,
     DivergenceError,
     DomainError,
     HarvestFieldError,

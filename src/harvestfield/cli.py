@@ -177,9 +177,7 @@ def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
             raise SolverError("no equilibrium to verify")
         z = eq.equilibria[0].interaction_level
     sol = best_response(model, payoff, z)
-    price = float(payoff.phi(z))
-    y0 = model.restart_level
-    report = verify_solution(model, sol, lambda y: price * (y - y0), 0.0, payoff.cost)
+    report = verify_solution(model, sol, float(payoff.phi(z)), 0.0, payoff.cost)
     results = {
         "solution": dataclasses.asdict(sol),
         "verification": dataclasses.asdict(report),

@@ -13,11 +13,7 @@ class DivergenceError(HarvestFieldError, ArithmeticError):
     """An improper integral failed to converge (or provably diverges)."""
 
 
-class ConvergenceError(HarvestFieldError, RuntimeError):
-    """An iterative procedure exhausted its budget without converging."""
-
-
-class NoRootError(ConvergenceError):
+class NoRootError(HarvestFieldError, RuntimeError):
     """Bracket expansion found no sign change; usually an assumption violation."""
 
 

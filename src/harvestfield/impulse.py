@@ -1,30 +1,33 @@
 """Single-agent long-run-average impulse optimization.
 
-The basic problem maximizes ``(y - y0 - Kt) / xi(y)`` over thresholds y. Its
-unique maximizer is the unique root of
+Every threshold problem here maximizes ``(y - y0 - Kt - a P(y)) / xi(y)``
+over thresholds y, with ``P`` the cycle stock: the basic problem at
+``a = 0``, and at ``a > 0`` the auxiliary problem of the planner's Lagrange
+argument (linear reward ``p (y - y0)``, holding cost ``h(x) = a x`` on the
+stock, divided through by p). The maximizer is the root of
 
-    F(y) = xi(y) - (y - y0 - Kt) * xi'(y)
+    G(y) = (1 - a P'(y)) xi(y) - (y - y0 - Kt - a P(y)) xi'(y),
 
-right of ``y0 + Kt``. There ``F(y0 + Kt) = xi(y0 + Kt) >= 0`` and the slope
-is ``F' = -(y - y0 - Kt) * xi''(y)``: positive while xi is concave, negative
+which at ``a = 0`` is ``F = xi - (y - y0 - Kt) xi'``. There
+``F(y0 + Kt) = xi(y0 + Kt) >= 0`` and the slope is
+``F' = -(y - y0 - Kt) * xi''(y)``: positive while xi is concave, negative
 once it has turned convex, and xi'' changes sign at most once. So F cannot
 change sign on the concave stretch, and doubling the right end from
-``y0 + Kt`` brackets the one root. A safeguarded Newton iteration (Newton
-steps on F that fall back to bisection whenever they leave the bracket)
-converges to it in a handful of steps. The auxiliary problem of the
-planner's Lagrange argument (increasing reward f, holding cost ``h(x) = a x``
-on the stock) is only known to be unimodal, so it is solved by derivative
-bracketing plus Brent's bounded maximization (parabolic steps safeguarded by
-golden section).
+``y0 + Kt`` brackets the one root. With a holding cost the root may lie
+left of ``y0 + Kt`` instead, inside ``[y0, y0 + Kt]`` since
+``G(y0) = Kt xi'(y0) > 0``. A safeguarded Newton iteration (Newton steps on
+G that fall back to bisection whenever they leave the bracket) converges to
+it in a handful of steps.
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
 
-    g(x) = sup_y [ f(y) - K - E_x int_0^{tau_y} (a X + rho) ]
+    g(x) = sup_y [ p (y - y0) - K - E_x int_0^{tau_y} (a X + rho) ]
 
-must vanish at y0, dominate f - K everywhere, and make the claimed threshold
-a stopping point. Feeding a wrong threshold (hence a sub-optimal rho) breaks
-those identities, which is what :func:`verify_solution` detects.
+must vanish at y0, dominate ``p (x - y0) - K`` everywhere, and make the
+claimed threshold a stopping point. Feeding a wrong threshold (hence a
+sub-optimal rho) breaks those identities, which is what
+:func:`verify_solution` detects.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from ._brent import localmin
 from .diffusion import DiffusionModel, _calculus, _Calculus
-from .errors import DivergenceError, DomainError, NoRootError
+from .errors import DomainError, NoRootError
 from .payoff import PayoffSpec
 
 __all__ = [
@@ -54,8 +57,8 @@ __all__ = [
     "verify_solution",
 ]
 
-# stopping test of optimal_threshold_basic: Newton step or bracket width relative to
-# the root, and |F|/xi at the accepted root
+# stopping test of _solve_threshold: Newton step or bracket width relative to
+# the root, and |G|/xi at the accepted root
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
@@ -75,47 +78,93 @@ class ThresholdSolution:
 
 
 # ---------------------------------------------------------------------------
-# basic problem: (y - y0 - Kt) / xi(y)
+# threshold problems: (y - y0 - Kt - a P(y)) / xi(y)
 # ---------------------------------------------------------------------------
 
-def _first_order_condition(calc: _Calculus, y: float, k_tilde: float) -> tuple[float, float]:
-    """``F = xi - (y - y0 - Kt) xi'`` and ``xi`` at y."""
-    xi = calc.xi(y)
-    return xi - (y - calc.y0 - k_tilde) * calc.xi_prime(y), xi
+def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> ThresholdSolution:
+    """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: the root of G by safeguarded Newton.
 
-
-def _newton_step(calc: _Calculus, y: float, k_tilde: float, f: float, lo: float, hi: float):
-    """Next iterate of the safeguarded Newton solve (Press et al., Numerical Recipes 9.4).
-
-    The Newton point ``y - F/F'``, with ``F' = -(y - y0 - Kt) xi''``, if
-    ``F' < 0`` and the point lies in the closed bracket ``[lo, hi]``;
-    otherwise the bracket midpoint. The bracket is closed so that an iterate
-    at its exact root (``F == 0``, Newton point on ``hi``) stays put instead
-    of bisecting.
+    ``Kt`` is ``k_tilde``, ``a`` is ``holding`` and ``P`` the table's cycle
+    stock. The first-order condition is ``G = (1 - a P') xi - N xi'``, with
+    ``N = y - y0 - Kt - a P`` and ``P' = xm0 s``; at ``a = 0`` it is F, and
+    P is never read. Since ``G(y0) = Kt xi'(y0) > 0``, the root lies in
+    ``[y0, y0 + Kt]`` if ``G(y0 + Kt) < 0``; otherwise a doubling phase from
+    ``y0 + Kt`` brackets it. Each Newton step (Press et al., Numerical
+    Recipes 9.4) on ``G' = -a P'' xi - N xi''``, with
+    ``P'' = (2/sigma^2)(y - mu P')``, then shrinks the bracket by the sign of
+    G. A step with ``G' >= 0``, or one that leaves the closed bracket
+    ``[lo, hi]``, falls back to the midpoint; the bracket is closed so that
+    an iterate at the exact root (``G == 0``, Newton point on ``hi``) stays
+    put. ``iterations`` counts the Newton steps.
     """
-    slope = -(y - calc.y0 - k_tilde) * calc.xi_second(y)
-    if slope < 0.0:
-        newton = y - f / slope
-        if lo <= newton <= hi:
-            return newton
-    return 0.5 * (lo + hi)
+    y0 = calc.y0
+
+    def condition(y: float) -> tuple[float, float, float, float]:
+        """``G``, ``xi``, ``N`` and ``P'`` at y."""
+        xi = calc.xi(y)
+        if not holding:
+            net = y - y0 - k_tilde
+            return xi - net * calc.xi_prime(y), xi, net, 0.0
+        stock_slope = calc.xm0(y) * calc.s(y)
+        net = y - y0 - k_tilde - holding * calc.cycle_stock(y)
+        return (1.0 - holding * stock_slope) * xi - net * calc.xi_prime(y), xi, net, stock_slope
+
+    lo = y0 + k_tilde
+    if holding and condition(lo)[0] < 0.0:
+        lo, hi = y0, lo
+    else:
+        hi = 2.0 * lo   # at a = 0, G(lo) = xi(lo) >= 0 and G rises while xi is concave
+        for _ in range(_BRACKET_DOUBLINGS):
+            if condition(hi)[0] < 0.0:
+                break
+            lo = hi
+            hi *= 2.0
+        else:
+            raise NoRootError(
+                f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
+                "doublings; the objective appears to increase without bound"
+            )
+
+    bracket = (lo, hi)
+    iterations = 0
+    y_next = 0.5 * (lo + hi)
+    while iterations < 400:
+        y = y_next
+        g, xi, net, stock_slope = condition(y)
+        iterations += 1
+        if g > 0.0:
+            lo = y
+        else:
+            hi = y
+        residual = abs(g) / xi
+        slope = -net * calc.xi_second(y)
+        if holding:
+            mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
+            slope -= holding * 2.0 / sigma**2 * (y - mu * stock_slope) * xi
+        newton = y - g / slope if slope < 0.0 else math.nan
+        y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        tol = _BRACKET_REL_TOL * y
+        if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
+            break
+
+    value = net / xi
+    return ThresholdSolution(
+        threshold=y,
+        value=value,
+        residual=residual,
+        bracket=bracket,
+        iterations=iterations,
+        profitable=value > 0.0,
+        flags=() if value > 0.0 else ("unprofitable",),
+    )
 
 
 def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdSolution:
-    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton.
-
-    A doubling phase brackets the sign change of F; each Newton step then
-    shrinks the bracket by the sign of F and falls back to the midpoint when
-    the Newton point leaves it. ``iterations`` counts the Newton steps.
-    """
+    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton."""
     calc = _calculus(model)
     if not k_tilde >= 0.0:   # also rejects NaN
         raise DomainError(f"k_tilde must be nonnegative, got {k_tilde}")
     y0 = calc.y0
-
-    def f_of(y: float) -> float:
-        return _first_order_condition(calc, y, k_tilde)[0]
-
     if k_tilde == 0.0 and calc.xi_second(y0) > 0.0:
         # zero cost with xi convex from the start: (y - y0)/xi(y) decreases on
         # all of (y0, inf), so the supremum 1/xi'(y0) is approached at y0 itself
@@ -129,46 +178,7 @@ def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdS
             flags=("maximizer degenerates to the restart level",),
         )
 
-    lo = y0 + k_tilde   # F(lo) = xi(lo) >= 0, and F rises while xi is concave
-    hi = 2.0 * lo
-    for _ in range(_BRACKET_DOUBLINGS):
-        if f_of(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise NoRootError(
-            f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
-            "doublings; the objective appears to increase without bound"
-        )
-
-    bracket = (lo, hi)
-    iterations = 0
-    y_next = 0.5 * (lo + hi)
-    while iterations < 400:
-        y = y_next
-        f, xi = _first_order_condition(calc, y, k_tilde)
-        iterations += 1
-        if f > 0.0:
-            lo = y
-        else:
-            hi = y
-        residual = abs(f) / xi
-        y_next = _newton_step(calc, y, k_tilde, f, lo, hi)
-        tol = _BRACKET_REL_TOL * y
-        if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
-            break
-
-    value = (y - y0 - k_tilde) / xi
-    return ThresholdSolution(
-        threshold=y,
-        value=value,
-        residual=residual,
-        bracket=bracket,
-        iterations=iterations,
-        profitable=value > 0.0,
-        flags=() if value > 0.0 else ("unprofitable",),
-    )
+    return _solve_threshold(calc, k_tilde, 0.0)
 
 
 def zero_cost_threshold(model: DiffusionModel) -> ThresholdSolution:
@@ -227,73 +237,23 @@ def _check_holding(holding: float) -> None:
         raise DomainError(f"the holding cost a must be nonnegative and finite, got {holding}")
 
 
-def solve_auxiliary(
-    model: DiffusionModel,
-    f: Callable[[float], float],
-    holding: float,
-    cost: float,
-) -> ThresholdSolution:
-    """Maximize ``(f(y) - K - a E_{y0} int_0^{tau_y} X) / xi(y)`` over thresholds.
+def solve_auxiliary(model: DiffusionModel, price: float, holding: float, cost: float) -> ThresholdSolution:
+    """Maximize ``(price (y - y0) - K - a E_{y0} int_0^{tau_y} X) / xi(y)`` over thresholds.
 
-    ``f`` must be continuous and increasing with ``f(y0) = 0``; ``holding``
-    is the ``a >= 0`` of the holding cost ``h(x) = a x`` (0 for none), and
-    ``E_{y0} int_0^{tau_y} X`` is the table's cycle stock. The maximizer is
-    located by bracketing a sign change of the numeric derivative and
-    refining with Brent's bounded maximization, which only assumes
-    unimodality; ``iterations`` counts its steps.
+    ``holding`` is the ``a >= 0`` of the holding cost ``h(x) = a x`` (0 for
+    none), and ``E_{y0} int_0^{tau_y} X`` is the table's cycle stock P. This
+    is the threshold solve at ``Kt = K/price`` and holding ``a/price``, scaled
+    back by the price; at ``a = 0`` it is ``optimal_threshold_basic(K/price)``.
     """
     calc = _calculus(model)
     if not 0.0 < cost < math.inf:   # also rejects NaN
         raise DomainError(f"the impulse cost K must be positive and finite, got {cost}")
+    if not 0.0 < price < math.inf:   # also rejects NaN
+        raise DomainError(f"the price p must be positive and finite, got {price}")
     _check_holding(holding)
-    y0 = calc.y0
-
-    def objective(y: float) -> float:
-        try:
-            running = holding * calc.cycle_stock(y) if holding else 0.0
-            value = (float(f(y)) - cost - running) / calc.xi(y)
-        except (OverflowError, DivergenceError):
-            return math.nan
-        return value if math.isfinite(value) else math.nan
-
-    def derivative(y: float) -> float:
-        step = min(max(1e-5, 1e-6 * y), 0.5 * (y - y0))
-        return (objective(y + step) - objective(y - step)) / (2.0 * step)
-
-    a = y0 * (1.0 + 1e-3)
-    tries = 0
-    while derivative(a) <= 0.0 and tries < 20:
-        a = y0 + (a - y0) / 2.0
-        tries += 1
-    b = a
-    for _ in range(_BRACKET_DOUBLINGS):
-        b *= 2.0
-        d = derivative(b)
-        if math.isnan(d):
-            raise NoRootError(
-                f"auxiliary objective is not finite near y={b:.6g}; "
-                "no interior maximizer was bracketed"
-            )
-        if d < 0.0:
-            break
-    else:
-        raise NoRootError(
-            "the auxiliary objective keeps increasing; no interior maximizer was bracketed"
-        )
-
-    y_star, value, iterations = _bounded_max(objective, a, b)
-    flags: tuple[str, ...] = ()
-    if value <= 0.0:
-        flags = ("no profitable harvest",)
-    return ThresholdSolution(
-        threshold=y_star,
-        value=value,
-        residual=abs(derivative(y_star)),
-        bracket=(a, b),
-        iterations=iterations,
-        profitable=value > 0.0,
-        flags=flags,
-    )
+    sol = _solve_threshold(calc, cost / price, holding / price)
+    flags = () if sol.profitable else ("no profitable harvest",)
+    return replace(sol, value=price * sol.value, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +291,7 @@ def _running_potential(model: DiffusionModel, holding: float, rho: float, x):
 
 def stopping_value(
     model: DiffusionModel,
-    f: Callable[[float], float],
+    price: float,
     holding: float,
     cost: float,
     rho_star: float,
@@ -341,7 +301,7 @@ def stopping_value(
 
     With the potential ``Xi`` of :func:`_running_potential`, continuing from
     x to a level ``c >= x`` costs ``Xi(c) - Xi(x)``, so
-    ``g(x) = Xi(x) + sup_{c >= max(x, y0)} [f(c) - K - Xi(c)]``: on the grid,
+    ``g(x) = Xi(x) + sup_{c >= max(x, y0)} [p (c - y0) - K - Xi(c)]``: on the grid,
     a reverse cumulative maximum over the candidates ``c >= y0``. The
     supremum between grid points is the optimal continuation target, which
     does not depend on x; one bounded Brent maximization around the best
@@ -358,13 +318,13 @@ def stopping_value(
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))
     candidates = grid[first:]
-    reward = np.array([float(f(v)) for v in candidates]) - cost - running[first:]
+    reward = price * (candidates - y0) - cost - running[first:]
     j = int(np.argmax(reward))
     lo = float(candidates[max(j - 1, 0)])
     hi = float(candidates[min(j + 1, len(candidates) - 1)])
     if hi > lo:
         target, target_reward, _ = _bounded_max(
-            lambda yv: float(f(yv)) - cost - potential(yv), lo, hi
+            lambda yv: price * (yv - y0) - cost - potential(yv), lo, hi
         )
     else:
         target, target_reward = float(candidates[j]), float(reward[j])
@@ -379,7 +339,7 @@ def stopping_value(
 def verify_solution(
     model: DiffusionModel,
     solution: ThresholdSolution,
-    f: Callable[[float], float],
+    price: float,
     holding: float,
     cost: float,
 ) -> VerificationReport:
@@ -389,12 +349,12 @@ def verify_solution(
     threshold (whose renewal value is sub-optimal) fails the checks.
     """
     y0 = model.restart_level
-    sv = stopping_value(model, f, holding, cost, solution.value, solution.threshold)
+    sv = stopping_value(model, price, holding, cost, solution.value, solution.threshold)
     g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - y0))])
-    # stopping is offered only at x >= y0, so only there must g dominate f - K
+    # stopping is offered only at x >= y0, so only there must g dominate p (x - y0) - K
     above = sv.grid >= y0
     xs = sv.grid[above]
-    u = np.array([float(f(x)) for x in xs]) - cost - sv.values[above]
+    u = price * (xs - y0) - cost - sv.values[above]
     u_max = float(np.max(u))
     u_at_threshold = float(u[np.argmin(np.abs(xs - solution.threshold))])
     flags = []

@@ -22,6 +22,22 @@ else:
 
 
 @pytest.fixture(scope="session")
+def bundled_run(tmp_path_factory):
+    """``run(command, scenario) -> (exit code, out dir)`` through ``cli.main``, once per session."""
+    from harvestfield.cli import main
+
+    runs = {}
+
+    def run(command, scenario):
+        if (command, scenario) not in runs:
+            out = tmp_path_factory.mktemp(command) / "out"
+            runs[command, scenario] = main([command, "--scenario", scenario, "--out", str(out)]), out
+        return runs[command, scenario]
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def benchmark_model():
     """Logistic diffusion used throughout: q=-1, b=1/2, beta=1, y0=1."""
     return logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0)

@@ -327,20 +327,19 @@ def test_criterion_8_stopping_verification(capsys, model, evaluator, rate_payoff
     equilibrium = mfg_equilibrium(model, payoff).equilibria[0]
     z = equilibrium.interaction_level
     price = float(payoff.phi(z))
-    reward = lambda y: price * (y - 1.0)
     solution = best_response(model, payoff, z)
-    good = verify_solution(model, solution, reward, 0.0, 1.0)
+    good = verify_solution(model, solution, price, 0.0, 1.0)
 
     def perturbed(shift):
         y_fed = solution.threshold + shift
         fed = ThresholdSolution(
             threshold=y_fed,
-            value=(reward(y_fed) - 1.0) / evaluator.xi(y_fed),
+            value=(price * (y_fed - 1.0) - 1.0) / evaluator.xi(y_fed),
             residual=0.0,
             bracket=(0.0, 0.0),
             iterations=0,
         )
-        return verify_solution(model, fed, reward, 0.0, 1.0)
+        return verify_solution(model, fed, price, 0.0, 1.0)
 
     bad_up = perturbed(+0.5)
     bad_down = perturbed(-0.5)

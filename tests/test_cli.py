@@ -947,8 +947,8 @@ _REPORT_KEYS = {
     ids=[f"{command}-{name}" for command in _REPORT_KEYS for name in ("rate", "stock")]
     + ["validate-custom"],
 )
-def test_report_key_paths(tmp_path, command, scenario):
-    code, out = run(tmp_path, command, scenario)
+def test_report_key_paths(bundled_run, command, scenario):
+    code, out = bundled_run(command, scenario)
     assert code == 0
     report = read_report(out)
     assert list(report) == ["command", "scenario", "results", "diagnostics"]

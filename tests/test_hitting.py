@@ -201,7 +201,10 @@ def test_running_cost_domain_checks(benchmark_model):
         _running_potential(benchmark_model, 1.0, 0.0, 0.0)
     for holding in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError, match="holding cost"):
-            solve_auxiliary(benchmark_model, lambda y: y - 1.0, holding, 1.0)
+            solve_auxiliary(benchmark_model, 1.0, holding, 1.0)
+    for price in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="price"):
+            solve_auxiliary(benchmark_model, price, 0.0, 1.0)
 
 
 def test_xi_between_twin_routes(benchmark_evaluator, quadrature_twin):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from helpers import first_order_root, second_diff
 from oracle import LogisticOracle
+from scipy.optimize import brentq
 
-from harvestfield.diffusion import _calculus, logistic_model
+from harvestfield.diffusion import _calculus, custom_model, logistic_model
 from harvestfield.errors import DomainError, NoRootError
 from harvestfield.impulse import (
     ThresholdSolution,
@@ -79,7 +80,7 @@ def test_degenerate_zero_cost_maximizer():
     # drift saturating below the restart level: xi is convex from y0 on, the
     # zero-cost rate (y-y0)/xi(y) is decreasing, and its supremum 1/xi'(y0)
     # is only approached at the restart level itself
-    from harvestfield.diffusion import _calculus, logistic_model
+    from harvestfield.diffusion import _calculus, custom_model, logistic_model
 
     model = logistic_model(q=-0.55, b=0.85, beta=1.0, y0=1.0)
     ev = _calculus(model)
@@ -219,43 +220,80 @@ def test_critical_bounds_requires_domain(benchmark_model, rate_payoff):
 # ---------------------------------------------------------------------------
 
 def test_auxiliary_reduces_to_basic(benchmark_model):
-    aux = solve_auxiliary(benchmark_model, lambda y: y - 1.0, 0.0, 1.0)
+    # with no holding cost the auxiliary problem is the basic solve, bit for bit
+    aux = solve_auxiliary(benchmark_model, 1.0, 0.0, 1.0)
     basic = optimal_threshold_basic(benchmark_model, 1.0)
-    assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
-    assert aux.value == pytest.approx(basic.value, rel=1e-9)
+    assert aux.threshold == basic.threshold
+    assert aux.value == basic.value
 
 
 def test_auxiliary_scaled_reward_reduces_to_scaled_basic(benchmark_model):
     price = 0.6
-    aux = solve_auxiliary(benchmark_model, lambda y: price * (y - 1.0), 0.0, 1.0)
+    aux = solve_auxiliary(benchmark_model, price, 0.0, 1.0)
     basic = optimal_threshold_basic(benchmark_model, 1.0 / price)
-    assert aux.threshold == pytest.approx(basic.threshold, rel=1e-6)
-    assert aux.value == pytest.approx(price * basic.value, rel=1e-9)
+    assert aux.threshold == basic.threshold
+    assert aux.value == price * basic.value
 
 
 def test_auxiliary_threshold_decreases_with_linear_running_cost(benchmark_model):
     # penalizing standing stock makes waiting costlier, so the threshold
     # shrinks toward y0 as the rate grows (and -> y0 in the limit)
     thresholds = [
-        solve_auxiliary(benchmark_model, lambda y: y - 1.0, holding, 1.0).threshold
+        solve_auxiliary(benchmark_model, 1.0, holding, 1.0).threshold
         for holding in (0.0, 0.05, 0.1)
     ]
     assert thresholds[0] > thresholds[1] > thresholds[2]
 
 
+@pytest.mark.parametrize("holding", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("price", [1.0, 0.6])
+def test_auxiliary_matches_first_order_root(benchmark_model, holding, price):
+    # brentq on G = (1 - a P') xi - (y - y0 - Kt - a P) xi' from the closed forms, with
+    # Kt = K/p, a = holding/p and P' = xm0 s; at a = 5 the root lies left of y0 + Kt
+    exact = LogisticOracle(benchmark_model)
+    k_tilde, a = 1.0 / price, holding / price
+
+    def g(y):
+        stock_slope = exact.xm0(y) * exact.s(y)
+        net = y - 1.0 - k_tilde - a * exact.cycle_stock(y)
+        return float((1.0 - a * stock_slope) * exact.xi(y) - net * exact.xi_prime(y))
+
+    lo, hi = 1.0, 1.0 + k_tilde
+    while g(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    root = brentq(g, lo, hi, xtol=1e-14, rtol=1e-14)
+    sol = solve_auxiliary(benchmark_model, price, holding, 1.0)
+    assert sol.threshold == pytest.approx(root, rel=1e-10)
+    y = sol.threshold
+    expected = (price * (y - 1.0) - 1.0 - holding * exact.cycle_stock(y)) / exact.xi(y)
+    assert sol.value == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("holding", [0.05, 0.5, 5.0])
+def test_auxiliary_twins_agree(benchmark_model, quadrature_twin, holding):
+    logistic = solve_auxiliary(benchmark_model, 0.6, holding, 1.0)
+    twin = solve_auxiliary(quadrature_twin, 0.6, holding, 1.0)
+    assert twin.threshold == pytest.approx(logistic.threshold, rel=1e-12)
+    assert twin.value == pytest.approx(logistic.value, rel=1e-12)
+
+
 def test_auxiliary_flags_unprofitable(benchmark_model):
-    # bounded reward plus a stock-proportional running cost: the best
-    # achievable long-run rate is interior but negative
-    sol = solve_auxiliary(benchmark_model, lambda y: 1.0 - 1.0 / y, 0.5, 2.0)
+    # a stock-proportional running cost: the best achievable long-run rate is
+    # interior but negative
+    sol = solve_auxiliary(benchmark_model, 1.0, 0.5, 2.0)
+    assert sol.value == pytest.approx(-0.335, abs=1e-3)
     assert not sol.profitable
-    assert sol.value < 0.0
     assert "no profitable harvest" in sol.flags
 
 
-def test_auxiliary_reports_bracket_exhaustion(benchmark_model):
-    # reward growing super-exponentially: no interior maximizer exists
+def test_auxiliary_reports_bracket_exhaustion():
+    # a transient geometric Brownian motion drifts off to infinity: (y - y0 - Kt)/xi(y)
+    # grows without bound, so neither solve finds a maximizer
+    model = custom_model(drift=lambda x: 0.5 * x, volatility=lambda x: 0.3 * x, y0=1.0)
     with pytest.raises(NoRootError):
-        solve_auxiliary(benchmark_model, lambda y: math.exp(y * y) - 1.0, 0.0, 1.0)
+        optimal_threshold_basic(model, 1.0)
+    with pytest.raises(NoRootError):
+        solve_auxiliary(model, 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +305,24 @@ def solved_benchmark(benchmark_model, benchmark_evaluator, rate_payoff):
     payoff = resolve_payoff(benchmark_model, rate_payoff)
     z = (5.130843093715409 - 1.0) / benchmark_evaluator.xi(5.130843093715409)
     sol = best_response(benchmark_model, payoff, z)
-    price = float(payoff.phi(z))
-    reward = lambda y: price * (y - 1.0)
-    return sol, reward
+    return sol, float(payoff.phi(z))
 
 
 def test_stopping_value_identities(benchmark_model, solved_benchmark):
-    sol, reward = solved_benchmark
-    sv = stopping_value(benchmark_model, reward, 0.0, 1.0, sol.value, sol.threshold)
+    sol, price = solved_benchmark
+    sv = stopping_value(benchmark_model, price, 0.0, 1.0, sol.value, sol.threshold)
     g0 = sv.values[np.argmin(np.abs(sv.grid - 1.0))]
     assert abs(g0) < 1e-6
     i_star = np.argmin(np.abs(sv.grid - sol.threshold))
-    assert sv.values[i_star] == pytest.approx(reward(sol.threshold) - 1.0, abs=1e-8)
+    assert sv.values[i_star] == pytest.approx(price * (sol.threshold - 1.0) - 1.0, abs=1e-8)
     on_grid = sv.grid >= 1.0
-    assert np.all(
-        sv.values[on_grid] >= np.array([reward(x) for x in sv.grid[on_grid]]) - 1.0 - 1e-9
-    )
+    assert np.all(sv.values[on_grid] >= price * (sv.grid[on_grid] - 1.0) - 1.0 - 1e-9)
     assert np.all(np.diff(sv.values) >= -1e-9)
 
 
 def test_verification_passes_for_true_solution(benchmark_model, solved_benchmark):
-    sol, reward = solved_benchmark
-    report = verify_solution(benchmark_model, sol, reward, 0.0, 1.0)
+    sol, price = solved_benchmark
+    report = verify_solution(benchmark_model, sol, price, 0.0, 1.0)
     assert report.passed
     assert abs(report.g_at_restart) < 1e-6
     assert report.u_max_on_grid <= 1e-6
@@ -299,13 +333,13 @@ def test_verification_passes_for_true_solution(benchmark_model, solved_benchmark
 def test_verification_detects_perturbed_threshold(
     benchmark_model, benchmark_evaluator, solved_benchmark, shift
 ):
-    sol, reward = solved_benchmark
+    sol, price = solved_benchmark
     y_fed = sol.threshold + shift
-    value_fed = (reward(y_fed) - 1.0) / benchmark_evaluator.xi(y_fed)
+    value_fed = (price * (y_fed - 1.0) - 1.0) / benchmark_evaluator.xi(y_fed)
     fed = ThresholdSolution(
         threshold=y_fed, value=value_fed, residual=0.0, bracket=(0.0, 0.0), iterations=0
     )
-    report = verify_solution(benchmark_model, fed, reward, 0.0, 1.0)
+    report = verify_solution(benchmark_model, fed, price, 0.0, 1.0)
     assert not report.passed
     # the sub-optimal renewal value leaves slack in the stopping problem
     assert report.g_at_restart > 1e-6
@@ -315,9 +349,9 @@ def test_verification_detects_perturbed_threshold(
 
 
 def test_verification_of_auxiliary_route(benchmark_model, solved_benchmark):
-    _, reward = solved_benchmark
-    aux = solve_auxiliary(benchmark_model, reward, 0.0, 1.0)
-    report = verify_solution(benchmark_model, aux, reward, 0.0, 1.0)
+    _, price = solved_benchmark
+    aux = solve_auxiliary(benchmark_model, price, 0.0, 1.0)
+    report = verify_solution(benchmark_model, aux, price, 0.0, 1.0)
     assert report.passed
 
 
@@ -327,12 +361,12 @@ def test_verification_with_a_holding_cost(benchmark_model, solved_benchmark, shi
     # cycle stock; the auxiliary maximizer passes and a shifted threshold fails
     from harvestfield.diffusion import _calculus
 
-    _, reward = solved_benchmark
+    _, price = solved_benchmark
     holding = 0.05
-    aux = solve_auxiliary(benchmark_model, reward, holding, 1.0)
+    aux = solve_auxiliary(benchmark_model, price, holding, 1.0)
     y = aux.threshold + shift
     calc = _calculus(benchmark_model)
-    value = (reward(y) - 1.0 - holding * calc.cycle_stock(y)) / calc.xi(y)
+    value = (price * (y - 1.0) - 1.0 - holding * calc.cycle_stock(y)) / calc.xi(y)
     fed = ThresholdSolution(threshold=y, value=value, residual=0.0, bracket=(0.0, 0.0), iterations=0)
-    report = verify_solution(benchmark_model, fed, reward, holding, 1.0)
+    report = verify_solution(benchmark_model, fed, price, holding, 1.0)
     assert report.passed is (shift == 0.0)
