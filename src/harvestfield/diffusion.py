@@ -623,10 +623,8 @@ class _Calculus:
                 return value
         elif np.all(np.isfinite(value)):
             return float(value) if np.ndim(x) == 0 else value
-        raise DivergenceError(
-            f"{density} overflows: {name} is not finite at the requested points "
-            f"(largest x = {np.max(x)})"
-        )
+        bad = np.ravel(x)[np.argmin(np.isfinite(np.ravel(value)))]   # the first such point
+        raise DivergenceError(f"{density} overflows: {name} is not finite at x = {bad}")
 
     # -- cumulative speed integrals from 0 ----------------------------------
 

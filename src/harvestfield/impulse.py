@@ -38,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._brent import localmin
+from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus, _Calculus
-from .errors import DomainError, NoRootError
+from .errors import DomainError, NoRootError, SolverError
 from .payoff import PayoffSpec
 
 __all__ = [
@@ -62,6 +62,8 @@ __all__ = [
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
+_ROOT_MAX_ITER = 200          # budget of every zeroin refinement
+_TARGET_REL_TOL = 1e-11       # x tolerance of the stopping target, relative to its bracket
 _STOPPING_GRID_POINTS = 400   # geometric grid of the stopping-problem verification
 _VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 
@@ -219,17 +221,22 @@ def critical_bounds(model: DiffusionModel, payoff: PayoffSpec) -> tuple[float, f
 # auxiliary problem with running cost
 # ---------------------------------------------------------------------------
 
-def _bounded_max(fn: Callable[[float], float], lo: float, hi: float):
-    """Maximize ``fn`` on ``[lo, hi]`` by Brent's bounded minimizer on ``-fn``.
+def _refine(
+    what: str, fn: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
+) -> float:
+    """A root of ``fn`` on ``[a, b]`` by Brent's ``zeroin``, from the known ``fn(a)`` and ``fn(b)``.
 
-    :func:`harvestfield._brent.localmin` (Brent 1973, ch. 5: parabolic steps
-    safeguarded by golden section) with the absolute x tolerance
-    ``1e-9 * max(hi, 1)``; it adds ``3 sqrt(eps) |x|`` to that, so the
-    maximizer is fixed to about 1.5e-8 relative. Returns
-    ``(x, fn(x), evaluations)``.
+    The end values are not computed again, and the sign change that zeroin
+    needs is the one they show. A cell without one, or an exhausted budget,
+    raises :class:`SolverError` naming ``what`` and the cell.
     """
-    x, value, evaluations = localmin(lambda y: -fn(y), lo, hi, xatol=1e-9 * max(hi, 1.0))
-    return x, -float(value), evaluations
+    ends = {a: fa, b: fb}
+    try:
+        return zeroin(
+            lambda y: ends[y] if y in ends else fn(y), a, b, xtol=xtol, maxiter=_ROOT_MAX_ITER
+        )
+    except (RuntimeError, ValueError) as exc:  # budget exhausted or bracket rejected
+        raise SolverError(f"{what} on [{a}, {b}] failed: {exc}") from exc
 
 
 def _check_holding(holding: float) -> None:
@@ -304,16 +311,25 @@ def stopping_value(
     ``g(x) = Xi(x) + sup_{c >= max(x, y0)} [p (c - y0) - K - Xi(c)]``: on the grid,
     a reverse cumulative maximum over the candidates ``c >= y0``. The
     supremum between grid points is the optimal continuation target, which
-    does not depend on x; one bounded Brent maximization around the best
-    candidate fixes it, and it counts for every x below it.
+    does not depend on x and counts for every x below it. Where the reward's
+    slope ``p - rho xi'(c) - a xm0(c) s(c)`` is positive at the best
+    candidate's left neighbour and negative at its right one, the target is
+    the slope's root between them, by :func:`_refine`; otherwise it is the
+    best candidate.
     """
     _check_holding(holding)
+    calc = _calculus(model)
     y0 = model.restart_level
     grid = np.geomspace(1e-2 * y0, 1.5 * threshold, _STOPPING_GRID_POINTS)
     grid = np.unique(np.concatenate([grid, [y0, threshold]]))
 
     def potential(x):
         return _running_potential(model, holding, rho_star, x)
+
+    def slope(c: float) -> float:
+        """d/dc of the reward ``p (c - y0) - K - Xi(c)``, for ``c >= y0``."""
+        value = price - rho_star * calc.xi_prime(c)
+        return value - holding * calc.xm0(c) * calc.s(c) if holding else value
 
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))
@@ -322,10 +338,10 @@ def stopping_value(
     j = int(np.argmax(reward))
     lo = float(candidates[max(j - 1, 0)])
     hi = float(candidates[min(j + 1, len(candidates) - 1)])
-    if hi > lo:
-        target, target_reward, _ = _bounded_max(
-            lambda yv: price * (yv - y0) - cost - potential(yv), lo, hi
-        )
+    rise, fall = slope(lo), slope(hi)
+    if rise > 0.0 > fall:
+        target = _refine("stopping target", slope, lo, hi, rise, fall, _TARGET_REL_TOL * hi)
+        target_reward = price * (target - y0) - cost - potential(target)
     else:
         target, target_reward = float(candidates[j]), float(reward[j])
 

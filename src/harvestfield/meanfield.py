@@ -16,8 +16,9 @@ most once per solve:
   search must find exactly one root; under the expected-stock channel Phi is
   nondecreasing and several equilibria may coexist.
 * cooperative (planner) optimum: maximizer of
-  ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid plus
-  Brent's bounded maximization around each local maximum of the scan. The
+  ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid; each
+  local maximum of the scan is refined by Brent's method on the planner's
+  first-order condition ``G_P``, which has the sign of ``H'``. The
   scan stops one point past the first grid point beyond ``2 y_hi`` when the
   zero-cost bound ``H(y) < phi(z_lo) (y - y0)/xi(y)``, which falls past
   ``y_hat0 < y_hi``, is there below the best maximum by more than the tie
@@ -36,12 +37,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus, logistic_model, validate_assumptions
 from .errors import ComparisonError, DomainError, SolverError
 from .impulse import (
     ThresholdSolution,
-    _bounded_max,
+    _refine,
     best_response,
     critical_bounds,
     max_harvest_rate,
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 _FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point
-_FIXED_POINT_MAX_ITER = 200
+_PLANNER_REL_TOL = 1e-11     # x tolerance of the planner's root, relative to its bracket
 _TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
 _PRICE_STEP = 1e-6           # step of the central difference phi', relative to the domain width
 _SCAN_POINTS = 500           # threshold grid shared by the equilibrium and planner solves
@@ -123,6 +123,8 @@ def interaction_level(
 def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
     """c(y) from thresholds above y0 and their precomputed ``xi(y)``."""
     if payoff.interaction is Interaction.HARVEST_RATE:
+        if isinstance(y, float):   # the scalar root finders: no numpy round trip
+            return float((y - model.restart_level) / xi)
         value = (np.asarray(y, dtype=float) - model.restart_level) / np.asarray(xi)
         return float(value) if np.ndim(y) == 0 else value
     return expected_stock(model, y, xi)
@@ -311,17 +313,9 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [float(y) for y in ys[gaps == 0.0]]
         for i in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
             a, b = float(ys[i]), float(ys[i + 1])
-            # zeroin starts from the scan's G at the cell ends: no cell end is
-            # priced twice, and the sign change it needs is the one the scan found
-            ends = {a: gaps[i], b: gaps[i + 1]}
-            try:
-                root = zeroin(
-                    lambda y: ends[y] if y in ends else gap(y), a, b,
-                    xtol=_FIXED_POINT_TOL, maxiter=_FIXED_POINT_MAX_ITER,
-                )
-            except (RuntimeError, ValueError) as exc:  # budget exhausted or bracket rejected
-                raise SolverError(f"fixed-point refinement on [{a}, {b}] failed: {exc}") from exc
-            roots.append(root)
+            roots.append(_refine(
+                "fixed-point refinement", gap, a, b, gaps[i], gaps[i + 1], _FIXED_POINT_TOL
+            ))
 
     roots.sort()
     if payoff.interaction is Interaction.HARVEST_RATE and len(roots) != 1:
@@ -357,24 +351,41 @@ def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet
     return _equilibria(model, _scan(model, payoff))
 
 
-def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
-    """``Phi'(y) = -K p'/(p^2 k')`` at a fixed point y, by the implicit function theorem.
+def _price_slope(
+    model: DiffusionModel, payoff: PayoffSpec, y: float, xi: float, xi_prime: float
+) -> tuple[float, float]:
+    """``(c, p')`` at y: the interaction level and ``p' = phi'(c) c'``, from ``xi(y)`` and ``xi'(y)``.
 
-    ``k' = xi xi''/xi'^2`` and ``p' = phi'(c) c'``, with ``phi'`` a central
-    difference inside the domain and ``p' = 0`` where c is on or outside it.
+    ``phi'`` is a central difference inside the domain, and ``p' = 0`` where
+    c is on or outside it, since the price is clamped there. ``c'`` is
+    ``(xi - (y - y0) xi')/xi^2`` on the harvest-rate channel and
+    ``(xm0 s xi - P xi')/xi^2`` on the expected-stock channel, P the cycle stock.
     """
     calc = _calculus(model)
-    xi, xi_prime = calc.xi(y), calc.xi_prime(y)
     c = _interaction(model, payoff, y, xi)
     lo, hi = payoff.domain
     if not lo < c < hi:
-        return 0.0
+        return c, 0.0
     if payoff.interaction is Interaction.HARVEST_RATE:
         dc = (xi - (y - model.restart_level) * xi_prime) / xi**2
     else:
         dc = (calc.xm0(y) * calc.s(y) * xi - calc.cycle_stock(y) * xi_prime) / xi**2
     a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
-    dp = (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
+    return c, (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
+
+
+def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
+    """``Phi'(y) = -K p'/(p^2 k')`` at a fixed point y, by the implicit function theorem.
+
+    ``k' = xi xi''/xi'^2`` and ``p'`` is that of :func:`_price_slope`; the
+    slope is 0 where c is on or outside the domain.
+    """
+    calc = _calculus(model)
+    xi, xi_prime = calc.xi(y), calc.xi_prime(y)
+    c, dp = _price_slope(model, payoff, y, xi, xi_prime)
+    lo, hi = payoff.domain
+    if not lo < c < hi:
+        return 0.0
     return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * calc.xi_second(y))
 
 
@@ -400,9 +411,44 @@ def classify_stability(
 # planner problem
 # ---------------------------------------------------------------------------
 
+def _planner_value(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
+    """``H(y) = (p(y) (y - y0) - K)/xi(y)``."""
+    xi = _calculus(model).xi(y)
+    return (_price(model, payoff, y, xi) * (y - model.restart_level) - payoff.cost) / xi
+
+
+def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
+    """``(y, H(y))`` at the maximum of H between the neighbours of the scan's local maximum i.
+
+    y is the root of the first-order condition
+    ``G_P = (p + p' (y - y0)) xi - (p (y - y0) - K) xi'``, which has the sign
+    of ``H'``, by :func:`impulse._refine` on ``[grid[i - 1], grid[i + 1]]``.
+    At the cell ends it reads the scan's xi and price, so no grid point is
+    priced again.
+    """
+    model, payoff = scan.model, scan.payoff
+    calc = _calculus(model)
+    y0 = model.restart_level
+
+    def condition(y: float, xi_y: float, price: Optional[float] = None) -> float:
+        """``G_P(y)`` from ``xi(y)``, and from the price where the scan has it."""
+        xi_prime = calc.xi_prime(y)
+        c, dp = _price_slope(model, payoff, y, xi_y, xi_prime)
+        if price is None:
+            price = float(payoff.phi(_clamp_to_domain(c, payoff.domain)[0]))
+        return (price + dp * (y - y0)) * xi_y - (price * (y - y0) - payoff.cost) * xi_prime
+
+    a, b = float(scan.grid[i - 1]), float(scan.grid[i + 1])
+    xi, prices = scan.xi(i - 1, i + 2), scan.prices(i - 1, i + 2)
+    y = _refine(
+        "planner refinement", lambda v: condition(v, calc.xi(v)), a, b,
+        condition(a, xi[0], prices[0]), condition(b, xi[2], prices[2]), _PLANNER_REL_TOL * b,
+    )
+    return y, _planner_value(model, payoff, y)
+
+
 def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     payoff, grid = scan.payoff, scan.grid
-    calc = _calculus(model)
     y0 = model.restart_level
     n = len(grid)
     # grid[:check + 2] has the local maxima of the whole grid up to `check`, the first point
@@ -424,19 +470,9 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
             if bound < best - _TIE_REL_TOL * max(abs(best), 1e-12):
                 break
 
-    def h_scalar(y: float) -> float:
-        xi = calc.xi(y)
-        return (_price(model, payoff, y, xi) * (y - y0) - payoff.cost) / xi
-
-    def refine_around(i: int) -> tuple[float, float]:
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-        y_ref, v_ref, _ = _bounded_max(h_scalar, lo, hi)
-        return y_ref, v_ref
-
     if len(local_max) == 0:
-        local_max = np.array([int(np.argmax(h_grid))])
-    refined = sorted((refine_around(int(i)) for i in local_max), key=lambda t: -t[1])
+        raise SolverError("the planner objective H has no interior maximum on the scan grid")
+    refined = sorted((_refine_maximum(scan, int(i)) for i in local_max), key=lambda t: -t[1])
     best_y, best_v = refined[0]
     ties = [y for y, v in refined if abs(v - best_v) <= _TIE_REL_TOL * max(abs(best_v), 1e-12)]
     ties = sorted(set(round(t, 12) for t in ties))
@@ -444,7 +480,7 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     if len(ties) > 1:
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
-        best_v = h_scalar(best_y)
+        best_v = _planner_value(model, payoff, best_y)
     z_best, _ = _clamp_to_domain(interaction_level(model, payoff, best_y), payoff.domain)
     return MfcSolution(
         threshold=best_y,
@@ -459,9 +495,12 @@ def mfc_optimum(model: DiffusionModel, payoff: PayoffSpec) -> MfcSolution:
     """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y) over thresholds.
 
     ``H`` is read off the shared scan grid; each local maximum of the grid is
-    refined by Brent's bounded maximization on its two neighbouring cells
-    ``[lo, hi]`` (x tolerance as in :func:`impulse._bounded_max`). Maxima within a
-    relative ``1e-6`` of the best are reported as ties, the smallest first.
+    refined on its two neighbouring cells by Brent's root finder on the
+    first-order condition ``G_P``, which has the sign of ``H'`` (see
+    :func:`_refine_maximum`), to ``1e-11`` of the bracket's right end. A
+    maximum whose cells hold no sign change of ``G_P``, or a grid with no
+    interior maximum, raises :class:`SolverError`. Maxima within a relative
+    ``1e-6`` of the best are reported as ties, the smallest first.
 
     The grid is priced up to the first point past ``2 y_hi`` and its right
     neighbour. With ``K > 0`` and ``phi`` nonincreasing,

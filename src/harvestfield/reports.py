@@ -1,13 +1,16 @@
 """Report assembly and deterministic text rendering.
 
 JSON reports keep full precision; the text table prints every number with 6
-significant digits. Rendering depends only on the report dict contents, so a
-report re-read from JSON prints the identical table.
+significant digits. A number that is not finite (a divergent integral, say)
+is reported as ``null``, since strict JSON has no NaN or infinity. Rendering
+depends only on the report dict contents, so a report re-read from JSON
+prints the identical table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -22,18 +25,29 @@ def _jsonable(obj: Any):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _finite_or_null(value: Any):
+    """``value`` with each non-finite float replaced by ``None``, and arrays and tuples as lists."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _finite_or_null(value.tolist())
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def build_report(command: str, scenario: dict, results: dict, diagnostics: dict | None = None) -> dict:
-    return {
+    return _finite_or_null({
         "command": command,
         "scenario": scenario,
         "results": results,
         "diagnostics": diagnostics or {},
-    }
+    })
 
 
 def _fmt(value: Any) -> str:
@@ -68,6 +82,6 @@ def render_table(report: dict) -> str:
 
 
 def dump_json(report: dict, path) -> None:
-    """Write the report as indented JSON in one write."""
+    """Write the report as indented strict JSON in one write; a non-finite float raises."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(report, indent=2, default=_jsonable) + "\n")
+        fh.write(json.dumps(report, indent=2, default=_jsonable, allow_nan=False) + "\n")

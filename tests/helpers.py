@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from harvestfield import meanfield
 from harvestfield.diffusion import _calculus
-from harvestfield.impulse import _bounded_max, critical_bounds, zero_cost_threshold
+from harvestfield.impulse import critical_bounds, zero_cost_threshold
 from harvestfield.meanfield import phi_map, resolve_payoff
 
 
@@ -143,25 +143,13 @@ def full_scan_planner(model, payoff):
     """
     scan = meanfield._scan(model, payoff)
     payoff, grid = scan.payoff, scan.grid
-    ev = _calculus(model)
     y0 = model.restart_level
     h_grid = (scan.prices() * (grid - y0) - payoff.cost) / scan.xi()
-
-    def h_scalar(y):
-        xi = ev.xi(y)
-        return (meanfield._price(model, payoff, y, xi) * (y - y0) - payoff.cost) / xi
-
     interior = np.arange(1, len(grid) - 1)
     local_max = interior[
         (h_grid[interior] >= h_grid[interior - 1]) & (h_grid[interior] >= h_grid[interior + 1])
     ]
-    if len(local_max) == 0:
-        local_max = np.array([int(np.argmax(h_grid))])
-    refined = []
-    for i in local_max:
-        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
-        y, v, _ = _bounded_max(h_scalar, lo, hi)
-        refined.append((y, v))
+    refined = [meanfield._refine_maximum(scan, int(i)) for i in local_max]
     refined.sort(key=lambda t: -t[1])
     best_y, best_v = refined[0]
     tol = meanfield._TIE_REL_TOL * max(abs(best_v), 1e-12)
@@ -170,7 +158,7 @@ def full_scan_planner(model, payoff):
     if len(ties) > 1:
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
-        best_v = h_scalar(best_y)
+        best_v = meanfield._planner_value(model, payoff, best_y)
     z_best, _ = meanfield._clamp_to_domain(
         meanfield.interaction_level(model, payoff, best_y), payoff.domain
     )

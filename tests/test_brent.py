@@ -1,18 +1,17 @@
-"""The in-package Brent routines against SciPy's, which stay the oracle.
+"""The in-package Brent root finder against SciPy's, which stays the oracle.
 
-``zeroin`` and ``localmin`` are ports of ``scipy.optimize.brentq`` and of
-``minimize_scalar(method="bounded")``: on every seeded random function they
-must return the same floats, bit for bit, after the same number of
-evaluations, and fail the same way.
+``zeroin`` is a port of ``scipy.optimize.brentq``: on every seeded random
+function it must return the same floats, bit for bit, after the same number
+of evaluations, and fail the same way.
 """
 
 import math
 import random
 
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from harvestfield._brent import localmin, zeroin
+from harvestfield._brent import zeroin
 
 CASES = 1000
 
@@ -85,31 +84,6 @@ def test_zeroin_matches_brentq_bit_for_bit():
             exhausted += theirs[0] is RuntimeError
     # the draws cover every outcome
     assert min(roots, bad_brackets, exhausted) >= 20, (roots, bad_brackets, exhausted)
-
-
-def test_localmin_matches_minimize_scalar_bounded_bit_for_bit():
-    rng = random.Random(20232)
-    unfinished = with_nan = 0
-    for _ in range(CASES):
-        f = _random_function(rng)
-        lo = rng.uniform(-10.0, 5.0)
-        hi = lo + 10.0 ** rng.uniform(-3.0, 1.5)
-        if rng.random() < 0.1:
-            # NaN past a cut, as an objective that fails to evaluate there
-            cut, smooth = rng.uniform(lo, hi), f
-            f = lambda x, cut=cut, smooth=smooth: math.nan if x > cut else smooth(x)  # noqa: E731
-            with_nan += 1
-        xatol = 10.0 ** rng.uniform(-12.0, -2.0)
-        maxfun = rng.choice([500, 500, 500, 8])
-        counted = _Counted(f)
-        x, fx, evaluations = localmin(counted, lo, hi, xatol=xatol, maxfun=maxfun)
-        res = minimize_scalar(
-            f, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
-        )
-        assert _bits([x, fx]) == _bits([res.x, res.fun]), (lo, hi, xatol)
-        assert evaluations == counted.calls == res.nfev
-        unfinished += res.status == 1
-    assert unfinished >= 20 and with_nan >= 50, (unfinished, with_nan)
 
 
 def test_zeroin_rejects_a_bracket_without_sign_change():

@@ -130,6 +130,21 @@ def test_logistic_scale_overflow_exits_3(tmp_path, interaction, capsys):
     assert "scale density overflows" in capsys.readouterr().err
 
 
+def test_overflow_message_names_an_x_that_overflowed(tmp_path, capsys):
+    # a low-noise model: s ~ e^3446 at the bottom of the stopping grid, 1e-2 y0, where xi
+    # overflows; the scale density is finite above y0
+    scenario = tmp_path / "low-noise.json"
+    scenario.write_text(json.dumps({
+        "model": {"kind": "custom", "drift": "x*(1 - x)", "vol": "0.05*x", "y0": 0.3},
+        "payoff": {"K": 0.05, "phi": "1/(1+z)", "interaction": "harvest_rate"},
+    }))
+    code, _ = run(tmp_path, "verify", scenario)
+    assert code == 3
+    message = capsys.readouterr().err
+    assert "scale density overflows: xi is not finite at x = " in message
+    assert float(message.rsplit("= ", 1)[1]) < 0.3, message
+
+
 def test_module_entry_point_runs(tmp_path):
     import subprocess
     import sys

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from harvestfield.cli import main
+from harvestfield.reports import render_table
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCENARIOS = resources.files("harvestfield") / "scenarios"
@@ -36,7 +37,7 @@ COMMANDS = (
 SCENARIO_NAMES = ("logistic-harvest-rate", "logistic-expected-stock", "custom-logistic-harvest-rate")
 RUNS = [f"{command}/{name}" for command in COMMANDS for name in SCENARIO_NAMES]
 
-_PLANNER_TOL = 3e-8   # localmin fixes the planner threshold to about 1.5e-8 relative
+_PLANNER_TOL = 1e-10  # the central-difference phi' fixes the planner threshold to about 1e-11 relative
 
 # (pattern on "<command>:<field>", relative, absolute); the first match wins
 _TOLERANCES = (
@@ -127,6 +128,19 @@ def test_golden_numbers(bundled_run, golden, run):
     moved = _moved(run, golden[run], numbers(code, out))
     if moved:
         pytest.fail(f"{run}: {len(moved)} field(s) moved:\n" + "\n".join(moved), pytrace=False)
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[run.replace("/", "-") for run in RUNS])
+def test_reports_are_strict_json(bundled_run, run):
+    # a non-finite number is written as null, and table.txt renders the report as parsed
+    command, name = run.split("/")
+    _, out = bundled_run(command, str(SCENARIOS / f"{name}.json"))
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse)
+    assert render_table(report) == (out / "table.txt").read_text()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 from helpers import central_diff, equilibria_oracle, full_scan_planner, phi_route_equilibria
+from oracle import LogisticOracle
+from scipy.optimize import brentq
 
 from harvestfield import meanfield
 from harvestfield.diffusion import _calculus, _Calculus, custom_model, logistic_model
@@ -188,14 +190,16 @@ def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, mon
 
 
 def test_fixed_point_refinement_failure_is_solver_error(benchmark_model, rate_payoff, monkeypatch):
-    import harvestfield.meanfield as mf
+    import harvestfield.impulse as impulse
 
     def exhausted(*args, **kwargs):
         raise RuntimeError("Failed to converge after 200 iterations")
 
-    monkeypatch.setattr(mf, "zeroin", exhausted)
+    monkeypatch.setattr(impulse, "zeroin", exhausted)
     with pytest.raises(SolverError, match="fixed-point refinement"):
         mfg_equilibrium(benchmark_model, rate_payoff)
+    with pytest.raises(SolverError, match="planner refinement"):
+        mfc_optimum(benchmark_model, rate_payoff)
 
 
 def _phi_route_cases():
@@ -374,18 +378,46 @@ def test_planner_value_dominates_equilibrium(benchmark_model, rate_payoff):
     assert sol.value >= eq.equilibria[0].value - 1e-12
 
 
-def test_planner_first_order_condition(benchmark_model, benchmark_evaluator, rate_payoff):
-    # d/dy H(y) = 0 at the planner optimum (total-derivative route)
-    payoff = resolve_payoff(benchmark_model, rate_payoff)
-    sol = mfc_optimum(benchmark_model, payoff)
+def test_planner_first_order_condition(benchmark_model, quadrature_twin):
+    # the planner threshold is the root of G_P = (p + p' (y - y0)) xi - (p (y - y0) - K) xi',
+    # which has the sign of H', here by brentq on the closed forms with phi'(z) = -1/(1+z)^2
+    exact = LogisticOracle(benchmark_model)
 
-    def H(y):
-        z = interaction_level(benchmark_model, payoff, y)
-        return (payoff.phi(z) * (y - 1.0) - 1.0) / benchmark_evaluator.xi(y)
+    def level(kind, y):
+        """``(c, c')`` at y from the closed forms."""
+        xi, xi_prime = exact.xi(y), exact.xi_prime(y)
+        if kind is Interaction.HARVEST_RATE:
+            return (y - 1.0) / xi, (xi - (y - 1.0) * xi_prime) / xi**2
+        stock = exact.cycle_stock(y)
+        return stock / xi, (exact.xm0(y) * exact.s(y) * xi - stock * xi_prime) / xi**2
 
-    slope = central_diff(H, sol.threshold, 1e-5 * sol.threshold)
-    curvature_scale = abs(H(sol.threshold)) / sol.threshold
-    assert abs(slope) < 1e-4 * max(curvature_scale, 1e-3)
+    def condition(kind, y):
+        c, dc = level(kind, y)
+        price, dprice = 1.0 / (1.0 + c), -dc / (1.0 + c) ** 2
+        return float(
+            (price + dprice * (y - 1.0)) * exact.xi(y)
+            - (price * (y - 1.0) - 1.0) * exact.xi_prime(y)
+        )
+
+    for kind in Interaction:
+        payoff = resolve_payoff(
+            benchmark_model, PayoffSpec(cost=1.0, phi=lambda z: 1.0 / (1.0 + z), interaction=kind)
+        )
+        planners = [mfc_optimum(model, payoff) for model in (benchmark_model, quadrature_twin)]
+        y = planners[0].threshold
+        root = brentq(lambda v: condition(kind, v), 0.99 * y, 1.01 * y, xtol=1e-14, rtol=1e-14)
+        lo, hi = payoff.domain
+        assert lo < level(kind, root)[0] < hi   # the price is not clamped there
+        for planner in planners:
+            assert planner.threshold == pytest.approx(root, rel=1e-10), kind
+
+    # the bundled logistic scenario and its twin of expressions
+    bundled = [
+        load_scenario(str(resources.files("harvestfield") / "scenarios" / f"{name}.json"))
+        for name in ("logistic-harvest-rate", "custom-logistic-harvest-rate")
+    ]
+    logistic, custom = (mfc_optimum(s.model, s.require_payoff()).threshold for s in bundled)
+    assert custom == pytest.approx(logistic, rel=5e-11)
 
 
 def test_equilibrium_partial_condition(benchmark_model, benchmark_evaluator, rate_payoff):
