@@ -365,20 +365,21 @@ def verify_solution(
     threshold (whose renewal value is sub-optimal) fails the checks.
     """
     y0 = model.restart_level
-    sv = stopping_value(model, price, holding, cost, solution.value, solution.threshold)
-    g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - y0))])
-    # stopping is offered only at x >= y0, so only there must g dominate p (x - y0) - K
-    above = sv.grid >= y0
-    xs = sv.grid[above]
-    u = price * (xs - y0) - cost - sv.values[above]
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite identity fails below
+        sv = stopping_value(model, price, holding, cost, solution.value, solution.threshold)
+        g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - y0))])
+        # stopping is offered only at x >= y0, so only there must g dominate p (x - y0) - K
+        above = sv.grid >= y0
+        xs = sv.grid[above]
+        u = price * (xs - y0) - cost - sv.values[above]
     u_max = float(np.max(u))
     u_at_threshold = float(u[np.argmin(np.abs(xs - solution.threshold))])
-    flags = []
-    if abs(g_at_y0) > _VERIFY_TOL:
+    flags = []   # each test is written so that NaN fails it
+    if not abs(g_at_y0) <= _VERIFY_TOL:
         flags.append("stopping value does not vanish at the restart level")
-    if u_max > _VERIFY_TOL:
+    if not u_max <= _VERIFY_TOL:
         flags.append("stopping value fails to dominate the harvest payoff")
-    if abs(u_at_threshold) > _VERIFY_TOL:
+    if not abs(u_at_threshold) <= _VERIFY_TOL:
         flags.append("claimed threshold is not a stopping point")
     return VerificationReport(
         passed=not flags,

@@ -86,7 +86,8 @@ def resolve_payoff(model: DiffusionModel, payoff: PayoffSpec) -> PayoffSpec:
         lo, hi = 0.0, max_harvest_rate(model)
     else:
         lo, hi = stock_bounds(model)
-    phi_vals = _phi_levels(payoff.phi, np.linspace(lo, hi, 65))
+    with np.errstate(all="ignore"):   # a non-finite phi fails the checks below
+        phi_vals = _phi_levels(payoff.phi, np.linspace(lo, hi, 65))
     if np.any(~np.isfinite(phi_vals)) or np.any(phi_vals <= 0.0):
         raise DomainError("phi must be positive and finite on the interaction domain")
     scale = float(np.max(phi_vals))
@@ -440,10 +441,11 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
 
     a, b = float(scan.grid[i - 1]), float(scan.grid[i + 1])
     xi, prices = scan.xi(i - 1, i + 2), scan.prices(i - 1, i + 2)
-    y = _refine(
-        "planner refinement", lambda v: condition(v, calc.xi(v)), a, b,
-        condition(a, xi[0], prices[0]), condition(b, xi[2], prices[2]), _PLANNER_REL_TOL * b,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # _refine refuses a non-finite G_P
+        y = _refine(
+            "planner refinement", lambda v: condition(v, calc.xi(v)), a, b,
+            condition(a, xi[0], prices[0]), condition(b, xi[2], prices[2]), _PLANNER_REL_TOL * b,
+        )
     return y, _planner_value(model, payoff, y)
 
 
@@ -457,7 +459,8 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     check = int(np.searchsorted(grid, 2.0 * scan.bounds[1], side="right"))
     for end in (min(check + 2, n), n):
         xi = scan.xi(0, end)
-        h_grid = (scan.prices(0, end) * (grid[:end] - y0) - payoff.cost) / xi
+        with np.errstate(over="ignore", invalid="ignore"):   # the refinement refuses a non-finite H
+            h_grid = (scan.prices(0, end) * (grid[:end] - y0) - payoff.cost) / xi
         interior = np.arange(1, end - 1)
         local_max = interior[
             (h_grid[interior] >= h_grid[interior - 1]) & (h_grid[interior] >= h_grid[interior + 1])
@@ -466,7 +469,8 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
             break
         if len(local_max):
             best = float(np.max(h_grid[local_max]))
-            bound = float(payoff.phi(payoff.domain[0])) * (grid[check] - y0) / xi[check]
+            with np.errstate(over="ignore"):   # an infinite bound rules nothing out
+                bound = float(payoff.phi(payoff.domain[0])) * (grid[check] - y0) / xi[check]
             if bound < best - _TIE_REL_TOL * max(abs(best), 1e-12):
                 break
 

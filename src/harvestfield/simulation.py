@@ -26,9 +26,10 @@ fewer than 8192 paths), and each group steps on its own thread (numpy
 releases the interpreter lock while it draws and while it works on whole
 rows), so the output does not depend on the CPU count. Within a group all
 chunks step together in one array until a chunk is down to a few live paths;
-it then finishes in plain floats, where a step costs far less than a numpy
-row. The finisher draws the same blocks and does the same float operations
-in the same order, so it changes no result where the scalar and array
+it then finishes on the same blocks in the plain-float loop of
+``simulate_path``, where a step costs far less than a numpy row. Every step
+rounds as ``(n sqrt(dt)) sigma(y) + mu(y) dt + y`` on floats and on arrays
+alike, so the finisher changes no result where the scalar and array
 coefficients agree to the last bit (they do for the logistic model), and
 since a chunk leaves on its own live count, stacking changes nothing for any
 model. On 2 vCPUs, 1e5 hitting-time cycles to y = 5.13 (13 chunks) take
@@ -157,36 +158,48 @@ def simulate_path(
     if not 0.0 <= steps <= _MAX_PATH_STEPS:   # also rejects NaN
         raise DomainError(f"horizon {horizon} takes {steps:.4g} steps; at most {_MAX_PATH_STEPS} allowed")
     n_steps = int(round(steps))
-    drift, vol = model.drift, model.volatility
     y0 = model.restart_level
     detect = _detection_level(model, threshold, config)
-    rng = _rng(config.seed, 0)
-    normals = rng.standard_normal(n_steps)
-    sqdt = math.sqrt(dt)
-
-    states = np.empty(n_steps + 1)
-    states[0] = y0
-    impulse_times: list[float] = []
-    pre_states: list[float] = []
-    floor_hits = 0
-    x = y0
-    for k in range(n_steps):
-        x = x + float(drift(x)) * dt + float(vol(x)) * sqdt * float(normals[k])
-        if x < _EPS_FLOOR:
-            x = _EPS_FLOOR
-            floor_hits += 1
-        if x >= detect:
-            impulse_times.append((k + 1) * dt)
-            pre_states.append(x)
-            x = y0
-        states[k + 1] = x
+    normals = iter((_rng(config.seed, 0).standard_normal(n_steps) * math.sqrt(dt)).tolist())
+    states, impulse_times, pre_states, floor_hits = [y0], [], [], 0
+    while True:
+        crossing, clamps = _euler_steps(model.drift, model.volatility, normals, dt, detect, states)
+        floor_hits += clamps
+        if crossing is None:
+            break
+        impulse_times.append(len(states) * dt)
+        pre_states.append(crossing)
+        states.append(y0)
     return PathRecord(
         times=np.arange(n_steps + 1) * dt,
-        states=states,
+        states=np.asarray(states, dtype=float),
         impulse_times=np.asarray(impulse_times),
         pre_impulse_states=np.asarray(pre_states),
         floor_activations=floor_hits,
     )
+
+
+def _euler_steps(drift, vol, normals, dt, detect, states) -> tuple[Optional[float], int]:
+    """Euler steps in plain floats from ``states[-1]`` over ``normals`` (times ``sqrt(dt)``).
+
+    Each step, ``(n sqrt(dt)) sigma(y) + mu(y) dt + y``, is clamped at
+    ``_EPS_FLOOR``, and each state short of the crossing is appended to
+    ``states``. Returns the first unclamped state at or above ``detect`` (or
+    ``None``) and the clamp count; an iterator of normals is left just past
+    the crossing step.
+    """
+    y, floored, append, floor = states[-1], 0, states.append, _EPS_FLOOR
+    for v in normals:
+        v = v * vol(y) + drift(y) * dt + y
+        if v < floor:
+            floored += 1
+            y = floor
+        else:
+            y = v
+        if v >= detect:
+            return v, floored
+        append(y)
+    return None, floored
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +223,10 @@ def _first_passages(
 ) -> _Cycles:
     """``n`` independent cycles from y0 to the detection level of ``threshold``.
 
-    Paths are split into chunks of ``config.chunk_size``; chunk ``c`` draws its
-    normals from ``_rng(seed, c)`` in blocks of ``_BLOCK_STEPS`` steps for its
-    live paths only, and every operation on a path is elementwise, so a chunk's
-    cycles are bit-identical whether it runs alone or stacked with others.
-    The chunks are dealt round-robin into one group per usable CPU, or fewer
-    so that each group has ``_GROUP_PATHS`` paths (chunk ``c`` to group
-    ``c % groups``), and each group steps on its own thread with
-    :func:`_step_group`; as no chunk's cycles depend on its company, the result
-    does not depend on the CPU count either.
+    Chunk ``c`` of ``config.chunk_size`` paths draws from ``_rng(seed, c)``
+    and goes to group ``c % groups``: one group per usable CPU, or fewer so
+    that each has ``_GROUP_PATHS`` paths. Each group steps on its own thread
+    with :func:`_step_group`.
     """
     if not 1 <= n <= _MAX_CYCLES:   # also rejects NaN
         raise DomainError(f"{n:.4g} cycles requested; at least 1 and at most {_MAX_CYCLES} allowed")
@@ -396,38 +404,30 @@ def _finish_chunk(
 
     The stacked engine's twin, bit for bit: the same ``(steps, live)`` blocks
     from the chunk's generator with the live count shrinking only at block
-    ends, the same float operations in the same order, the first unclamped
-    state at or above ``detect`` recorded, each clamp at ``_EPS_FLOOR`` counted
-    up to the crossing, and the running integrand called once per block on the
-    matrix of left states. Results go to ``out`` (times, integrals, pre-states)
-    at ``ids``; returns the clamp count and the number of capped paths.
+    ends, each path stepped by :func:`_euler_steps`, and the running integrand
+    called once per block on the matrix of left states. Results go to ``out``
+    (times, integrals, pre-states) at ``ids``; returns the clamp count and the
+    number of capped paths.
     """
     times, integrals, pre_states = out
-    drift, vol = model.drift, model.volatility
-    dt, sqdt, floor = config.dt, math.sqrt(config.dt), _EPS_FLOOR
+    drift, vol, dt = model.drift, model.volatility, config.dt
     ids, xs, accs = ids.tolist(), x.tolist(), acc.tolist()
     floored = 0
     while ids and done < max_steps:
         steps = min(_BLOCK_STEPS, max_steps - done)
-        normals = (rng.standard_normal((steps, len(ids))) * sqdt).T.tolist()
+        normals = (rng.standard_normal((steps, len(ids))) * math.sqrt(dt)).T.tolist()
         lasts, crossed, stay, lefts = [], [], [], []
         for j, (row, y) in enumerate(zip(normals, xs)):
             left = [y]
-            for last, v in enumerate(row):
-                v = v * vol(y) + drift(y) * dt + y
-                if v < floor:
-                    floored += 1
-                    y = floor
-                else:
-                    y = v
-                if v >= detect:
-                    crossed.append((j, v))
-                    break
-                left.append(y)
-            else:
+            crossing, clamps = _euler_steps(drift, vol, row, dt, detect, left)
+            floored += clamps
+            if crossing is None:
                 stay.append(j)
-            xs[j] = y
-            lasts.append(last)
+                xs[j] = left[-1]
+                lasts.append(steps - 1)
+            else:
+                crossed.append((j, crossing))
+                lasts.append(len(left) - 1)
             if running is not None:
                 # rows past the crossing are never summed; repeat a state they can take
                 lefts.append(left[:steps] + left[-1:] * (steps - len(left)))

@@ -249,6 +249,16 @@ def test_verify_passes_on_benchmark(tmp_path):
     assert results["verification"]["passed"] is True
 
 
+def test_verify_fails_when_the_identities_are_not_finite(tmp_path):
+    # phi = 1e308 prices every harvest past double range: rho xi overflows, the identities are NaN
+    scenario = with_section(tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "phi": "1e308"})
+    code, out = run(tmp_path, "verify", scenario)
+    assert code == 3
+    verification = read_report(out)["results"]["verification"]
+    assert verification["passed"] is False
+    assert verification["g_at_restart"] is None
+
+
 def test_stopping_grid_size_leaves_verify_passing(tmp_path, monkeypatch):
     import harvestfield.impulse as impulse
 
@@ -792,13 +802,17 @@ def test_validate_reports_speed_density_overflow(tmp_path):
     assert any(note.startswith("entrance boundary") for note in results["notes"])
 
 
-# every field of the bundled rate scenario, and the custom model's own, replaced in turn
+# every field of the bundled rate scenario, the custom model's own and the stock scenario's
+# phi, replaced in turn
 _FUZZ_FIELDS = [
     (RATE_SCENARIO, section, key)
     for section, keys in json.loads(Path(RATE_SCENARIO).read_text()).items()
     for key in keys
 ] + [(CUSTOM_SCENARIO, "model", key) for key in ("drift", "vol", "y0")]
+_FUZZ_FIELDS += [(STOCK_SCENARIO, "payoff", "phi")]
 _FUZZ_VALUES = [True, "x", None, math.nan, -1, 0, 1e308, [], {}, 1e-300]
+# phi strings that are not finite, positive or nonincreasing somewhere, or that overflow a value
+_FUZZ_PHIS = ["1/z", "log(z)", "exp(1000*z)", "1e308", "0", "-1", "z", "exp(-z)", "1/(1+z)^0.5"]
 
 
 @pytest.mark.parametrize(
@@ -807,14 +821,15 @@ _FUZZ_VALUES = [True, "x", None, math.nan, -1, 0, 1e308, [], {}, 1e-300]
     ids=[f"{Path(f).stem}-{s}.{k}" for f, s, k in _FUZZ_FIELDS],
 )
 def test_fuzzed_field_ends_in_a_documented_exit_code(tmp_path, scenario_file, section, key):
-    # a value of the wrong kind or range exits 0, 2, 3 or 4; no exception escapes main
+    # a value of the wrong kind or range exits 0, 2, 3 or 4; no exception or numpy warning
+    # escapes main
     data = json.loads(Path(scenario_file).read_text())
     escaped = []
-    for i, value in enumerate(_FUZZ_VALUES):
+    for i, value in enumerate(_FUZZ_VALUES + (_FUZZ_PHIS if key == "phi" else [])):
         data[section] = {**data[section], key: value}
         scenario = tmp_path / f"fuzz-{i}.json"
         scenario.write_text(json.dumps(data))
-        for command in ("solve-single", "validate", "verify"):
+        for command in ("solve-single", "validate", "verify", "solve-mfg", "solve-mfc", "compare"):
             try:
                 code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
             except Exception as exc:   # noqa: BLE001 - the test reports whatever escapes

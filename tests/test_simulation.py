@@ -372,38 +372,23 @@ def test_running_cost_takes_an_array_only_integrand(benchmark_model):
 
 
 def test_occupation_histogram_matches_stationary_density(benchmark_model):
-    # binwise occupation frequencies of a long controlled path vs the
-    # stationary CDF increments, within 3 between-chunk standard errors
+    # binwise occupation frequencies of 80 controlled paths past a burn-in vs the
+    # stationary CDF increments, within 3 between-path standard errors
     threshold = 5.0
-    config = SimConfig(dt=1e-3, seed=59, horizon=8e3)
-    from harvestfield.simulation import _rng, _vector_coefficients
-
-    drift, vol = _vector_coefficients(benchmark_model)
-    rng = _rng(config.seed, 1)
-    n_chunks, window, burn = 80, 100.0, 40.0
-    dt = config.dt
-    sqdt = math.sqrt(dt)
+    n_paths, window, burn = 80, 100.0, 40.0
     edges = np.array([0.0, 0.6, 1.0, 1.5, 2.0, 2.7, 3.5, 4.3, threshold])
-    counts = np.zeros((n_chunks, len(edges) - 1))
-    x = np.full(n_chunks, benchmark_model.restart_level)
-    steps_burn = int(burn / dt)
-    steps_window = int(window / dt)
-    detect = threshold - 0.5826 * benchmark_model.volatility(threshold) * sqdt
-    for k in range(steps_burn + steps_window):
-        z = rng.standard_normal(n_chunks)
-        x = x + drift(x) * dt + vol(x) * sqdt * z
-        x = np.maximum(x, simulation._EPS_FLOOR)
-        hit = x >= detect
-        if np.any(hit):
-            x[hit] = benchmark_model.restart_level
-        if k >= steps_burn:
-            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-            counts[np.arange(n_chunks), idx] += 1.0
-    freq = counts / counts.sum(axis=1, keepdims=True)
+    dt = 1e-3
+    first = int(burn / dt) + 1   # the state after the burn-in's last step
+    freq = []
+    for seed in range(59, 59 + n_paths):
+        path = simulate_path(benchmark_model, threshold, SimConfig(dt=dt, seed=seed), horizon=burn + window)
+        states = path.states[first:]
+        freq.append(np.histogram(states, bins=edges)[0] / len(states))
+    freq = np.array(freq)
     cdf_at_edges = np.asarray(controlled_cdf(benchmark_model, threshold, edges[1:]))
     target = np.diff(np.concatenate([[0.0], cdf_at_edges]))
     mean = freq.mean(axis=0)
-    se = freq.std(axis=0, ddof=1) / math.sqrt(n_chunks)
+    se = freq.std(axis=0, ddof=1) / math.sqrt(n_paths)
     assert np.all(np.abs(mean - target) <= 3.0 * np.maximum(se, 1e-6))
 
 
