@@ -11,8 +11,10 @@ model, the same for every model. It integrates ``log s``, ``S``, the speed
 integrals, the hitting-time integral ``xi = int M[0,u] s(u) du`` and the
 cycle stock on Chebyshev panels in ``log x`` (:class:`_Table`), built on its
 first query. It grows outward from ``y0`` in whole segments of ``log x``,
-each growth one vectorized batch over all its panels, and a scalar reads it
-in plain floats (``bisect`` on the panel edges, then a Clenshaw sum).
+each growth one vectorized batch over all its panels. Every read sums a
+panel's Chebyshev series by one Clenshaw recurrence, a scalar in plain floats
+(after ``bisect`` on the panel edges) and an array on numpy arrays, to the
+same bits wherever ``np.log`` and ``math.log`` agree.
 
 The improper pieces come from the same table: the speed integrals from the
 entrance boundary 0 up to ``y0`` and out to infinity, and the entrance probe
@@ -171,7 +173,6 @@ def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
 # first 18 columns) and to that antiderivative's values at the nodes (the rest).
 _NODES = 17
 _TAU = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
-_ORDERS = np.arange(_NODES + 1)
 _TO_COEFFICIENTS = np.linalg.inv(chebvander(_TAU, _NODES - 1))
 _ANTIDERIVATIVE = chebint(np.eye(_NODES), lbnd=-1) @ _TO_COEFFICIENTS
 _INTEGRATE = np.ascontiguousarray(
@@ -199,6 +200,18 @@ _LIMIT_RATIO = 0.985    # increment ratio per segment at or above which a limit 
 # table components
 _COMPONENTS = 7
 _LOG_S, _S, _M, _XM, _XI, _CYC, _ENT = range(_COMPONENTS)
+
+
+def _clenshaw(c, tau):
+    """``sum_j c[j] T_j(tau)`` by Clenshaw's recurrence, with ``c`` by order.
+
+    Plain floats and numpy arrays run the same operations in the same order, to the same bits.
+    """
+    two_tau = tau + tau
+    b1 = b2 = 0.0
+    for cj in c[:0:-1]:
+        b1, b2 = cj + two_tau * b1 - b2, b1
+    return c[0] + tau * b1 - b2
 
 
 def _times(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -246,9 +259,10 @@ class _Table:
     copy-on-write under a lock, so concurrent readers see a complete table.
 
     :meth:`at` reads one component at one point without numpy: ``bisect`` on
-    the panel edges, then a Clenshaw sum over the panel's coefficients.
-    Every component reads exactly 0 at ``y0``. :meth:`limit` reads a
-    component's limit toward 0 or infinity.
+    the panel edges, then Clenshaw's recurrence (:func:`_clenshaw`). An array
+    read runs the same recurrence on arrays, to the same bits wherever
+    ``np.log`` and ``math.log`` agree. Every component reads exactly 0 at
+    ``y0``. :meth:`limit` reads a component's limit toward 0 or infinity.
     """
 
     def __init__(self, drift: Callable, volatility: Callable, y0: float):
@@ -276,10 +290,9 @@ class _Table:
         bounds, coef, _, _ = self._cover(float(np.min(t)), float(np.max(t)), 0)
         k = np.minimum(np.maximum(np.searchsorted(bounds, t, side="right") - 1, 0), len(bounds) - 2)
         lo, hi = bounds[k], bounds[k + 1]
-        tau = np.minimum(np.maximum((2.0 * t - lo - hi) / (hi - lo), -1.0), 1.0)
-        chebyshev = np.cos(np.multiply.outer(np.arccos(tau), _ORDERS))
-        rows = coef[k[..., None], np.atleast_1d(components)]
-        values = np.einsum("...ck,...k->c...", rows, chebyshev)
+        tau = (2.0 * t - lo - hi) / (hi - lo)
+        which = np.reshape(components, (-1,) + (1,) * t.ndim)
+        values = _clenshaw(coef.T[:, which, k], tau)   # the gather is (orders, components, *x.shape)
         values[..., t == self._t0] = 0.0   # every component vanishes at y0 by construction
         return values if np.ndim(components) else values[0]
 
@@ -300,13 +313,7 @@ class _Table:
             _, coef, knots, _ = self._cover(t, t, _AHEAD)
         k = bisect.bisect_right(knots, t, 1, len(knots) - 1) - 1
         lo, hi = knots[k], knots[k + 1]
-        tau = (2.0 * t - lo - hi) / (hi - lo)
-        two_tau = tau + tau
-        c = coef[k, component].tolist()
-        b1 = b2 = 0.0
-        for cj in c[:0:-1]:
-            b1, b2 = cj + two_tau * b1 - b2, b1
-        value = c[0] + tau * b1 - b2
+        value = _clenshaw(coef[k, component].tolist(), (2.0 * t - lo - hi) / (hi - lo))
         self._last[component] = (x, value)
         return value
 
@@ -344,7 +351,9 @@ class _Table:
         agree on some ``r < 0.985``, the geometric tail ``d r / (1 - r)`` is
         added if its error estimate is negligible. A ratio that agrees at
         ``r >= 0.985`` from the eighth segment on, a sum that leaves double
-        range and the panel cap raise :class:`DivergenceError`.
+        range and the panel cap raise :class:`DivergenceError`. Neither rule
+        ends the sum while the increments the batch computed further out
+        disagree (are not negligible, or sum past the tail), as past a trough.
         """
         toward = "0" if direction < 0 else "infinity"
         outward = direction * 2.0 * (np.arange(_NODES + 1) % 2)   # coefficients -> outward increment
@@ -358,14 +367,16 @@ class _Table:
             lo, hi = min(starts[0], starts[-1]), max(starts[0], starts[-1])
             with np.errstate(invalid="ignore", over="ignore"):   # a non-finite sum raises below
                 new = np.add.reduceat(coef[lo:hi, component] @ outward, np.sort(starts)[:-1] - lo)
-            for d in (new if direction > 0 else new[::-1]).tolist():
+            batch = (new if direction > 0 else new[::-1]).tolist()
+            for j, d in enumerate(batch):
                 total += d
                 increments.append(d)
                 if not math.isfinite(total):
                     raise DivergenceError(f"integral toward {toward} overflows")
                 tol = _LIMIT_REL_TOL * abs(total)
                 negligible = negligible + 1 if abs(d) <= tol else 0
-                if negligible == 2:
+                # either rule holds only if the increments the batch has computed further out agree
+                if negligible >= 2 and all(abs(v) <= tol for v in batch[j + 1:]):
                     return total
                 if len(increments) >= 6 and all(v != 0.0 for v in increments[-4:-1]):
                     ratios = [increments[k + 1] / increments[k] for k in (-4, -3, -2)]
@@ -379,7 +390,8 @@ class _Table:
                             )
                         if 0.0 < r < _LIMIT_RATIO:
                             tail = d * r / (1.0 - r)
-                            if abs(tail) * (10.0 * drift + 1e-12) / (1.0 - r) < tol:
+                            if (abs(tail) * (10.0 * drift + 1e-12) / (1.0 - r) < tol
+                                    and abs(sum(batch[j + 1:])) <= abs(tail) + tol):
                                 return total + tail
             segments *= 2
 
@@ -554,8 +566,7 @@ class _Calculus:
             self._log_cm = (
                 math.log(2.0 / p.beta**2) + (2.0 * p.q - 1.0) * math.log(y0) + p.rho * y0
             )
-        self._m0_at_y0: float | None = None
-        self._xm0_at_y0: float | None = None
+        self._below: dict[int, float] = {}   # power -> int_0^{y0} u^power m, see _below_y0
         self._zero_cost = None   # solved on first use by impulse.zero_cost_threshold
 
     # -- densities ---------------------------------------------------------
@@ -644,50 +655,50 @@ class _Calculus:
                 f"speed moment of power {power} overflows (log {log_total:.6g})"
             ) from None
 
-    def _below_restart(self, power: int) -> float:
-        """``int_0^{y0} u^power m(u) du`` for power 0 or 1.
+    def _below_y0(self, power: int) -> float:
+        """``int_0^{y0} u^power m(u) du`` for power 0 or 1, computed once per model.
 
         Logistic models read it from a lower incomplete gamma function
         (``scipy.special``, imported here on first use). Other models read the
         table's limit toward 0, which detects divergence there.
         """
-        p = self.logistic
-        if p is not None:
-            from scipy.special import gammainc
+        value = self._below.get(power)
+        if value is None:
+            p = self.logistic
+            if p is not None:
+                from scipy.special import gammainc
 
-            shape = power - 2.0 * p.q
-            return self._gamma_total(power) * float(gammainc(shape, p.rho * self.y0))
-        return -self._table.limit(_XM if power else _M, -1.0)
+                shape = power - 2.0 * p.q
+                value = self._gamma_total(power) * float(gammainc(shape, p.rho * self.y0))
+            else:
+                value = -self._table.limit(_XM if power else _M, -1.0)
+            self._below[power] = value
+        return value
 
-    def _mass_below_y0(self) -> float:
-        if self._m0_at_y0 is None:
-            self._m0_at_y0 = self._below_restart(0)
-        return self._m0_at_y0
+    def _from_y0(self, x, power: int, component: int, name: str, density: str = "scale density"):
+        """A table integral from ``y0`` plus ``below = int_0^{y0} u^power m``, on both sides of ``y0``.
 
-    def _first_moment_below_y0(self) -> float:
-        if self._xm0_at_y0 is None:
-            self._xm0_at_y0 = self._below_restart(1)
-        return self._xm0_at_y0
+        ``_XI`` and ``_CYC`` integrate ``s`` times a speed integral from 0, so
+        ``below`` enters them times ``S(x)``.
+        """
+        below = self._below_y0(power)
+        scaled = component in (_XI, _CYC)
+        if isinstance(x, (float, int)):
+            scale = self._table.at(x, _S) if scaled else 1.0
+            value = below * scale + self._table.at(x, component)
+        else:
+            scale, tail = self._table(x, (_S, component)) if scaled else (1.0, self._table(x, component))
+            with np.errstate(over="ignore"):   # _finite reports an overflow
+                value = below * scale + tail
+        return self._finite(value, x, name, density)
 
     def M0(self, x):
         """Speed mass M[0, x]."""
-        if isinstance(x, (float, int)):
-            value = self._mass_below_y0() + self._table.at(x, _M)
-        else:
-            table = self._table(x, _M)
-            with np.errstate(over="ignore"):   # _finite reports an overflow
-                value = self._mass_below_y0() + table
-        return self._finite(value, x, "M0", "speed density")
+        return self._from_y0(x, 0, _M, "M0", "speed density")
 
     def xm0(self, x):
         """First speed moment ``int_0^x u m(u) du``."""
-        if isinstance(x, (float, int)):
-            value = self._first_moment_below_y0() + self._table.at(x, _XM)
-        else:
-            table = self._table(x, _XM)
-            with np.errstate(over="ignore"):   # _finite reports an overflow
-                value = self._first_moment_below_y0() + table
-        return self._finite(value, x, "xm0", "speed density")
+        return self._from_y0(x, 1, _XM, "xm0", "speed density")
 
     # -- hitting-time integrals from y0 -------------------------------------
 
@@ -730,14 +741,7 @@ class _Calculus:
 
         For ``x < y`` the expected time from ``x`` to ``y`` is ``xi(y) - xi(x)``.
         """
-        if isinstance(y, (float, int)):
-            scale, tail = self._table.at(y, _S), self._table.at(y, _XI)
-            value = self._mass_below_y0() * scale + tail
-        else:
-            scale, tail = self._table(y, (_S, _XI))
-            with np.errstate(over="ignore"):   # _finite reports an overflow
-                value = self._mass_below_y0() * scale + tail
-        return self._finite(value, y, "xi")
+        return self._from_y0(y, 0, _XI, "xi")
 
     def cycle_stock(self, y):
         """``P(y) = int_{y0}^y xm0(u) s(u) du``, on both sides of ``y0``.
@@ -747,24 +751,17 @@ class _Calculus:
         into this form (the first-moment analogue of ``xi``). The same parts
         give ``E_x int_0^{tau_c} X = P(c) - P(x)`` for any ``x < c``.
         """
-        if isinstance(y, (float, int)):
-            scale, tail = self._table.at(y, _S), self._table.at(y, _CYC)
-            value = self._first_moment_below_y0() * scale + tail
-        else:
-            scale, tail = self._table(y, (_S, _CYC))
-            with np.errstate(over="ignore"):   # _finite reports an overflow
-                value = self._first_moment_below_y0() * scale + tail
-        return self._finite(value, y, "cycle stock")
+        return self._from_y0(y, 1, _CYC, "cycle stock")
 
     def speed_mass_total(self) -> float:
         if self.logistic is not None:
             return self._gamma_total(0.0)
-        return self._mass_below_y0() + self._table.limit(_M, 1.0)
+        return self._below_y0(0) + self._table.limit(_M, 1.0)
 
     def xm_total(self) -> float:
         if self.logistic is not None:
             return self._gamma_total(1.0)
-        return self._first_moment_below_y0() + self._table.limit(_XM, 1.0)
+        return self._below_y0(1) + self._table.limit(_XM, 1.0)
 
     def entrance(self) -> float:
         """``int_0^{y0} (S(y0) - S(u)) m(u) du``: finite iff 0 is an entrance (or regular) boundary."""

@@ -474,6 +474,12 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
             if bound < best - _TIE_REL_TOL * max(abs(best), 1e-12):
                 break
 
+    overflow = np.flatnonzero(~np.isfinite(h_grid))
+    if len(overflow):
+        raise SolverError(
+            "the planner objective H overflows: phi(c) (y - y0) is not finite "
+            f"at the threshold y = {grid[overflow[0]]}"
+        )
     if len(local_max) == 0:
         raise SolverError("the planner objective H has no interior maximum on the scan grid")
     refined = sorted((_refine_maximum(scan, int(i)) for i in local_max), key=lambda t: -t[1])

@@ -20,8 +20,8 @@ section does not read (``simulation`` reads ``dt``, ``horizon``, ``seed`` and
 (``dt <= 0``, a negative ``seed``, a ``simulate.horizon <= 0``, a non-finite
 ``simulate.threshold``, a logistic ``b <= 0``, ...), an expression that does
 not parse or nests too deep, a model that overflows while it is built, or
-``draws < 1`` raises :class:`ScenarioError`, whose message starts with the
-scenario's path.
+``draws`` outside ``[1, 10^5]`` (one ``compare`` each) raises
+:class:`ScenarioError`, whose message starts with the scenario's path.
 A number field takes no ``true``/``false``, and an integer field (``seed``,
 ``chunk_size``, ``draws``) takes no fraction.
 """
@@ -44,6 +44,7 @@ from .simulation import SimConfig
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
 _SIM_KINDS = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+_MAX_DRAWS = 10**5   # bound on the work of one sweep
 
 # the keys of each section but "model", whose keys depend on its kind (see model_from_dict)
 _SECTION_KEYS = {
@@ -153,8 +154,10 @@ def scenario_from_dict(data: dict, *, source: str = "<dict>") -> Scenario:
 
     simulate = sections["simulate"]
     draws = _number(sections["sweep"], "sweep", "draws", source, int, 100)
-    if draws < 1:
-        raise ScenarioError(f"{source}: sweep.draws must be at least 1, got {draws}")
+    if not 1 <= draws <= _MAX_DRAWS:
+        raise ScenarioError(
+            f"{source}: sweep.draws must be at least 1 and at most {_MAX_DRAWS}, got {draws:.6g}"
+        )
     horizon = _number(simulate, "simulate", "horizon", source)
     if horizon is not None and not 0.0 < horizon < math.inf:   # also rejects NaN
         raise ScenarioError(f"{source}: simulate.horizon must be positive and finite, got {horizon}")

@@ -27,14 +27,14 @@ __all__ = [
     "density_table",
 ]
 
-_MIN_GAP = 1e-6  # thresholds this close to y0 degenerate to instant re-impulse
+_MIN_GAP = 1e-6  # relative to y0: thresholds this close to y0 degenerate to instant re-impulse
 _TABLE_POINTS = 2000  # points of the density table
 
 
 def _require_threshold(model: DiffusionModel, y: float) -> None:
-    if not y > model.restart_level + _MIN_GAP:
+    if not y > model.restart_level * (1.0 + _MIN_GAP):
         raise DomainError(
-            f"controlled-law threshold must exceed y0 + {_MIN_GAP}; got y={y}, y0={model.restart_level}"
+            f"controlled-law threshold must exceed y0 * (1 + {_MIN_GAP}); got y={y}, y0={model.restart_level}"
         )
 
 

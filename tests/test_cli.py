@@ -621,6 +621,7 @@ _PAYOFF = {"K": 1.0, "phi": "1/(z+1)", "interaction": "harvest_rate"}
         {"sweep": {"draws": "x"}},
         {"sweep": {"draws": 0}},
         {"sweep": {"draws": 1e400}},
+        {"sweep": {"draws": 100001}},
         {"sweep": 5},
         {"numerics": {"scan_points": 1e400}},
     ],
@@ -802,13 +803,14 @@ def test_validate_reports_speed_density_overflow(tmp_path):
     assert any(note.startswith("entrance boundary") for note in results["notes"])
 
 
-# every field of the bundled rate scenario, the custom model's own and the stock scenario's
-# phi, replaced in turn
+# every field of the bundled rate scenario and of its sweep section, the custom model's own
+# and the stock scenario's phi, replaced in turn
 _FUZZ_FIELDS = [
     (RATE_SCENARIO, section, key)
     for section, keys in json.loads(Path(RATE_SCENARIO).read_text()).items()
     for key in keys
-] + [(CUSTOM_SCENARIO, "model", key) for key in ("drift", "vol", "y0")]
+] + [(RATE_SCENARIO, "sweep", "draws")]
+_FUZZ_FIELDS += [(CUSTOM_SCENARIO, "model", key) for key in ("drift", "vol", "y0")]
 _FUZZ_FIELDS += [(STOCK_SCENARIO, "payoff", "phi")]
 _FUZZ_VALUES = [True, "x", None, math.nan, -1, 0, 1e308, [], {}, 1e-300]
 # phi strings that are not finite, positive or nonincreasing somewhere, or that overflow a value
@@ -822,14 +824,14 @@ _FUZZ_PHIS = ["1/z", "log(z)", "exp(1000*z)", "1e308", "0", "-1", "z", "exp(-z)"
 )
 def test_fuzzed_field_ends_in_a_documented_exit_code(tmp_path, scenario_file, section, key):
     # a value of the wrong kind or range exits 0, 2, 3 or 4; no exception or numpy warning
-    # escapes main
-    data = json.loads(Path(scenario_file).read_text())
+    # escapes main, and every run ends (a sweep of two draws, unless draws is fuzzed)
+    data = {**json.loads(Path(scenario_file).read_text()), "sweep": {"draws": 2}}
     escaped = []
     for i, value in enumerate(_FUZZ_VALUES + (_FUZZ_PHIS if key == "phi" else [])):
         data[section] = {**data[section], key: value}
         scenario = tmp_path / f"fuzz-{i}.json"
         scenario.write_text(json.dumps(data))
-        for command in ("solve-single", "validate", "verify", "solve-mfg", "solve-mfc", "compare"):
+        for command in ("solve-single", "validate", "verify", "solve-mfg", "solve-mfc", "compare", "sweep"):
             try:
                 code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
             except Exception as exc:   # noqa: BLE001 - the test reports whatever escapes

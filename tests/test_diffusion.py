@@ -242,6 +242,20 @@ def test_scalar_lookup_matches_array_element():
         assert table(float(xs[77]), c) == scalar[77]
 
 
+def test_array_reads_equal_plain_float_reads(benchmark_model):
+    # one Clenshaw recurrence serves both reads, so they differ only where np.log and
+    # math.log give a different t
+    table = _calculus(benchmark_model)._table
+    xs = np.linspace(0.01, 40.0, 2000)
+    same_log = np.log(xs) == np.array([math.log(x) for x in xs])
+    components = tuple(range(6))
+    array = table(xs, components)
+    for c in components:
+        scalar = np.array([table.at(float(x), c) for x in xs])
+        assert np.array_equal(array[c][same_log], scalar[same_log])
+        assert np.allclose(array[c][~same_log], scalar[~same_log], rtol=1e-13, atol=0.0)
+
+
 def test_singular_drift_stops_at_the_panel_guard(tmp_path, capsys):
     # drift (1.5 - 0.5 x)/(x - 2): s falls like exp(-1.5/x) toward 0, and the table
     # gives up below y0 * 2^-40 once it needs more than 20000 panels
@@ -382,6 +396,18 @@ def test_table_limit_reports_a_divergent_speed_mass_toward_0():
     report = validate_assumptions(model)
     assert not report.speed_mass_finite
     assert any("toward 0 diverges" in note for note in report.notes)
+
+
+def test_table_limit_does_not_settle_inside_a_trough():
+    # drift x (1 - x), noise 0.05 x: s falls to about e^-403 near x = 1 and grows after it,
+    # so two negligible increments in the first batch toward infinity are not the limit
+    from harvestfield.diffusion import _S
+    from harvestfield.errors import DivergenceError
+
+    calc = _calculus(custom_model(lambda x: x * (1.0 - x), lambda x: 0.05 * x, y0=0.3))
+    assert calc.S(3.0) > 1e135
+    with pytest.raises(DivergenceError, match="toward infinity"):
+        calc._table.limit(_S, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,23 @@ def test_reports_are_strict_json(bundled_run, run):
     assert render_table(report) == (out / "table.txt").read_text()
 
 
+DENSITY_RUNS = [run for run in RUNS if run.split("/")[0] in ("solve-mfg", "solve-mfc")]
+
+
+@pytest.mark.parametrize("run", DENSITY_RUNS, ids=[run.replace("/", "-") for run in DENSITY_RUNS])
+def test_density_tables_are_distributions(bundled_run, run):
+    # density.csv runs up to the threshold, where the controlled density vanishes
+    command, name = run.split("/")
+    _, out = bundled_run(command, str(SCENARIOS / f"{name}.json"))
+    with open(out / "density.csv", newline="") as fh:
+        rows = [(float(row["pdf"]), float(row["cdf"])) for row in csv.DictReader(fh)]
+    pdf, cdf = zip(*rows)
+    assert min(pdf) >= 0.0
+    assert pdf[-1] == 0.0
+    assert 0.0 <= cdf[0] and cdf[-1] <= 1.0
+    assert all(a <= b for a, b in zip(cdf, cdf[1:]))
+
+
 if __name__ == "__main__":
     fields = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

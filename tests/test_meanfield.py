@@ -460,6 +460,42 @@ def test_compare_stock_channel_reversed(benchmark_model):
         assert report.planner.threshold <= point.threshold + 1e-6
 
 
+def _scaled_stock_compare(lam):
+    """compare on drift x (1 - x/lam), noise 0.5 x, y0 = 0.1 lam, K = 0.05 lam, phi = 1/(1 + z/lam)."""
+    model = custom_model(lambda x: x * (1.0 - x / lam), lambda x: 0.5 * x, y0=0.1 * lam)
+    payoff = PayoffSpec(
+        cost=0.05 * lam,
+        phi=lambda z: 1.0 / (1.0 + z / lam),
+        interaction=Interaction.EXPECTED_STOCK,
+        phi_source=f"1/(1+z/{lam})",
+    )
+    return compare(model, payoff)
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-3])
+def test_stock_compare_scales_with_the_model(lam):
+    # the controlled law's gap above y0 is relative to y0, so a model rescaled by lam
+    # has its thresholds rescaled by lam
+    unit, scaled = _scaled_stock_compare(1.0), _scaled_stock_compare(lam)
+    assert scaled.ok
+    assert len(scaled.equilibria) == len(unit.equilibria) == 1
+    assert scaled.equilibria.equilibria[0].threshold / lam == pytest.approx(
+        unit.equilibria.equilibria[0].threshold, rel=1e-8
+    )
+    assert scaled.planner.threshold / lam == pytest.approx(unit.planner.threshold, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", [Interaction.HARVEST_RATE, Interaction.EXPECTED_STOCK])
+def test_overflowing_planner_objective_names_the_threshold(benchmark_model, kind):
+    # phi = 1e308: phi(c) (y - y0) overflows once y - y0 > 1.8
+    payoff = flat_payoff(kind, price=1e308)
+    message = r"H overflows: phi\(c\) \(y - y0\) is not finite at the threshold y = "
+    with pytest.raises(SolverError, match=message) as info:
+        mfc_optimum(benchmark_model, payoff)
+    y = float(str(info.value).rsplit("= ", 1)[1])
+    assert 1e308 * (y - 1.0) == math.inf
+
+
 def test_ordering_sweep_smoke():
     rows = ordering_sweep(Interaction.HARVEST_RATE, 6, seed=7)
     assert len(rows) == 6
