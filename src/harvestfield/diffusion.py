@@ -259,8 +259,9 @@ class _Table:
     copy-on-write under a lock, so concurrent readers see a complete table.
 
     :meth:`at` reads one component at one point without numpy: ``bisect`` on
-    the panel edges, then Clenshaw's recurrence (:func:`_clenshaw`). An array
-    read runs the same recurrence on arrays, to the same bits wherever
+    the panel edges, then Clenshaw's recurrence (:func:`_clenshaw`);
+    :meth:`point` reads several from the same lookup, with the same bits. An
+    array read runs the same recurrence on arrays, to the same bits wherever
     ``np.log`` and ``math.log`` agree. Every component reads exactly 0 at
     ``y0``. :meth:`limit` reads a component's limit toward 0 or infinity.
     """
@@ -273,7 +274,6 @@ class _Table:
         # (panel bounds, coefficients (panels, components, orders), the bounds as floats, (left, right))
         self._state = (np.array([self._t0]), np.empty((0, _COMPONENTS, _NODES + 1)), [self._t0], (edge, edge))
         self._lock = threading.Lock()
-        self._last = [(math.nan, 0.0)] * _COMPONENTS   # per component, the last scalar read: (x, value)
 
     def __call__(self, x, components) -> np.ndarray:
         """One component (an int) or several (a tuple) at x > 0.
@@ -297,25 +297,30 @@ class _Table:
         return values if np.ndim(components) else values[0]
 
     def at(self, x: float, component: int) -> float:
-        """One component at one point, in plain floats: ``bisect``, then Clenshaw's recurrence.
-
-        The last point read of each component is kept, since a solver step reads the same
-        component at the same point several times.
-        """
-        last = self._last[component]
-        if last[0] == x:
-            return last[1]
+        """One component at one point, in plain floats: ``bisect``, then Clenshaw's recurrence."""
         t = math.log(x) if x > 0.0 else -math.inf
         if t == self._t0:
             return 0.0   # every component vanishes at y0 by construction
+        row, tau = self._panel(t)
+        return _clenshaw(row[component].tolist(), tau)
+
+    def point(self, x: float, components: tuple[int, ...]) -> list[float]:
+        """Several components at one point from one lookup, each with the bits of :meth:`at`."""
+        t = math.log(x) if x > 0.0 else -math.inf
+        if t == self._t0:
+            return [0.0] * len(components)
+        row, tau = self._panel(t)
+        row = row.tolist()
+        return [_clenshaw(row[c], tau) for c in components]
+
+    def _panel(self, t: float):
+        """The coefficients of the panel holding ``t = log x`` (grown to it), and ``t`` in [-1, 1] there."""
         _, coef, knots, _ = self._state
         if not knots[0] <= t <= knots[-1] or len(knots) == 1:
             _, coef, knots, _ = self._cover(t, t, _AHEAD)
         k = bisect.bisect_right(knots, t, 1, len(knots) - 1) - 1
         lo, hi = knots[k], knots[k + 1]
-        value = _clenshaw(coef[k, component].tolist(), (2.0 * t - lo - hi) / (hi - lo))
-        self._last[component] = (x, value)
-        return value
+        return coef[k], (2.0 * t - lo - hi) / (hi - lo)
 
     def _cover(self, t_lo: float, t_hi: float, ahead: int):
         """The state, grown to cover ``[t_lo, t_hi]`` plus ``ahead`` segments on each side grown."""
@@ -684,8 +689,11 @@ class _Calculus:
         below = self._below_y0(power)
         scaled = component in (_XI, _CYC)
         if isinstance(x, (float, int)):
-            scale = self._table.at(x, _S) if scaled else 1.0
-            value = below * scale + self._table.at(x, component)
+            if scaled:
+                scale, tail = self._table.point(x, (_S, component))
+            else:
+                scale, tail = 1.0, self._table.at(x, component)
+            value = below * scale + tail
         else:
             scale, tail = self._table(x, (_S, component)) if scaled else (1.0, self._table(x, component))
             with np.errstate(over="ignore"):   # _finite reports an overflow
@@ -735,6 +743,69 @@ class _Calculus:
         sigma2 = np.asarray(self.volatility(ya)) ** 2
         value = 2.0 / sigma2 * (1.0 - mu_y * self.s(y) * self.M0(y))
         return float(value) if np.ndim(y) == 0 else value
+
+    def xi_derivatives(self, y: float, order: int = 2) -> tuple[float, ...]:
+        """``(xi, xi')`` at one threshold ``y >= y0``, and ``xi''`` too at ``order`` 2, from one lookup.
+
+        Each value has the bits of the separate :meth:`xi`, :meth:`xi_prime`
+        and :meth:`xi_second` reads, and raises their errors in that order:
+        :class:`DivergenceError` where ``xi``, ``s`` or ``M0`` overflows, then
+        :class:`DomainError` where ``sigma^2`` does.
+        """
+        self._check_domain(y)
+        below = self._below_y0(0)
+        log_s, scale, mass, tail = self._table.point(y, (_LOG_S, _S, _M, _XI))
+        xi = self._finite(below * scale + tail, y, "xi")
+        try:
+            s = math.exp(log_s)
+        except OverflowError:
+            raise DivergenceError(f"scale density overflows at x = {y}") from None
+        m0 = self._finite(below + mass, y, "M0", "speed density")
+        if order == 1:
+            return xi, s * m0
+        try:
+            sigma2 = float(self.volatility(y)) ** 2
+        except OverflowError:
+            raise DomainError(f"sigma^2 overflows at x = {y}") from None
+        return xi, s * m0, 2.0 / sigma2 * (1.0 - float(self.drift(y)) * s * m0)
+
+    def cycle_stock_derivatives(self, y: float) -> tuple[float, float]:
+        """``(P, P')`` at one point: the cycle stock and its slope ``xm0 s``, from one lookup.
+
+        Each value has the bits of the separate :meth:`cycle_stock` and
+        ``xm0(y) * s(y)`` reads, and raises their errors in that order.
+        """
+        below = self._below_y0(1)
+        log_s, scale, moment, tail = self._table.point(y, (_LOG_S, _S, _XM, _CYC))
+        stock = self._finite(below * scale + tail, y, "cycle stock")
+        xm0 = self._finite(below + moment, y, "xm0", "speed density")
+        try:
+            return stock, xm0 * math.exp(log_s)
+        except OverflowError:
+            raise DivergenceError(f"scale density overflows at x = {y}") from None
+
+    def xi_grid(self, y: np.ndarray, stock: bool = False) -> tuple[np.ndarray, ...]:
+        """``xi`` and ``xi'`` on an array of thresholds ``y >= y0``, and the cycle stock with ``stock``.
+
+        One table read serves them all, with the bits of the separate
+        :meth:`xi`, :meth:`xi_prime` and :meth:`cycle_stock` array reads, and
+        their errors in that order.
+        """
+        self._check_domain(y)
+        below = self._below_y0(0)
+        if stock:
+            moment = self._below_y0(1)
+            log_s, scale, mass, tail, stock_tail = self._table(y, (_LOG_S, _S, _M, _XI, _CYC))
+        else:
+            log_s, scale, mass, tail = self._table(y, (_LOG_S, _S, _M, _XI))
+        with np.errstate(over="ignore"):   # _finite reports an overflow
+            xi = self._finite(below * scale + tail, y, "xi")
+            xi_prime = self._finite(np.exp(log_s), y, "s") * self._finite(
+                below + mass, y, "M0", "speed density"
+            )
+            if not stock:
+                return xi, xi_prime
+            return xi, xi_prime, self._finite(moment * scale + stock_tail, y, "cycle stock")
 
     def _xi_both_sides(self, y):
         """``xi(y) = int_{y0}^y M[0,u] s(u) du`` from the table, on both sides of ``y0``.

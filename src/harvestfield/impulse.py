@@ -15,9 +15,15 @@ once it has turned convex, and xi'' changes sign at most once. So F cannot
 change sign on the concave stretch, and doubling the right end from
 ``y0 + Kt`` brackets the one root. With a holding cost the root may lie
 left of ``y0 + Kt`` instead, inside ``[y0, y0 + Kt]`` since
-``G(y0) = Kt xi'(y0) > 0``. A safeguarded Newton iteration (Newton steps on
-G that fall back to bisection whenever they leave the bracket) converges to
-it in a handful of steps.
+``G(y0) = Kt xi'(y0) > 0``. A safeguarded Newton iteration (Newton steps
+that fall back to bisection whenever they leave the bracket) converges to
+it in a handful of steps, each reading ``xi``, ``xi'`` and ``xi''`` from one
+table lookup. At ``Kt > 0`` and ``a = 0`` it runs on the paper's explicit
+form of the condition, ``k(y) = y - y0 - xi/xi' = Kt``, that is on
+``F/xi' = xi/xi' - (y - y0 - Kt)``, which is close to linear where F grows
+exponentially. At ``Kt = 0`` the two terms of that ratio cancel near a
+convex start, so the zero-cost solve, and the holding-cost problem, run on
+G itself.
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -57,10 +63,12 @@ __all__ = [
     "verify_solution",
 ]
 
-# stopping test of _solve_threshold: Newton step or bracket width relative to
-# the root, and |G|/xi at the accepted root
+# stopping tests of _solve_threshold. On G: Newton step or bracket width relative to
+# the root, and |G|/xi at the accepted root. On the ratio form g: the Newton step
+# (_RATIO_REL_TOL) and |g| (_OBJECTIVE_REL_TOL), both relative to the root
 _BRACKET_REL_TOL = 1e-9
 _OBJECTIVE_REL_TOL = 1e-10
+_RATIO_REL_TOL = 1e-8
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
 _ROOT_MAX_ITER = 200          # budget of every zeroin refinement
 _TARGET_REL_TOL = 1e-11       # x tolerance of the stopping target, relative to its bracket
@@ -72,7 +80,7 @@ _VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 class ThresholdSolution:
     threshold: float
     value: float                 # long-run reward rate of R(threshold)
-    residual: float              # first-order-condition residual at the threshold
+    residual: float              # |g|/y at the last ratio-form iterate, or |G|/xi at the threshold
     bracket: tuple[float, float]
     iterations: int
     profitable: bool = True
@@ -84,40 +92,64 @@ class ThresholdSolution:
 # ---------------------------------------------------------------------------
 
 def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> ThresholdSolution:
-    """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: the root of G by safeguarded Newton.
+    """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: a root by safeguarded Newton.
 
     ``Kt`` is ``k_tilde``, ``a`` is ``holding`` and ``P`` the table's cycle
     stock. The first-order condition is ``G = (1 - a P') xi - N xi'``, with
     ``N = y - y0 - Kt - a P`` and ``P' = xm0 s``; at ``a = 0`` it is F, and
     P is never read. Since ``G(y0) = Kt xi'(y0) > 0``, the root lies in
     ``[y0, y0 + Kt]`` if ``G(y0 + Kt) < 0``; otherwise a doubling phase from
-    ``y0 + Kt`` brackets it. Each Newton step (Press et al., Numerical
-    Recipes 9.4) on ``G' = -a P'' xi - N xi''``, with
-    ``P'' = (2/sigma^2)(y - mu P')``, then shrinks the bracket by the sign of
-    G. A step with ``G' >= 0``, or one that leaves the closed bracket
-    ``[lo, hi]``, falls back to the midpoint; the bracket is closed so that
-    an iterate at the exact root (``G == 0``, Newton point on ``hi``) stays
-    put. ``iterations`` counts the Newton steps.
+    ``y0 + Kt`` brackets it. Newton steps (Press et al., Numerical Recipes
+    9.4) from the bracket's midpoint then shrink the bracket by the sign of
+    the condition. A step with a nonnegative slope, or one that leaves the
+    closed bracket ``[lo, hi]``, falls back to the midpoint; the bracket is
+    closed so that an iterate at the exact root (condition 0, Newton point
+    on ``hi``) stays put. Every evaluation reads ``xi``, ``xi'`` and ``xi''``
+    from one table lookup, and ``iterations`` counts the Newton steps.
+
+    At ``Kt > 0`` and ``a = 0`` the condition is the ratio form
+    ``g = F/xi' = xi/xi' - N``, with ``g' = -(xi/xi') (xi''/xi')``. The
+    steps start from the Newton point of the right end, which the doubling
+    phase evaluated, if it lies in the bracket. Newton converges on g
+    quadratically, so once the step is below ``1e-8 y`` and ``|g|`` below
+    ``1e-10 y`` the step's Newton point is the root to rounding: it is the
+    threshold, while the value ``N/xi``, stationary at the root, and the
+    residual ``|g|/y`` are those of the last iterate. Otherwise the condition is G,
+    with ``G' = -a P'' xi - N xi''`` and ``P'' = (2/sigma^2)(y - mu P')``,
+    the residual is ``|G|/xi``, and the solve stops at an iterate where the
+    step or the bracket is below ``1e-9 y`` and the residual below
+    ``1e-10``.
     """
     y0 = calc.y0
+    ratio = k_tilde > 0.0 and not holding
 
-    def condition(y: float) -> tuple[float, float, float, float]:
-        """``G``, ``xi``, ``N`` and ``P'`` at y."""
-        xi = calc.xi(y)
+    def condition(y: float) -> tuple[float, float, float, float, float]:
+        """The condition, its slope, ``xi``, ``N`` and the residual at y."""
+        xi, xi_prime, xi_second = calc.xi_derivatives(y)
+        net = y - y0 - k_tilde
+        if ratio:
+            quotient = xi / xi_prime
+            g = quotient - net
+            return g, -quotient * (xi_second / xi_prime), xi, net, abs(g) / y
         if not holding:
-            net = y - y0 - k_tilde
-            return xi - net * calc.xi_prime(y), xi, net, 0.0
-        stock_slope = calc.xm0(y) * calc.s(y)
-        net = y - y0 - k_tilde - holding * calc.cycle_stock(y)
-        return (1.0 - holding * stock_slope) * xi - net * calc.xi_prime(y), xi, net, stock_slope
+            g = xi - net * xi_prime
+            return g, -net * xi_second, xi, net, abs(g) / xi
+        stock, stock_slope = calc.cycle_stock_derivatives(y)
+        net -= holding * stock
+        g = (1.0 - holding * stock_slope) * xi - net * xi_prime
+        mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
+        slope = -net * xi_second - holding * 2.0 / sigma**2 * (y - mu * stock_slope) * xi
+        return g, slope, xi, net, abs(g) / xi
 
     lo = y0 + k_tilde
     if holding and condition(lo)[0] < 0.0:
         lo, hi = y0, lo
+        y_next = 0.5 * (lo + hi)
     else:
         hi = 2.0 * lo   # at a = 0, G(lo) = xi(lo) >= 0 and G rises while xi is concave
         for _ in range(_BRACKET_DOUBLINGS):
-            if condition(hi)[0] < 0.0:
+            g, slope = condition(hi)[:2]
+            if g < 0.0:
                 break
             lo = hi
             hi *= 2.0
@@ -126,28 +158,30 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
                 f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
                 "doublings; the objective appears to increase without bound"
             )
+        # the ratio form starts from the Newton point of the bracket's evaluated right end
+        newton = hi - g / slope if ratio and slope < 0.0 else math.nan
+        y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
 
     bracket = (lo, hi)
     iterations = 0
-    y_next = 0.5 * (lo + hi)
     while iterations < 400:
         y = y_next
-        g, xi, net, stock_slope = condition(y)
+        g, slope, xi, net, residual = condition(y)
         iterations += 1
         if g > 0.0:
             lo = y
         else:
             hi = y
-        residual = abs(g) / xi
-        slope = -net * calc.xi_second(y)
-        if holding:
-            mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
-            slope -= holding * 2.0 / sigma**2 * (y - mu * stock_slope) * xi
         newton = y - g / slope if slope < 0.0 else math.nan
         y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-        tol = _BRACKET_REL_TOL * y
-        if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
-            break
+        if ratio:
+            if y_next == newton and abs(newton - y) < _RATIO_REL_TOL * y and residual < _OBJECTIVE_REL_TOL:
+                y = newton
+                break
+        else:
+            tol = _BRACKET_REL_TOL * y
+            if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
+                break
 
     value = net / xi
     return ThresholdSolution(
@@ -162,7 +196,11 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
 
 
 def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdSolution:
-    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of F by safeguarded Newton."""
+    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: a root of F by safeguarded Newton.
+
+    At ``k_tilde > 0`` Newton runs on the ratio form ``xi/xi' - (y - y0 - k_tilde)``
+    (see :func:`_solve_threshold`).
+    """
     calc = _calculus(model)
     if not k_tilde >= 0.0:   # also rejects NaN
         raise DomainError(f"k_tilde must be nonnegative, got {k_tilde}")

@@ -215,8 +215,10 @@ class _Scan:
     interaction domain, from one call of ``phi`` on the new levels. The
     equilibrium search prices only the cells that meet the best-response
     range; the planner prices the grid up to just past ``2 y_hi``, and the
-    rest only where the zero-cost bound does not rule it out. The ``xi``
-    values that pricing computes are kept for both.
+    rest only where the zero-cost bound does not rule it out. Pricing reads
+    ``xi``, ``xi'`` and, on the expected-stock channel, the cycle stock
+    ``P`` in one table read (``c = P/xi`` there); ``xi`` and ``xi'`` are kept
+    for both problems.
     """
 
     def __init__(self, model: DiffusionModel, payoff: PayoffSpec,
@@ -227,16 +229,23 @@ class _Scan:
         self.grid = grid
         self._prices = np.full(len(grid), np.nan)
         self._xi = np.full(len(grid), np.nan)
+        self._xi_prime = np.full(len(grid), np.nan)
 
     def prices(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Prices of ``grid[lo:hi]``."""
-        prices, xi = self._prices[lo:hi], self._xi[lo:hi]   # views: new values are kept
+        prices = self._prices[lo:hi]   # views: new values are kept
         todo = np.isnan(prices)
         if np.any(todo):
             ys = self.grid[lo:hi][todo]
-            xi[todo] = _calculus(self.model).xi(ys)
-            z = np.clip(_interaction(self.model, self.payoff, ys, xi[todo]), *self.payoff.domain)
-            new = _phi_levels(self.payoff.phi, z)
+            calc = _calculus(self.model)
+            if self.payoff.interaction is Interaction.HARVEST_RATE:
+                xi, xi_prime = calc.xi_grid(ys)
+                z = _interaction(self.model, self.payoff, ys, xi)
+            else:
+                xi, xi_prime, stock = calc.xi_grid(ys, stock=True)
+                z = stock / xi   # expected_stock, from the same read
+            self._xi[lo:hi][todo], self._xi_prime[lo:hi][todo] = xi, xi_prime
+            new = _phi_levels(self.payoff.phi, np.clip(z, *self.payoff.domain))
             if not np.all(new > 0.0):
                 raise DomainError("phi must stay positive on the attainable interaction range")
             prices[todo] = new
@@ -246,6 +255,11 @@ class _Scan:
         """``xi`` on ``grid[lo:hi]``, as priced."""
         self.prices(lo, hi)
         return self._xi[lo:hi].copy()
+
+    def xi_prime(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """``xi'`` on ``grid[lo:hi]``, as priced."""
+        self.prices(lo, hi)
+        return self._xi_prime[lo:hi].copy()
 
 
 def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
@@ -269,12 +283,19 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
 # ---------------------------------------------------------------------------
 
 def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
+    """The equilibrium at ``y_star``; a price or value past double range raises :class:`SolverError`."""
     xi = _calculus(model).xi(y_star)
     price = _price(model, payoff, y_star, xi)
+    value = (price * (y_star - model.restart_level) - payoff.cost) / xi
+    if not (math.isfinite(price) and math.isfinite(value)):
+        raise SolverError(
+            f"the equilibrium value overflows: the price is {price} and the value {value} "
+            f"at the threshold y = {y_star}"
+        )
     stability, slope = classify_stability(model, payoff, y_star)
     return EquilibriumPoint(
         threshold=y_star,
-        value=(price * (y_star - model.restart_level) - payoff.cost) / xi,
+        value=value,
         interaction_level=_interaction(model, payoff, y_star, xi),
         stability=stability,
         map_slope=slope,
@@ -294,16 +315,15 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [0.5 * (y_lo + y_hi)]
     else:
         def gap(y: float) -> float:
-            xi = calc.xi(y)
-            return _price(model, payoff, y, xi) * (y - y0 - xi / calc.xi_prime(y)) - payoff.cost
+            xi, xi_prime = calc.xi_derivatives(y, 1)
+            return _price(model, payoff, y, xi) * (y - y0 - xi / xi_prime) - payoff.cost
 
         # G has the sign of y - Phi(y), and Phi maps into [y_lo, y_hi]: only the
         # cells that meet [y_lo, y_hi] can hold a sign change
         lo = max(int(np.searchsorted(grid, y_lo)) - 1, 0)
         hi = min(int(np.searchsorted(grid, y_hi, side="right")) + 1, len(grid))
         ys = grid[lo:hi]
-        xi = scan.xi(lo, hi)
-        gaps = scan.prices(lo, hi) * (ys - y0 - xi / calc.xi_prime(ys)) - payoff.cost
+        gaps = scan.prices(lo, hi) * (ys - y0 - scan.xi(lo, hi) / scan.xi_prime(lo, hi)) - payoff.cost
         diagnostics["scan"] = {
             "points": len(grid),
             "cap": float(grid[-1]),
@@ -370,7 +390,8 @@ def _price_slope(
     if payoff.interaction is Interaction.HARVEST_RATE:
         dc = (xi - (y - model.restart_level) * xi_prime) / xi**2
     else:
-        dc = (calc.xm0(y) * calc.s(y) * xi - calc.cycle_stock(y) * xi_prime) / xi**2
+        stock, stock_slope = calc.cycle_stock_derivatives(y)
+        dc = (stock_slope * xi - stock * xi_prime) / xi**2
     a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
     return c, (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
 
@@ -381,13 +402,12 @@ def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
     ``k' = xi xi''/xi'^2`` and ``p'`` is that of :func:`_price_slope`; the
     slope is 0 where c is on or outside the domain.
     """
-    calc = _calculus(model)
-    xi, xi_prime = calc.xi(y), calc.xi_prime(y)
+    xi, xi_prime, xi_second = _calculus(model).xi_derivatives(y)
     c, dp = _price_slope(model, payoff, y, xi, xi_prime)
     lo, hi = payoff.domain
     if not lo < c < hi:
         return 0.0
-    return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * calc.xi_second(y))
+    return -payoff.cost * dp * xi_prime**2 / (float(payoff.phi(c)) ** 2 * xi * xi_second)
 
 
 def classify_stability(
@@ -431,9 +451,8 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
     calc = _calculus(model)
     y0 = model.restart_level
 
-    def condition(y: float, xi_y: float, price: Optional[float] = None) -> float:
-        """``G_P(y)`` from ``xi(y)``, and from the price where the scan has it."""
-        xi_prime = calc.xi_prime(y)
+    def condition(y: float, xi_y: float, xi_prime: float, price: Optional[float] = None) -> float:
+        """``G_P(y)`` from ``xi(y)`` and ``xi'(y)``, and from the price where the scan has it."""
         c, dp = _price_slope(model, payoff, y, xi_y, xi_prime)
         if price is None:
             price = float(payoff.phi(_clamp_to_domain(c, payoff.domain)[0]))
@@ -443,8 +462,9 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
     xi, prices = scan.xi(i - 1, i + 2), scan.prices(i - 1, i + 2)
     with np.errstate(over="ignore", invalid="ignore"):   # _refine refuses a non-finite G_P
         y = _refine(
-            "planner refinement", lambda v: condition(v, calc.xi(v)), a, b,
-            condition(a, xi[0], prices[0]), condition(b, xi[2], prices[2]), _PLANNER_REL_TOL * b,
+            "planner refinement", lambda v: condition(v, *calc.xi_derivatives(v, 1)), a, b,
+            condition(a, xi[0], calc.xi_prime(a), prices[0]),
+            condition(b, xi[2], calc.xi_prime(b), prices[2]), _PLANNER_REL_TOL * b,
         )
     return y, _planner_value(model, payoff, y)
 

@@ -250,13 +250,35 @@ def test_verify_passes_on_benchmark(tmp_path):
 
 
 def test_verify_fails_when_the_identities_are_not_finite(tmp_path):
-    # phi = 1e308 prices every harvest past double range: rho xi overflows, the identities are NaN
-    scenario = with_section(tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "phi": "1e308"})
+    # phi = 1e308 prices every harvest past double range: rho xi overflows, the identities are
+    # NaN; a fixed z, since the equilibrium itself refuses that price (see the next test)
+    scenario = with_section(
+        tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "phi": "1e308"}, single={"z": 0.5}
+    )
     code, out = run(tmp_path, "verify", scenario)
     assert code == 3
     verification = read_report(out)["results"]["verification"]
     assert verification["passed"] is False
     assert verification["g_at_restart"] is None
+
+
+@pytest.mark.parametrize("command", ["solve-mfg", "compare", "verify"])
+def test_equilibrium_value_overflow_exits_3_naming_the_threshold(tmp_path, capsys, command):
+    # phi = 1e308 prices the equilibrium's harvest past double range
+    scenario = with_section(tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "phi": "1e308"})
+    assert run(tmp_path, command, scenario)[0] == 3
+    message = capsys.readouterr().err
+    assert "the equilibrium value overflows" in message
+    assert float(message.rsplit("threshold y = ", 1)[1]) > 1.0, message
+
+
+@pytest.mark.parametrize("scenario", [RATE_SCENARIO, CUSTOM_SCENARIO], ids=["logistic", "custom"])
+def test_verify_threshold_matches_the_reference(bundled_run, scenario):
+    # the best response at the rate equilibrium, against a 40-digit reference of the equilibrium
+    code, out = bundled_run("verify", scenario)
+    assert code == 0
+    threshold = read_report(out)["results"]["solution"]["threshold"]
+    assert threshold == pytest.approx(5.130843097092457, rel=1e-13, abs=0.0)
 
 
 def test_stopping_grid_size_leaves_verify_passing(tmp_path, monkeypatch):

@@ -1,13 +1,15 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import _calculus, _Calculus, custom_model
+from harvestfield.diffusion import _LOG_S, _M, _calculus, _Calculus, custom_model, logistic_model
 from harvestfield.errors import DivergenceError, DomainError
 from harvestfield.impulse import _running_potential, solve_auxiliary
+from harvestfield.scenario import load_scenario
 
 # frozen against an independent 40-digit series evaluation (mpmath)
 XI_REFERENCE = {
@@ -144,6 +146,106 @@ def test_xi_prime_integrates_back_to_xi(benchmark_evaluator):
     primes = benchmark_evaluator.xi_prime(ys)
     trapz = float(np.sum(0.5 * (primes[1:] + primes[:-1]) * np.diff(ys)))
     assert trapz == pytest.approx(benchmark_evaluator.xi(5.0), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# fused reads: several values from one table lookup, with the bits of the separate reads
+# ---------------------------------------------------------------------------
+
+_BUNDLED_RATE = ("logistic-harvest-rate.json", "custom-logistic-harvest-rate.json")
+
+
+def _bundled_calculus(name):
+    return _Calculus(load_scenario(str(resources.files("harvestfield") / "scenarios" / name)).model)
+
+
+# y0, the convexity switch near 2.15, the equilibrium, and far out where s is large
+_FUSED_POINTS = (1.0, 1.0005, 1.7, 2.15, 4.432, 5.130843097092457, 11.3, 60.0)
+
+
+@pytest.mark.parametrize("name", _BUNDLED_RATE)
+def test_point_read_keeps_the_bits_of_the_separate_reads(name):
+    ev = _bundled_calculus(name)
+    for y in _FUSED_POINTS:
+        separate = (ev.xi(y), ev.xi_prime(y), ev.xi_second(y))
+        assert ev.xi_derivatives(y) == separate, y
+        assert ev.xi_derivatives(y, 1) == separate[:2], y
+    for y in (0.5, *_FUSED_POINTS):   # the cycle stock runs below y0 too
+        assert ev.cycle_stock_derivatives(y) == (ev.cycle_stock(y), ev.xm0(y) * ev.s(y)), y
+
+
+@pytest.mark.parametrize("name", _BUNDLED_RATE)
+@pytest.mark.parametrize("stock", [False, True])
+def test_grid_read_keeps_the_bits_of_the_separate_reads(name, stock):
+    ev = _bundled_calculus(name)
+    ys = np.geomspace(1.001, 60.0, 500)
+    fused = ev.xi_grid(ys, stock)
+    separate = (ev.xi(ys), ev.xi_prime(ys), ev.cycle_stock(ys))[: 3 if stock else 2]
+    assert len(fused) == len(separate)
+    for got, expected in zip(fused, separate):
+        assert got.tobytes() == expected.tobytes()
+
+
+class _FixedTable:
+    """A stand-in table whose every read gives one fixed value per component."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def at(self, x, component):
+        return self.values[component]
+
+    def point(self, x, components):
+        return [self.values[c] for c in components]
+
+    def __call__(self, x, components):
+        if np.ndim(components) == 0:
+            return np.full(np.shape(x), self.values[components])
+        return np.array([np.full(np.shape(x), self.values[c]) for c in components])
+
+
+@pytest.mark.parametrize(
+    "component, value, message",
+    [(_LOG_S, 1000.0, "scale density overflows at x = 2.0"),
+     (_M, math.inf, "speed density overflows: M0 is not finite at x = 2.0")],
+    ids=["s", "M0"],
+)
+def test_fused_reads_raise_the_separate_reads_errors(benchmark_model, component, value, message):
+    # s = exp(log s) or M0 past double range where xi is finite; the logistic model takes its
+    # speed mass below y0 from the gamma function, so no read but these touches the table
+    ev = _Calculus(benchmark_model)
+    values = [0.5] * 7
+    values[component] = value
+    ev._table = _FixedTable(values)
+    assert math.isfinite(ev.xi(2.0))
+    with pytest.raises(DivergenceError) as separate:
+        ev.xi_prime(2.0)
+    for read in (ev.xi_derivatives, lambda y: ev.xi_derivatives(y, 1)):
+        with pytest.raises(DivergenceError) as fused:
+            read(2.0)
+        assert str(fused.value) == str(separate.value) == message
+    if component == _LOG_S:
+        with pytest.raises(DivergenceError) as fused:
+            ev.cycle_stock_derivatives(2.0)
+        assert str(fused.value) == message
+    # and the grid read the separate array read's
+    ys = np.array([2.0])
+    with pytest.raises(DivergenceError) as separate:
+        ev.xi_prime(ys)
+    for stock in (False, True):
+        with pytest.raises(DivergenceError) as fused:
+            ev.xi_grid(ys, stock)
+        assert str(fused.value) == str(separate.value)
+
+
+def test_point_read_raises_the_sigma2_overflow_of_xi_second():
+    # sigma(y0) = 1e155: sigma^2 leaves double range at y0, where the table is not read
+    ev = _Calculus(logistic_model(q=-1.0, b=0.5, beta=1e145, y0=1e10))
+    with pytest.raises(DomainError) as separate:
+        ev.xi_second(1e10)
+    with pytest.raises(DomainError) as fused:
+        ev.xi_derivatives(1e10)
+    assert str(fused.value) == str(separate.value) == "sigma^2 overflows at x = 10000000000.0"
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_newton_solve_takes_few_steps(benchmark_model, k):
     assert sol.residual < 1e-10
 
 
+def test_ratio_form_solve_takes_at_most_five_steps(benchmark_model):
+    # Newton on xi/xi' - (y - y0 - Kt), close to linear where F = xi - (y - y0 - Kt) xi' grows
+    # exponentially; on F, Kt = 20 took 16 steps from the bracket midpoint
+    for k in np.geomspace(0.01, 20.0, 20):
+        assert optimal_threshold_basic(benchmark_model, float(k)).iterations <= 5, k
+
+
+def test_ratio_form_threshold_is_exact_to_rounding(benchmark_model):
+    # against brentq on F over the independent series oracle; on F the Newton stopping rule
+    # left up to about 1e-10
+    exact = LogisticOracle(benchmark_model)
+    for k in np.geomspace(0.01, 20.0, 7):
+        sol = optimal_threshold_basic(benchmark_model, float(k))
+        root = first_order_root(exact, float(k), (0.5 * (1.0 + k + sol.threshold), 2.0 * sol.threshold))
+        assert sol.threshold == pytest.approx(root, rel=1e-14, abs=0.0), k
+
+
 def test_degenerate_zero_cost_maximizer():
     # drift saturating below the restart level: xi is convex from y0 on, the
     # zero-cost rate (y-y0)/xi(y) is decreasing, and its supremum 1/xi'(y0)

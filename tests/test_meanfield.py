@@ -254,17 +254,15 @@ def test_map_slope_matches_phi_route_where_scale_is_finite_at_0(kind):
 
 
 def _record_priced_grids(monkeypatch):
-    import harvestfield.meanfield as mf
-
-    real = mf._interaction
+    # the scan prices its grid points through one table read per batch
+    real = _Calculus.xi_grid
     priced: list[float] = []
 
-    def recording(model, payoff, y, xi):
-        if np.ndim(y) > 0:
-            priced.extend(np.asarray(y, dtype=float))
-        return real(model, payoff, y, xi)
+    def recording(self, y, stock=False):
+        priced.extend(np.asarray(y, dtype=float))
+        return real(self, y, stock)
 
-    monkeypatch.setattr(mf, "_interaction", recording)
+    monkeypatch.setattr(_Calculus, "xi_grid", recording)
     return priced
 
 
@@ -575,14 +573,14 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     # each grid point is priced at most once; the planner stops pricing one point past the
     # first grid point beyond 2 y_hi (the check point and its bracket neighbour), so every
     # point up to there is priced exactly once and none past it
-    real = _Calculus.xi
+    real = _Calculus.xi_grid
     points: list[float] = []
 
-    def recording(self, y):
+    def recording(self, y, stock=False):
         points.extend(np.atleast_1d(np.asarray(y, dtype=float)))
-        return real(self, y)
+        return real(self, y, stock)
 
-    monkeypatch.setattr(_Calculus, "xi", recording)
+    monkeypatch.setattr(_Calculus, "xi_grid", recording)
     report = compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0),
                      request.getfixturevalue(payoff_fixture))
     scan = report.equilibria.diagnostics["scan"]
