@@ -170,14 +170,14 @@ def _vector_coefficients(model: DiffusionModel) -> tuple[Callable, Callable]:
 
 # Chebyshev-Lobatto nodes on [-1, 1] and the map from integrand values at them
 # to the Chebyshev coefficients of the antiderivative that vanishes at -1 (the
-# first 18 columns) and to that antiderivative's values at the nodes (the rest).
+# first 18 columns), to its value at 1 (the next) and to its values at the
+# nodes (the rest; the last node is 1 again).
 _NODES = 17
 _TAU = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
 _TO_COEFFICIENTS = np.linalg.inv(chebvander(_TAU, _NODES - 1))
 _ANTIDERIVATIVE = chebint(np.eye(_NODES), lbnd=-1) @ _TO_COEFFICIENTS
-_INTEGRATE = np.ascontiguousarray(
-    np.vstack([_ANTIDERIVATIVE, chebvander(_TAU, _NODES) @ _ANTIDERIVATIVE]).T
-)
+_AT_NODES = chebvander(_TAU, _NODES) @ _ANTIDERIVATIVE
+_INTEGRATE = np.ascontiguousarray(np.vstack([_ANTIDERIVATIVE, _AT_NODES[-1:], _AT_NODES]).T)
 _TAIL = np.ascontiguousarray(_TO_COEFFICIENTS[-2:].T)   # node values -> the top two coefficients
 
 _PANEL_MAX = 0.5        # widest panel in log x, and the length of one segment
@@ -188,12 +188,15 @@ _PANEL_SPREAD = 2.0     # bound on the change of log s (plus 2) across one panel
 _PANEL_TAIL = 1e-13     # bound on the top Chebyshev coefficients of each integrand
 _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double precision
 _AHEAD = 2              # segments built past the one a scalar query needs, so outward searches grow less often
+_FIRST_AHEAD = 3        # segments the first growth to the right builds past the query's, so at least out to y0 e^2
 _MAX_PANELS = 20_000
 _SIGMA2_MIN = np.finfo(float).tiny   # a subnormal sigma^2 counts as vanishing: d log s / dt is noise there
-# segments of the first batch of a limit: toward 0 down to y0 e^-32, which settles most models in
-# one batch; toward infinity only to y0 e^4, since panels narrow there as |d log s / dt| grows with x
-_LIMIT_FIRST_TO_0 = 64
+# segments of the first batch of a limit: toward 0 down to y0 e^-16, which settles most models in
+# one batch, and each later batch doubles the span; toward infinity only to y0 e^4, and 4 more per
+# batch, since panels narrow there as |d log s / dt| grows with x
+_LIMIT_FIRST_TO_0 = 32
 _LIMIT_FIRST_TO_INF = 8
+_LIMIT_STEP_TO_INF = 4
 _LIMIT_REL_TOL = 1e-15  # a segment's increment below this, relative to the sum, is negligible
 _LIMIT_RATIO = 0.985    # increment ratio per segment at or above which a limit diverges
 
@@ -245,6 +248,9 @@ class _Table:
     length 0.5 anchored at ``log y0``, in one batch per growth
     (:meth:`_grow`): up to the segment an array query needs, and two segments
     past the one a scalar query needs, since scalar searches step outward.
+    The first growth to the right builds three segments past the one queried,
+    so at least out to ``y0 e^2``, where most threshold searches and scans
+    stay: a fresh model then grows once to the right.
     One vectorized sample of ``d log s / dt`` on a uniform grid picks each
     segment's panels, dyadic blocks of the segment, from the spread bound;
     one call evaluates the coefficients at every panel's nodes; the checks
@@ -346,10 +352,13 @@ class _Table:
     def limit(self, component: int, direction: float) -> float:
         """The limit of ``component`` toward 0 (``direction`` -1) or infinity (+1).
 
-        The table grows outward in batches that double the span it covers on
-        that side, and the limit is the sum of the component's increments per
-        segment. A panel's increment is twice the sum of its odd Chebyshev
-        coefficients, so no increment is a difference of two large values.
+        The table grows outward in batches, toward 0 from ``y0 e^-16`` in
+        batches that double the span it covers on that side, toward infinity
+        from ``y0 e^4`` in batches of 4 segments, and the limit is the sum of
+        the component's increments per segment. A panel's increment is twice
+        the sum of its odd Chebyshev coefficients, so no increment is a
+        difference of two large values; each panel's sum runs in the same order
+        whatever the batch, so the increments do not depend on the batch size.
         The rule is the one for halving a cutoff toward 0, with segments of
         0.5 in ``log x`` for halvings: the sum settles once two successive
         increments are negligible; once three successive increment ratios
@@ -358,7 +367,9 @@ class _Table:
         ``r >= 0.985`` from the eighth segment on, a sum that leaves double
         range and the panel cap raise :class:`DivergenceError`. Neither rule
         ends the sum while the increments the batch computed further out
-        disagree (are not negligible, or sum past the tail), as past a trough.
+        disagree (are not negligible, or sum past the tail), as past a trough,
+        or while the batch's last three increments grow, as in a trough whose
+        increments have not yet climbed back past the tolerance.
         """
         toward = "0" if direction < 0 else "infinity"
         outward = direction * 2.0 * (np.arange(_NODES + 1) % 2)   # coefficients -> outward increment
@@ -371,8 +382,13 @@ class _Table:
             starts = np.searchsorted(bounds, edges)
             lo, hi = min(starts[0], starts[-1]), max(starts[0], starts[-1])
             with np.errstate(invalid="ignore", over="ignore"):   # a non-finite sum raises below
-                new = np.add.reduceat(coef[lo:hi, component] @ outward, np.sort(starts)[:-1] - lo)
+                new = np.add.reduceat(
+                    np.einsum("pk,k->p", coef[lo:hi, component], outward), np.sort(starts)[:-1] - lo
+                )
             batch = (new if direction > 0 else new[::-1]).tolist()
+            # increments that grow at the batch's far end may climb back past the tolerance
+            final = increments[-2:] + batch[-3:]
+            settles = not abs(final[-1]) > abs(final[-2]) > abs(final[-3])
             for j, d in enumerate(batch):
                 total += d
                 increments.append(d)
@@ -381,7 +397,7 @@ class _Table:
                 tol = _LIMIT_REL_TOL * abs(total)
                 negligible = negligible + 1 if abs(d) <= tol else 0
                 # either rule holds only if the increments the batch has computed further out agree
-                if negligible >= 2 and all(abs(v) <= tol for v in batch[j + 1:]):
+                if settles and negligible >= 2 and all(abs(v) <= tol for v in batch[j + 1:]):
                     return total
                 if len(increments) >= 6 and all(v != 0.0 for v in increments[-4:-1]):
                     ratios = [increments[k + 1] / increments[k] for k in (-4, -3, -2)]
@@ -393,12 +409,12 @@ class _Table:
                                 f"integral toward {toward} diverges "
                                 f"(segment ratio {r:.4f} does not decay)"
                             )
-                        if 0.0 < r < _LIMIT_RATIO:
+                        if settles and 0.0 < r < _LIMIT_RATIO:
                             tail = d * r / (1.0 - r)
                             if (abs(tail) * (10.0 * drift + 1e-12) / (1.0 - r) < tol
                                     and abs(sum(batch[j + 1:])) <= abs(tail) + tol):
                                 return total + tail
-            segments *= 2
+            segments = 2 * segments if direction < 0 else segments + _LIMIT_STEP_TO_INF
 
     def _position(self, u, direction: float):
         """log x at ``u`` sample steps outward from y0; exact steps, so every batch agrees."""
@@ -426,6 +442,8 @@ class _Table:
         from the spread bound.
         """
         built, values, sampled = edge
+        if built == 0 and direction > 0:
+            ahead = max(ahead, _FIRST_AHEAD)
         stop = max(built, int(direction * (target - self._t0) // _PANEL_MAX)) + 1 + ahead
         while direction * (target - self._position(stop * _SAMPLES, direction)) >= 0.0:
             stop += 1
@@ -443,12 +461,16 @@ class _Table:
         log_s = np.cumsum(np.concatenate([[sampled], steps]))
         spread = np.where(np.abs(log_s) > _EXP_SATURATED, 0.0, np.abs(rate) + 2.0)
 
-        # each sample cell takes the widest dyadic block of its segment that meets the bound
+        # each sample cell takes the widest dyadic block of its segment that meets the bound; a
+        # block within one that meets it meets it too, so the halving stops once every block does
         depth = np.zeros(len(u) - 1, dtype=int)
         cells = _SAMPLES
         while cells > 1:
             block = np.maximum(spread[:-1].reshape(-1, cells).max(axis=1), spread[cells::cells])
-            depth += np.repeat(~(cells * _STEP * block <= _PANEL_SPREAD), cells)
+            fail = ~(cells * _STEP * block <= _PANEL_SPREAD)
+            if not fail.any():
+                break
+            depth += np.repeat(fail, cells)
             cells //= 2
         cells = _SAMPLES >> depth
         starts = np.flatnonzero(np.arange(len(depth)) % cells == 0)
@@ -513,27 +535,28 @@ class _Table:
         chain[:, 0] = edge_values
         outer_values = np.empty(_COMPONENTS)
 
-        def integrate(first, last, integrands):
+        def integrate(first, last, integrands, columns=_INTEGRATE.shape[1]):
             """Antiderivatives of components ``first:last`` from their (components, panels,
-            nodes) integrands; their values at the nodes."""
-            both = half * _times(integrands.reshape(-1, _NODES), _INTEGRATE).reshape(
+            nodes) integrands; their values at the nodes, unless ``columns`` leaves them out."""
+            both = half * _times(integrands.reshape(-1, _NODES), _INTEGRATE[:, :columns]).reshape(
                 last - first, count, -1
             )
-            chain[first:last, 1:] = direction * both[..., -1]
+            chain[first:last, 1:] = direction * both[..., _NODES + 1]
             run = np.cumsum(chain[first:last], axis=1)
             # each panel's value at its left end: the inner edge going right, the outer going left
             start = run[:, :-1] if direction > 0 else run[:, 1:]
             coef[:, first:last] = both[..., : _NODES + 1].swapaxes(0, 1)
             coef[:, first:last, 0] += start.T
             outer_values[first:last] = run[:, -1]
-            return start[..., None] + both[..., _NODES + 1:]
+            return start[..., None] + both[..., _NODES + 2:]
 
         with np.errstate(over="ignore", invalid="ignore"):
             (log_s,) = integrate(_LOG_S, _S, rate[None])
             s_x = np.exp(log_s) * x
             m_x = weight * np.exp(-log_s)
             scale, mass, first = integrate(_S, _XI, np.stack([s_x, m_x, m_x * x]))
-            integrate(_XI, _ENT + 1, np.stack([mass * s_x, first * s_x, scale * m_x]))
+            # the last stage feeds no other: its coefficients and its value at 1 suffice
+            integrate(_XI, _ENT + 1, np.stack([mass * s_x, first * s_x, scale * m_x]), _NODES + 2)
         return coef, outer_values
 
     @staticmethod

@@ -1,13 +1,18 @@
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from helpers import simpson_refine
 from oracle import LogisticOracle, integrate, integrate_to_zero
 
+from harvestfield import diffusion
 from harvestfield.diffusion import (
+    _M,
+    _XM,
     _calculus,
+    _Table,
     custom_model,
     logistic_model,
     model_from_dict,
@@ -408,6 +413,82 @@ def test_table_limit_does_not_settle_inside_a_trough():
     assert calc.S(3.0) > 1e135
     with pytest.raises(DivergenceError, match="toward infinity"):
         calc._table.limit(_S, 1.0)
+
+
+def test_table_limit_does_not_settle_while_the_increments_grow():
+    # drift x (2 - 0.5 x), noise 0.3 x^0.75: s tends to a constant of about e^44 toward 0, so
+    # m ~ x^-1.5 and M diverges there; its increments fall below 1e-15 of the sum by y0 e^-3,
+    # reach their least near y0 e^-9 and grow again, still negligible at y0 e^-16
+    model = custom_model(lambda x: x * (2.0 - 0.5 * x), lambda x: 0.3 * x**0.75, y0=1.0)
+    report = validate_assumptions(model)
+    assert not report.speed_mass_finite
+    assert any("toward 0 diverges" in note for note in report.notes)
+
+
+# ---------------------------------------------------------------------------
+# the cost of a fresh table: growths, panels and limit batches
+# ---------------------------------------------------------------------------
+
+SCENARIOS = resources.files("harvestfield") / "scenarios"
+CUSTOM = {"kind": "custom", "drift": "x*(1.5 - 0.5*x)", "vol": "x", "y0": 1.0}
+# CIR-like models, on which the BLAS row sums of a limit moved by 1 ulp with the batch size
+CIR_LIKE = [
+    {"kind": "custom", "drift": "1.864000276116111*(1.1065008906929024 - x)",
+     "vol": "0.3075462903804457*x^0.5", "y0": 1.0},
+    {"kind": "custom", "drift": "1.2011262532185845*(1.9841066452313123 - x)",
+     "vol": "0.3771338318887948*x^0.5", "y0": 1.0},
+]
+
+
+def _growths(monkeypatch, run) -> list[tuple[float, int]]:
+    """``(direction, panels)`` of every table growth that ``run()`` makes."""
+    grow = _Table._grow
+    growths = []
+
+    def counted(self, edge, direction, target, ahead, count):
+        bounds, coef, new_edge = grow(self, edge, direction, target, ahead, count)
+        growths.append((direction, len(bounds)))
+        return bounds, coef, new_edge
+
+    monkeypatch.setattr(_Table, "_grow", counted)
+    run()
+    return growths
+
+
+def _cli_growths(monkeypatch, tmp_path, command, name):
+    from harvestfield.cli import main
+
+    scenario, out = str(SCENARIOS / f"{name}.json"), str(tmp_path / "out")
+    return _growths(monkeypatch, lambda: main([command, "--scenario", scenario, "--out", out]))
+
+
+@pytest.mark.parametrize("name", ["logistic-harvest-rate", "logistic-expected-stock"])
+def test_bundled_logistic_compare_grows_the_table_once(monkeypatch, tmp_path, name):
+    # the first growth to the right reaches y0 e^2 and past, which covers the whole scan
+    assert len(_cli_growths(monkeypatch, tmp_path, "compare", name)) == 1
+
+
+@pytest.mark.parametrize("command", ["solve-single", "compare"])
+def test_bundled_custom_run_grows_the_table_at_most_three_times(monkeypatch, tmp_path, command):
+    growths = _cli_growths(monkeypatch, tmp_path, command, "custom-logistic-harvest-rate")
+    assert len(growths) <= 3
+    assert [direction for direction, _ in growths].count(-1.0) == 1
+
+
+def test_speed_totals_of_the_custom_model_build_few_panels(monkeypatch):
+    calc = _calculus(model_from_dict(CUSTOM))
+    growths = _growths(monkeypatch, lambda: (calc.speed_mass_total(), calc.xm_total()))
+    assert sum(panels for _, panels in growths) <= 400
+
+
+@pytest.mark.parametrize("data", [CUSTOM, *CIR_LIKE], ids=["custom", "cir-1", "cir-2"])
+def test_limit_toward_0_does_not_depend_on_the_first_batch(monkeypatch, data):
+    limits = []
+    for first in (32, 64):
+        monkeypatch.setattr(diffusion, "_LIMIT_FIRST_TO_0", first)
+        table = _calculus(model_from_dict(data))._table
+        limits.append((table.limit(_M, -1.0), table.limit(_XM, -1.0)))
+    assert limits[0] == limits[1]
 
 
 # ---------------------------------------------------------------------------
