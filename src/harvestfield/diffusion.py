@@ -188,7 +188,7 @@ _PANEL_SPREAD = 2.0     # bound on the change of log s (plus 2) across one panel
 _PANEL_TAIL = 1e-13     # bound on the top Chebyshev coefficients of each integrand
 _EXP_SATURATED = 800.0  # |log s| beyond which s and m are 0 or inf in double precision
 _AHEAD = 2              # segments built past the one a scalar query needs, so outward searches grow less often
-_FIRST_AHEAD = 3        # segments the first growth to the right builds past the query's, so at least out to y0 e^2
+_FIRST_AHEAD = 3        # segments the first right growth builds past the query's, so it reaches y0 e^2
 _MAX_PANELS = 20_000
 _SIGMA2_MIN = np.finfo(float).tiny   # a subnormal sigma^2 counts as vanishing: d log s / dt is noise there
 # segments of the first batch of a limit: toward 0 down to y0 e^-16, which settles most models in
@@ -372,7 +372,7 @@ class _Table:
         increments have not yet climbed back past the tolerance.
         """
         toward = "0" if direction < 0 else "infinity"
-        outward = direction * 2.0 * (np.arange(_NODES + 1) % 2)   # coefficients -> outward increment
+        outward = direction * 2.0 * (np.arange(_NODES + 1) % 2)[:, None]   # coefficients -> outward increment
         total, increments, negligible = 0.0, [], 0
         segments = _LIMIT_FIRST_TO_0 if direction < 0 else _LIMIT_FIRST_TO_INF
         while True:
@@ -382,9 +382,7 @@ class _Table:
             starts = np.searchsorted(bounds, edges)
             lo, hi = min(starts[0], starts[-1]), max(starts[0], starts[-1])
             with np.errstate(invalid="ignore", over="ignore"):   # a non-finite sum raises below
-                new = np.add.reduceat(
-                    np.einsum("pk,k->p", coef[lo:hi, component], outward), np.sort(starts)[:-1] - lo
-                )
+                new = np.add.reduceat(_times(coef[lo:hi, component], outward)[:, 0], np.sort(starts)[:-1] - lo)
             batch = (new if direction > 0 else new[::-1]).tolist()
             # increments that grow at the batch's far end may climb back past the tolerance
             final = increments[-2:] + batch[-3:]
