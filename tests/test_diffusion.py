@@ -416,7 +416,7 @@ def test_table_limit_does_not_settle_inside_a_trough():
 
 
 def test_table_limit_does_not_settle_while_the_increments_grow():
-    # drift x (2 - 0.5 x), noise 0.3 x^0.75: s tends to a constant near e^89 toward 0, so
+    # drift x (2 - 0.5 x), noise 0.3 x^0.75: s tends to a constant near e^81 toward 0, so
     # m ~ x^-1.5 and M diverges there; its increments fall below 1e-15 of the sum by y0 e^-2,
     # reach their least near y0 e^-9 and grow again, still negligible at y0 e^-40
     model = custom_model(lambda x: x * (2.0 - 0.5 * x), lambda x: 0.3 * x**0.75, y0=1.0)
