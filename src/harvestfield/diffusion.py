@@ -455,8 +455,9 @@ class _Table:
         if len(vanishing):
             j = int(vanishing[0])
             self._vanishing(*sorted(self._position(u[[max(j - 1, 0), j]], direction)))
-        steps = (0.5 * direction * _STEP) * (rate[:-1] + rate[1:])
-        log_s = np.cumsum(np.concatenate([[sampled], steps]))
+        with np.errstate(over="ignore", invalid="ignore"):   # the node checks report a rate past range
+            steps = (0.5 * direction * _STEP) * (rate[:-1] + rate[1:])
+            log_s = np.cumsum(np.concatenate([[sampled], steps]))
         spread = np.where(np.abs(log_s) > _EXP_SATURATED, 0.0, np.abs(rate) + 2.0)
 
         # each sample cell takes the widest dyadic block of its segment that meets the bound; a

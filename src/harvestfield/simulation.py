@@ -34,6 +34,17 @@ coefficients agree to the last bit (they do for the logistic model), and
 since a chunk leaves on its own live count, stacking changes nothing for any
 model. On 2 vCPUs, 1e5 hitting-time cycles to y = 5.13 (13 chunks) take
 7.9-8.1 s against 13.6-14.0 s on one thread.
+
+When all chunks step in one group (fewer than two groups' worth of paths,
+as for the long-run estimators of the bundled scenarios) and a second CPU is
+usable, a worker thread draws each chunk's normals ahead, in its generator's
+order, into two buffers per chunk that the stepping thread allocated, and
+the stepping thread copies each block out of them. The buffers hold 2**16
+normals each, or one block of a whole chunk if that is more, and 2**20 in
+all (8 MB); a group that would need more draws inline, as do groups on a
+host with one usable CPU and every group of a run with two or more. A
+generator's normal stream does not depend on how many normals each call
+draws, so every block, and every estimate, keeps its bits.
 """
 
 from __future__ import annotations
@@ -77,6 +88,16 @@ _TAIL_PATHS = 24
 # a second CPU gains (on 2 vCPUs, two groups took 1.1-1.4x as long as one for
 # 1709 or 8192 paths in 512- to 4096-path chunks, and 0.7-0.8x for 24576)
 _GROUP_PATHS = 8192
+
+# when the chunks step in one group and another CPU is free, a worker thread
+# draws each chunk's normals ahead into two buffers of this many, or of one
+# block of a whole chunk if that is more (2 x 2**16 normals is 1 MB a chunk)
+_AHEAD_NORMALS = 2**16
+# all look-ahead buffers of a run hold at most this many normals (8 MB); a
+# group that would need more draws inline. Smaller buffers for more chunks did
+# not pay: on 2 vCPUs, 24 chunks of 512 paths with 21845 normals a buffer took
+# as long as inline draws, and 300 chunks of 16 with 1747 took 1.15x as long
+_AHEAD_CAP = 2**20
 
 _EPS_FLOOR = 1e-8   # positivity floor of every Euler step; activations are counted
 _TIME_CAP = 1e4     # hard cap on each sampled cycle; capped cycles are counted
@@ -226,21 +247,25 @@ def _first_passages(
     Chunk ``c`` of ``config.chunk_size`` paths draws from ``_rng(seed, c)``
     and goes to group ``c % groups``: one group per usable CPU, or fewer so
     that each has ``_GROUP_PATHS`` paths. Each group steps on its own thread
-    with :func:`_step_group`.
+    with :func:`_step_group`. A lone group on a host with another usable CPU
+    has its normals drawn ahead by :class:`_DrawAhead`, within ``_AHEAD_CAP``.
     """
     if not 1 <= n <= _MAX_CYCLES:   # also rejects NaN
         raise DomainError(f"{n:.4g} cycles requested; at least 1 and at most {_MAX_CYCLES} allowed")
     size = min(config.chunk_size, n)   # a chunk of n paths or more is the one chunk
     rngs = [_rng(config.seed, c) for c in range(-(-n // size))]
-    groups = max(1, min(_usable_cpus(), len(rngs), n // _GROUP_PATHS))
+    cpus = _usable_cpus()
+    groups = max(1, min(cpus, len(rngs), n // _GROUP_PATHS))
     ids = np.arange(n)
     out = (np.full(n, _TIME_CAP), np.zeros(n), np.empty(n))   # times, integrals, pre-states
     coefficients = _vector_coefficients(model)
     detect = _detection_level(model, threshold, config)
+    ahead = _ahead_length(size, len(rngs)) if groups == 1 and cpus > 1 else 0
 
     def step(group: int) -> tuple[int, int]:
         own = ids[ids // size % groups == group]
-        return _step_group(model, coefficients, own, size, rngs, detect, config, running, out)
+        with (_DrawAhead(rngs, size, ahead) if ahead else _Draws(rngs, size)) as normals:
+            return _step_group(model, coefficients, own, size, normals, detect, config, running, out)
 
     counts = _on_threads(step, groups)
     floored = sum(f for f, _ in counts)
@@ -289,12 +314,121 @@ def _on_threads(task: Callable[[int], object], count: int) -> list:
     return results
 
 
+def _ahead_length(size: int, chunks: int) -> int:
+    """Normals in each look-ahead buffer of ``chunks`` chunks of ``size``; 0 to draw inline."""
+    length = max(_AHEAD_NORMALS, _BLOCK_STEPS * size)
+    return length if 2 * chunks * length <= _AHEAD_CAP else 0
+
+
+class _Draws:
+    """Each chunk's normals, drawn from its generator when they are asked for."""
+
+    def __init__(self, rngs: list[np.random.Generator], size: int):
+        self._rngs = rngs
+        self._block = np.empty(_BLOCK_STEPS * size)   # reused for every block
+
+    def __call__(self, chunk: int, steps: int, count: int) -> np.ndarray:
+        """The chunk's next ``steps * count`` normals as rows of ``count``; valid until the next call."""
+        return self._rngs[chunk].standard_normal(out=self._block[: steps * count].reshape(steps, count))
+
+    def __enter__(self) -> "_Draws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+class _DrawAhead(_Draws):
+    """Each chunk's normals, drawn ahead on a worker thread.
+
+    Every chunk has two buffers of ``length`` normals, allocated here on the
+    stepping thread; the worker fills them in turn with the chunk's next
+    normals, and a buffer goes back to the worker once it has been read to
+    its end. A generator's normal stream does not depend on how many are
+    drawn at a time, so every block holds the bits that :class:`_Draws`
+    gives it. ``length`` holds at least one block of a whole chunk, so a
+    block spans at most two buffers. Leaving the ``with`` block stops the
+    worker and joins it; an error of the worker is raised on the stepping
+    thread.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], size: int, length: int):
+        import queue   # here, so that importing this module does not load it
+
+        super().__init__(rngs, size)
+        self._buffers = [(np.empty(length), np.empty(length)) for _ in rngs]
+        self._filled = [(threading.Event(), threading.Event()) for _ in rngs]
+        self._reading = [0] * len(rngs)   # the buffer each chunk reads
+        self._read = [0] * len(rngs)      # normals read from it
+        self._requests = queue.SimpleQueue()   # (chunk, buffer) to fill, in turn; None stops
+        for buffer in (0, 1):
+            for chunk in range(len(rngs)):
+                self._requests.put((chunk, buffer))
+        self._stopping = False
+        self._error: Optional[BaseException] = None
+        self._worker = threading.Thread(target=self._draw, name="draw-ahead", daemon=True)
+
+    def _draw(self) -> None:
+        try:
+            while (request := self._requests.get()) is not None and not self._stopping:
+                chunk, buffer = request
+                self._rngs[chunk].standard_normal(out=self._buffers[chunk][buffer])
+                self._filled[chunk][buffer].set()
+        except BaseException as exc:   # raised on the stepping thread when it waits
+            self._error = exc
+            for events in self._filled:
+                for event in events:
+                    event.set()
+
+    def _current(self, chunk: int) -> np.ndarray:
+        """The buffer the chunk reads, once the worker has filled it."""
+        buffer = self._reading[chunk]
+        self._filled[chunk][buffer].wait()
+        if self._error is not None:
+            raise self._error
+        return self._buffers[chunk][buffer]
+
+    def _release(self, chunk: int) -> None:
+        """Hand the buffer the chunk reads back to the worker; read the other."""
+        buffer = self._reading[chunk]
+        self._filled[chunk][buffer].clear()
+        self._requests.put((chunk, buffer))
+        self._reading[chunk] = 1 - buffer
+        self._read[chunk] = 0
+
+    def __call__(self, chunk: int, steps: int, count: int) -> np.ndarray:
+        need, buffer = steps * count, self._current(chunk)
+        if self._read[chunk] == len(buffer):   # read to its end by the last call
+            self._release(chunk)
+            buffer = self._current(chunk)
+        lo = self._read[chunk]
+        if lo + need <= len(buffer):
+            self._read[chunk] = lo + need
+            return buffer[lo : lo + need].reshape(steps, count)
+        head = len(buffer) - lo
+        block = self._block[:need]
+        block[:head] = buffer[lo:]
+        self._release(chunk)
+        block[head:] = self._current(chunk)[: need - head]
+        self._read[chunk] = need - head
+        return block.reshape(steps, count)
+
+    def __enter__(self) -> "_DrawAhead":
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopping = True
+        self._requests.put(None)
+        self._worker.join()
+
+
 def _step_group(
     model: DiffusionModel,
     coefficients: tuple[Callable, Callable],
     ids: np.ndarray,
     size: int,
-    rngs: list[np.random.Generator],
+    normals: _Draws,
     detect: float,
     config: SimConfig,
     running: Optional[Callable[[np.ndarray], np.ndarray]],
@@ -302,7 +436,8 @@ def _step_group(
 ) -> tuple[int, int]:
     """Step the cycles ``ids`` (whole chunks of ``size``, in chunk order) to the end.
 
-    All the group's chunks step together in one array; paths that cross keep
+    Each block's normals come from ``normals``, chunk by chunk. All the
+    group's chunks step together in one array; paths that cross keep
     stepping to the end of the block, where they are recorded at their first
     crossing and dropped. A chunk down to ``_TAIL_PATHS`` live paths at a
     block end leaves the array for :func:`_finish_chunk`, which draws and
@@ -314,14 +449,12 @@ def _step_group(
     times, integrals, pre_states = out
     drift, vol = coefficients
     dt, sqdt, floor = config.dt, math.sqrt(config.dt), _EPS_FLOOR
-    live = np.bincount(ids // size, minlength=len(rngs))
+    live = np.bincount(ids // size)   # live paths per chunk index
     x = np.full(ids.size, model.restart_level)
     acc = np.zeros(ids.size)
     floored = capped = 0
     max_steps = int(math.ceil(_TIME_CAP / dt))
-    # one buffer for the stacked block, one for a chunk's draws; both reused
-    buffer = np.empty(_BLOCK_STEPS * ids.size)
-    draws = np.empty(_BLOCK_STEPS * size)
+    buffer = np.empty(_BLOCK_STEPS * ids.size)   # the stacked block, reused
     done = 0
     while ids.size and done < max_steps:
         tail = (live > 0) & (live <= _TAIL_PATHS)
@@ -330,7 +463,7 @@ def _step_group(
             for c in np.flatnonzero(tail):
                 sel = chunk == c
                 f, cap = _finish_chunk(
-                    model, rngs[c], ids[sel], x[sel], acc[sel], done, max_steps,
+                    model, normals, c, ids[sel], x[sel], acc[sel], done, max_steps,
                     detect, config, running, out,
                 )
                 floored += f
@@ -342,10 +475,9 @@ def _step_group(
         steps = min(_BLOCK_STEPS, max_steps - done)
         path = buffer[: steps * ids.size].reshape(steps, ids.size)
         lo = 0
-        for rng, count in zip(rngs, live):
+        for c, count in enumerate(live.tolist()):
             if count:
-                block = draws[: steps * count].reshape(steps, count)
-                path[:, lo : lo + count] = rng.standard_normal(out=block)
+                path[:, lo : lo + count] = normals(c, steps, count)
                 lo += count
         path *= sqdt
         start = x
@@ -374,7 +506,7 @@ def _step_group(
             keep = np.ones(ids.size, dtype=bool)
             keep[cols] = False
             ids, x, acc = ids[keep], x[keep], acc[keep]
-            live = np.bincount(ids // size, minlength=len(rngs))
+            live = np.bincount(ids // size)
         done += steps
     integrals[ids] = acc
     pre_states[ids] = x
@@ -389,7 +521,8 @@ def _running_gains(running: Callable, left: np.ndarray, dt: float) -> np.ndarray
 
 def _finish_chunk(
     model: DiffusionModel,
-    rng: np.random.Generator,
+    normals: _Draws,
+    chunk: int,
     ids: np.ndarray,
     x: np.ndarray,
     acc: np.ndarray,
@@ -403,7 +536,7 @@ def _finish_chunk(
     """Step one chunk's last live paths in plain floats from step ``done`` on.
 
     The stacked engine's twin, bit for bit: the same ``(steps, live)`` blocks
-    from the chunk's generator with the live count shrinking only at block
+    of the chunk's normals with the live count shrinking only at block
     ends, each path stepped by :func:`_euler_steps`, and the running integrand
     called once per block on the matrix of left states. Results go to ``out``
     (times, integrals, pre-states) at ``ids``; returns the clamp count and the
@@ -415,9 +548,9 @@ def _finish_chunk(
     floored = 0
     while ids and done < max_steps:
         steps = min(_BLOCK_STEPS, max_steps - done)
-        normals = (rng.standard_normal((steps, len(ids))) * math.sqrt(dt)).T.tolist()
+        rows = (normals(chunk, steps, len(ids)) * math.sqrt(dt)).T.tolist()
         lasts, crossed, stay, lefts = [], [], [], []
-        for j, (row, y) in enumerate(zip(normals, xs)):
+        for j, (row, y) in enumerate(zip(rows, xs)):
             left = [y]
             crossing, clamps = _euler_steps(drift, vol, row, dt, detect, left)
             floored += clamps

@@ -4,6 +4,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harvestfield.cli import main
@@ -340,6 +341,23 @@ def test_density_csv_cells_are_numbers(tmp_path):
     assert len(rows) > 10
     for x, pdf, cdf in ([float(cell) for cell in row] for row in rows[1:]):
         assert x > 0.0 and pdf >= 0.0 and 0.0 <= cdf <= 1.0 + 1e-9
+
+
+def test_columns_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    from harvestfield.cli import _CSV_ROWS, _write_columns_csv
+
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -2.5e-17]
+    rows = 2 * _CSV_ROWS + 3   # more than one batch of rows, the last one partial
+    first = np.resize(np.array(floats), rows)
+    second = np.resize(np.array(floats[::-1]), rows)
+    ints = np.resize(np.array([0, 1, -7, 2**53 + 1]), rows)
+    header = ["t", "x", "impulse_flag"]
+    _write_columns_csv(tmp_path / "columns.csv", header, first, second, ints)
+    with open(tmp_path / "writer.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(first.tolist(), second.tolist(), ints.tolist()))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 def test_simulate_seed_determinism(tmp_path):
@@ -924,6 +942,15 @@ def test_power_of_a_negative_base_is_not_finite(tmp_path, capsys, command):
     code, _ = run(tmp_path, command, with_section(tmp_path, CUSTOM_SCENARIO, model=model))
     assert code == 3
     assert "drift is not finite" in capsys.readouterr().err
+
+
+def test_rate_past_double_range_in_a_growth_is_not_finite(tmp_path, capsys):
+    # 2 mu x / sigma^2 = 0.002 x^-61 + ... passes 1e308 near x = 1e-5, where the table's
+    # first growth toward 0 samples it; the sampled rates' sum overflows there
+    model = {"kind": "custom", "drift": "x*(1.5 - 0.5*x) + 0.001*(1/x)^60", "vol": "x", "y0": 1.0}
+    code, _ = run(tmp_path, "solve-single", with_section(tmp_path, CUSTOM_SCENARIO, model=model))
+    assert code == 3
+    assert "drift is not finite on [" in capsys.readouterr().err
 
 
 def _key_paths(value, prefix=""):

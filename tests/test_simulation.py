@@ -217,6 +217,60 @@ def test_cycles_do_not_depend_on_the_worker_count(benchmark_model, monkeypatch, 
     assert threading.main_thread().name in finishers and len(finishers) > 1
 
 
+class _RecordedDrawAhead(simulation._DrawAhead):
+    """The look-ahead, noting the normals its buffers hold in ``held``."""
+
+    held: list = []
+
+    def __init__(self, rngs, size, length):
+        super().__init__(rngs, size, length)
+        self.held.append(sum(buffer.size for pair in self._buffers for buffer in pair))
+
+
+@pytest.mark.parametrize("ahead", [2**16, 1])
+@pytest.mark.parametrize("case", ["bundled", "floor", "power", "cap"])
+def test_normals_drawn_ahead_match_normals_drawn_inline(benchmark_model, monkeypatch, case, ahead):
+    # one group of 1 to 3 chunks, stepped on its own with normals drawn inline (one usable
+    # CPU) and drawn ahead on a worker (two); buffers of one block (ahead = 1) make blocks
+    # straddle two buffers whenever the live count leaves the block size off a buffer's end
+    model, threshold, n, config, running = _tail_case(case, benchmark_model)
+    if case == "cap":
+        monkeypatch.setattr(simulation, "_TIME_CAP", 10.0)
+    monkeypatch.setattr(simulation, "_AHEAD_NORMALS", ahead)
+    monkeypatch.setattr(simulation, "_DrawAhead", _RecordedDrawAhead)
+    monkeypatch.setattr(_RecordedDrawAhead, "held", [])
+    finished = []
+
+    def spy(*args, _finish=simulation._finish_chunk):
+        finished.append(_finish(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(simulation, "_finish_chunk", spy)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+        runs.append(_first_passages(model, threshold, n, config, running=running))
+    for field, got, want in zip(runs[0]._fields, runs[1], runs[0]):
+        assert np.array_equal(got, want), field
+    assert len(_RecordedDrawAhead.held) == 1 and finished
+    assert runs[0].floored > 0 if case == "floor" else True
+    assert runs[0].capped > 0 if case == "cap" else True
+
+
+def test_look_ahead_buffers_stay_under_the_cap(benchmark_model, monkeypatch):
+    # 16-path chunks in one group: 8 of them fill the cap with 2 x 2**16 normals each;
+    # 300 would need 300 MB at that size, so they draw inline
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_DrawAhead", _RecordedDrawAhead)
+    config = SimConfig(dt=1e-2, seed=7, chunk_size=16)
+    for chunks, drawn_ahead in ((8, 1), (300, 0)):
+        monkeypatch.setattr(_RecordedDrawAhead, "held", [])
+        cycles = _first_passages(benchmark_model, 1.5, 16 * chunks, config)
+        assert np.all(cycles.times < simulation._TIME_CAP)
+        assert len(_RecordedDrawAhead.held) == drawn_ahead
+        assert all(held <= simulation._AHEAD_CAP for held in _RecordedDrawAhead.held)
+
+
 def test_groups_take_at_least_group_paths_each(benchmark_model, monkeypatch):
     # 5 chunks of 50 paths on 4 CPUs, but 100 paths a group at least: 2 groups
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 4)
@@ -255,6 +309,41 @@ def test_worker_error_reaches_the_caller_and_every_thread_ends(benchmark_model, 
     overflow = _fail_off_the_calling_thread(lambda x: np.exp(x + 1e3))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         _first_passages(benchmark_model, 3.0, 200, config, running=overflow)
+    assert threading.active_count() == before
+
+    # in one group the normals are drawn ahead on a worker, which ends after a return,
+    # after an error of the stepping thread and after an error of its own
+    monkeypatch.setattr(simulation, "_GROUP_PATHS", 1000)
+    seen = set()
+
+    def running(x):
+        seen.update(thread.name for thread in threading.enumerate())
+        if len(seen) > 1 and raising:
+            raise KeyError("stepping thread")
+        return x
+
+    raising = False
+    _first_passages(benchmark_model, 3.0, 200, config, running=running)
+    assert "draw-ahead" in seen
+    assert threading.active_count() == before
+    raising = True
+    with pytest.raises(KeyError, match="stepping thread"):
+        _first_passages(benchmark_model, 3.0, 200, config, running=running)
+    assert threading.active_count() == before
+
+    class FailingOffTheCallingThread:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise KeyError("draw worker")
+            return self._rng.standard_normal(*args, **kwargs)
+
+    rng = simulation._rng
+    monkeypatch.setattr(simulation, "_rng", lambda seed, stream: FailingOffTheCallingThread(rng(seed, stream)))
+    with pytest.raises(KeyError, match="draw worker"):
+        _first_passages(benchmark_model, 3.0, 200, config, running=lambda x: x)
     assert threading.active_count() == before
 
 
