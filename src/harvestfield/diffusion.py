@@ -746,20 +746,17 @@ class _Calculus:
 
     def xi_prime(self, y):
         """xi'(y) = s(y) M[0, y] > 0."""
+        if isinstance(y, (float, int)):
+            return self.xi_derivatives(y, 1)[1]
         self._check_domain(y)
         value = self.s(y) * self.M0(y)
         return float(value) if np.ndim(y) == 0 else value
 
     def xi_second(self, y):
         """xi''(y) = (2 / sigma^2(y)) * (1 - mu(y) xi'(y)), the generator identity."""
+        if isinstance(y, (float, int)):
+            return self.xi_derivatives(y)[2]
         self._check_domain(y)
-        if isinstance(y, float):
-            # the safeguarded Newton solve calls this once per step: no numpy round trip
-            try:
-                sigma2 = float(self.volatility(y)) ** 2
-            except OverflowError:
-                raise DomainError(f"sigma^2 overflows at x = {y}") from None
-            return 2.0 / sigma2 * (1.0 - float(self.drift(y)) * self.s(y) * self.M0(y))
         ya = np.asarray(y, dtype=float)
         mu_y = np.asarray(self.drift(ya))
         sigma2 = np.asarray(self.volatility(ya)) ** 2
@@ -769,12 +766,19 @@ class _Calculus:
     def xi_derivatives(self, y: float, order: int = 2) -> tuple[float, ...]:
         """``(xi, xi')`` at one threshold ``y >= y0``, and ``xi''`` too at ``order`` 2, from one lookup.
 
-        Each value has the bits of the separate :meth:`xi`, :meth:`xi_prime`
-        and :meth:`xi_second` reads, and raises their errors in that order:
-        :class:`DivergenceError` where ``xi``, ``s`` or ``M0`` overflows, then
-        :class:`DomainError` where ``sigma^2`` does.
+        Each value has the bits of the separate reads :meth:`xi`,
+        ``s(y) * M0(y)`` and ``2/sigma^2 (1 - mu s(y) M0(y))``. At order 2 a
+        ``sigma^2`` that overflows raises :class:`DomainError` before the table
+        is read; then ``xi``, ``s`` or ``M0`` overflowing raises
+        :class:`DivergenceError`, in that order. :meth:`xi_prime` and
+        :meth:`xi_second` read floats through it.
         """
         self._check_domain(y)
+        if order == 2:
+            try:
+                sigma2 = float(self.volatility(y)) ** 2
+            except OverflowError:
+                raise DomainError(f"sigma^2 overflows at x = {y}") from None
         below = self._below_y0(0)
         log_s, scale, mass, tail = self._table.point(y, (_LOG_S, _S, _M, _XI))
         xi = self._finite(below * scale + tail, y, "xi")
@@ -785,10 +789,6 @@ class _Calculus:
         m0 = self._finite(below + mass, y, "M0", "speed density")
         if order == 1:
             return xi, s * m0
-        try:
-            sigma2 = float(self.volatility(y)) ** 2
-        except OverflowError:
-            raise DomainError(f"sigma^2 overflows at x = {y}") from None
         return xi, s * m0, 2.0 / sigma2 * (1.0 - float(self.drift(y)) * s * m0)
 
     def cycle_stock_derivatives(self, y: float) -> tuple[float, float]:

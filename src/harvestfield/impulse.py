@@ -6,24 +6,19 @@ over thresholds y, with ``P`` the cycle stock: the basic problem at
 argument (linear reward ``p (y - y0)``, holding cost ``h(x) = a x`` on the
 stock, divided through by p). The maximizer is the root of
 
-    G(y) = (1 - a P'(y)) xi(y) - (y - y0 - Kt - a P(y)) xi'(y),
+    g(y) = (1 - a P'(y)) xi(y)/xi'(y) - (y - y0 - Kt - a P(y)),
 
-which at ``a = 0`` is ``F = xi - (y - y0 - Kt) xi'``. There
-``F(y0 + Kt) = xi(y0 + Kt) >= 0`` and the slope is
-``F' = -(y - y0 - Kt) * xi''(y)``: positive while xi is concave, negative
-once it has turned convex, and xi'' changes sign at most once. So F cannot
-change sign on the concave stretch, and doubling the right end from
-``y0 + Kt`` brackets the one root. With a holding cost the root may lie
-left of ``y0 + Kt`` instead, inside ``[y0, y0 + Kt]`` since
-``G(y0) = Kt xi'(y0) > 0``. A safeguarded Newton iteration (Newton steps
-that fall back to bisection whenever they leave the bracket) converges to
-it in a handful of steps, each reading ``xi``, ``xi'`` and ``xi''`` from one
-table lookup. At ``Kt > 0`` and ``a = 0`` it runs on the paper's explicit
-form of the condition, ``k(y) = y - y0 - xi/xi' = Kt``, that is on
-``F/xi' = xi/xi' - (y - y0 - Kt)``, which is close to linear where F grows
-exponentially. At ``Kt = 0`` the two terms of that ratio cancel near a
-convex start, so the zero-cost solve, and the holding-cost problem, run on
-G itself.
+which at ``a = 0`` is the paper's explicit form ``k(y) = y - y0 - xi/xi' = Kt``.
+There ``g(y0 + Kt) = xi/xi' >= 0`` and ``g' = -(xi/xi')(xi''/xi')``:
+positive while xi is concave, negative once it has turned convex, and xi''
+changes sign at most once. So g cannot change sign on the concave stretch,
+and doubling the right end from ``y0 + Kt`` brackets the one root. With a
+holding cost the root may lie left of ``y0 + Kt`` instead, inside
+``[y0, y0 + Kt]`` since ``g(y0) = Kt > 0``. A safeguarded Newton iteration
+(Newton steps that fall back to bisection whenever they leave the bracket)
+converges to it in a handful of steps, each reading ``xi``, ``xi'`` and
+``xi''`` from one table lookup. g is close to linear where ``xi`` grows
+exponentially.
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -63,12 +58,10 @@ __all__ = [
     "verify_solution",
 ]
 
-# stopping tests of _solve_threshold. On G: Newton step or bracket width relative to
-# the root, and |G|/xi at the accepted root. On the ratio form g: the Newton step
-# (_RATIO_REL_TOL) and |g| (_OBJECTIVE_REL_TOL), both relative to the root
-_BRACKET_REL_TOL = 1e-9
+# stopping tests of _solve_threshold: |g| (_OBJECTIVE_REL_TOL), and the Newton step or
+# the bracket width (_STEP_REL_TOL), both relative to the root
 _OBJECTIVE_REL_TOL = 1e-10
-_RATIO_REL_TOL = 1e-8
+_STEP_REL_TOL = 1e-8
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
 _ROOT_MAX_ITER = 200          # budget of every zeroin refinement
 _TARGET_REL_TOL = 1e-11       # x tolerance of the stopping target, relative to its bracket
@@ -80,7 +73,7 @@ _VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 class ThresholdSolution:
     threshold: float
     value: float                 # long-run reward rate of R(threshold)
-    residual: float              # |g|/y at the last ratio-form iterate, or |G|/xi at the threshold
+    residual: float              # |g|/y at the last iterate
     bracket: tuple[float, float]
     iterations: int
     profitable: bool = True
@@ -95,78 +88,67 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
     """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: a root by safeguarded Newton.
 
     ``Kt`` is ``k_tilde``, ``a`` is ``holding`` and ``P`` the table's cycle
-    stock. The first-order condition is ``G = (1 - a P') xi - N xi'``, with
-    ``N = y - y0 - Kt - a P`` and ``P' = xm0 s``; at ``a = 0`` it is F, and
-    P is never read. Since ``G(y0) = Kt xi'(y0) > 0``, the root lies in
-    ``[y0, y0 + Kt]`` if ``G(y0 + Kt) < 0``; otherwise a doubling phase from
+    stock, with ``P' = xm0 s`` and ``P'' = (2/sigma^2)(y - mu P')``. The
+    condition is ``g = (1 - a P') xi/xi' - N`` with ``N = y - y0 - Kt - a P``,
+    and its slope is ``g' = -(xi/xi') (a P'' + (1 - a P') xi''/xi')``; at
+    ``a = 0`` P is never read. Since ``g(y0) = Kt > 0``, the root lies in
+    ``[y0, y0 + Kt]`` if ``g(y0 + Kt) < 0``; otherwise a doubling phase from
     ``y0 + Kt`` brackets it. Newton steps (Press et al., Numerical Recipes
-    9.4) from the bracket's midpoint then shrink the bracket by the sign of
-    the condition. A step with a nonnegative slope, or one that leaves the
+    9.4) start from the Newton point of the bracket's evaluated right end, or
+    the midpoint if that point leaves the bracket, and shrink the bracket by
+    the sign of g. A step with a nonnegative slope, or one that leaves the
     closed bracket ``[lo, hi]``, falls back to the midpoint; the bracket is
-    closed so that an iterate at the exact root (condition 0, Newton point
-    on ``hi``) stays put. Every evaluation reads ``xi``, ``xi'`` and ``xi''``
+    closed so that an iterate at the exact root (g = 0, Newton point on
+    ``hi``) stays put. Every evaluation reads ``xi``, ``xi'`` and ``xi''``
     from one table lookup, and ``iterations`` counts the Newton steps.
 
-    At ``Kt > 0`` and ``a = 0`` the condition is the ratio form
-    ``g = F/xi' = xi/xi' - N``, with ``g' = -(xi/xi') (xi''/xi')``. The
-    steps start from the Newton point of the right end, which the doubling
-    phase evaluated, if it lies in the bracket. Newton converges on g
-    quadratically, so once the step is below ``1e-8 y`` and ``|g|`` below
-    ``1e-10 y`` the step's Newton point is the root to rounding: it is the
-    threshold, while the value ``N/xi``, stationary at the root, and the
-    residual ``|g|/y`` are those of the last iterate. Otherwise the condition is G,
-    with ``G' = -a P'' xi - N xi''`` and ``P'' = (2/sigma^2)(y - mu P')``,
-    the residual is ``|G|/xi``, and the solve stops at an iterate where the
-    step or the bracket is below ``1e-9 y`` and the residual below
-    ``1e-10``.
+    Once ``|g|`` is below ``1e-10 y``, a step below ``1e-8 y`` that stays in
+    the bracket ends the solve at its Newton point, the root to rounding by
+    quadratic convergence; else a bracket below ``1e-8 y`` ends it at the
+    iterate, which covers a flat g near a convex start at zero cost. The
+    value ``N/xi``, stationary at the root, and the residual ``|g|/y`` are
+    those of the last iterate.
     """
+    if not math.isfinite(k_tilde):
+        raise DomainError(f"the scaled impulse cost Kt = K/p is {k_tilde}: the price p is too small")
     y0 = calc.y0
-    ratio = k_tilde > 0.0 and not holding
 
-    def condition(y: float) -> tuple[float, float, float, float, float]:
-        """The condition, its slope, ``xi``, ``N`` and the residual at y."""
+    def condition(y: float) -> tuple[float, float, float, float]:
+        """g, its slope, ``xi`` and ``N`` at y."""
         xi, xi_prime, xi_second = calc.xi_derivatives(y)
-        net = y - y0 - k_tilde
-        if ratio:
-            quotient = xi / xi_prime
-            g = quotient - net
-            return g, -quotient * (xi_second / xi_prime), xi, net, abs(g) / y
-        if not holding:
-            g = xi - net * xi_prime
-            return g, -net * xi_second, xi, net, abs(g) / xi
-        stock, stock_slope = calc.cycle_stock_derivatives(y)
-        net -= holding * stock
-        g = (1.0 - holding * stock_slope) * xi - net * xi_prime
-        mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
-        slope = -net * xi_second - holding * 2.0 / sigma**2 * (y - mu * stock_slope) * xi
-        return g, slope, xi, net, abs(g) / xi
+        quotient, net = xi / xi_prime, y - y0 - k_tilde
+        weight, bend = 1.0, xi_second / xi_prime
+        if holding:
+            stock, stock_slope = calc.cycle_stock_derivatives(y)
+            mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
+            net -= holding * stock
+            weight = 1.0 - holding * stock_slope
+            bend = holding * 2.0 / sigma**2 * (y - mu * stock_slope) + weight * bend
+        return weight * quotient - net, -quotient * bend, xi, net
 
-    lo = y0 + k_tilde
-    if holding and condition(lo)[0] < 0.0:
-        lo, hi = y0, lo
-        y_next = 0.5 * (lo + hi)
-    else:
-        hi = 2.0 * lo   # at a = 0, G(lo) = xi(lo) >= 0 and G rises while xi is concave
+    lo, hi = y0, y0 + k_tilde
+    g = 0.0   # at a = 0, g(y0 + Kt) = xi/xi' >= 0 and g rises while xi is concave
+    if holding:
+        g, slope = condition(hi)[:2]
+    if not g < 0.0:
         for _ in range(_BRACKET_DOUBLINGS):
+            lo, hi = hi, 2.0 * hi
             g, slope = condition(hi)[:2]
             if g < 0.0:
                 break
-            lo = hi
-            hi *= 2.0
         else:
             raise NoRootError(
                 f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
                 "doublings; the objective appears to increase without bound"
             )
-        # the ratio form starts from the Newton point of the bracket's evaluated right end
-        newton = hi - g / slope if ratio and slope < 0.0 else math.nan
-        y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+    newton = hi - g / slope if slope < 0.0 else math.nan
+    y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
 
     bracket = (lo, hi)
     iterations = 0
     while iterations < 400:
         y = y_next
-        g, slope, xi, net, residual = condition(y)
+        g, slope, xi, net = condition(y)
         iterations += 1
         if g > 0.0:
             lo = y
@@ -174,13 +156,12 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
             hi = y
         newton = y - g / slope if slope < 0.0 else math.nan
         y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-        if ratio:
-            if y_next == newton and abs(newton - y) < _RATIO_REL_TOL * y and residual < _OBJECTIVE_REL_TOL:
+        residual, tol = abs(g) / y, _STEP_REL_TOL * y
+        if residual < _OBJECTIVE_REL_TOL:
+            if y_next == newton and abs(newton - y) < tol:
                 y = newton
                 break
-        else:
-            tol = _BRACKET_REL_TOL * y
-            if (abs(y_next - y) < tol or hi - lo < tol) and residual < _OBJECTIVE_REL_TOL:
+            if hi - lo < tol:
                 break
 
     value = net / xi
@@ -196,27 +177,28 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
 
 
 def optimal_threshold_basic(model: DiffusionModel, k_tilde: float) -> ThresholdSolution:
-    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: a root of F by safeguarded Newton.
+    """Unique maximizer of ``(y - y0 - k_tilde) / xi(y)``: the root of ``xi/xi' - (y - y0 - k_tilde)``.
 
-    At ``k_tilde > 0`` Newton runs on the ratio form ``xi/xi' - (y - y0 - k_tilde)``
-    (see :func:`_solve_threshold`).
+    Found by :func:`_solve_threshold` with no holding cost.
     """
     calc = _calculus(model)
     if not k_tilde >= 0.0:   # also rejects NaN
         raise DomainError(f"k_tilde must be nonnegative, got {k_tilde}")
     y0 = calc.y0
-    if k_tilde == 0.0 and calc.xi_second(y0) > 0.0:
-        # zero cost with xi convex from the start: (y - y0)/xi(y) decreases on
-        # all of (y0, inf), so the supremum 1/xi'(y0) is approached at y0 itself
-        return ThresholdSolution(
-            threshold=y0,
-            value=1.0 / calc.xi_prime(y0),
-            residual=0.0,
-            bracket=(y0, y0),
-            iterations=0,
-            profitable=True,
-            flags=("maximizer degenerates to the restart level",),
-        )
+    if k_tilde == 0.0:
+        _, xi_prime, xi_second = calc.xi_derivatives(y0)
+        if xi_second > 0.0:
+            # zero cost with xi convex from the start: (y - y0)/xi(y) decreases on
+            # all of (y0, inf), so the supremum 1/xi'(y0) is approached at y0 itself
+            return ThresholdSolution(
+                threshold=y0,
+                value=1.0 / xi_prime,
+                residual=0.0,
+                bracket=(y0, y0),
+                iterations=0,
+                profitable=True,
+                flags=("maximizer degenerates to the restart level",),
+            )
 
     return _solve_threshold(calc, k_tilde, 0.0)
 
@@ -366,8 +348,8 @@ def stopping_value(
 
     def slope(c: float) -> float:
         """d/dc of the reward ``p (c - y0) - K - Xi(c)``, for ``c >= y0``."""
-        value = price - rho_star * calc.xi_prime(c)
-        return value - holding * calc.xm0(c) * calc.s(c) if holding else value
+        value = price - rho_star * calc.xi_derivatives(c, 1)[1]
+        return value - holding * calc.cycle_stock_derivatives(c)[1] if holding else value
 
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))

@@ -273,6 +273,15 @@ def test_equilibrium_value_overflow_exits_3_naming_the_threshold(tmp_path, capsy
     assert float(message.rsplit("threshold y = ", 1)[1]) > 1.0, message
 
 
+@pytest.mark.parametrize("command", ["solve-single", "solve-mfg", "verify"])
+def test_subnormal_price_exits_3_naming_the_scaled_cost(tmp_path, capsys, command):
+    # phi = 1e-320 makes K/phi(z) overflow to inf; the threshold solve names it instead of
+    # reading the table at x = inf
+    scenario = with_section(tmp_path, RATE_SCENARIO, payoff={**_PAYOFF, "phi": "1e-320"})
+    assert run(tmp_path, command, scenario)[0] == 3
+    assert "the scaled impulse cost Kt = K/p is inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario", [RATE_SCENARIO, CUSTOM_SCENARIO], ids=["logistic", "custom"])
 def test_verify_threshold_matches_the_reference(bundled_run, scenario):
     # the best response at the rate equilibrium, against a 40-digit reference of the equilibrium

@@ -167,7 +167,10 @@ _FUSED_POINTS = (1.0, 1.0005, 1.7, 2.15, 4.432, 5.130843097092457, 11.3, 60.0)
 def test_point_read_keeps_the_bits_of_the_separate_reads(name):
     ev = _bundled_calculus(name)
     for y in _FUSED_POINTS:
-        separate = (ev.xi(y), ev.xi_prime(y), ev.xi_second(y))
+        xi_prime = ev.s(y) * ev.M0(y)
+        xi_second = 2.0 / float(ev.volatility(y)) ** 2 * (1.0 - float(ev.drift(y)) * ev.s(y) * ev.M0(y))
+        separate = (ev.xi(y), xi_prime, xi_second)
+        assert (ev.xi_prime(y), ev.xi_second(y)) == separate[1:], y
         assert ev.xi_derivatives(y) == separate, y
         assert ev.xi_derivatives(y, 1) == separate[:2], y
     for y in (0.5, *_FUSED_POINTS):   # the cycle stock runs below y0 too

@@ -68,10 +68,18 @@ def test_negative_cost_rejected(benchmark_model):
             optimal_threshold_basic(benchmark_model, k)
 
 
-@pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 2.5])
-def test_newton_solve_takes_few_steps(benchmark_model, k):
-    # Newton converges quadratically from the doubling bracket; bisection needs about 32 steps
-    sol = optimal_threshold_basic(benchmark_model, k)
+@pytest.mark.parametrize(
+    "k, holding",
+    [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0), (2.5, 0.0), (0.3, 0.5), (1.0, 0.05), (1.0, 5.0), (2.5, 0.5)],
+    ids=["0.0", "0.3", "1.0", "2.5", "0.3-a0.5", "1.0-a0.05", "1.0-a5.0", "2.5-a0.5"],
+)
+def test_newton_solve_takes_few_steps(benchmark_model, k, holding):
+    # Newton converges quadratically from the doubling bracket; bisection needs about 32 steps.
+    # With a holding cost a the root lies in [y0, y0 + k] at a = 5
+    if holding:
+        sol = solve_auxiliary(benchmark_model, 1.0, holding, k)
+    else:
+        sol = optimal_threshold_basic(benchmark_model, k)
     assert sol.iterations <= 10
     assert sol.residual < 1e-10
 
@@ -91,6 +99,25 @@ def test_ratio_form_threshold_is_exact_to_rounding(benchmark_model):
         sol = optimal_threshold_basic(benchmark_model, float(k))
         root = first_order_root(exact, float(k), (0.5 * (1.0 + k + sol.threshold), 2.0 * sol.threshold))
         assert sol.threshold == pytest.approx(root, rel=1e-14, abs=0.0), k
+
+
+def test_zero_cost_threshold_is_exact_to_rounding():
+    # against brentq on F over the series oracle, on 24 drawn logistic models whose zero-cost
+    # maximizer is interior (at least 5% above y0 = 1); on F the solve left up to 1.4e-10.
+    # Near the convex start g is flat at its root, and the table's own root sits up to 1e-13
+    # from the oracle's
+    rng = np.random.default_rng(20)
+    solved = 0
+    while solved < 24:
+        q, b, beta = rng.uniform(-2.0, -0.2), rng.uniform(0.2, 1.0), rng.uniform(0.6, 1.4)
+        model = logistic_model(q=q, b=b, beta=beta, y0=1.0)
+        sol = optimal_threshold_basic(model, 0.0)
+        if sol.threshold < 1.05:
+            continue
+        exact = LogisticOracle(model)
+        root = first_order_root(exact, 0.0, (1.0 + 1e-3 * (sol.threshold - 1.0), 2.0 * sol.threshold))
+        assert sol.threshold == pytest.approx(root, rel=1e-13, abs=0.0), (q, b, beta)
+        solved += 1
 
 
 def test_degenerate_zero_cost_maximizer():
@@ -284,6 +311,38 @@ def test_auxiliary_matches_first_order_root(benchmark_model, holding, price):
     y = sol.threshold
     expected = (price * (y - 1.0) - 1.0 - holding * exact.cycle_stock(y)) / exact.xi(y)
     assert sol.value == pytest.approx(expected, rel=1e-10)
+
+
+def test_auxiliary_is_exact_to_rounding_in_few_steps():
+    # brentq on G over the series oracle, on 40 drawn logistic models restarting below their
+    # carrying capacity, with drawn prices, costs and holding costs; in 4 draws the root lies
+    # left of y0 + Kt. On G the solve took up to 8 steps and left up to 5e-11. A model that
+    # restarts far above its capacity has xi of 1e3-1e5 at the root, where the table's own
+    # root of G sits up to 1.6e-12 from the oracle's
+    rng = np.random.default_rng(40)
+    solved = 0
+    while solved < 40:
+        q, b, beta = rng.uniform(-2.0, -0.2), rng.uniform(0.2, 1.0), rng.uniform(0.6, 1.4)
+        price, cost = rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)
+        holding = float(np.exp(rng.uniform(math.log(0.01), math.log(5.0))))
+        model = logistic_model(q=q, b=b, beta=beta, y0=1.0)
+        if model.logistic.growth / b < 1.0:
+            continue
+        exact = LogisticOracle(model)
+        k_tilde, a = cost / price, holding / price
+
+        def g(y):
+            net = y - 1.0 - k_tilde - a * exact.cycle_stock(y)
+            return float((1.0 - a * exact.xm0(y) * exact.s(y)) * exact.xi(y) - net * exact.xi_prime(y))
+
+        lo, hi = 1.0, 1.0 + k_tilde
+        while g(hi) >= 0.0:
+            lo, hi = hi, 2.0 * hi
+        root = brentq(g, lo, hi, xtol=1e-15, rtol=1e-15)
+        sol = solve_auxiliary(model, price, holding, cost)
+        assert sol.threshold == pytest.approx(root, rel=1e-14, abs=0.0), (q, b, beta)
+        assert sol.iterations <= 5, (q, b, beta)
+        solved += 1
 
 
 @pytest.mark.parametrize("holding", [0.05, 0.5, 5.0])
