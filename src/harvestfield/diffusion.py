@@ -763,13 +763,15 @@ class _Calculus:
         value = 2.0 / sigma2 * (1.0 - mu_y * self.s(y) * self.M0(y))
         return float(value) if np.ndim(y) == 0 else value
 
-    def xi_derivatives(self, y: float, order: int = 2) -> tuple[float, ...]:
-        """``(xi, xi')`` at one threshold ``y >= y0``, and ``xi''`` too at ``order`` 2, from one lookup.
+    def xi_derivatives(self, y: float, order: int = 2, stock: bool = False) -> tuple[float, ...]:
+        """``(xi, xi')`` at one threshold ``y >= y0``, ``xi''`` too at ``order`` 2, from one lookup.
 
-        Each value has the bits of the separate reads :meth:`xi`,
-        ``s(y) * M0(y)`` and ``2/sigma^2 (1 - mu s(y) M0(y))``. At order 2 a
-        ``sigma^2`` that overflows raises :class:`DomainError` before the table
-        is read; then ``xi``, ``s`` or ``M0`` overflowing raises
+        With ``stock`` the same lookup also gives the cycle stock and its slope
+        ``(P, P')``, after the others. Each value has the bits of the separate
+        reads :meth:`xi`, ``s(y) * M0(y)``, ``2/sigma^2 (1 - mu s(y) M0(y))``,
+        :meth:`cycle_stock` and ``xm0(y) * s(y)``. At order 2 a ``sigma^2``
+        that overflows raises :class:`DomainError` before the table is read;
+        then ``xi``, ``s``, ``M0``, ``P`` or ``xm0`` overflowing raises
         :class:`DivergenceError`, in that order. :meth:`xi_prime` and
         :meth:`xi_second` read floats through it.
         """
@@ -780,7 +782,10 @@ class _Calculus:
             except OverflowError:
                 raise DomainError(f"sigma^2 overflows at x = {y}") from None
         below = self._below_y0(0)
-        log_s, scale, mass, tail = self._table.point(y, (_LOG_S, _S, _M, _XI))
+        if stock:
+            log_s, scale, mass, tail, moment, stock_tail = self._table.point(y, (_LOG_S, _S, _M, _XI, _XM, _CYC))
+        else:
+            log_s, scale, mass, tail = self._table.point(y, (_LOG_S, _S, _M, _XI))
         xi = self._finite(below * scale + tail, y, "xi")
         try:
             s = math.exp(log_s)
@@ -788,23 +793,17 @@ class _Calculus:
             raise DivergenceError(f"scale density overflows at x = {y}") from None
         m0 = self._finite(below + mass, y, "M0", "speed density")
         if order == 1:
-            return xi, s * m0
-        return xi, s * m0, 2.0 / sigma2 * (1.0 - float(self.drift(y)) * s * m0)
-
-    def cycle_stock_derivatives(self, y: float) -> tuple[float, float]:
-        """``(P, P')`` at one point: the cycle stock and its slope ``xm0 s``, from one lookup.
-
-        Each value has the bits of the separate :meth:`cycle_stock` and
-        ``xm0(y) * s(y)`` reads, and raises their errors in that order.
-        """
+            reads = (xi, s * m0)
+        else:
+            reads = (xi, s * m0, 2.0 / sigma2 * (1.0 - float(self.drift(y)) * s * m0))
+        if not stock:
+            return reads
         below = self._below_y0(1)
-        log_s, scale, moment, tail = self._table.point(y, (_LOG_S, _S, _XM, _CYC))
-        stock = self._finite(below * scale + tail, y, "cycle stock")
-        xm0 = self._finite(below + moment, y, "xm0", "speed density")
-        try:
-            return stock, xm0 * math.exp(log_s)
-        except OverflowError:
-            raise DivergenceError(f"scale density overflows at x = {y}") from None
+        return (
+            *reads,
+            self._finite(below * scale + stock_tail, y, "cycle stock"),
+            self._finite(below + moment, y, "xm0", "speed density") * s,
+        )
 
     def xi_grid(self, y: np.ndarray, stock: bool = False) -> tuple[np.ndarray, ...]:
         """``xi`` and ``xi'`` on an array of thresholds ``y >= y0``, and the cycle stock with ``stock``.

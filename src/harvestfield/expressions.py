@@ -59,6 +59,12 @@ def _power(base, exponent):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
+def _exp(value):
+    """``np.exp``, overflowing to inf without a warning; the price checks refuse an infinite price."""
+    with np.errstate(over="ignore"):
+        return np.exp(value)
+
+
 _MAX_DEPTH = 128   # the nesting bound of the module docstring; it bounds every recursion below
 
 
@@ -160,7 +166,7 @@ class _Parser:
                 with self.inward():
                     inner, depth = self.expr()
                 self.take("op", ")")
-                fn = np.exp if value == "exp" else np.log
+                fn = _exp if value == "exp" else np.log
                 return (lambda v, f=inner, fn=fn: fn(f(v))), _level(depth + 1)
             if value == self.variable:
                 return (lambda v: v), 0

@@ -16,9 +16,9 @@ and doubling the right end from ``y0 + Kt`` brackets the one root. With a
 holding cost the root may lie left of ``y0 + Kt`` instead, inside
 ``[y0, y0 + Kt]`` since ``g(y0) = Kt > 0``. A safeguarded Newton iteration
 (Newton steps that fall back to bisection whenever they leave the bracket)
-converges to it in a handful of steps, each reading ``xi``, ``xi'`` and
-``xi''`` from one table lookup. g is close to linear where ``xi`` grows
-exponentially.
+converges to it in a handful of steps, each reading ``xi``, ``xi'``,
+``xi''`` and any cycle stock it needs from one table lookup. g is close to
+linear where ``xi`` grows exponentially.
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -99,8 +99,9 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
     the sign of g. A step with a nonnegative slope, or one that leaves the
     closed bracket ``[lo, hi]``, falls back to the midpoint; the bracket is
     closed so that an iterate at the exact root (g = 0, Newton point on
-    ``hi``) stays put. Every evaluation reads ``xi``, ``xi'`` and ``xi''``
-    from one table lookup, and ``iterations`` counts the Newton steps.
+    ``hi``) stays put. Every evaluation reads ``xi``, ``xi'``, ``xi''`` and,
+    under a holding cost, ``P`` and ``P'`` from one table lookup, and
+    ``iterations`` counts the Newton steps.
 
     Once ``|g|`` is below ``1e-10 y``, a step below ``1e-8 y`` that stays in
     the bracket ends the solve at its Newton point, the root to rounding by
@@ -115,11 +116,11 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
 
     def condition(y: float) -> tuple[float, float, float, float]:
         """g, its slope, ``xi`` and ``N`` at y."""
-        xi, xi_prime, xi_second = calc.xi_derivatives(y)
+        xi, xi_prime, xi_second, *cycle = calc.xi_derivatives(y, 2, bool(holding))
         quotient, net = xi / xi_prime, y - y0 - k_tilde
         weight, bend = 1.0, xi_second / xi_prime
         if holding:
-            stock, stock_slope = calc.cycle_stock_derivatives(y)
+            stock, stock_slope = cycle
             mu, sigma = float(calc.drift(y)), float(calc.volatility(y))
             net -= holding * stock
             weight = 1.0 - holding * stock_slope
@@ -348,8 +349,9 @@ def stopping_value(
 
     def slope(c: float) -> float:
         """d/dc of the reward ``p (c - y0) - K - Xi(c)``, for ``c >= y0``."""
-        value = price - rho_star * calc.xi_derivatives(c, 1)[1]
-        return value - holding * calc.cycle_stock_derivatives(c)[1] if holding else value
+        reads = calc.xi_derivatives(c, 1, bool(holding))
+        value = price - rho_star * reads[1]
+        return value - holding * reads[3] if holding else value
 
     running = potential(grid)
     first = int(np.searchsorted(grid, y0))

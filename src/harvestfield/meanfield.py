@@ -48,7 +48,7 @@ from .impulse import (
     zero_cost_threshold,
 )
 from .payoff import Interaction, PayoffSpec
-from .stationary import expected_stock, stock_bounds
+from .stationary import _require_threshold, stock_bounds
 
 __all__ = [
     "EquilibriumPoint",
@@ -118,23 +118,49 @@ def interaction_level(
     """c(y): harvesting rate (y-y0)/xi(y) or expected stock, per the payoff's channel."""
     if np.any(np.asarray(y) <= model.restart_level):
         raise DomainError("interaction level is defined for thresholds above y0")
-    return _interaction(model, payoff, y, _calculus(model).xi(y))
+    xi, _, numerator, _ = _read(model, payoff, y if isinstance(y, float) else np.asarray(y, dtype=float))
+    value = numerator / xi
+    return float(value) if np.ndim(y) == 0 else value
 
 
-def _interaction(model: DiffusionModel, payoff: PayoffSpec, y, xi):
-    """c(y) from thresholds above y0 and their precomputed ``xi(y)``."""
-    if payoff.interaction is Interaction.HARVEST_RATE:
-        if isinstance(y, float):   # the scalar root finders: no numpy round trip
-            return float((y - model.restart_level) / xi)
-        value = (np.asarray(y, dtype=float) - model.restart_level) / np.asarray(xi)
-        return float(value) if np.ndim(y) == 0 else value
-    return expected_stock(model, y, xi)
+def _read(model: DiffusionModel, payoff: PayoffSpec, y, order: int = 1) -> tuple:
+    """``(xi, xi', N, N')`` at thresholds y from one table read, with ``c = N/xi`` on the payoff's channel.
+
+    N is ``y - y0`` (``N' = 1``) on the harvest-rate channel and the cycle
+    stock P (``N' = P'``) on the expected-stock channel, which refuses
+    thresholds next to y0 as ``expected_stock`` does. A float is one lookup,
+    with ``xi''`` after ``xi'`` at order 2; an array (the scan's, or
+    :func:`interaction_level`'s) is one array read, and N' is None there.
+    """
+    calc, y0 = _calculus(model), model.restart_level
+    stock = payoff.interaction is Interaction.EXPECTED_STOCK
+    if isinstance(y, float):
+        if not stock:
+            return *calc.xi_derivatives(y, order), y - y0, 1.0
+        _require_threshold(model, y)
+        return calc.xi_derivatives(y, order, True)
+    if stock:
+        _require_threshold(model, float(np.min(y)))
+    xi, xi_prime, *cycle = calc.xi_grid(y, stock)
+    return xi, xi_prime, cycle[0] if stock else y - y0, None
 
 
-def _price(model: DiffusionModel, payoff: PayoffSpec, y: float, xi: float) -> float:
-    """``phi(c(y))`` with c clamped to the interaction domain, from a precomputed ``xi(y)``."""
-    z, _ = _clamp_to_domain(_interaction(model, payoff, y, xi), payoff.domain)
-    return float(payoff.phi(z))
+def _price_slope(
+    payoff: PayoffSpec, xi: float, xi_prime: float, numerator: float, slope: float
+) -> tuple[float, float]:
+    """``(c, p')`` at a threshold from its reads (see :func:`_read`): ``c = N/xi`` and ``p' = phi'(c) c'``.
+
+    ``phi'`` is a central difference inside the domain, and ``p' = 0`` where
+    c is on or outside it, since the price is clamped there. ``c'`` is
+    ``(N' xi - N xi')/xi^2``.
+    """
+    c = numerator / xi
+    lo, hi = payoff.domain
+    if not lo < c < hi:
+        return c, 0.0
+    dc = (slope * xi - numerator * xi_prime) / xi**2
+    a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
+    return c, (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
 
 
 def _clamp_to_domain(z: float, domain: tuple[float, float]) -> tuple[float, bool]:
@@ -217,8 +243,8 @@ class _Scan:
     range; the planner prices the grid up to just past ``2 y_hi``, and the
     rest only where the zero-cost bound does not rule it out. Pricing reads
     ``xi``, ``xi'`` and, on the expected-stock channel, the cycle stock
-    ``P`` in one table read (``c = P/xi`` there); ``xi`` and ``xi'`` are kept
-    for both problems.
+    ``P`` in one array read by :func:`_read`, as the scalar solves do;
+    ``xi`` and ``xi'`` are kept for both problems.
     """
 
     def __init__(self, model: DiffusionModel, payoff: PayoffSpec,
@@ -237,15 +263,9 @@ class _Scan:
         todo = np.isnan(prices)
         if np.any(todo):
             ys = self.grid[lo:hi][todo]
-            calc = _calculus(self.model)
-            if self.payoff.interaction is Interaction.HARVEST_RATE:
-                xi, xi_prime = calc.xi_grid(ys)
-                z = _interaction(self.model, self.payoff, ys, xi)
-            else:
-                xi, xi_prime, stock = calc.xi_grid(ys, stock=True)
-                z = stock / xi   # expected_stock, from the same read
+            xi, xi_prime, numerator, _ = _read(self.model, self.payoff, ys)
             self._xi[lo:hi][todo], self._xi_prime[lo:hi][todo] = xi, xi_prime
-            new = _phi_levels(self.payoff.phi, np.clip(z, *self.payoff.domain))
+            new = _phi_levels(self.payoff.phi, np.clip(numerator / xi, *self.payoff.domain))
             if not np.all(new > 0.0):
                 raise DomainError("phi must stay positive on the attainable interaction range")
             prices[todo] = new
@@ -284,9 +304,7 @@ def _scan(model: DiffusionModel, payoff: PayoffSpec) -> _Scan:
 
 def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
     """The equilibrium at ``y_star``; a price or value past double range raises :class:`SolverError`."""
-    xi = _calculus(model).xi(y_star)
-    price = _price(model, payoff, y_star, xi)
-    value = (price * (y_star - model.restart_level) - payoff.cost) / xi
+    c, price, value = _planner_value(model, payoff, y_star)
     if not (math.isfinite(price) and math.isfinite(value)):
         raise SolverError(
             f"the equilibrium value overflows: the price is {price} and the value {value} "
@@ -296,7 +314,7 @@ def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
     return EquilibriumPoint(
         threshold=y_star,
         value=value,
-        interaction_level=_interaction(model, payoff, y_star, xi),
+        interaction_level=c,
         stability=stability,
         map_slope=slope,
         residual=abs(phi_map(model, payoff, y_star).threshold - y_star),
@@ -305,7 +323,6 @@ def _equilibrium_point(model, payoff, y_star) -> EquilibriumPoint:
 
 def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     payoff, grid = scan.payoff, scan.grid
-    calc = _calculus(model)
     y0 = model.restart_level
     y_lo, y_hi = scan.bounds
     diagnostics: dict = {"bounds": [y_lo, y_hi]}
@@ -315,8 +332,9 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [0.5 * (y_lo + y_hi)]
     else:
         def gap(y: float) -> float:
-            xi, xi_prime = calc.xi_derivatives(y, 1)
-            return _price(model, payoff, y, xi) * (y - y0 - xi / xi_prime) - payoff.cost
+            xi, xi_prime, numerator, _ = _read(model, payoff, y)
+            price = float(payoff.phi(_clamp_to_domain(numerator / xi, payoff.domain)[0]))
+            return price * (y - y0 - xi / xi_prime) - payoff.cost
 
         # G has the sign of y - Phi(y), and Phi maps into [y_lo, y_hi]: only the
         # cells that meet [y_lo, y_hi] can hold a sign change
@@ -372,38 +390,14 @@ def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet
     return _equilibria(model, _scan(model, payoff))
 
 
-def _price_slope(
-    model: DiffusionModel, payoff: PayoffSpec, y: float, xi: float, xi_prime: float
-) -> tuple[float, float]:
-    """``(c, p')`` at y: the interaction level and ``p' = phi'(c) c'``, from ``xi(y)`` and ``xi'(y)``.
-
-    ``phi'`` is a central difference inside the domain, and ``p' = 0`` where
-    c is on or outside it, since the price is clamped there. ``c'`` is
-    ``(xi - (y - y0) xi')/xi^2`` on the harvest-rate channel and
-    ``(xm0 s xi - P xi')/xi^2`` on the expected-stock channel, P the cycle stock.
-    """
-    calc = _calculus(model)
-    c = _interaction(model, payoff, y, xi)
-    lo, hi = payoff.domain
-    if not lo < c < hi:
-        return c, 0.0
-    if payoff.interaction is Interaction.HARVEST_RATE:
-        dc = (xi - (y - model.restart_level) * xi_prime) / xi**2
-    else:
-        stock, stock_slope = calc.cycle_stock_derivatives(y)
-        dc = (stock_slope * xi - stock * xi_prime) / xi**2
-    a, b = max(c - _PRICE_STEP * (hi - lo), lo), min(c + _PRICE_STEP * (hi - lo), hi)
-    return c, (float(payoff.phi(b)) - float(payoff.phi(a))) / (b - a) * dc
-
-
 def _map_slope(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
     """``Phi'(y) = -K p'/(p^2 k')`` at a fixed point y, by the implicit function theorem.
 
     ``k' = xi xi''/xi'^2`` and ``p'`` is that of :func:`_price_slope`; the
     slope is 0 where c is on or outside the domain.
     """
-    xi, xi_prime, xi_second = _calculus(model).xi_derivatives(y)
-    c, dp = _price_slope(model, payoff, y, xi, xi_prime)
+    xi, xi_prime, xi_second, numerator, slope = _read(model, payoff, y, 2)
+    c, dp = _price_slope(payoff, xi, xi_prime, numerator, slope)
     lo, hi = payoff.domain
     if not lo < c < hi:
         return 0.0
@@ -432,10 +426,15 @@ def classify_stability(
 # planner problem
 # ---------------------------------------------------------------------------
 
-def _planner_value(model: DiffusionModel, payoff: PayoffSpec, y: float) -> float:
-    """``H(y) = (p(y) (y - y0) - K)/xi(y)``."""
-    xi = _calculus(model).xi(y)
-    return (_price(model, payoff, y, xi) * (y - model.restart_level) - payoff.cost) / xi
+def _planner_value(model: DiffusionModel, payoff: PayoffSpec, y: float) -> tuple[float, float, float]:
+    """``(c, p, H)`` at y: ``H(y) = (p (y - y0) - K)/xi(y)`` with ``p = phi(c)``, c clamped to the domain.
+
+    H is also every agent's value when all of them harvest at y.
+    """
+    xi, _, numerator, _ = _read(model, payoff, y)
+    c = numerator / xi
+    price = float(payoff.phi(_clamp_to_domain(c, payoff.domain)[0]))
+    return c, price, (price * (y - model.restart_level) - payoff.cost) / xi
 
 
 def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
@@ -448,12 +447,12 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
     priced again.
     """
     model, payoff = scan.model, scan.payoff
-    calc = _calculus(model)
     y0 = model.restart_level
 
-    def condition(y: float, xi_y: float, xi_prime: float, price: Optional[float] = None) -> float:
-        """``G_P(y)`` from ``xi(y)`` and ``xi'(y)``, and from the price where the scan has it."""
-        c, dp = _price_slope(model, payoff, y, xi_y, xi_prime)
+    def condition(y: float, xi_y: float, xi_prime: float, numerator: float, slope: float,
+                  price: Optional[float] = None) -> float:
+        """``G_P(y)`` from the reads at y (see :func:`_read`), and from the price where the scan has it."""
+        c, dp = _price_slope(payoff, xi_y, xi_prime, numerator, slope)
         if price is None:
             price = float(payoff.phi(_clamp_to_domain(c, payoff.domain)[0]))
         return (price + dp * (y - y0)) * xi_y - (price * (y - y0) - payoff.cost) * xi_prime
@@ -462,11 +461,11 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
     xi, prices = scan.xi(i - 1, i + 2), scan.prices(i - 1, i + 2)
     with np.errstate(over="ignore", invalid="ignore"):   # _refine refuses a non-finite G_P
         y = _refine(
-            "planner refinement", lambda v: condition(v, *calc.xi_derivatives(v, 1)), a, b,
-            condition(a, xi[0], calc.xi_prime(a), prices[0]),
-            condition(b, xi[2], calc.xi_prime(b), prices[2]), _PLANNER_REL_TOL * b,
+            "planner refinement", lambda v: condition(v, *_read(model, payoff, v)), a, b,
+            condition(a, xi[0], *_read(model, payoff, a)[1:], price=prices[0]),
+            condition(b, xi[2], *_read(model, payoff, b)[1:], price=prices[2]), _PLANNER_REL_TOL * b,
         )
-    return y, _planner_value(model, payoff, y)
+    return y, _planner_value(model, payoff, y)[2]
 
 
 def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
@@ -510,12 +509,11 @@ def _planner(model: DiffusionModel, scan: _Scan) -> MfcSolution:
     if len(ties) > 1:
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
-        best_v = _planner_value(model, payoff, best_y)
-    z_best, _ = _clamp_to_domain(interaction_level(model, payoff, best_y), payoff.domain)
+    level, _, best_v = _planner_value(model, payoff, best_y)
     return MfcSolution(
         threshold=best_y,
         value=best_v,
-        interaction_level=z_best,
+        interaction_level=_clamp_to_domain(level, payoff.domain)[0],
         ties=tuple(ties) if len(ties) > 1 else (),
         flags=tuple(flags),
     )

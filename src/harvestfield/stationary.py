@@ -79,22 +79,15 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     return float(value) if np.ndim(x) == 0 else value
 
 
-def expected_stock(model: DiffusionModel, y, xi=None):
-    """Mean of the controlled stationary law; continuous and increasing in y.
+def expected_stock(model: DiffusionModel, y):
+    """Mean of the controlled stationary law, ``P(y)/xi(y)``; continuous and increasing in y.
 
-    ``y`` is a float or an array of thresholds in any order. ``xi``, the
-    cycle length ``xi(y)``, is computed unless given. A float takes no numpy
-    call, since the stock channel's root finder prices one point at a time.
+    ``P`` is the cycle stock (see ``_Calculus.cycle_stock``) and ``xi`` the
+    cycle length. ``y`` is a float or an array of thresholds in any order.
     """
-    if isinstance(y, (float, int)):
-        y = float(y)
-        _require_threshold(model, y)
-    else:
-        y = np.asarray(y, dtype=float)
-        _require_threshold(model, float(y.min(initial=math.inf)))
+    _require_threshold(model, float(np.min(y, initial=math.inf)))
     calc = _calculus(model)
-    if xi is None:
-        xi = calc.xi(y)
+    xi = calc.xi(y)
     return calc.cycle_stock(y) / xi
 
 

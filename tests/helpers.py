@@ -158,7 +158,7 @@ def full_scan_planner(model, payoff):
     if len(ties) > 1:
         flags.append("multiple maximizers within tolerance; smallest threshold reported")
         best_y = ties[0]
-        best_v = meanfield._planner_value(model, payoff, best_y)
+        best_v = meanfield._planner_value(model, payoff, best_y)[2]
     z_best, _ = meanfield._clamp_to_domain(
         meanfield.interaction_level(model, payoff, best_y), payoff.domain
     )

@@ -282,6 +282,22 @@ def test_subnormal_price_exits_3_naming_the_scaled_cost(tmp_path, capsys, comman
     assert "the scaled impulse cost Kt = K/p is inf" in capsys.readouterr().err
 
 
+# the bundled stock model's price with two steps of 3.2e-4, 2.9e-5 apart in z
+_STAIRCASE_PHI = (
+    "1.586546773016548 + 0.0001586546773016548"
+    " - 0.0003173093546033096/(1+exp(-(z-1.2451224070965394)/1e-06))"
+    " - 0.0003173093546033096/(1+exp(-(z-1.2451517561593577)/1e-06))"
+)
+
+
+def test_overflowing_exp_in_a_finite_price_exits_with_a_documented_code(tmp_path):
+    # away from the steps exp overflows to inf while the price, through 1/(1+inf) = 0, stays
+    # finite: no overflow warning may end the run
+    payoff = {"K": 1.0, "phi": _STAIRCASE_PHI, "interaction": "expected_stock"}
+    scenario = with_section(tmp_path, STOCK_SCENARIO, payoff=payoff)
+    assert run(tmp_path, "compare", scenario)[0] in (0, 2, 3, 4)
+
+
 @pytest.mark.parametrize("scenario", [RATE_SCENARIO, CUSTOM_SCENARIO], ids=["logistic", "custom"])
 def test_verify_threshold_matches_the_reference(bundled_run, scenario):
     # the best response at the rate equilibrium, against a 40-digit reference of the equilibrium

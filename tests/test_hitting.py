@@ -6,7 +6,9 @@ import pytest
 from helpers import central_diff, fd_step, second_diff, simpson
 from oracle import LogisticOracle
 
-from harvestfield.diffusion import _LOG_S, _M, _calculus, _Calculus, custom_model, logistic_model
+from harvestfield.diffusion import (
+    _CYC, _LOG_S, _M, _XM, _calculus, _Calculus, custom_model, logistic_model,
+)
 from harvestfield.errors import DivergenceError, DomainError
 from harvestfield.impulse import _running_potential, solve_auxiliary
 from harvestfield.scenario import load_scenario
@@ -170,11 +172,12 @@ def test_point_read_keeps_the_bits_of_the_separate_reads(name):
         xi_prime = ev.s(y) * ev.M0(y)
         xi_second = 2.0 / float(ev.volatility(y)) ** 2 * (1.0 - float(ev.drift(y)) * ev.s(y) * ev.M0(y))
         separate = (ev.xi(y), xi_prime, xi_second)
+        cycle = (ev.cycle_stock(y), ev.xm0(y) * ev.s(y))
         assert (ev.xi_prime(y), ev.xi_second(y)) == separate[1:], y
         assert ev.xi_derivatives(y) == separate, y
         assert ev.xi_derivatives(y, 1) == separate[:2], y
-    for y in (0.5, *_FUSED_POINTS):   # the cycle stock runs below y0 too
-        assert ev.cycle_stock_derivatives(y) == (ev.cycle_stock(y), ev.xm0(y) * ev.s(y)), y
+        assert ev.xi_derivatives(y, 2, stock=True) == separate + cycle, y
+        assert ev.xi_derivatives(y, 1, stock=True) == separate[:2] + cycle, y
 
 
 @pytest.mark.parametrize("name", _BUNDLED_RATE)
@@ -207,38 +210,45 @@ class _FixedTable:
         return np.array([np.full(np.shape(x), self.values[c]) for c in components])
 
 
+def _first_error(reads, y):
+    """The message of the first read in ``reads`` at y that raises :class:`DivergenceError`, or None."""
+    try:
+        for read in reads:
+            read(y)
+    except DivergenceError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize(
     "component, value, message",
     [(_LOG_S, 1000.0, "scale density overflows at x = 2.0"),
-     (_M, math.inf, "speed density overflows: M0 is not finite at x = 2.0")],
-    ids=["s", "M0"],
+     (_M, math.inf, "speed density overflows: M0 is not finite at x = 2.0"),
+     (_CYC, math.inf, "scale density overflows: cycle stock is not finite at x = 2.0"),
+     (_XM, math.inf, "speed density overflows: xm0 is not finite at x = 2.0")],
+    ids=["s", "M0", "P", "xm0"],
 )
 def test_fused_reads_raise_the_separate_reads_errors(benchmark_model, component, value, message):
-    # s = exp(log s) or M0 past double range where xi is finite; the logistic model takes its
-    # speed mass below y0 from the gamma function, so no read but these touches the table
+    # s = exp(log s), M0, the cycle stock P or xm0 past double range where xi is finite; the
+    # logistic model takes its speed integrals below y0 from the gamma function, so no read but
+    # these touches the table
     ev = _Calculus(benchmark_model)
     values = [0.5] * 7
     values[component] = value
     ev._table = _FixedTable(values)
     assert math.isfinite(ev.xi(2.0))
-    with pytest.raises(DivergenceError) as separate:
-        ev.xi_prime(2.0)
-    for read in (ev.xi_derivatives, lambda y: ev.xi_derivatives(y, 1)):
-        with pytest.raises(DivergenceError) as fused:
-            read(2.0)
-        assert str(fused.value) == str(separate.value) == message
-    if component == _LOG_S:
-        with pytest.raises(DivergenceError) as fused:
-            ev.cycle_stock_derivatives(2.0)
-        assert str(fused.value) == message
-    # and the grid read the separate array read's
+    separate = (lambda y: ev.s(y) * ev.M0(y), ev.cycle_stock, lambda y: ev.xm0(y) * ev.s(y))
+    assert _first_error(separate, 2.0) == message
+    # the fused read raises the first separate read's error; without the stock, only that of s M0
+    without_stock = _first_error(separate[:1], 2.0)
+    for order in (1, 2):
+        assert _first_error((lambda y: ev.xi_derivatives(y, order, stock=True),), 2.0) == message
+        assert _first_error((lambda y: ev.xi_derivatives(y, order),), 2.0) == without_stock
+    # and the grid read the separate array reads'
     ys = np.array([2.0])
-    with pytest.raises(DivergenceError) as separate:
-        ev.xi_prime(ys)
     for stock in (False, True):
-        with pytest.raises(DivergenceError) as fused:
-            ev.xi_grid(ys, stock)
-        assert str(fused.value) == str(separate.value)
+        expected = _first_error((ev.xi_prime, ev.cycle_stock)[: 1 + stock], ys)
+        assert _first_error((lambda y: ev.xi_grid(y, stock),), ys) == expected
 
 
 def test_point_read_raises_the_sigma2_overflow_of_xi_second():

@@ -75,6 +75,20 @@ def test_stock_interaction_increasing(benchmark_model, stock_payoff):
     assert np.all(np.diff(stocks) > 0.0)
 
 
+@pytest.mark.parametrize(
+    "y", [1.0 + 1e-7, 1.0 + 1e-6, np.array([1.5, 1.0 + 1e-7])], ids=["inside", "edge", "array"]
+)
+def test_stock_channel_refuses_thresholds_next_to_y0(benchmark_model, stock_payoff, y):
+    # the controlled law degenerates within a relative 1e-6 of y0 = 1, on the interaction
+    # level's scalar and array reads as in expected_stock
+    from harvestfield.stationary import expected_stock
+
+    for read in (lambda v: interaction_level(benchmark_model, stock_payoff, v),
+                 lambda v: expected_stock(benchmark_model, v)):
+        with pytest.raises(DomainError, match="controlled-law threshold must exceed"):
+            read(y)
+
+
 # ---------------------------------------------------------------------------
 # the best-response composition Phi
 # ---------------------------------------------------------------------------
