@@ -27,13 +27,19 @@ releases the interpreter lock while it draws and while it works on whole
 rows), so the output does not depend on the CPU count. Within a group all
 chunks step together in one array until a chunk is down to a few live paths;
 it then finishes on the same blocks in the plain-float loop of
-``simulate_path``, where a step costs far less than a numpy row. Every step
-rounds as ``(n sqrt(dt)) sigma(y) + mu(y) dt + y`` on floats and on arrays
-alike, so the finisher changes no result where the scalar and array
-coefficients agree to the last bit (they do for the logistic model), and
-since a chunk leaves on its own live count, stacking changes nothing for any
-model. On 2 vCPUs, 1e5 hitting-time cycles to y = 5.13 (13 chunks) take
-7.9-8.1 s against 13.6-14.0 s on one thread.
+``simulate_path``, where a step costs far less than a numpy row.
+
+A logistic model steps as ``((n beta sqrt(dt) + (1 + g dt)) - b dt y) y``,
+the Euler-Maruyama step in multiplicative form: a row takes four numpy calls
+and the plain-float loop calls no coefficient. Any other model steps as
+``(n sqrt(dt)) sigma(y) + mu(y) dt + y``. Every step is clamped at
+``1e-8 y0`` (the clamps are counted) and detects a crossing on the unclamped
+state. Floats and arrays evaluate the same expression in the same order, so
+the finisher changes no result for a logistic model, nor for any other whose
+scalar and array coefficients agree to the last bit (every parsed expression
+does); since a chunk leaves on its own live count, stacking changes nothing
+for any model. On 2 vCPUs, 1e5 hitting-time cycles to y = 5.13 (13 chunks)
+take 5.9-6.4 s against 10.5-10.8 s on one thread.
 
 When all chunks step in one group (fewer than two groups' worth of paths,
 as for the long-run estimators of the bundled scenarios) and a second CPU is
@@ -99,7 +105,7 @@ _AHEAD_NORMALS = 2**16
 # as long as inline draws, and 300 chunks of 16 with 1747 took 1.15x as long
 _AHEAD_CAP = 2**20
 
-_EPS_FLOOR = 1e-8   # positivity floor of every Euler step; activations are counted
+_EPS_FLOOR = 1e-8   # positivity floor of every Euler step, times y0; activations are counted
 _TIME_CAP = 1e4     # hard cap on each sampled cycle; capped cycles are counted
 _MAX_PATH_STEPS = 10**7   # bounds on the work of one call, checked before anything is allocated
 _MAX_CYCLES = 10**6
@@ -151,6 +157,33 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
+class _Step(NamedTuple):
+    """A model's Euler step at ``dt``, as both engines take it.
+
+    A logistic model steps in multiplicative form, ``((n beta sqrt(dt) +
+    (1 + g dt)) - b dt y) y``, without calling its coefficients: ``scale`` is
+    ``beta sqrt(dt)``, ``shift`` is ``1 + g dt`` and ``crowding`` is ``b dt``.
+    Any other model steps as ``(n sqrt(dt)) sigma(y) + mu(y) dt + y`` with
+    ``scale = sqrt(dt)`` and no ``shift``. Every step is clamped at ``floor``.
+    """
+
+    dt: float
+    floor: float
+    scale: float                     # multiplies each normal
+    shift: Optional[float] = None    # added to each scaled normal; None for the generic step
+    crowding: float = 0.0
+    drift: Optional[Callable] = None  # the generic step's scalar coefficients
+    vol: Optional[Callable] = None
+
+
+def _step_of(model: DiffusionModel, dt: float) -> _Step:
+    floor = _EPS_FLOOR * model.restart_level
+    p = model.logistic
+    if p is None:
+        return _Step(dt, floor, math.sqrt(dt), drift=model.drift, vol=model.volatility)
+    return _Step(dt, floor, p.beta * math.sqrt(dt), 1.0 + p.growth * dt, p.crowding * dt)
+
+
 def _detection_level(model: DiffusionModel, threshold: float, config: SimConfig) -> float:
     if not math.isfinite(threshold):
         return threshold
@@ -181,10 +214,11 @@ def simulate_path(
     n_steps = int(round(steps))
     y0 = model.restart_level
     detect = _detection_level(model, threshold, config)
-    normals = iter((_rng(config.seed, 0).standard_normal(n_steps) * math.sqrt(dt)).tolist())
+    step = _step_of(model, dt)
+    normals = iter((_rng(config.seed, 0).standard_normal(n_steps) * step.scale).tolist())
     states, impulse_times, pre_states, floor_hits = [y0], [], [], 0
     while True:
-        crossing, clamps = _euler_steps(model.drift, model.volatility, normals, dt, detect, states)
+        crossing, clamps = _euler_steps(step, normals, detect, states)
         floor_hits += clamps
         if crossing is None:
             break
@@ -200,18 +234,34 @@ def simulate_path(
     )
 
 
-def _euler_steps(drift, vol, normals, dt, detect, states) -> tuple[Optional[float], int]:
-    """Euler steps in plain floats from ``states[-1]`` over ``normals`` (times ``sqrt(dt)``).
+def _euler_steps(step: _Step, normals, detect, states) -> tuple[Optional[float], int]:
+    """Euler steps in plain floats from ``states[-1]`` over ``normals`` (times ``step.scale``).
 
-    Each step, ``(n sqrt(dt)) sigma(y) + mu(y) dt + y``, is clamped at
-    ``_EPS_FLOOR``, and each state short of the crossing is appended to
-    ``states``. Returns the first unclamped state at or above ``detect`` (or
-    ``None``) and the clamp count; an iterator of normals is left just past
-    the crossing step.
+    Each step is ``step``'s expression, evaluated in the order the stacked
+    engine evaluates it on rows, so both round alike: ``((n + shift) -
+    crowding y) y`` for a logistic model, else ``n sigma(y) + mu(y) dt + y``.
+    It is clamped at ``step.floor``, and each state short of the crossing is
+    appended to ``states``. Returns the first unclamped state at or above
+    ``detect`` (or ``None``) and the clamp count; an iterator of normals is
+    left just past the crossing step.
     """
-    y, floored, append, floor = states[-1], 0, states.append, _EPS_FLOOR
+    y, floored, append, floor = states[-1], 0, states.append, step.floor
+    if step.shift is None:
+        drift, vol, dt = step.drift, step.vol, step.dt
+        for v in normals:
+            v = v * vol(y) + drift(y) * dt + y
+            if v < floor:
+                floored += 1
+                y = floor
+            else:
+                y = v
+            if v >= detect:
+                return v, floored
+            append(y)
+        return None, floored
+    shift, crowding = step.shift, step.crowding
     for v in normals:
-        v = v * vol(y) + drift(y) * dt + y
+        v = (v + shift - crowding * y) * y
         if v < floor:
             floored += 1
             y = floor
@@ -258,16 +308,17 @@ def _first_passages(
     groups = max(1, min(cpus, len(rngs), n // _GROUP_PATHS))
     ids = np.arange(n)
     out = (np.full(n, _TIME_CAP), np.zeros(n), np.empty(n))   # times, integrals, pre-states
-    coefficients = _vector_coefficients(model)
+    step = _step_of(model, config.dt)
+    coefficients = _vector_coefficients(model) if step.shift is None else None
     detect = _detection_level(model, threshold, config)
     ahead = _ahead_length(size, len(rngs)) if groups == 1 and cpus > 1 else 0
 
-    def step(group: int) -> tuple[int, int]:
+    def stepped(group: int) -> tuple[int, int]:
         own = ids[ids // size % groups == group]
         with (_DrawAhead(rngs, size, ahead) if ahead else _Draws(rngs, size)) as normals:
-            return _step_group(model, coefficients, own, size, normals, detect, config, running, out)
+            return _step_group(model, step, coefficients, own, size, normals, detect, running, out)
 
-    counts = _on_threads(step, groups)
+    counts = _on_threads(stepped, groups)
     floored = sum(f for f, _ in counts)
     capped = sum(cap for _, cap in counts)
     return _Cycles(*out, capped, floored)
@@ -425,12 +476,12 @@ class _DrawAhead(_Draws):
 
 def _step_group(
     model: DiffusionModel,
-    coefficients: tuple[Callable, Callable],
+    step: _Step,
+    coefficients: Optional[tuple[Callable, Callable]],
     ids: np.ndarray,
     size: int,
     normals: _Draws,
     detect: float,
-    config: SimConfig,
     running: Optional[Callable[[np.ndarray], np.ndarray]],
     out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[int, int]:
@@ -439,22 +490,24 @@ def _step_group(
     Each block's normals come from ``normals``, chunk by chunk. All the
     group's chunks step together in one array; paths that cross keep
     stepping to the end of the block, where they are recorded at their first
-    crossing and dropped. A chunk down to ``_TAIL_PATHS`` live paths at a
-    block end leaves the array for :func:`_finish_chunk`, which draws and
-    steps exactly as the array would; since the switch depends on the chunk's
-    own live count only, stacking still changes nothing. Results go to
-    ``out`` (times, integrals, pre-states) at ``ids``; returns the clamp count
-    and the number of capped paths.
+    crossing and dropped. Each row takes ``step``: a logistic one in four
+    numpy calls, the generic one on the array ``coefficients``. A chunk down
+    to ``_TAIL_PATHS`` live paths at a block end leaves the array for
+    :func:`_finish_chunk`, which draws and steps exactly as the array would;
+    since the switch depends on the chunk's own live count only, stacking
+    still changes nothing. Results go to ``out`` (times, integrals,
+    pre-states) at ``ids``; returns the clamp count and the number of capped
+    paths.
     """
     times, integrals, pre_states = out
-    drift, vol = coefficients
-    dt, sqdt, floor = config.dt, math.sqrt(config.dt), _EPS_FLOOR
+    dt, floor = step.dt, step.floor
     live = np.bincount(ids // size)   # live paths per chunk index
     x = np.full(ids.size, model.restart_level)
     acc = np.zeros(ids.size)
     floored = capped = 0
     max_steps = int(math.ceil(_TIME_CAP / dt))
     buffer = np.empty(_BLOCK_STEPS * ids.size)   # the stacked block, reused
+    crowded = np.empty(ids.size)   # ``b dt x`` of a logistic row, reused
     done = 0
     while ids.size and done < max_steps:
         tail = (live > 0) & (live <= _TAIL_PATHS)
@@ -463,8 +516,8 @@ def _step_group(
             for c in np.flatnonzero(tail):
                 sel = chunk == c
                 f, cap = _finish_chunk(
-                    model, normals, c, ids[sel], x[sel], acc[sel], done, max_steps,
-                    detect, config, running, out,
+                    step, normals, c, ids[sel], x[sel], acc[sel], done, max_steps,
+                    detect, running, out,
                 )
                 floored += f
                 capped += cap
@@ -479,13 +532,23 @@ def _step_group(
             if count:
                 path[:, lo : lo + count] = normals(c, steps, count)
                 lo += count
-        path *= sqdt
+        path *= step.scale
         start = x
-        for row in path:
-            row *= vol(x)
-            row += drift(x) * dt
-            row += x
-            x = np.maximum(row, floor)
+        if step.shift is None:
+            drift, vol = coefficients
+            for row in path:
+                row *= vol(x)
+                row += drift(x) * dt
+                row += x
+                x = np.maximum(row, floor)
+        else:
+            path += step.shift
+            crowding, crowd = step.crowding, crowded[: ids.size]
+            for row in path:
+                np.multiply(x, crowding, out=crowd)
+                row -= crowd
+                row *= x
+                x = np.maximum(row, floor)
         # ``path`` now holds the unclamped state after each step
         cols = np.flatnonzero(path.max(axis=0) >= detect)
         last = np.full(ids.size, steps - 1)
@@ -520,7 +583,7 @@ def _running_gains(running: Callable, left: np.ndarray, dt: float) -> np.ndarray
 
 
 def _finish_chunk(
-    model: DiffusionModel,
+    step: _Step,
     normals: _Draws,
     chunk: int,
     ids: np.ndarray,
@@ -529,7 +592,6 @@ def _finish_chunk(
     done: int,
     max_steps: int,
     detect: float,
-    config: SimConfig,
     running: Optional[Callable[[np.ndarray], np.ndarray]],
     out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[int, int]:
@@ -543,16 +605,16 @@ def _finish_chunk(
     number of capped paths.
     """
     times, integrals, pre_states = out
-    drift, vol, dt = model.drift, model.volatility, config.dt
+    dt = step.dt
     ids, xs, accs = ids.tolist(), x.tolist(), acc.tolist()
     floored = 0
     while ids and done < max_steps:
         steps = min(_BLOCK_STEPS, max_steps - done)
-        rows = (normals(chunk, steps, len(ids)) * math.sqrt(dt)).T.tolist()
+        rows = (normals(chunk, steps, len(ids)) * step.scale).T.tolist()
         lasts, crossed, stay, lefts = [], [], [], []
         for j, (row, y) in enumerate(zip(rows, xs)):
             left = [y]
-            crossing, clamps = _euler_steps(drift, vol, row, dt, detect, left)
+            crossing, clamps = _euler_steps(step, row, detect, left)
             floored += clamps
             if crossing is None:
                 stay.append(j)

@@ -114,6 +114,27 @@ def test_capped_paths_are_flagged(benchmark_model, monkeypatch):
     assert report.flags
 
 
+def test_floor_is_relative_to_the_restart_level():
+    # rescaling the state by lambda leaves passage times alone and scales the stock by lambda;
+    # an absolute floor of 1e-8 clamped these paths at lambda = 1e-6 and lay above y0 at 1e-9
+    config = SimConfig(dt=1e-2, seed=3, horizon=500.0)
+
+    def estimates(scale):
+        model = logistic_model(growth=0.2, b=1.0 / scale, beta=0.5, y0=0.1 * scale)
+        return (
+            estimate_hitting_time(model, 0.15 * scale, config, n_paths=400),
+            estimate_stationary_mean(model, 0.15 * scale, config),
+        )
+
+    time, stock = estimates(1.0)
+    for scale in (1e-6, 1e-9):
+        scaled_time, scaled_stock = estimates(scale)
+        assert scaled_time.value == pytest.approx(time.value, rel=1e-9, abs=0.0), scale
+        assert scaled_stock.value / scale == pytest.approx(stock.value, rel=1e-9, abs=0.0), scale
+        for report in (scaled_time, scaled_stock):
+            assert report.details["floor_activations"] == 0, scale
+
+
 def _assert_stacking_changes_nothing(model):
     # chunk 0 alone and stacked with two more chunks draws and steps identically
     config = SimConfig(dt=2e-3, seed=61, chunk_size=400)
@@ -148,12 +169,17 @@ def _tail_case(case, benchmark_model):
         # a parsed ``^`` rounds alike on floats and arrays, so the tail agrees here too
         model = custom_model(parse_expression("x*(1.5 - 0.5*x)"), parse_expression("0.3*x^1.5"), y0=1.0)
         return model, 3.0, 1100, SimConfig(dt=2e-3, seed=61, chunk_size=400), lambda x: x
+    if case == "clamp":
+        # the logistic step's factor 1 + 13.5 dt + 3 sqrt(dt) n - dt x falls to 0 or below
+        # at about 2% of steps, so steps of the multiplicative form are clamped
+        model = logistic_model(q=-1.0, b=1.0, beta=3.0, y0=1.0)
+        return model, 8.0, 300, SimConfig(dt=0.05, seed=3), lambda x: x
     # with a cycle cap of 10, about 18 of 300 cycles outlast it, all after the
     # chunk has left the array
     return benchmark_model, 4.0, 300, SimConfig(dt=5e-3, seed=3), np.sqrt
 
 
-@pytest.mark.parametrize("case", ["bundled", "floor", "power", "cap"])
+@pytest.mark.parametrize("case", ["bundled", "floor", "power", "clamp", "cap"])
 def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, case):
     model, threshold, n, config, running = _tail_case(case, benchmark_model)
     if case == "cap":
@@ -172,23 +198,27 @@ def test_tail_finisher_matches_the_array_engine(benchmark_model, monkeypatch, ca
         assert np.array_equal(got, want), field
     floored, capped = (sum(counts) for counts in zip(*finished))
     assert {
-        "bundled": len(finished) >= 2, "floor": floored > 0, "power": len(finished) >= 2, "cap": capped > 0
+        "bundled": len(finished) >= 2, "floor": floored > 0, "power": len(finished) >= 2,
+        "clamp": floored > 0, "cap": capped > 0,
     }[case]
 
 
-@pytest.mark.parametrize("case", ["logistic", "scalar-only"])
+@pytest.mark.parametrize("case", ["logistic", "clamp", "scalar-only"])
 def test_cycles_do_not_depend_on_the_worker_count(benchmark_model, monkeypatch, case):
     # 1 to 5 chunks of 40 paths, the last one partial, on 1, 2 and 3 groups; every
     # chunk's last live paths go through the tail finisher, on whichever thread
+    config = SimConfig(dt=2e-3, seed=17, chunk_size=40)
     if case == "logistic":
         model, threshold, running = benchmark_model, 2.5, lambda x: x
         monkeypatch.setattr(simulation, "_TIME_CAP", 3.0)   # some cycles are capped
+    elif case == "clamp":
+        model, threshold, _, _, running = _tail_case("clamp", benchmark_model)
+        config = SimConfig(dt=0.05, seed=17, chunk_size=40)
     else:
         # math.fabs refuses arrays, so the array engine steps np.vectorize wrappers;
         # x drifts up from 0 at unit rate under unit noise, so steps below 0 are clamped
         model = custom_model(lambda x: 1.0 - 0.5 * math.fabs(x), lambda x: 1.0, y0=1.0)
         threshold, running = 1.8, np.sqrt
-    config = SimConfig(dt=2e-3, seed=17, chunk_size=40)
     finishers = set()
 
     def spy(*args, _finish=simulation._finish_chunk):
@@ -228,7 +258,7 @@ class _RecordedDrawAhead(simulation._DrawAhead):
 
 
 @pytest.mark.parametrize("ahead", [2**16, 1])
-@pytest.mark.parametrize("case", ["bundled", "floor", "power", "cap"])
+@pytest.mark.parametrize("case", ["bundled", "floor", "power", "clamp", "cap"])
 def test_normals_drawn_ahead_match_normals_drawn_inline(benchmark_model, monkeypatch, case, ahead):
     # one group of 1 to 3 chunks, stepped on its own with normals drawn inline (one usable
     # CPU) and drawn ahead on a worker (two); buffers of one block (ahead = 1) make blocks
@@ -253,7 +283,7 @@ def test_normals_drawn_ahead_match_normals_drawn_inline(benchmark_model, monkeyp
     for field, got, want in zip(runs[0]._fields, runs[1], runs[0]):
         assert np.array_equal(got, want), field
     assert len(_RecordedDrawAhead.held) == 1 and finished
-    if case == "floor":
+    if case in ("floor", "clamp"):
         assert runs[0].floored > 0
     if case == "cap":
         assert runs[0].capped > 0
@@ -353,11 +383,30 @@ def test_worker_error_reaches_the_caller_and_every_thread_ends(benchmark_model, 
     "params", [dict(q=-1.0, b=0.5, beta=1.0, y0=1.0), dict(q=-0.37, b=0.123, beta=0.71, y0=0.9)]
 )
 def test_logistic_coefficients_agree_bitwise_on_floats_and_arrays(params):
-    # the plain-float tail reproduces the array engine only if they do
+    # untagged, these lambdas take the generic Euler step, whose plain-float tail
+    # reproduces the array engine only if they do
     model = logistic_model(**params)
     xs = np.concatenate([np.geomspace(1e-8, 1e3, 2000), np.random.default_rng(5).uniform(0.0, 20.0, 2000)])
     for coefficient in (model.drift, model.volatility):
         assert np.array_equal(coefficient(xs), [coefficient(x) for x in xs.tolist()])
+
+
+def test_logistic_step_matches_the_generic_step_of_its_twin(benchmark_model, quadrature_twin, rate_payoff):
+    # the logistic model's multiplicative step is its twin's Euler step rounded another way:
+    # every estimate agrees to rounding, and every crossing falls on the same step
+    config = SimConfig(dt=2e-3, seed=41, horizon=2000.0)
+    for estimate in (
+        lambda model: estimate_hitting_time(model, 2.0, config, n_paths=4000),
+        lambda model: estimate_stationary_mean(model, 4.0, config),
+        lambda model: estimate_value(model, rate_payoff, 5.13, config),
+    ):
+        ours, twin = estimate(benchmark_model), estimate(quadrature_twin)
+        assert abs(ours.value - twin.value) <= 1e-9 * twin.std_error
+        for key in ("capped", "floor_activations"):
+            assert ours.details[key] == twin.details[key], key
+    ours, twin = (simulate_path(model, 5.13, config, horizon=50.0) for model in (benchmark_model, quadrature_twin))
+    assert ours.impulse_count > 0
+    assert np.array_equal(ours.impulse_times, twin.impulse_times)
 
 
 def test_long_run_capped_cycles_are_flagged(benchmark_model, rate_payoff, monkeypatch):
