@@ -66,7 +66,7 @@ __all__ = [
     "ordering_sweep",
 ]
 
-_FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point
+_FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point, relative to y0
 _PLANNER_REL_TOL = 1e-11     # x tolerance of the planner's root, relative to its bracket
 _TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
 _PRICE_STEP = 1e-6           # step of the central difference phi', relative to the domain width
@@ -112,15 +112,12 @@ def _phi_levels(phi, z: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def interaction_level(
-    model: DiffusionModel, payoff: PayoffSpec, y: float
-) -> float:
-    """c(y): harvesting rate (y-y0)/xi(y) or expected stock, per the payoff's channel."""
+def interaction_level(model: DiffusionModel, payoff: PayoffSpec, y):
+    """c(y) at a float or an array of thresholds: harvesting rate (y-y0)/xi(y) or expected stock."""
     if np.any(np.asarray(y) <= model.restart_level):
         raise DomainError("interaction level is defined for thresholds above y0")
-    xi, _, numerator, _ = _read(model, payoff, y if isinstance(y, float) else np.asarray(y, dtype=float))
-    value = numerator / xi
-    return float(value) if np.ndim(y) == 0 else value
+    xi, _, numerator, _ = _read(model, payoff, y)
+    return numerator / xi
 
 
 def _read(model: DiffusionModel, payoff: PayoffSpec, y, order: int = 1) -> tuple:
@@ -128,21 +125,15 @@ def _read(model: DiffusionModel, payoff: PayoffSpec, y, order: int = 1) -> tuple
 
     N is ``y - y0`` (``N' = 1``) on the harvest-rate channel and the cycle
     stock P (``N' = P'``) on the expected-stock channel, which refuses
-    thresholds next to y0 as ``expected_stock`` does. A float is one lookup,
-    with ``xi''`` after ``xi'`` at order 2; an array (the scan's, or
-    :func:`interaction_level`'s) is one array read, and N' is None there.
+    thresholds next to y0 as ``expected_stock`` does. ``xi''`` comes after
+    ``xi'`` at order 2. ``y`` is a float (one lookup) or an array (one array
+    read, the scan's or :func:`interaction_level`'s).
     """
-    calc, y0 = _calculus(model), model.restart_level
-    stock = payoff.interaction is Interaction.EXPECTED_STOCK
-    if isinstance(y, float):
-        if not stock:
-            return *calc.xi_derivatives(y, order), y - y0, 1.0
-        _require_threshold(model, y)
-        return calc.xi_derivatives(y, order, True)
-    if stock:
-        _require_threshold(model, float(np.min(y)))
-    xi, xi_prime, *cycle = calc.xi_grid(y, stock)
-    return xi, xi_prime, cycle[0] if stock else y - y0, None
+    calc = _calculus(model)
+    if payoff.interaction is Interaction.HARVEST_RATE:
+        return *calc.xi_derivatives(y, order), y - model.restart_level, 1.0
+    _require_threshold(model, y)
+    return calc.xi_derivatives(y, order, True)
 
 
 def _price_slope(
@@ -327,7 +318,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
     y_lo, y_hi = scan.bounds
     diagnostics: dict = {"bounds": [y_lo, y_hi]}
 
-    if y_hi - y_lo < _FIXED_POINT_TOL:
+    if y_hi - y_lo < _FIXED_POINT_TOL * y0:
         # Phi is constant up to the tolerance; its value is the fixed point
         roots = [0.5 * (y_lo + y_hi)]
     else:
@@ -353,7 +344,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         for i in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
             a, b = float(ys[i]), float(ys[i + 1])
             roots.append(_refine(
-                "fixed-point refinement", gap, a, b, gaps[i], gaps[i + 1], _FIXED_POINT_TOL
+                "fixed-point refinement", gap, a, b, gaps[i], gaps[i + 1], _FIXED_POINT_TOL * y0
             ))
 
     roots.sort()
@@ -383,8 +374,9 @@ def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet
     method; no threshold is solved. Under the harvest-rate channel Phi is
     strictly decreasing, so any root count but one raises
     :class:`SolverError`; under the expected-stock channel several equilibria
-    may coexist. When ``y_hi - y_lo`` is below the fixed-point tolerance the
-    midpoint is returned without pricing the grid. Each point's residual is
+    may coexist. Roots are refined to ``1e-8 y0``, and when ``y_hi - y_lo`` is
+    below that the midpoint is returned without pricing the grid, so a model
+    rescaled by a factor gives equilibria scaled by it. Each point's residual is
     ``|Phi(y) - y|`` from one Phi step.
     """
     return _equilibria(model, _scan(model, payoff))

@@ -31,10 +31,12 @@ _MIN_GAP = 1e-6  # relative to y0: thresholds this close to y0 degenerate to ins
 _TABLE_POINTS = 2000  # points of the density table
 
 
-def _require_threshold(model: DiffusionModel, y: float) -> None:
-    if not y > model.restart_level * (1.0 + _MIN_GAP):
+def _require_threshold(model: DiffusionModel, y) -> None:
+    """Refuse a threshold ``y``, or an array of them, within ``_MIN_GAP`` of y0 (and NaN)."""
+    low = y if type(y) is float else float(np.min(y, initial=math.inf))
+    if not low > model.restart_level * (1.0 + _MIN_GAP):
         raise DomainError(
-            f"controlled-law threshold must exceed y0 * (1 + {_MIN_GAP}); got y={y}, y0={model.restart_level}"
+            f"controlled-law threshold must exceed y0 * (1 + {_MIN_GAP}); got y={low}, y0={model.restart_level}"
         )
 
 
@@ -56,8 +58,8 @@ def controlled_density(model: DiffusionModel, y: float, x):
 def controlled_cdf(model: DiffusionModel, y: float, x):
     """CDF of the controlled stationary law, read off the scale/speed table.
 
-    Uses ``int_{y0}^{v} m S du = M[0,v] S(v) - xi(v)`` (by parts, since
-    ``S(y0) = 0`` and ``xi(v) = int_{y0}^{v} M[0,u] s(u) du``), so no extra
+    At ``v`` in ``(y0, y)`` it is ``kappa (M[0,v] (S(y) - S(v)) + xi(v))``, by
+    parts (``S(y0) = 0`` and ``xi(v) = int_{y0}^{v} M[0,u] s(u) du``), so no
     integrals beyond the tabulated ones are needed.
     """
     _require_threshold(model, y)
@@ -65,7 +67,6 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     kappa = 1.0 / calc.xi(y)
     y0 = model.restart_level
     s_y = calc.S(y)
-    m0_y0 = calc.M0(y0)
     xa = np.asarray(x, dtype=float)
     value = np.where(xa >= y, 1.0, 0.0)
     low = (xa > 0.0) & (xa <= y0)
@@ -73,9 +74,7 @@ def controlled_cdf(model: DiffusionModel, y: float, x):
     mid = (xa > y0) & (xa < y)
     if np.any(mid):
         v = xa[mid]
-        m0_v = calc.M0(v)
-        ms_v = m0_v * calc.S(v) - calc.xi(v)
-        value[mid] = kappa * (s_y * m0_y0 + s_y * (m0_v - m0_y0) - ms_v)
+        value[mid] = kappa * (calc.M0(v) * (s_y - calc.S(v)) + calc.xi(v))
     return float(value) if np.ndim(x) == 0 else value
 
 
@@ -85,7 +84,7 @@ def expected_stock(model: DiffusionModel, y):
     ``P`` is the cycle stock (see ``_Calculus.cycle_stock``) and ``xi`` the
     cycle length. ``y`` is a float or an array of thresholds in any order.
     """
-    _require_threshold(model, float(np.min(y, initial=math.inf)))
+    _require_threshold(model, y)
     calc = _calculus(model)
     xi = calc.xi(y)
     return calc.cycle_stock(y) / xi

@@ -240,11 +240,11 @@ def test_scalar_lookup_matches_array_element():
     bounds, coef, _, _ = table._state
     panel = np.clip(np.searchsorted(bounds, np.log(xs), side="right") - 1, 0, len(bounds) - 2)
     for c in components:
-        scalar = np.array([table.at(float(x), c) for x in xs])
+        scalar = np.array([table.point(float(x), (c,))[0] for x in xs])
         # relative to the size of the terms summed, since several components cross 0
         size = np.abs(coef[panel, c]).sum(axis=1)
         assert np.all(np.abs(scalar - array[c]) <= 2e-15 * size)
-        assert table(float(xs[77]), c) == scalar[77]
+        assert table(float(xs[77]), (c,)) == [scalar[77]]
 
 
 def test_array_reads_equal_plain_float_reads(benchmark_model):
@@ -256,7 +256,7 @@ def test_array_reads_equal_plain_float_reads(benchmark_model):
     components = tuple(range(6))
     array = table(xs, components)
     for c in components:
-        scalar = np.array([table.at(float(x), c) for x in xs])
+        scalar = np.array([table(float(x), (c,))[0] for x in xs])
         assert np.array_equal(array[c][same_log], scalar[same_log])
         assert np.allclose(array[c][~same_log], scalar[~same_log], rtol=1e-13, atol=0.0)
 

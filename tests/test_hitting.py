@@ -185,8 +185,8 @@ def test_point_read_keeps_the_bits_of_the_separate_reads(name):
 def test_grid_read_keeps_the_bits_of_the_separate_reads(name, stock):
     ev = _bundled_calculus(name)
     ys = np.geomspace(1.001, 60.0, 500)
-    fused = ev.xi_grid(ys, stock)
-    separate = (ev.xi(ys), ev.xi_prime(ys), ev.cycle_stock(ys))[: 3 if stock else 2]
+    fused = ev.xi_derivatives(ys, 1, stock)
+    separate = (ev.xi(ys), ev.xi_prime(ys), ev.cycle_stock(ys), ev.xm0(ys) * ev.s(ys))[: 4 if stock else 2]
     assert len(fused) == len(separate)
     for got, expected in zip(fused, separate):
         assert got.tobytes() == expected.tobytes()
@@ -198,15 +198,9 @@ class _FixedTable:
     def __init__(self, values):
         self.values = values
 
-    def at(self, x, component):
-        return self.values[component]
-
-    def point(self, x, components):
-        return [self.values[c] for c in components]
-
     def __call__(self, x, components):
-        if np.ndim(components) == 0:
-            return np.full(np.shape(x), self.values[components])
+        if isinstance(x, float):
+            return [self.values[c] for c in components]
         return np.array([np.full(np.shape(x), self.values[c]) for c in components])
 
 
@@ -222,7 +216,7 @@ def _first_error(reads, y):
 
 @pytest.mark.parametrize(
     "component, value, message",
-    [(_LOG_S, 1000.0, "scale density overflows at x = 2.0"),
+    [(_LOG_S, 1000.0, "scale density overflows: s is not finite at x = 2.0"),
      (_M, math.inf, "speed density overflows: M0 is not finite at x = 2.0"),
      (_CYC, math.inf, "scale density overflows: cycle stock is not finite at x = 2.0"),
      (_XM, math.inf, "speed density overflows: xm0 is not finite at x = 2.0")],
@@ -239,16 +233,14 @@ def test_fused_reads_raise_the_separate_reads_errors(benchmark_model, component,
     assert math.isfinite(ev.xi(2.0))
     separate = (lambda y: ev.s(y) * ev.M0(y), ev.cycle_stock, lambda y: ev.xm0(y) * ev.s(y))
     assert _first_error(separate, 2.0) == message
-    # the fused read raises the first separate read's error; without the stock, only that of s M0
+    # the fused read raises the first separate read's error; without the stock, only that of s M0,
+    # at one threshold and on an array of them alike
     without_stock = _first_error(separate[:1], 2.0)
-    for order in (1, 2):
-        assert _first_error((lambda y: ev.xi_derivatives(y, order, stock=True),), 2.0) == message
-        assert _first_error((lambda y: ev.xi_derivatives(y, order),), 2.0) == without_stock
-    # and the grid read the separate array reads'
-    ys = np.array([2.0])
-    for stock in (False, True):
-        expected = _first_error((ev.xi_prime, ev.cycle_stock)[: 1 + stock], ys)
-        assert _first_error((lambda y: ev.xi_grid(y, stock),), ys) == expected
+    for y in (2.0, np.array([2.0])):
+        assert _first_error(separate, y) == message
+        for order in (1, 2):
+            assert _first_error((lambda y: ev.xi_derivatives(y, order, stock=True),), y) == message
+            assert _first_error((lambda y: ev.xi_derivatives(y, order),), y) == without_stock
 
 
 def test_point_read_raises_the_sigma2_overflow_of_xi_second():
@@ -259,6 +251,52 @@ def test_point_read_raises_the_sigma2_overflow_of_xi_second():
     with pytest.raises(DomainError) as fused:
         ev.xi_derivatives(1e10)
     assert str(fused.value) == str(separate.value) == "sigma^2 overflows at x = 10000000000.0"
+
+
+# every read writes one formula for floats and arrays: a component read without exp keeps its
+# bits wherever np.log and math.log agree, and one through exp differs only by np.exp against
+# math.exp, in the last bit; (read, points, the kind of each component it returns)
+_XS = np.geomspace(0.01, 60.0, 400)   # on both sides of y0 = 1
+_YS = np.geomspace(1.0, 60.0, 400)    # thresholds
+_ACCESSORS = {
+    "s": (lambda ev, x: ev.s(x), _XS, ("exp",)),
+    "m": (lambda ev, x: ev.m(x), _XS, ("exp",)),
+    "S": (lambda ev, x: ev.S(x), _XS, ("bits",)),
+    "M0": (lambda ev, x: ev.M0(x), _XS, ("bits",)),
+    "xm0": (lambda ev, x: ev.xm0(x), _XS, ("bits",)),
+    "xi": (lambda ev, y: ev.xi(y), _YS, ("bits",)),
+    "xi_prime": (lambda ev, y: ev.xi_prime(y), _YS, ("exp",)),
+    "xi_second": (lambda ev, y: ev.xi_second(y), _YS, ("second",)),
+    "cycle_stock": (lambda ev, y: ev.cycle_stock(y), _YS, ("bits",)),
+    "xi_derivatives": (lambda ev, y: ev.xi_derivatives(y), _YS, ("bits", "exp", "second")),
+    "xi_derivatives-stock": (
+        lambda ev, y: ev.xi_derivatives(y, 1, stock=True), _YS, ("bits", "exp", "bits", "exp")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BUNDLED_RATE)
+@pytest.mark.parametrize("accessor", list(_ACCESSORS))
+def test_float_and_array_reads_agree(name, accessor):
+    ev = _bundled_calculus(name)
+    read, points, kinds = _ACCESSORS[accessor]
+    same_log = np.log(points) == np.array([math.log(p) for p in points])
+    assert np.count_nonzero(same_log) >= 0.9 * len(points)
+    floats = [read(ev, float(p)) for p in points]
+    array = read(ev, points)
+    if len(kinds) == 1:
+        floats, array = [(v,) for v in floats], (array,)
+    assert all(type(v) is float for reads in floats for v in reads)
+    for k, kind in enumerate(kinds):
+        got, expected = array[k][same_log], np.array([v[k] for v in floats])[same_log]
+        if kind == "bits":
+            assert got.tobytes() == expected.tobytes(), k
+            continue
+        size = np.abs(expected)
+        if kind == "second":   # xi'' = 2/sigma^2 (1 - mu xi') crosses 0: relative to its terms
+            y = points[same_log]
+            size = 2.0 / ev.volatility(y) ** 2 * (1.0 + np.abs(ev.drift(y) * ev.xi_prime(y)))
+        assert np.all(np.abs(got - expected) <= 1e-15 * size), k
 
 
 # ---------------------------------------------------------------------------

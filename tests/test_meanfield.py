@@ -254,6 +254,34 @@ def test_equilibria_match_phi_route_oracle(model, payoff):
         assert point.map_slope == pytest.approx(slope, abs=1e-5)
 
 
+def _rescaled(kind: str, channel: Interaction, scale: float):
+    """Drift ``x (1 - x/scale)``, noise ``0.5 x``, ``y0 = 0.1 scale``, ``K = 0.05 scale`` and the
+    price ``1/(1 + z/scale)``: the model at scale 1 with the state measured in units of 1/scale."""
+    if kind == "logistic":
+        model = logistic_model(growth=1.0, b=1.0 / scale, beta=0.5, y0=0.1 * scale)
+    else:
+        model = custom_model(lambda x: x * (1.0 - x / scale), lambda x: 0.5 * x, y0=0.1 * scale)
+    payoff = PayoffSpec(cost=0.05 * scale, phi=lambda z: 1.0 / (1.0 + z / scale), interaction=channel)
+    return model, payoff
+
+
+@pytest.mark.parametrize("kind", ["logistic", "custom"])
+@pytest.mark.parametrize("channel", list(Interaction), ids=lambda kind: kind.value)
+def test_thresholds_scale_with_the_model(kind, channel):
+    # the fixed-point tolerances are relative to y0, so a model rescaled by a factor has its
+    # equilibria and planner optimum scaled by it; with absolute tolerances the equilibria at
+    # a scale of 1e-6 were off by 4e-3 (rate) and 1e-3 (stock) relative
+    def thresholds(scale):
+        report = compare(*_rescaled(kind, channel, scale))
+        return [p.threshold / scale for p in report.equilibria.equilibria], report.planner.threshold / scale
+
+    equilibria, planner = thresholds(1.0)
+    for scale in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
+        scaled, scaled_planner = thresholds(scale)
+        assert scaled == pytest.approx(equilibria, rel=1e-13), scale
+        assert scaled_planner == pytest.approx(planner, rel=1e-10), scale
+
+
 @pytest.mark.parametrize("kind", list(Interaction), ids=lambda kind: kind.value)
 def test_map_slope_matches_phi_route_where_scale_is_finite_at_0(kind):
     # 1/s(0+) > 0 here, so xi'' must come from xi' itself, not from int_0^y mu m = 1/s
@@ -268,15 +296,16 @@ def test_map_slope_matches_phi_route_where_scale_is_finite_at_0(kind):
 
 
 def _record_priced_grids(monkeypatch):
-    # the scan prices its grid points through one table read per batch
-    real = _Calculus.xi_grid
+    # the scan prices its grid points through one array read per batch
+    real = _Calculus.xi_derivatives
     priced: list[float] = []
 
-    def recording(self, y, stock=False):
-        priced.extend(np.asarray(y, dtype=float))
-        return real(self, y, stock)
+    def recording(self, y, order=2, stock=False):
+        if not isinstance(y, float):
+            priced.extend(np.asarray(y, dtype=float))
+        return real(self, y, order, stock)
 
-    monkeypatch.setattr(_Calculus, "xi_grid", recording)
+    monkeypatch.setattr(_Calculus, "xi_derivatives", recording)
     return priced
 
 
@@ -587,14 +616,15 @@ def test_compare_computes_xi_once_per_grid_point(payoff_fixture, request, monkey
     # each grid point is priced at most once; the planner stops pricing one point past the
     # first grid point beyond 2 y_hi (the check point and its bracket neighbour), so every
     # point up to there is priced exactly once and none past it
-    real = _Calculus.xi_grid
+    real = _Calculus.xi_derivatives
     points: list[float] = []
 
-    def recording(self, y, stock=False):
-        points.extend(np.atleast_1d(np.asarray(y, dtype=float)))
-        return real(self, y, stock)
+    def recording(self, y, order=2, stock=False):
+        if not isinstance(y, float):
+            points.extend(np.asarray(y, dtype=float))
+        return real(self, y, order, stock)
 
-    monkeypatch.setattr(_Calculus, "xi_grid", recording)
+    monkeypatch.setattr(_Calculus, "xi_derivatives", recording)
     report = compare(logistic_model(q=-1.0, b=0.5, beta=1.0, y0=1.0),
                      request.getfixturevalue(payoff_fixture))
     scan = report.equilibria.diagnostics["scan"]
