@@ -597,7 +597,6 @@ def _coefficient(f, x):
     return float(f(x)) if type(x) is float else np.asarray(f(x), dtype=float)
 
 
-
 class _Calculus:
     """Per-model scale and speed calculus, read from one table; safe for concurrent reads.
 
