@@ -56,7 +56,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
-def _write(out: Path, command: str, scenario: Scenario, results: dict, diagnostics: dict) -> str:
+def _write(out: Path, command: str, scenario: Scenario, results, diagnostics: dict) -> str:
     """Write ``report.json`` and ``table.txt``; return the table."""
     report = build_report(command, scenario.raw, results, diagnostics)
     dump_json(report, out / "report.json")
@@ -88,11 +88,12 @@ def _write_density_csv(out: Path, scenario: Scenario, threshold: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (results, diagnostics, exit_code)
+# subcommand handlers; each returns (results, diagnostics, exit_code), with results a
+# result object or a dict of them that build_report converts
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
-    return dataclasses.asdict(validate_assumptions(scenario.model)), {}, 0
+def _cmd_validate(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
+    return validate_assumptions(scenario.model), {}, 0
 
 
 def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
@@ -104,13 +105,13 @@ def _single_z(scenario: Scenario, payoff: PayoffSpec) -> Optional[float]:
     return z
 
 
-def _cmd_solve_single(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_solve_single(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
     if z is None:
         z = payoff.domain[0]
     sol = best_response(scenario.model, payoff, z)
-    results = {"interaction_level": z, **dataclasses.asdict(sol)}
+    results = {"interaction_level": z, **vars(sol)}
     diagnostics = {
         "payoff": {
             "K": payoff.cost,
@@ -122,26 +123,25 @@ def _cmd_solve_single(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     return results, diagnostics, 0
 
 
-def _cmd_solve_mfg(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_solve_mfg(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     eq = mfg_equilibrium(scenario.model, scenario.require_payoff())
-    results = dataclasses.asdict(eq)
     if len(eq) == 0:
-        return results, {"error": "no equilibrium found"}, 3
+        return eq, {"error": "no equilibrium found"}, 3
     _write_density_csv(out, scenario, eq.equilibria[-1].threshold)
-    return results, {}, 0
+    return eq, {}, 0
 
 
-def _cmd_solve_mfc(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_solve_mfc(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     sol = mfc_optimum(scenario.model, scenario.require_payoff())
     _write_density_csv(out, scenario, sol.threshold)
-    return dataclasses.asdict(sol), {}, 0
+    return sol, {}, 0
 
 
-def _cmd_compare(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
-    return dataclasses.asdict(compare(scenario.model, scenario.require_payoff())), {}, 0
+def _cmd_compare(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
+    return compare(scenario.model, scenario.require_payoff()), {}, 0
 
 
-def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     model = scenario.model
     threshold = scenario.simulate_threshold
     payoff = scenario.payoff
@@ -172,7 +172,7 @@ def _cmd_simulate(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     return results, {"seed": scenario.sim.seed, "dt": scenario.sim.dt}, 0
 
 
-def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_verify(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     model = scenario.model
     payoff = resolve_payoff(scenario.model, scenario.require_payoff())
     z = _single_z(scenario, payoff)
@@ -184,14 +184,14 @@ def _cmd_verify(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
     sol = best_response(model, payoff, z)
     report = verify_solution(model, sol, float(payoff.phi(z)), 0.0, payoff.cost)
     results = {
-        "solution": dataclasses.asdict(sol),
-        "verification": dataclasses.asdict(report),
+        "solution": sol,
+        "verification": report,
         "interaction_level": z,
     }
     return results, {}, 0 if report.passed else 3
 
 
-def _cmd_sweep(scenario: Scenario, out: Path) -> tuple[dict, dict, int]:
+def _cmd_sweep(scenario: Scenario, out: Path) -> tuple[object, dict, int]:
     payoff = scenario.require_payoff()
     rows = ordering_sweep(payoff.interaction, scenario.sweep_draws, seed=scenario.sim.seed)
     with open(out / "sweep.csv", "w", newline="") as fh:

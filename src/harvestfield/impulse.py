@@ -25,10 +25,10 @@ problem: with ``rho`` the claimed long-run value, the stopping value
 
     g(x) = sup_y [ p (y - y0) - K - E_x int_0^{tau_y} (a X + rho) ]
 
-must vanish at y0, dominate ``p (x - y0) - K`` everywhere, and make the
-claimed threshold a stopping point. Feeding a wrong threshold (hence a
-sub-optimal rho) breaks those identities, which is what
-:func:`verify_solution` detects.
+must vanish at y0, dominate ``p (x - y0) - K`` wherever harvesting is
+allowed, ``x >= y0``, and make the claimed threshold a stopping point.
+Feeding a wrong threshold (hence a sub-optimal rho) breaks those
+identities, which is what :func:`verify_solution` detects.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
 _OBJECTIVE_REL_TOL = 1e-10
 _STEP_REL_TOL = 1e-8
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
+_NEWTON_MAX_ITER = 400        # budget of every threshold solve
 _ROOT_MAX_ITER = 200          # budget of every zeroin refinement
 _TARGET_REL_TOL = 1e-11       # x tolerance of the stopping target, relative to its bracket
 _STOPPING_GRID_POINTS = 400   # geometric grid of the stopping-problem verification
@@ -106,9 +107,12 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
     Once ``|g|`` is below ``1e-10 y``, a step below ``1e-8 y`` that stays in
     the bracket ends the solve at its Newton point, the root to rounding by
     quadratic convergence; else a bracket below ``1e-8 y`` ends it at the
-    iterate, which covers a flat g near a convex start at zero cost. The
-    value ``N/xi``, stationary at the root, and the residual ``|g|/y`` are
-    those of the last iterate.
+    iterate, which covers a flat g near a convex start at zero cost. Two such
+    steps in a row end it at the Newton point whatever ``|g|``: there rounding
+    holds ``|g|`` above the gate and the iterates cycle. The value ``N/xi``,
+    stationary at the root, and the residual ``|g|/y`` are those of the last
+    iterate. A solve that has not ended in ``_NEWTON_MAX_ITER`` steps raises
+    :class:`SolverError`.
     """
     if not math.isfinite(k_tilde):
         raise DomainError(f"the scaled impulse cost Kt = K/p is {k_tilde}: the price p is too small")
@@ -146,11 +150,10 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
     y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
 
     bracket = (lo, hi)
-    iterations = 0
-    while iterations < 400:
+    stalled = False   # whether the last step was a Newton step below 1e-8 y
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         y = y_next
         g, slope, xi, net = condition(y)
-        iterations += 1
         if g > 0.0:
             lo = y
         else:
@@ -158,12 +161,18 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
         newton = y - g / slope if slope < 0.0 else math.nan
         y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
         residual, tol = abs(g) / y, _STEP_REL_TOL * y
-        if residual < _OBJECTIVE_REL_TOL:
-            if y_next == newton and abs(newton - y) < tol:
-                y = newton
-                break
-            if hi - lo < tol:
-                break
+        small = y_next == newton and abs(newton - y) < tol
+        if small and (residual < _OBJECTIVE_REL_TOL or stalled):
+            y = newton
+            break
+        if residual < _OBJECTIVE_REL_TOL and hi - lo < tol:
+            break
+        stalled = small
+    else:
+        raise SolverError(
+            f"the threshold solve did not converge in {_NEWTON_MAX_ITER} Newton steps "
+            f"on [{lo}, {hi}]; |g|/y = {residual:.3g}"
+        )
 
     value = net / xi
     return ThresholdSolution(
@@ -173,7 +182,7 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
         bracket=bracket,
         iterations=iterations,
         profitable=value > 0.0,
-        flags=() if value > 0.0 else ("unprofitable",),
+        flags=() if value > 0.0 else ("no profitable harvest",),
     )
 
 
@@ -223,9 +232,7 @@ def best_response(model: DiffusionModel, payoff: PayoffSpec, z: float) -> Thresh
     if not price > 0.0 or not math.isfinite(price):
         raise DomainError(f"phi(z) must be positive and finite; got {price} at z={z}")
     base = optimal_threshold_basic(model, payoff.cost / price)
-    value = price * base.value
-    flags = base.flags if value > 0.0 else tuple(set(base.flags) | {"no profitable harvest"})
-    return replace(base, value=value, profitable=value > 0.0, flags=flags)
+    return replace(base, value=price * base.value)
 
 
 def critical_bounds(model: DiffusionModel, payoff: PayoffSpec) -> tuple[float, float]:
@@ -280,8 +287,7 @@ def solve_auxiliary(model: DiffusionModel, price: float, holding: float, cost: f
         raise DomainError(f"the price p must be positive and finite, got {price}")
     _check_holding(holding)
     sol = _solve_threshold(calc, cost / price, holding / price)
-    flags = () if sol.profitable else ("no profitable harvest",)
-    return replace(sol, value=price * sol.value, flags=flags)
+    return replace(sol, value=price * sol.value)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +335,10 @@ def stopping_value(
 
     With the potential ``Xi`` of :func:`_running_potential`, continuing from
     x to a level ``c >= x`` costs ``Xi(c) - Xi(x)``, so
-    ``g(x) = Xi(x) + sup_{c >= max(x, y0)} [p (c - y0) - K - Xi(c)]``: on the grid,
-    a reverse cumulative maximum over the candidates ``c >= y0``. The
+    ``g(x) = Xi(x) + sup_{c >= x} [p (c - y0) - K - Xi(c)]`` for ``x >= y0``.
+    The grid is the one the identities are checked on: ``_STOPPING_GRID_POINTS``
+    geometric points from y0 to ``1.5 threshold``, plus the threshold. On it
+    the supremum is a reverse cumulative maximum over the candidates. The
     supremum between grid points is the optimal continuation target, which
     does not depend on x and counts for every x below it. Where the reward's
     slope ``p - rho xi'(c) - a xm0(c) s(c)`` is positive at the best
@@ -341,36 +349,31 @@ def stopping_value(
     _check_holding(holding)
     calc = _calculus(model)
     y0 = model.restart_level
-    grid = np.geomspace(1e-2 * y0, 1.5 * threshold, _STOPPING_GRID_POINTS)
-    grid = np.unique(np.concatenate([grid, [y0, threshold]]))
+    grid = np.unique(np.append(np.geomspace(y0, 1.5 * threshold, _STOPPING_GRID_POINTS), threshold))
 
     def potential(x):
         return _running_potential(model, holding, rho_star, x)
 
     def slope(c: float) -> float:
-        """d/dc of the reward ``p (c - y0) - K - Xi(c)``, for ``c >= y0``."""
+        """d/dc of the reward ``p (c - y0) - K - Xi(c)``."""
         reads = calc.xi_derivatives(c, 1, bool(holding))
         value = price - rho_star * reads[1]
         return value - holding * reads[3] if holding else value
 
     running = potential(grid)
-    first = int(np.searchsorted(grid, y0))
-    candidates = grid[first:]
-    reward = price * (candidates - y0) - cost - running[first:]
+    reward = price * (grid - y0) - cost - running
     j = int(np.argmax(reward))
-    lo = float(candidates[max(j - 1, 0)])
-    hi = float(candidates[min(j + 1, len(candidates) - 1)])
+    lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, len(grid) - 1)])
     rise, fall = slope(lo), slope(hi)
     if rise > 0.0 > fall:
         target = _refine("stopping target", slope, lo, hi, rise, fall, _TARGET_REL_TOL * hi)
         target_reward = price * (target - y0) - cost - potential(target)
     else:
-        target, target_reward = float(candidates[j]), float(reward[j])
+        target, target_reward = float(grid[j]), float(reward[j])
 
-    # best reward over the candidates c >= max(x, y0), and the target where it lies ahead
+    # best reward over the candidates c >= x, and the target where it lies ahead
     best = np.maximum.accumulate(reward[::-1])[::-1]
-    best = best[np.maximum(np.arange(len(grid)) - first, 0)]
-    best = np.where(target > np.maximum(grid, y0), np.maximum(best, target_reward), best)
+    best = np.where(target > grid, np.maximum(best, target_reward), best)
     return StoppingValue(grid=grid, values=running + best, threshold=float(threshold))
 
 
@@ -389,13 +392,10 @@ def verify_solution(
     y0 = model.restart_level
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite identity fails below
         sv = stopping_value(model, price, holding, cost, solution.value, solution.threshold)
-        g_at_y0 = float(sv.values[np.argmin(np.abs(sv.grid - y0))])
-        # stopping is offered only at x >= y0, so only there must g dominate p (x - y0) - K
-        above = sv.grid >= y0
-        xs = sv.grid[above]
-        u = price * (xs - y0) - cost - sv.values[above]
+        u = price * (sv.grid - y0) - cost - sv.values
+    g_at_y0 = float(sv.values[0])
     u_max = float(np.max(u))
-    u_at_threshold = float(u[np.argmin(np.abs(xs - solution.threshold))])
+    u_at_threshold = float(u[np.argmin(np.abs(sv.grid - solution.threshold))])
     flags = []   # each test is written so that NaN fails it
     if not abs(g_at_y0) <= _VERIFY_TOL:
         flags.append("stopping value does not vanish at the restart level")

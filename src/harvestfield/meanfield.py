@@ -171,7 +171,7 @@ def phi_map(model: DiffusionModel, payoff: PayoffSpec, y: float) -> ThresholdSol
     z, clamped = _clamp_to_domain(interaction_level(model, payoff, y), payoff.domain)
     sol = best_response(model, payoff, z)
     if clamped:
-        sol = replace(sol, flags=tuple(set(sol.flags) | {"interaction level clamped to domain"}))
+        sol = replace(sol, flags=sol.flags + ("interaction level clamped to domain",))
     return sol
 
 

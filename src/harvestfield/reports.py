@@ -9,6 +9,7 @@ prints the identical table.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -18,31 +19,27 @@ import numpy as np
 __all__ = ["build_report", "render_table", "dump_json"]
 
 
-def _jsonable(obj: Any):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _finite_or_null(value: Any):
-    """``value`` with each non-finite float replaced by ``None``, and arrays and tuples as lists."""
+def _plain(value: Any):
+    """``value`` as JSON-ready Python: dataclasses as dicts of their fields in order, tuples
+    and arrays as lists, numpy scalars as Python numbers and non-finite floats as ``None``."""
+    if isinstance(value, float):   # numpy's float64 included
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
+        return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
+        return [_plain(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
-        return _finite_or_null(value.tolist())
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        return None
+        return _plain(value.tolist())
+    if isinstance(value, np.generic):
+        return _plain(value.item())
     return value
 
 
-def build_report(command: str, scenario: dict, results: dict, diagnostics: dict | None = None) -> dict:
-    return _finite_or_null({
+def build_report(command: str, scenario: dict, results, diagnostics: dict | None = None) -> dict:
+    """The report of one command, converted by one walk; ``results`` may be a result object."""
+    return _plain({
         "command": command,
         "scenario": scenario,
         "results": results,
@@ -84,4 +81,4 @@ def render_table(report: dict) -> str:
 def dump_json(report: dict, path) -> None:
     """Write the report as indented strict JSON in one write; a non-finite float raises."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(report, indent=2, default=_jsonable, allow_nan=False) + "\n")
+        fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")

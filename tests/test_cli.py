@@ -131,19 +131,36 @@ def test_logistic_scale_overflow_exits_3(tmp_path, interaction, capsys):
     assert "scale density overflows" in capsys.readouterr().err
 
 
-def test_overflow_message_names_an_x_that_overflowed(tmp_path, capsys):
-    # a low-noise model: s ~ e^3446 at the bottom of the stopping grid, 1e-2 y0, where xi
-    # overflows; the scale density is finite above y0
-    scenario = tmp_path / "low-noise.json"
+def _low_noise_scenario(tmp_path, beta):
+    scenario = tmp_path / f"low-noise-{beta}.json"
     scenario.write_text(json.dumps({
-        "model": {"kind": "custom", "drift": "x*(1 - x)", "vol": "0.05*x", "y0": 0.3},
+        "model": {"kind": "custom", "drift": "x*(1 - x)", "vol": f"{beta}*x", "y0": 0.3},
         "payoff": {"K": 0.05, "phi": "1/(1+z)", "interaction": "harvest_rate"},
     }))
-    code, _ = run(tmp_path, "verify", scenario)
-    assert code == 3
-    message = capsys.readouterr().err
-    assert "scale density overflows: xi is not finite at x = " in message
-    assert float(message.rsplit("= ", 1)[1]) < 0.3, message
+    return scenario
+
+
+def test_overflow_message_names_an_x_that_overflowed(tmp_path):
+    # a low-noise model: s ~ e^3446 at x = 1e-2 y0, where xi overflows; the scale density is
+    # finite above y0, where verify reads it
+    from harvestfield.errors import DivergenceError
+    from harvestfield.impulse import _running_potential
+    from harvestfield.scenario import load_scenario
+
+    scenario = _low_noise_scenario(tmp_path, 0.05)
+    with pytest.raises(DivergenceError, match="scale density overflows: xi is not finite at x = ") as caught:
+        _running_potential(load_scenario(scenario).model, 0.0, 1.0, 0.003)
+    assert float(str(caught.value).rsplit("= ", 1)[1]) == 0.003
+    assert run(tmp_path, "verify", scenario)[0] == 0
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.07, 0.1])
+def test_verify_passes_at_low_noise(tmp_path, beta):
+    # the stopping problem is checked on [y0, 1.5 y] only, so the overflow of xi toward 0
+    # is never read
+    code, out = run(tmp_path, "verify", _low_noise_scenario(tmp_path, beta))
+    assert code == 0
+    assert read_report(out)["results"]["verification"]["passed"] is True
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -312,13 +329,13 @@ def test_stopping_grid_size_leaves_verify_passing(tmp_path, monkeypatch):
 
     code, out = run(tmp_path / "default", "verify", RATE_SCENARIO)
     assert code == 0
-    # the grid plus y0 and the claimed threshold
-    assert read_report(out)["results"]["verification"]["grid_points"] == 402
+    # the grid from y0 plus the claimed threshold
+    assert read_report(out)["results"]["verification"]["grid_points"] == 401
     monkeypatch.setattr(impulse, "_STOPPING_GRID_POINTS", 200)
     code, out = run(tmp_path / "coarse", "verify", RATE_SCENARIO)
     assert code == 0
     verification = read_report(out)["results"]["verification"]
-    assert verification["grid_points"] == 202
+    assert verification["grid_points"] == 201
     assert verification["passed"] is True
 
 

@@ -3,10 +3,12 @@
 Each of the 8 subcommands runs in-process through ``cli.main`` on each of
 the 3 bundled scenarios. ``golden.json`` holds, per run, its exit code,
 every float leaf of ``report.json`` under its dotted key path, and the row
-count, sum and extremes of each CSV column (a cell of ``;``-joined numbers
-counts each of them). A field may move only within its tolerance, so a
-change that moves a printed number on purpose regenerates the file in the
-same commit and lists each moved field in ``CHANGES.md``:
+count, sum, position-weighted sum ``fsum((i + 1) x_i)`` and extremes of each
+CSV column (a cell of ``;``-joined numbers counts each of them). The weighted
+sum shows a cell that moved or swapped places, which the others do not. A
+field may move only within its tolerance, so a change that moves a printed
+number on purpose regenerates the file in the same commit and lists each
+moved field in ``CHANGES.md``:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -63,6 +65,7 @@ _MARGIN_SCALE = {
     "compare:results.margins.*": "results.planner.threshold",
     "sweep:results.worst_margin": "sweep.csv:planner_threshold.max",
     "sweep:sweep.csv:margin.sum": "sweep.csv:planner_threshold.sum",
+    "sweep:sweep.csv:margin.wsum": "sweep.csv:planner_threshold.wsum",
     "sweep:sweep.csv:margin.m*": "sweep.csv:planner_threshold.max",
 }
 
@@ -90,8 +93,9 @@ def numbers(code: int, out: Path) -> dict:
         for i, column in enumerate(header):
             cells = [float(v) for row in rows for v in row[i].split(";") if v]
             key = f"{path.name}:{column}"
-            fields.update({f"{key}.sum": math.fsum(cells), f"{key}.min": min(cells),
-                           f"{key}.max": max(cells)})
+            fields.update({f"{key}.sum": math.fsum(cells),
+                           f"{key}.wsum": math.fsum(n * x for n, x in enumerate(cells, 1)),
+                           f"{key}.min": min(cells), f"{key}.max": max(cells)})
     return fields
 
 

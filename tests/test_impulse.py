@@ -359,7 +359,34 @@ def test_auxiliary_flags_unprofitable(benchmark_model):
     sol = solve_auxiliary(benchmark_model, 1.0, 0.5, 2.0)
     assert sol.value == pytest.approx(-0.335, abs=1e-3)
     assert not sol.profitable
-    assert "no profitable harvest" in sol.flags
+    assert sol.flags == ("no profitable harvest",)
+
+
+def test_auxiliary_ends_a_rounding_cycle():
+    # Newton steps of 1.2e-10 cycle between two points where rounding holds |g|/y at
+    # 3.7e-10, above the 1e-10 gate: a second step below 1e-8 y in a row ends the solve
+    model = logistic_model(q=-0.46009279901824307, b=33.48535698610243, beta=0.7604054150704584,
+                           y0=0.2621927118335913)
+    sol = solve_auxiliary(model, 1.0, 2.093440462010641e-06, 0.04689679321483356)
+    assert sol.iterations <= 10
+    assert sol.threshold == 0.318192823909028
+    assert sol.flags == ("no profitable harvest",)
+
+
+def test_threshold_solve_raises_on_an_exhausted_budget():
+    # xi/xi' jumps from 2 to 0.1 at y = 1.5, so g = xi/xi' - (y - 1) jumps from 1.5 to -0.4 there:
+    # every Newton point leaves the bracket, and bisection never brings |g| below the gate
+    from types import SimpleNamespace
+
+    from harvestfield.errors import SolverError
+    from harvestfield.impulse import _solve_threshold
+
+    def xi_derivatives(y, order, stock):
+        quotient = 2.0 if y < 1.5 else 0.1
+        return 1.0, 1.0 / quotient, 1.0 / quotient
+    calc = SimpleNamespace(y0=0.0, xi_derivatives=xi_derivatives)
+    with pytest.raises(SolverError, match="did not converge in 400 Newton steps"):
+        _solve_threshold(calc, 1.0, 0.0)
 
 
 def test_auxiliary_reports_bracket_exhaustion():
@@ -387,12 +414,13 @@ def solved_benchmark(benchmark_model, benchmark_evaluator, rate_payoff):
 def test_stopping_value_identities(benchmark_model, solved_benchmark):
     sol, price = solved_benchmark
     sv = stopping_value(benchmark_model, price, 0.0, 1.0, sol.value, sol.threshold)
-    g0 = sv.values[np.argmin(np.abs(sv.grid - 1.0))]
-    assert abs(g0) < 1e-6
-    i_star = np.argmin(np.abs(sv.grid - sol.threshold))
+    # the grid runs from y0 = 1 to 1.5 y, with the threshold on it
+    assert sv.grid[0] == 1.0 and sv.grid[-1] == 1.5 * sol.threshold
+    assert abs(sv.values[0]) < 1e-6
+    i_star = np.searchsorted(sv.grid, sol.threshold)
+    assert sv.grid[i_star] == sol.threshold
     assert sv.values[i_star] == pytest.approx(price * (sol.threshold - 1.0) - 1.0, abs=1e-8)
-    on_grid = sv.grid >= 1.0
-    assert np.all(sv.values[on_grid] >= price * (sv.grid[on_grid] - 1.0) - 1.0 - 1e-9)
+    assert np.all(sv.values >= price * (sv.grid - 1.0) - 1.0 - 1e-9)
     assert np.all(np.diff(sv.values) >= -1e-9)
 
 
