@@ -18,7 +18,10 @@ holding cost the root may lie left of ``y0 + Kt`` instead, inside
 (Newton steps that fall back to bisection whenever they leave the bracket)
 converges to it in a handful of steps, each reading ``xi``, ``xi'``,
 ``xi''`` and any cycle stock it needs from one table lookup. g is close to
-linear where ``xi`` grows exponentially.
+linear where ``xi`` grows exponentially. The same loop, :func:`_root`, finds
+every other root of the package by secant steps where no slope is at hand:
+the equilibria and the planner optimum of :mod:`meanfield`, and the stopping
+problem's continuation target.
 
 A solved instance can be re-checked through the associated optimal-stopping
 problem: with ``rho`` the claimed long-run value, the stopping value
@@ -39,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._brent import zeroin
 from .diffusion import DiffusionModel, _calculus, _Calculus
 from .errors import DomainError, NoRootError, SolverError
 from .payoff import PayoffSpec
@@ -58,14 +60,12 @@ __all__ = [
     "verify_solution",
 ]
 
-# stopping tests of _solve_threshold: |g| (_OBJECTIVE_REL_TOL), and the Newton step or
-# the bracket width (_STEP_REL_TOL), both relative to the root
+# stopping tests of _root: |f| (the caller's gate, _OBJECTIVE_REL_TOL for a threshold), and
+# the step or the bracket width (_STEP_REL_TOL), both relative to the root
 _OBJECTIVE_REL_TOL = 1e-10
 _STEP_REL_TOL = 1e-8
 _BRACKET_DOUBLINGS = 60       # budget of every bracket search by doubling
-_NEWTON_MAX_ITER = 400        # budget of every threshold solve
-_ROOT_MAX_ITER = 200          # budget of every zeroin refinement
-_TARGET_REL_TOL = 1e-11       # x tolerance of the stopping target, relative to its bracket
+_NEWTON_MAX_ITER = 400        # budget of every root search
 _STOPPING_GRID_POINTS = 400   # geometric grid of the stopping-problem verification
 _VERIFY_TOL = 1e-6            # bound on each verified stopping-problem identity
 
@@ -82,11 +82,88 @@ class ThresholdSolution:
 
 
 # ---------------------------------------------------------------------------
+# one-dimensional roots: the threshold, equilibria, planner and stopping target
+# ---------------------------------------------------------------------------
+
+def _root(
+    what: str,
+    fn: Callable[[float], tuple],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    slope: float = math.nan,
+    gate: float = math.inf,
+) -> tuple[float, int, float, list]:
+    """A root of f in ``[lo, hi]``, inside (0, inf), from the known end values and ``slope`` at hi.
+
+    ``fn(y)`` returns ``f(y)``, its slope or NaN, and any further reads. The
+    bracket is oriented by the sign of ``f_lo``, and ``f_hi`` must have the
+    other. Each step starts from the last iterate, first ``hi``: a Newton step
+    (Press et al., Numerical Recipes 9.4), or where the slope is NaN a step
+    along the secant through the last two iterates (``lo`` and ``hi`` first).
+    A step along a slope whose sign does not cross the bracket's sign change,
+    or one that leaves the closed bracket, falls back to the midpoint; the
+    bracket is closed so that an iterate at the exact root (a step of 0) stays
+    put. Each iterate shrinks the bracket by the sign of f.
+
+    Once ``|f|`` is below ``gate y``, a step below ``1e-8 y`` that stays in the
+    bracket ends the search at the step's point, the root to rounding by the
+    step's superlinear convergence; else a bracket below ``1e-8 y`` ends it at
+    the iterate. Two such steps in a row end it at the step's point whatever
+    ``|f|``: there rounding holds ``|f|`` above the gate and the iterates
+    cycle. Returns the root as a float, the number of steps, and ``|f|/y`` and
+    the further reads at the last iterate. A bracket without a sign change, a
+    NaN value or a search still open after ``_NEWTON_MAX_ITER`` steps raises
+    :class:`SolverError` naming ``what``.
+    """
+    sign = math.copysign(1.0, f_lo)
+    if not sign * f_hi < 0.0 <= sign * f_lo:
+        raise SolverError(f"{what} on [{lo}, {hi}] failed: no sign change from {f_lo} to {f_hi}")
+    x, f, y, g = lo, float(f_lo), hi, float(f_hi)
+    stalled = False   # whether the last step was one below 1e-8 y
+    for iterations in range(_NEWTON_MAX_ITER + 1):
+        if iterations:
+            x, f, y = y, g, y_next
+            g, slope, *reads = fn(y)
+            if math.isnan(g):
+                raise SolverError(f"{what} on [{lo}, {hi}] failed: the value at y = {y} is NaN")
+            if sign * g > 0.0:
+                lo = y
+            else:
+                hi = y
+        if math.isnan(slope):
+            slope = (g - f) / (y - x)
+        step = y - g / slope if sign * slope < 0.0 else math.nan
+        y_next = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if not iterations:
+            continue
+        residual, tol = abs(g) / y, _STEP_REL_TOL * y
+        small = y_next == step and abs(step - y) < tol
+        if small and (residual < gate or stalled):
+            return float(step), iterations, residual, reads
+        if residual < gate and hi - lo < tol:
+            return float(y), iterations, residual, reads
+        stalled = small
+    raise SolverError(
+        f"{what} did not converge in {_NEWTON_MAX_ITER} Newton steps on [{lo}, {hi}]; "
+        f"|f|/y = {residual:.3g}"
+    )
+
+
+def _refine(
+    what: str, fn: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> float:
+    """A root of ``fn`` on ``[a, b]`` by :func:`_root`'s secant steps, from the known end values."""
+    return _root(what, lambda y: (fn(y), math.nan), a, b, fa, fb)[0]
+
+
+# ---------------------------------------------------------------------------
 # threshold problems: (y - y0 - Kt - a P(y)) / xi(y)
 # ---------------------------------------------------------------------------
 
 def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> ThresholdSolution:
-    """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: a root by safeguarded Newton.
+    """Maximizer of ``(y - y0 - Kt - a P(y)) / xi(y)``: a root by :func:`_root`'s safeguarded Newton.
 
     ``Kt`` is ``k_tilde``, ``a`` is ``holding`` and ``P`` the table's cycle
     stock, with ``P' = xm0 s`` and ``P'' = (2/sigma^2)(y - mu P')``. The
@@ -94,25 +171,13 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
     and its slope is ``g' = -(xi/xi') (a P'' + (1 - a P') xi''/xi')``; at
     ``a = 0`` P is never read. Since ``g(y0) = Kt > 0``, the root lies in
     ``[y0, y0 + Kt]`` if ``g(y0 + Kt) < 0``; otherwise a doubling phase from
-    ``y0 + Kt`` brackets it. Newton steps (Press et al., Numerical Recipes
-    9.4) start from the Newton point of the bracket's evaluated right end, or
-    the midpoint if that point leaves the bracket, and shrink the bracket by
-    the sign of g. A step with a nonnegative slope, or one that leaves the
-    closed bracket ``[lo, hi]``, falls back to the midpoint; the bracket is
-    closed so that an iterate at the exact root (g = 0, Newton point on
-    ``hi``) stays put. Every evaluation reads ``xi``, ``xi'``, ``xi''`` and,
-    under a holding cost, ``P`` and ``P'`` from one table lookup, and
-    ``iterations`` counts the Newton steps.
-
-    Once ``|g|`` is below ``1e-10 y``, a step below ``1e-8 y`` that stays in
-    the bracket ends the solve at its Newton point, the root to rounding by
-    quadratic convergence; else a bracket below ``1e-8 y`` ends it at the
-    iterate, which covers a flat g near a convex start at zero cost. Two such
-    steps in a row end it at the Newton point whatever ``|g|``: there rounding
-    holds ``|g|`` above the gate and the iterates cycle. The value ``N/xi``,
-    stationary at the root, and the residual ``|g|/y`` are those of the last
-    iterate. A solve that has not ended in ``_NEWTON_MAX_ITER`` steps raises
-    :class:`SolverError`.
+    ``y0 + Kt`` brackets it. Every evaluation reads ``xi``, ``xi'``, ``xi''``
+    and, under a holding cost, ``P`` and ``P'`` from one table lookup, and
+    ``iterations`` counts the Newton steps. The gate ``|g| < 1e-10 y`` is
+    waived after a second small step in a row, which ends a rounding cycle;
+    a bracket below ``1e-8 y`` also covers a flat g near a convex start at
+    zero cost. The value ``N/xi``, stationary at the root, and the residual
+    ``|g|/y`` are those of the last iterate.
     """
     if not math.isfinite(k_tilde):
         raise DomainError(f"the scaled impulse cost Kt = K/p is {k_tilde}: the price p is too small")
@@ -146,40 +211,16 @@ def _solve_threshold(calc: _Calculus, k_tilde: float, holding: float) -> Thresho
                 f"no sign change of the first-order condition within {_BRACKET_DOUBLINGS} "
                 "doublings; the objective appears to increase without bound"
             )
-    newton = hi - g / slope if slope < 0.0 else math.nan
-    y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-
-    bracket = (lo, hi)
-    stalled = False   # whether the last step was a Newton step below 1e-8 y
-    for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        y = y_next
-        g, slope, xi, net = condition(y)
-        if g > 0.0:
-            lo = y
-        else:
-            hi = y
-        newton = y - g / slope if slope < 0.0 else math.nan
-        y_next = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-        residual, tol = abs(g) / y, _STEP_REL_TOL * y
-        small = y_next == newton and abs(newton - y) < tol
-        if small and (residual < _OBJECTIVE_REL_TOL or stalled):
-            y = newton
-            break
-        if residual < _OBJECTIVE_REL_TOL and hi - lo < tol:
-            break
-        stalled = small
-    else:
-        raise SolverError(
-            f"the threshold solve did not converge in {_NEWTON_MAX_ITER} Newton steps "
-            f"on [{lo}, {hi}]; |g|/y = {residual:.3g}"
-        )
-
+    # g >= 0 at lo: g(y0) = Kt, g(y0 + Kt) = xi/xi' at a = 0, and any other lo was read so
+    y, iterations, residual, (xi, net) = _root(
+        "the threshold solve", condition, lo, hi, 0.0, g, slope, _OBJECTIVE_REL_TOL
+    )
     value = net / xi
     return ThresholdSolution(
         threshold=y,
         value=value,
         residual=residual,
-        bracket=bracket,
+        bracket=(lo, hi),
         iterations=iterations,
         profitable=value > 0.0,
         flags=() if value > 0.0 else ("no profitable harvest",),
@@ -248,24 +289,6 @@ def critical_bounds(model: DiffusionModel, payoff: PayoffSpec) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # auxiliary problem with running cost
 # ---------------------------------------------------------------------------
-
-def _refine(
-    what: str, fn: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
-) -> float:
-    """A root of ``fn`` on ``[a, b]`` by Brent's ``zeroin``, from the known ``fn(a)`` and ``fn(b)``.
-
-    The end values are not computed again, and the sign change that zeroin
-    needs is the one they show. A cell without one, or an exhausted budget,
-    raises :class:`SolverError` naming ``what`` and the cell.
-    """
-    ends = {a: fa, b: fb}
-    try:
-        return zeroin(
-            lambda y: ends[y] if y in ends else fn(y), a, b, xtol=xtol, maxiter=_ROOT_MAX_ITER
-        )
-    except (RuntimeError, ValueError) as exc:  # budget exhausted or bracket rejected
-        raise SolverError(f"{what} on [{a}, {b}] failed: {exc}") from exc
-
 
 def _check_holding(holding: float) -> None:
     if not 0.0 <= holding < math.inf:   # also rejects NaN
@@ -343,8 +366,8 @@ def stopping_value(
     does not depend on x and counts for every x below it. Where the reward's
     slope ``p - rho xi'(c) - a xm0(c) s(c)`` is positive at the best
     candidate's left neighbour and negative at its right one, the target is
-    the slope's root between them, by :func:`_refine`; otherwise it is the
-    best candidate.
+    the slope's root between them, by :func:`_refine`'s secant steps;
+    otherwise it is the best candidate.
     """
     _check_holding(holding)
     calc = _calculus(model)
@@ -366,7 +389,7 @@ def stopping_value(
     lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, len(grid) - 1)])
     rise, fall = slope(lo), slope(hi)
     if rise > 0.0 > fall:
-        target = _refine("stopping target", slope, lo, hi, rise, fall, _TARGET_REL_TOL * hi)
+        target = _refine("stopping target", slope, lo, hi, rise, fall)
         target_reward = price * (target - y0) - cost - potential(target)
     else:
         target, target_reward = float(grid[j]), float(reward[j])

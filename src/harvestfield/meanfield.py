@@ -11,13 +11,14 @@ most once per solve:
 * competitive equilibrium: a threshold y is the best response to the price
   ``p(y) = phi(c(y))`` it generates iff it solves the first-order condition
   ``G(y) = p(y) k(y) - K = 0`` with ``k(y) = y - y0 - xi(y)/xi'(y)``. On
-  either channel every sign change of G on the grid is refined by Brent's
-  method. Under the harvest-rate channel Phi is strictly decreasing, so the
-  search must find exactly one root; under the expected-stock channel Phi is
-  nondecreasing and several equilibria may coexist.
+  either channel every sign change of G on the grid is refined by secant
+  steps (:func:`impulse._root`). Under the harvest-rate channel Phi is
+  strictly decreasing, so the search must find exactly one root; under the
+  expected-stock channel Phi is nondecreasing and several equilibria may
+  coexist.
 * cooperative (planner) optimum: maximizer of
   ``H(y) = (gamma(y, c(y)) - K)/xi(y)``, by a scan of the same grid; each
-  local maximum of the scan is refined by Brent's method on the planner's
+  local maximum of the scan is refined by secant steps on the planner's
   first-order condition ``G_P``, which has the sign of ``H'``. The
   scan stops one point past the first grid point beyond ``2 y_hi`` when the
   zero-cost bound ``H(y) < phi(z_lo) (y - y0)/xi(y)``, which falls past
@@ -66,8 +67,7 @@ __all__ = [
     "ordering_sweep",
 ]
 
-_FIXED_POINT_TOL = 1e-8      # x tolerance of every fixed point, relative to y0
-_PLANNER_REL_TOL = 1e-11     # x tolerance of the planner's root, relative to its bracket
+_FIXED_POINT_TOL = 1e-8      # best-response range, relative to y0, below which Phi is constant
 _TIE_REL_TOL = 1e-6          # planner maxima this close to the best are reported as ties
 _PRICE_STEP = 1e-6           # step of the central difference phi', relative to the domain width
 _SCAN_POINTS = 500           # threshold grid shared by the equilibrium and planner solves
@@ -343,9 +343,7 @@ def _equilibria(model: DiffusionModel, scan: _Scan) -> EquilibriumSet:
         roots = [float(y) for y in ys[gaps == 0.0]]
         for i in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
             a, b = float(ys[i]), float(ys[i + 1])
-            roots.append(_refine(
-                "fixed-point refinement", gap, a, b, gaps[i], gaps[i + 1], _FIXED_POINT_TOL * y0
-            ))
+            roots.append(_refine("fixed-point refinement", gap, a, b, gaps[i], gaps[i + 1]))
 
     roots.sort()
     if payoff.interaction is Interaction.HARVEST_RATE and len(roots) != 1:
@@ -370,14 +368,15 @@ def mfg_equilibrium(model: DiffusionModel, payoff: PayoffSpec) -> EquilibriumSet
 
     One search serves both channels: the roots of ``G(y) = phi(c(y)) k(y) - K``,
     ``k(y) = y - y0 - xi(y)/xi'(y)``, on the grid cells that meet the
-    best-response range ``[y_lo, y_hi]``, each sign change refined by Brent's
-    method; no threshold is solved. Under the harvest-rate channel Phi is
-    strictly decreasing, so any root count but one raises
+    best-response range ``[y_lo, y_hi]``, each sign change refined by
+    :func:`impulse._refine`'s secant steps until one is below ``1e-8 y``, the
+    root to rounding; no threshold is solved. Under the harvest-rate channel
+    Phi is strictly decreasing, so any root count but one raises
     :class:`SolverError`; under the expected-stock channel several equilibria
-    may coexist. Roots are refined to ``1e-8 y0``, and when ``y_hi - y_lo`` is
-    below that the midpoint is returned without pricing the grid, so a model
-    rescaled by a factor gives equilibria scaled by it. Each point's residual is
-    ``|Phi(y) - y|`` from one Phi step.
+    may coexist. When ``y_hi - y_lo`` is below ``1e-8 y0`` the midpoint is
+    returned without pricing the grid, so a model rescaled by a factor gives
+    equilibria scaled by it. Each point's residual is ``|Phi(y) - y|`` from
+    one Phi step.
     """
     return _equilibria(model, _scan(model, payoff))
 
@@ -434,7 +433,8 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
 
     y is the root of the first-order condition
     ``G_P = (p + p' (y - y0)) xi - (p (y - y0) - K) xi'``, which has the sign
-    of ``H'``, by :func:`impulse._refine` on ``[grid[i - 1], grid[i + 1]]``.
+    of ``H'``, by :func:`impulse._refine`'s secant steps on
+    ``[grid[i - 1], grid[i + 1]]``.
     At the cell ends it reads the scan's xi and price, so no grid point is
     priced again.
     """
@@ -451,11 +451,11 @@ def _refine_maximum(scan: _Scan, i: int) -> tuple[float, float]:
 
     a, b = float(scan.grid[i - 1]), float(scan.grid[i + 1])
     xi, prices = scan.xi(i - 1, i + 2), scan.prices(i - 1, i + 2)
-    with np.errstate(over="ignore", invalid="ignore"):   # _refine refuses a non-finite G_P
+    with np.errstate(over="ignore", invalid="ignore"):   # _refine refuses a NaN G_P
         y = _refine(
             "planner refinement", lambda v: condition(v, *_read(model, payoff, v)), a, b,
             condition(a, xi[0], *_read(model, payoff, a)[1:], price=prices[0]),
-            condition(b, xi[2], *_read(model, payoff, b)[1:], price=prices[2]), _PLANNER_REL_TOL * b,
+            condition(b, xi[2], *_read(model, payoff, b)[1:], price=prices[2]),
         )
     return y, _planner_value(model, payoff, y)[2]
 
@@ -515,9 +515,9 @@ def mfc_optimum(model: DiffusionModel, payoff: PayoffSpec) -> MfcSolution:
     """Maximize H(y) = (gamma(y, c(y)) - K)/xi(y) over thresholds.
 
     ``H`` is read off the shared scan grid; each local maximum of the grid is
-    refined on its two neighbouring cells by Brent's root finder on the
-    first-order condition ``G_P``, which has the sign of ``H'`` (see
-    :func:`_refine_maximum`), to ``1e-11`` of the bracket's right end. A
+    refined on its two neighbouring cells by secant steps on the first-order
+    condition ``G_P``, which has the sign of ``H'`` (see
+    :func:`_refine_maximum`), until one is below ``1e-8 y``. A
     maximum whose cells hold no sign change of ``G_P``, or a grid with no
     interior maximum, raises :class:`SolverError`. Maxima within a relative
     ``1e-6`` of the best are reported as ties, the smallest first.

@@ -206,14 +206,13 @@ def test_rate_channel_rejects_two_fixed_points(benchmark_model, rate_payoff, mon
 def test_fixed_point_refinement_failure_is_solver_error(benchmark_model, rate_payoff, monkeypatch):
     import harvestfield.impulse as impulse
 
-    def exhausted(*args, **kwargs):
-        raise RuntimeError("Failed to converge after 200 iterations")
-
-    monkeypatch.setattr(impulse, "zeroin", exhausted)
-    with pytest.raises(SolverError, match="fixed-point refinement"):
-        mfg_equilibrium(benchmark_model, rate_payoff)
-    with pytest.raises(SolverError, match="planner refinement"):
-        mfc_optimum(benchmark_model, rate_payoff)
+    scan = meanfield._scan(benchmark_model, rate_payoff)   # solves the bounds' thresholds
+    # one step cannot end a refinement from the scan's cell ends, so the budget runs out
+    monkeypatch.setattr(impulse, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="fixed-point refinement did not converge in 1 Newton steps"):
+        meanfield._equilibria(benchmark_model, scan)
+    with pytest.raises(SolverError, match="planner refinement did not converge in 1 Newton steps"):
+        meanfield._planner(benchmark_model, scan)
 
 
 def _phi_route_cases():
@@ -252,6 +251,14 @@ def test_equilibria_match_phi_route_oracle(model, payoff):
         assert point.stability == label
         assert point.threshold == pytest.approx(y, abs=2.0 * _FIXED_POINT_TOL)
         assert point.map_slope == pytest.approx(slope, abs=1e-5)
+
+
+@pytest.mark.parametrize("model, payoff", _phi_route_cases())
+def test_equilibria_are_fixed_points_to_rounding(model, payoff):
+    # each refined root of G is a fixed point of Phi to rounding, on either channel; a root
+    # refined only to 1e-8 y0 leaves |Phi(y) - y| up to 4.7e-10 y on these cases
+    for point in mfg_equilibrium(model, payoff).equilibria:
+        assert point.residual <= 1e-12 * point.threshold, (point.threshold, point.residual)
 
 
 def _rescaled(kind: str, channel: Interaction, scale: float):
